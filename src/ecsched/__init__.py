@@ -6,7 +6,7 @@ from .baselines import (BudgetExceededError, SearchBudget, brute_force,
 from .generate import GenConfig, generate_instance, generate_instances, sample_demands, sample_static
 from .gumbel import categorical_sample, concrete_sample, round_onehot, sample_gumbel
 from .io import FormatError, read_instance, read_scheme, write_instance, write_scheme
-from .milp import exhaustive_optimum, linearize, read_solution, write_lp, write_warmstart
+from .milp import linearize, read_solution, write_lp, write_warmstart
 from .model import (AllocationScheme, DemandTensor, FeasibilityReport, FlowSummary,
                     Instance, InvalidTopologyError, OptionTable, SoftAllocation,
                     Topology, build_option_table, check_feasibility, compute_flows,
@@ -24,7 +24,7 @@ __all__ = [
     "SearchBudget", "SoftAllocation", "Topology", "TrainConfig", "TrainingDiverged",
     "best_of", "brute_force", "build_option_table", "categorical_sample",
     "check_feasibility", "compute_flows", "concrete_sample", "create_network",
-    "draw_hard", "draw_soft", "exhaustive_optimum", "forward_alpha", "g95",
+    "draw_hard", "draw_soft", "forward_alpha", "g95",
     "gssn_grad_check",
     "generate_instance", "generate_instances", "linearize", "load_model",
     "percentile_exempt_count", "preprocess", "read_instance", "read_scheme",

@@ -1,12 +1,10 @@
-"""Hot numeric kernels with a numba fast path and a pure-numpy fallback.
+"""Numeric kernels: per-slot flows of an allocation and their pricing.
 
-The numba path is used when numba imports cleanly and the environment
-variable ``ECSCHED_DISABLE_NUMBA`` is unset (or set to 0/false/no/off).
-Both paths are importable side by side so they can be benchmarked against
-each other; the module-level names without a suffix point at whichever
-backend is active.  All kernels are pure functions of their array
-arguments and the two backends must agree to float tolerance (the test
-suite checks this whenever numba is available).
+Every route that prices an allocation (the cost model, the soft loss and
+its gradient, the samplers, exhaustive search and the MILP objective)
+goes through ``price_flows``, so the percentile rule, the overage cost
+and the cap checks are written once.  Pricing takes leading batch axes,
+which lets exhaustive search price a chunk of combinations in one call.
 
 Array conventions match the rest of the package: demand tensors are
 ``[type, user, slot]``, per-slot link flows are ``[user, link, slot]``
@@ -14,44 +12,138 @@ Array conventions match the rest of the package: demand tensors are
 ``[type, user, option, link]``.
 """
 
-import os
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
-_disable_flag = os.environ.get("ECSCHED_DISABLE_NUMBA", "").strip().lower()
-NUMBA_DISABLED = _disable_flag in {"1", "true", "yes", "on"}
-
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:
-    HAS_NUMBA = False
-
-USE_NUMBA = HAS_NUMBA and not NUMBA_DISABLED
-BACKEND = "numba" if USE_NUMBA else "numpy"
+BACKEND = "numpy"
 
 
-# ---------------------------------------------------------------------------
-# pure-numpy implementations
-# ---------------------------------------------------------------------------
+def percentile_exempt_count(n_slots):
+    """Number of slots the 95th percentile ignores: floor(0.05 T)."""
+    if n_slots < 1:
+        raise ValueError("need at least one slot")
+    return int(0.05 * n_slots)
 
-def hard_edge_flows_numpy(options, weights, d_in, d_out):
+
+def billed_level(flows):
+    """(m+1)-th largest value along the last (slot) axis, m exempt slots."""
+    t = flows.shape[-1]
+    return np.sort(flows, axis=-1)[..., t - 1 - percentile_exempt_count(t)]
+
+
+def descending_slots(flows):
+    """Slot indices by descending flow along the last axis, ties to the
+    lowest slot: ``[..., :m]`` are the exempt slots, ``[..., m]`` the
+    billed one."""
+    return np.argsort(-flows, axis=-1, kind="stable")
+
+
+def _per_allocation(value):
+    return float(value) if np.ndim(value) == 0 else value
+
+
+@dataclass(frozen=True)
+class FlowSummary:
+    """Per-slot flows, billable bandwidths, cost and cap overshoots.
+
+    Shapes are those of one allocation below; any leading batch axes of
+    the edge flows are carried through, and the totals then become
+    arrays over them.  ``overshoot`` holds, in this order, the per-slot
+    excess of edge inbound, edge outbound, ISP inbound and ISP outbound
+    flow over the physical caps, then the excess of z_edge and z_isp over
+    the billable caps; entries are zero where a cap holds.
+    """
+
+    edge_in: np.ndarray       # (N, EL, T)
+    edge_out: np.ndarray      # (N, EL, T)
+    isp_in: np.ndarray        # (EL, T)
+    isp_out: np.ndarray       # (EL, T)
+    z_edge: np.ndarray        # (N, EL)
+    z_isp: np.ndarray         # (EL,)
+    inbound_edge: np.ndarray  # (N, EL) True where inbound sets z (ties inbound)
+    inbound_isp: np.ndarray   # (EL,)
+    cost_edge: np.ndarray
+    cost_isp: np.ndarray
+    cost_total: float
+    overshoot: tuple
+
+    def _per_allocation_axes(self, arr):
+        return tuple(range(self.z_isp.ndim - 1, arr.ndim))
+
+    @property
+    def feasible(self):
+        """No cap is overshot (overshoots are never negative, so any
+        nonzero entry is an overshoot)."""
+        ok = True
+        for o in self.overshoot:
+            ok = ok & ~o.any(axis=self._per_allocation_axes(o))
+        return ok
+
+    @property
+    def penalty(self):
+        """Sum of squared cap overshoots."""
+        return _per_allocation(sum((o ** 2).sum(axis=self._per_allocation_axes(o))
+                                   for o in self.overshoot))
+
+
+def price_flows(topology, edge_in, edge_out):
+    """Percentile billing of per-slot edge flows (..., N, EL, T).
+
+    A link's billable bandwidth z is the larger of its inbound and
+    outbound (m+1)-th largest slot flows, its cost is rate times the
+    overage of z over the basic cap, and ISP flows are sums over users.
+    """
+    isp_in = edge_in.sum(axis=-3)
+    isp_out = edge_out.sum(axis=-3)
+    zin_e, zout_e = billed_level(edge_in), billed_level(edge_out)
+    zin_l, zout_l = billed_level(isp_in), billed_level(isp_out)
+    inbound_edge = zin_e >= zout_e
+    inbound_isp = zin_l >= zout_l
+    z_edge = np.where(inbound_edge, zin_e, zout_e)
+    z_isp = np.where(inbound_isp, zin_l, zout_l)
+    cost_edge = topology.edge_rate * np.maximum(z_edge - topology.edge_cap_basic, 0.0)
+    cost_isp = topology.isp_rate * np.maximum(z_isp - topology.isp_cap_basic, 0.0)
+    phys_e = topology.edge_cap_phys[:, :, None]
+    phys_l = topology.isp_cap_phys[:, None]
+    overshoot = (
+        np.maximum(edge_in - phys_e, 0.0), np.maximum(edge_out - phys_e, 0.0),
+        np.maximum(isp_in - phys_l, 0.0), np.maximum(isp_out - phys_l, 0.0),
+        np.maximum(z_edge - topology.edge_cap_billable, 0.0),
+        np.maximum(z_isp - topology.isp_cap_billable, 0.0))
+    return FlowSummary(
+        edge_in=edge_in, edge_out=edge_out, isp_in=isp_in, isp_out=isp_out,
+        z_edge=z_edge, z_isp=z_isp, inbound_edge=inbound_edge, inbound_isp=inbound_isp,
+        cost_edge=cost_edge, cost_isp=cost_isp,
+        cost_total=_per_allocation(cost_edge.sum(axis=(-2, -1)) + cost_isp.sum(axis=-1)),
+        overshoot=overshoot)
+
+
+def _selected_weights(weights, options):
+    # split weights of the chosen options, (..., T, N, K) -> (..., T, N, K, EL);
+    # np.take of rows of the flattened table is about 10x faster than
+    # fancy indexing with three index arrays
+    K, N, P, EL = weights.shape
+    rows = (np.arange(K) * N + np.arange(N)[:, None]) * P  # (N, K)
+    return np.take(weights.reshape(-1, EL), options + rows, axis=0)
+
+
+def hard_edge_flows(options, weights, d_in, d_out):
     """Per-slot edge link flows of a hard scheme.
 
     options: (T, N, K) int64 option indices, weights: (K, N, P, EL),
     d_in/d_out: (K, N, T).  Returns (edge_in, edge_out), each (N, EL, T).
+    The flows are written in C order: einsum's default output layout here
+    is several times slower, for the einsum and for the sorts after it.
     """
-    T, N, K = options.shape
-    kk = np.arange(K)[None, None, :]
-    nn = np.arange(N)[None, :, None]
-    w_sel = weights[kk, nn, options]  # (T, N, K, EL)
-    edge_in = np.einsum("tnkj,knt->njt", w_sel, d_in)
-    edge_out = np.einsum("tnkj,knt->njt", w_sel, d_out)
+    w_sel = _selected_weights(weights, options)  # (T, N, K, EL)
+    edge_in = np.einsum("tnkj,knt->njt", w_sel, d_in, order="C")
+    edge_out = np.einsum("tnkj,knt->njt", w_sel, d_out, order="C")
     return edge_in, edge_out
 
 
-def soft_edge_flows_numpy(x, weights, d_in, d_out):
+def soft_edge_flows(x, weights, d_in, d_out):
     """Per-slot edge link flows of a relaxed allocation.
 
     x: (T, N, K, P) option weights, rows on the simplex.  Same returns as
@@ -73,57 +165,33 @@ def _digits_for(combo_ids, radices):
     return digits
 
 
-def brute_force_numpy(n_valid_flat, weights, d_in, d_out,
-                      cb_e, cm_e, cmax_e, r_e,
-                      cb_l, cm_l, cmax_l, r_l, m, chunk=4096):
-    """Exhaustive search over option combinations, vectorized in chunks.
+def brute_force_search(n_valid_flat, weights, d_in, d_out, topology, chunk=4096):
+    """Exhaustive search over option combinations, priced in chunks.
 
     n_valid_flat: (S,) valid option counts, slots flattened t-major as
     s = (t*N + n)*K + k.  Returns (best_cost, best_options (S,), found,
     n_feasible); combos enumerated in odometer order (last slot fastest),
     cost ties resolved toward the earlier combination.
     """
-    K, N, P, EL = weights.shape
+    K, N = weights.shape[:2]
     T = d_in.shape[2]
-    S = n_valid_flat.shape[0]
-    total = 1
-    for s in range(S):
-        total *= int(n_valid_flat[s])
+    total = math.prod(int(c) for c in n_valid_flat)
 
-    kk = np.arange(K)[None, None, None, :]
-    nn = np.arange(N)[None, None, :, None]
     best_cost = np.inf
-    best = np.zeros(S, dtype=np.int64)
+    best = np.zeros(n_valid_flat.shape[0], dtype=np.int64)
     found = False
     n_feasible = 0
 
     for start in range(0, total, chunk):
         ids = np.arange(start, min(start + chunk, total), dtype=np.int64)
         digits = _digits_for(ids, n_valid_flat)
-        options = digits.reshape(-1, T, N, K)
-        w_sel = weights[kk, nn, options]  # (B, T, N, K, EL)
-        e_in = np.einsum("btnkj,knt->bnjt", w_sel, d_in)
-        e_out = np.einsum("btnkj,knt->bnjt", w_sel, d_out)
-        i_in = e_in.sum(axis=1)  # (B, EL, T)
-        i_out = e_out.sum(axis=1)
-
-        ok = np.ones(ids.shape[0], dtype=bool)
-        ok &= (e_in <= cmax_e[None, :, :, None]).all(axis=(1, 2, 3))
-        ok &= (e_out <= cmax_e[None, :, :, None]).all(axis=(1, 2, 3))
-        ok &= (i_in <= cmax_l[None, :, None]).all(axis=(1, 2))
-        ok &= (i_out <= cmax_l[None, :, None]).all(axis=(1, 2))
-
-        # billable bandwidth: (m+1)-th largest over slots, then max of dirs
-        z_e = np.maximum(np.sort(e_in, axis=-1)[..., T - 1 - m],
-                         np.sort(e_out, axis=-1)[..., T - 1 - m])
-        z_l = np.maximum(np.sort(i_in, axis=-1)[..., T - 1 - m],
-                         np.sort(i_out, axis=-1)[..., T - 1 - m])
-        ok &= (z_e <= cm_e[None, :, :]).all(axis=(1, 2))
-        ok &= (z_l <= cm_l[None, :]).all(axis=1)
-
-        cost = (r_e[None] * np.maximum(z_e - cb_e[None], 0.0)).sum(axis=(1, 2))
-        cost += (r_l[None] * np.maximum(z_l - cb_l[None], 0.0)).sum(axis=1)
-        cost[~ok] = np.inf
+        w_sel = _selected_weights(weights, digits.reshape(-1, T, N, K))  # (B, T, N, K, EL)
+        # C order for speed, as in hard_edge_flows
+        flows = price_flows(topology,
+                            np.einsum("btnkj,knt->bnjt", w_sel, d_in, order="C"),
+                            np.einsum("btnkj,knt->bnjt", w_sel, d_out, order="C"))
+        ok = flows.feasible
+        cost = np.where(ok, flows.cost_total, np.inf)
 
         n_feasible += int(ok.sum())
         j = int(np.argmin(cost))
@@ -133,182 +201,3 @@ def brute_force_numpy(n_valid_flat, weights, d_in, d_out,
             found = True
 
     return best_cost, best, found, n_feasible
-
-
-# ---------------------------------------------------------------------------
-# numba implementations (compiled lazily, cached on disk)
-# ---------------------------------------------------------------------------
-
-if HAS_NUMBA:
-
-    @njit(cache=True)
-    def hard_edge_flows_numba(options, weights, d_in, d_out):
-        T, N, K = options.shape
-        EL = weights.shape[3]
-        edge_in = np.zeros((N, EL, T))
-        edge_out = np.zeros((N, EL, T))
-        for t in range(T):
-            for n in range(N):
-                for k in range(K):
-                    p = options[t, n, k]
-                    for j in range(EL):
-                        w = weights[k, n, p, j]
-                        if w != 0.0:
-                            edge_in[n, j, t] += w * d_in[k, n, t]
-                            edge_out[n, j, t] += w * d_out[k, n, t]
-        return edge_in, edge_out
-
-    @njit(cache=True)
-    def soft_edge_flows_numba(x, weights, d_in, d_out):
-        T, N, K, P = x.shape
-        EL = weights.shape[3]
-        edge_in = np.zeros((N, EL, T))
-        edge_out = np.zeros((N, EL, T))
-        for t in range(T):
-            for n in range(N):
-                for k in range(K):
-                    for p in range(P):
-                        xv = x[t, n, k, p]
-                        if xv != 0.0:
-                            for j in range(EL):
-                                w = weights[k, n, p, j]
-                                if w != 0.0:
-                                    edge_in[n, j, t] += xv * w * d_in[k, n, t]
-                                    edge_out[n, j, t] += xv * w * d_out[k, n, t]
-        return edge_in, edge_out
-
-    @njit(cache=True)
-    def _kth_largest(buf, m):
-        # partial selection sort; buf is scratch and gets reordered
-        T = buf.shape[0]
-        for r in range(m + 1):
-            mx = r
-            for t in range(r + 1, T):
-                if buf[t] > buf[mx]:
-                    mx = t
-            tmp = buf[r]
-            buf[r] = buf[mx]
-            buf[mx] = tmp
-        return buf[m]
-
-    @njit(cache=True)
-    def _eval_combo(opts, weights, d_in, d_out,
-                    cb_e, cm_e, cmax_e, r_e,
-                    cb_l, cm_l, cmax_l, r_l, m,
-                    edge_in, edge_out, isp_in, isp_out, buf):
-        K, N, P, EL = weights.shape
-        T = d_in.shape[2]
-        edge_in[:] = 0.0
-        edge_out[:] = 0.0
-        for t in range(T):
-            for n in range(N):
-                for k in range(K):
-                    p = opts[(t * N + n) * K + k]
-                    for j in range(EL):
-                        w = weights[k, n, p, j]
-                        if w != 0.0:
-                            edge_in[n, j, t] += w * d_in[k, n, t]
-                            edge_out[n, j, t] += w * d_out[k, n, t]
-        for n in range(N):
-            for j in range(EL):
-                for t in range(T):
-                    if edge_in[n, j, t] > cmax_e[n, j] or edge_out[n, j, t] > cmax_e[n, j]:
-                        return np.inf, False
-        isp_in[:] = 0.0
-        isp_out[:] = 0.0
-        for j in range(EL):
-            for t in range(T):
-                for n in range(N):
-                    isp_in[j, t] += edge_in[n, j, t]
-                    isp_out[j, t] += edge_out[n, j, t]
-                if isp_in[j, t] > cmax_l[j] or isp_out[j, t] > cmax_l[j]:
-                    return np.inf, False
-        cost = 0.0
-        for n in range(N):
-            for j in range(EL):
-                buf[:] = edge_in[n, j, :]
-                z = _kth_largest(buf, m)
-                buf[:] = edge_out[n, j, :]
-                zo = _kth_largest(buf, m)
-                if zo > z:
-                    z = zo
-                if z > cm_e[n, j]:
-                    return np.inf, False
-                if z > cb_e[n, j]:
-                    cost += r_e[n, j] * (z - cb_e[n, j])
-        for j in range(EL):
-            buf[:] = isp_in[j, :]
-            z = _kth_largest(buf, m)
-            buf[:] = isp_out[j, :]
-            zo = _kth_largest(buf, m)
-            if zo > z:
-                z = zo
-            if z > cm_l[j]:
-                return np.inf, False
-            if z > cb_l[j]:
-                cost += r_l[j] * (z - cb_l[j])
-        return cost, True
-
-    @njit(cache=True)
-    def brute_force_numba(n_valid_flat, weights, d_in, d_out,
-                          cb_e, cm_e, cmax_e, r_e,
-                          cb_l, cm_l, cmax_l, r_l, m):
-        K, N, P, EL = weights.shape
-        T = d_in.shape[2]
-        S = n_valid_flat.shape[0]
-        total = 1
-        for s in range(S):
-            total *= n_valid_flat[s]
-        opts = np.zeros(S, dtype=np.int64)
-        best = np.zeros(S, dtype=np.int64)
-        edge_in = np.zeros((N, EL, T))
-        edge_out = np.zeros((N, EL, T))
-        isp_in = np.zeros((EL, T))
-        isp_out = np.zeros((EL, T))
-        buf = np.zeros(T)
-        best_cost = np.inf
-        found = False
-        n_feasible = 0
-        for _ in range(total):
-            cost, feas = _eval_combo(opts, weights, d_in, d_out,
-                                     cb_e, cm_e, cmax_e, r_e,
-                                     cb_l, cm_l, cmax_l, r_l, m,
-                                     edge_in, edge_out, isp_in, isp_out, buf)
-            if feas:
-                n_feasible += 1
-                if cost < best_cost:
-                    best_cost = cost
-                    best[:] = opts
-                    found = True
-            s = S - 1
-            while s >= 0:
-                opts[s] += 1
-                if opts[s] < n_valid_flat[s]:
-                    break
-                opts[s] = 0
-                s -= 1
-        return best_cost, best, found, n_feasible
-
-
-# active backend
-if USE_NUMBA:
-    hard_edge_flows = hard_edge_flows_numba
-    soft_edge_flows = soft_edge_flows_numba
-
-    def brute_force_search(n_valid_flat, weights, d_in, d_out,
-                           cb_e, cm_e, cmax_e, r_e,
-                           cb_l, cm_l, cmax_l, r_l, m):
-        return brute_force_numba(n_valid_flat, weights, d_in, d_out,
-                                 cb_e, cm_e, cmax_e, r_e,
-                                 cb_l, cm_l, cmax_l, r_l, m)
-else:
-    hard_edge_flows = hard_edge_flows_numpy
-    soft_edge_flows = soft_edge_flows_numpy
-
-    def brute_force_search(n_valid_flat, weights, d_in, d_out,
-                           cb_e, cm_e, cmax_e, r_e,
-                           cb_l, cm_l, cmax_l, r_l, m):
-        cost, best, found, nf = brute_force_numpy(
-            n_valid_flat, weights, d_in, d_out,
-            cb_e, cm_e, cmax_e, r_e, cb_l, cm_l, cmax_l, r_l, m)
-        return cost, best, found, nf

@@ -12,8 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .model import (AllocationScheme, build_option_table, evaluate_hard,
-                    percentile_exempt_count)
+from .model import AllocationScheme, build_option_table, evaluate_hard
 
 
 class BudgetExceededError(RuntimeError):
@@ -92,13 +91,9 @@ def brute_force(instance, budget=SearchBudget(), table=None):
             f"{total} option combinations exceed the budget of {budget.max_combinations}")
     t, n, k = instance.dims
     n_valid_flat = np.broadcast_to(table.n_valid.T[None], (t, n, k)).reshape(-1)
-    topo = instance.topology
     cost, best_flat, found, _ = _kernels.brute_force_search(
         np.ascontiguousarray(n_valid_flat), table.weights,
-        instance.demands.inbound, instance.demands.outbound,
-        topo.edge_cap_basic, topo.edge_cap_billable, topo.edge_cap_phys, topo.edge_rate,
-        topo.isp_cap_basic, topo.isp_cap_billable, topo.isp_cap_phys, topo.isp_rate,
-        percentile_exempt_count(t))
+        instance.demands.inbound, instance.demands.outbound, instance.topology)
     if not found:
         return None
     return AllocationScheme(option=best_flat.reshape(t, n, k)), float(cost)

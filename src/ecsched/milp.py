@@ -10,10 +10,8 @@ and the objective prices the overage w >= z - basic cap.
 
 For a fixed option assignment the optimal exemptions are the m largest
 slots per link and direction, which makes z the (m+1)-th largest flow;
-the MILP optimum therefore coincides with the percentile model optimum.
-``exhaustive_optimum`` evaluates exactly that reduction combination by
-combination, entirely from the model's own coefficient rows, as an
-independent check on both routes.
+the MILP optimum therefore coincides with the percentile model optimum,
+and ``objective_of`` prices an assignment with the cost model itself.
 
 The LP text export is deterministic: fixed variable naming, fixed row
 order, full-precision repr coefficients, and no timestamps, so exports
@@ -24,8 +22,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _kernels
 from .io import FormatError
-from .model import AllocationScheme, build_option_table, percentile_exempt_count
+from .model import (AllocationScheme, build_option_table, evaluate_hard,
+                    percentile_exempt_count)
 
 
 @dataclass(frozen=True)
@@ -195,25 +195,7 @@ def linearize(instance, table=None):
                  for n in range(n_n) for i in range(el)]
     objective += [(w_l[i], float(topo.isp_rate[i])) for i in range(el)]
 
-    meta = {
-        "instance_id": instance.instance_id,
-        "dims": (t_n, n_n, k_n),
-        "n_isps": el,
-        "n_options": table.n_options,
-        "exempt": m,
-        "n_valid": table.n_valid.copy(),
-        "weights": w_tab.copy(),
-        "demand_in": d_in.copy(),
-        "demand_out": d_out.copy(),
-        "edge_cap_basic": topo.edge_cap_basic.copy(),
-        "edge_cap_billable": topo.edge_cap_billable.copy(),
-        "edge_cap_phys": topo.edge_cap_phys.copy(),
-        "edge_rate": topo.edge_rate.copy(),
-        "isp_cap_basic": topo.isp_cap_basic.copy(),
-        "isp_cap_billable": topo.isp_cap_billable.copy(),
-        "isp_cap_phys": topo.isp_cap_phys.copy(),
-        "isp_rate": topo.isp_rate.copy(),
-    }
+    meta = {"instance": instance, "table": table, "dims": (t_n, n_n, k_n), "exempt": m}
     return MilpModel(variables=variables, constraints=constraints,
                      objective=objective, index=index, meta=meta)
 
@@ -248,7 +230,7 @@ def write_lp(model, path):
     t_n, n_n, k_n = model.meta["dims"]
     lines = [
         "\\ percentile billing schedule",
-        f"\\ instance: {model.meta['instance_id']}",
+        f"\\ instance: {model.meta['instance'].instance_id}",
         f"\\ dims: T={t_n} N={n_n} K={k_n} exempt={model.meta['exempt']}",
         "Minimize",
     ]
@@ -267,24 +249,11 @@ def write_lp(model, path):
         fh.write("\n".join(lines) + "\n")
 
 
-def _flows_from_options(model, option):
-    """Per-slot flows implied by an option array, from the stored shares."""
-    t_n, n_n, k_n = model.meta["dims"]
-    el = model.meta["n_isps"]
-    w_tab = model.meta["weights"]
-    flows = {}
-    for direction, dem in (("in", model.meta["demand_in"]), ("out", model.meta["demand_out"])):
-        kk = np.arange(k_n)[None, None, :]
-        nn = np.arange(n_n)[None, :, None]
-        w_sel = w_tab[kk, nn, option]  # (T, N, K, EL)
-        flows[direction] = np.einsum("tnkj,knt->njt", w_sel, dem)
-    return flows  # each (N, EL, T)
-
-
-def _exempt_slots(series, m):
-    # indices of the m largest entries, ties resolved to the lowest slot
-    order = np.argsort(-series, kind="stable")
-    return order[:m]
+def _exempt_mask(flows, m):
+    # True at each series' m largest slots, ties to the lowest slot
+    mask = np.zeros(flows.shape, dtype=bool)
+    np.put_along_axis(mask, _kernels.descending_slots(flows)[..., :m], True, axis=-1)
+    return mask
 
 
 def write_warmstart(model, scheme, path):
@@ -297,32 +266,26 @@ def write_warmstart(model, scheme, path):
     t_n, n_n, k_n = model.meta["dims"]
     if scheme.option.shape != (t_n, n_n, k_n):
         raise ValueError(f"scheme shape {scheme.option.shape} does not match model dims {(t_n, n_n, k_n)}")
-    n_valid = model.meta["n_valid"]
+    instance, table = model.meta["instance"], model.meta["table"]
+    n_valid = table.n_valid
     for (t, n, k), p in np.ndenumerate(scheme.option):
         if not 0 <= p < n_valid[k, n]:
             raise ValueError(f"option {p} out of range at slot {t}, user {n}, type {k}")
-    el = model.meta["n_isps"]
     m = model.meta["exempt"]
-    flows = _flows_from_options(model, scheme.option)
+    edge_flows = _kernels.hard_edge_flows(scheme.option, table.weights,
+                                          instance.demands.inbound, instance.demands.outbound)
     values = {}
     for t in range(t_n):
         for n in range(n_n):
             for k in range(k_n):
                 for p in range(int(n_valid[k, n])):
                     values[f"lam_t{t}_n{n}_k{k}_p{p}"] = int(p == scheme.option[t, n, k])
-    for direction in ("in", "out"):
-        arr = flows[direction]
-        for n in range(n_n):
-            for i in range(el):
-                exempt = set(_exempt_slots(arr[n, i], m).tolist())
-                for t in range(t_n):
-                    values[f"u_{direction}_e_n{n}_i{i}_t{t}"] = int(t in exempt)
-        agg = arr.sum(axis=0)
-        for i in range(el):
-            exempt = set(_exempt_slots(agg[i], m).tolist())
-            for t in range(t_n):
-                values[f"u_{direction}_l_i{i}_t{t}"] = int(t in exempt)
-    lines = [f"# warm start for instance {model.meta['instance_id']}"]
+    for direction, edge in zip(("in", "out"), edge_flows):
+        for (n, i, t), u in np.ndenumerate(_exempt_mask(edge, m)):
+            values[f"u_{direction}_e_n{n}_i{i}_t{t}"] = int(u)
+        for (i, t), u in np.ndenumerate(_exempt_mask(edge.sum(axis=0), m)):
+            values[f"u_{direction}_l_i{i}_t{t}"] = int(u)
+    lines = [f"# warm start for instance {instance.instance_id}"]
     lines += [f"{v.name} {values[v.name]}" for v in model.variables if v.binary]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -372,7 +335,7 @@ def read_solution(path, model):
                 raise FormatError(f"{path}:{line_no}: bad value for '{name}'") from exc
 
     t_n, n_n, k_n = model.meta["dims"]
-    n_valid = model.meta["n_valid"]
+    n_valid = model.meta["table"].n_valid
     option = np.zeros((t_n, n_n, k_n), dtype=np.int64)
     for t in range(t_n):
         for n in range(n_n):
@@ -398,149 +361,8 @@ def read_solution(path, model):
     return scheme, cost
 
 
-# ---------------------------------------------------------------------------
-# self-contained evaluation over the lambda assignment space
-# ---------------------------------------------------------------------------
-
-def _evaluate_options(model, option):
-    """(objective, feasible) of an option array under exemption semantics."""
-    el = model.meta["n_isps"]
-    m = model.meta["exempt"]
-    flows = _flows_from_options(model, option)
-    cost = 0.0
-    z_edge = {}
-    z_agg = {}
-    for direction in ("in", "out"):
-        arr = flows[direction]
-        n_n = arr.shape[0]
-        for n in range(n_n):
-            for i in range(el):
-                series = arr[n, i]
-                exempt = _exempt_slots(series, m)
-                counted = np.delete(series, exempt)
-                if counted.max(initial=0.0) > model.meta["edge_cap_billable"][n, i]:
-                    return np.inf, False
-                if series[exempt].max(initial=0.0) > model.meta["edge_cap_phys"][n, i]:
-                    return np.inf, False
-                z_edge[n, i] = max(z_edge.get((n, i), 0.0), counted.max(initial=0.0))
-        agg = arr.sum(axis=0)
-        for i in range(el):
-            series = agg[i]
-            exempt = _exempt_slots(series, m)
-            counted = np.delete(series, exempt)
-            if counted.max(initial=0.0) > model.meta["isp_cap_billable"][i]:
-                return np.inf, False
-            if series[exempt].max(initial=0.0) > model.meta["isp_cap_phys"][i]:
-                return np.inf, False
-            z_agg[i] = max(z_agg.get(i, 0.0), counted.max(initial=0.0))
-    for (n, i), z in z_edge.items():
-        cost += model.meta["edge_rate"][n, i] * max(z - model.meta["edge_cap_basic"][n, i], 0.0)
-    for i, z in z_agg.items():
-        cost += model.meta["isp_rate"][i] * max(z - model.meta["isp_cap_basic"][i], 0.0)
-    return cost, True
-
-
-def exhaustive_optimum(model, max_combinations=1_000_000):
-    """Optimum over all lambda assignments with exemptions chosen greedily.
-
-    Per assignment, the optimal exemptions are simply each link and
-    direction's m largest slots, so this scans option combinations in
-    odometer order and returns (option array, objective), or None if no
-    combination is feasible.  An independent route from the order-statistic
-    evaluation: it uses only the model's stored coefficients.
-    """
-    t_n, n_n, k_n = model.meta["dims"]
-    n_valid = model.meta["n_valid"]
-    radices = np.broadcast_to(n_valid.T[None], (t_n, n_n, k_n)).reshape(-1)
-    total = 1
-    for r in radices:
-        total *= int(r)
-    if total > max_combinations:
-        raise RuntimeError(f"{total} combinations exceed the limit of {max_combinations}")
-    opts = np.zeros(radices.size, dtype=np.int64)
-    best = None
-    for _ in range(total):
-        cost, feasible = _evaluate_options(model, opts.reshape(t_n, n_n, k_n))
-        if feasible and (best is None or cost < best[1]):
-            best = (opts.copy().reshape(t_n, n_n, k_n), cost)
-        s = radices.size - 1
-        while s >= 0:
-            opts[s] += 1
-            if opts[s] < radices[s]:
-                break
-            opts[s] = 0
-            s -= 1
-    return best
-
-
 def objective_of(model, option):
     """Objective of an option array; infeasible assignments are inf."""
-    cost, feasible = _evaluate_options(model, np.asarray(option, dtype=np.int64))
-    return float(cost) if feasible else float("inf")
-
-
-def complete_assignment(model, binaries):
-    """Extend a binary assignment to all continuous variables.
-
-    Flows come from the definitional rows, z is the smallest value the
-    non-exempt slots allow, w the smallest value the overage rows allow.
-    """
-    values = dict(binaries)
-    t_n, n_n, k_n = model.meta["dims"]
-    el = model.meta["n_isps"]
-    n_valid = model.meta["n_valid"]
-    option = np.zeros((t_n, n_n, k_n), dtype=np.int64)
-    for t in range(t_n):
-        for n in range(n_n):
-            for k in range(k_n):
-                chosen = [p for p in range(int(n_valid[k, n]))
-                          if values.get(f"lam_t{t}_n{n}_k{k}_p{p}", 0) > 0.5]
-                if len(chosen) != 1:
-                    raise ValueError(f"slot {t}, user {n}, type {k}: need exactly one option set")
-                option[t, n, k] = chosen[0]
-    flows = _flows_from_options(model, option)
-    for direction in ("in", "out"):
-        arr = flows[direction]
-        for n in range(n_n):
-            for i in range(el):
-                for t in range(t_n):
-                    values[f"f_{direction}_n{n}_i{i}_t{t}"] = arr[n, i, t]
-        agg = arr.sum(axis=0)
-        for i in range(el):
-            for t in range(t_n):
-                values[f"X_{direction}_i{i}_t{t}"] = agg[i, t]
-    for n in range(n_n):
-        for i in range(el):
-            z = 0.0
-            for direction in ("in", "out"):
-                for t in range(t_n):
-                    if values.get(f"u_{direction}_e_n{n}_i{i}_t{t}", 0) < 0.5:
-                        z = max(z, values[f"f_{direction}_n{n}_i{i}_t{t}"])
-            values[f"z_e_n{n}_i{i}"] = z
-            values[f"w_e_n{n}_i{i}"] = max(z - model.meta["edge_cap_basic"][n, i], 0.0)
-    for i in range(el):
-        z = 0.0
-        for direction in ("in", "out"):
-            for t in range(t_n):
-                if values.get(f"u_{direction}_l_i{i}_t{t}", 0) < 0.5:
-                    z = max(z, values[f"X_{direction}_i{i}_t{t}"])
-        values[f"z_l_i{i}"] = z
-        values[f"w_l_i{i}"] = max(z - model.meta["isp_cap_basic"][i], 0.0)
-    return values
-
-
-def verify_assignment(model, values, tol=1e-6):
-    """Check every row; returns (feasible, objective, violated row names)."""
-    violated = []
-    for con in model.constraints:
-        lhs = sum(coeff * values.get(model.variables[idx].name, 0.0)
-                  for idx, coeff in con.terms)
-        if con.sense == "=" and abs(lhs - con.rhs) > tol:
-            violated.append(con.name)
-        elif con.sense == "<=" and lhs > con.rhs + tol:
-            violated.append(con.name)
-        elif con.sense == ">=" and lhs < con.rhs - tol:
-            violated.append(con.name)
-    objective = sum(coeff * values.get(model.variables[idx].name, 0.0)
-                    for idx, coeff in model.objective)
-    return not violated, objective, violated
+    cost, _ = evaluate_hard(model.meta["instance"], model.meta["table"],
+                            np.asarray(option, dtype=np.int64))
+    return float(cost)

@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
+from ._kernels import FlowSummary, percentile_exempt_count
 
 
 class InvalidTopologyError(ValueError):
@@ -219,21 +220,6 @@ class SoftAllocation:
         return self.x.shape[:3]
 
 
-@dataclass(frozen=True)
-class FlowSummary:
-    """Per-slot flows, billable bandwidths, and the resulting cost."""
-
-    edge_in: np.ndarray   # (N, EL, T)
-    edge_out: np.ndarray  # (N, EL, T)
-    isp_in: np.ndarray    # (EL, T)
-    isp_out: np.ndarray   # (EL, T)
-    z_edge: np.ndarray    # (N, EL)
-    z_isp: np.ndarray     # (EL,)
-    cost_edge: np.ndarray
-    cost_isp: np.ndarray
-    cost_total: float
-
-
 @dataclass
 class FeasibilityReport:
     """Violations per constraint family, as (location, overshoot Mbps).
@@ -261,13 +247,6 @@ class FeasibilityReport:
         }
 
 
-def percentile_exempt_count(n_slots):
-    """Number of slots the 95th percentile ignores: floor(0.05 T)."""
-    if n_slots < 1:
-        raise ValueError("need at least one slot")
-    return int(0.05 * n_slots)
-
-
 def g95(series):
     """95th-percentile bandwidth of a per-slot series.
 
@@ -278,18 +257,7 @@ def g95(series):
     arr = np.asarray(series, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError("series must be a nonempty 1-d array")
-    m = percentile_exempt_count(arr.size)
-    return float(np.sort(arr)[arr.size - 1 - m])
-
-
-def _percentile_select(arr, m):
-    # (m+1)-th largest along the last axis; stable argsort of the negated
-    # series puts equal values in ascending slot order, so ties pick the
-    # lowest slot. Returns (value, selected slot index).
-    order = np.argsort(-arr, axis=-1, kind="stable")
-    sel = order[..., m]
-    val = np.take_along_axis(arr, sel[..., None], axis=-1)[..., 0]
-    return val, sel
+    return float(_kernels.billed_level(arr))
 
 
 def _check_alloc(instance, alloc, table):
@@ -312,8 +280,8 @@ def _check_alloc(instance, alloc, table):
 def compute_flows(instance, alloc, table=None):
     """Aggregate an allocation into per-slot flows, billables, and cost.
 
-    ``alloc`` may be hard or relaxed.  Physical caps are not enforced
-    here; see check_feasibility.
+    ``alloc`` may be hard or relaxed.  Caps are not enforced here; their
+    overshoots are reported (see check_feasibility).
     """
     instance.validate()
     if table is None:
@@ -327,26 +295,7 @@ def compute_flows(instance, alloc, table=None):
     else:
         edge_in, edge_out = _kernels.soft_edge_flows(
             np.ascontiguousarray(alloc.x), table.weights, d_in, d_out)
-    return summarize_flows(instance.topology, edge_in, edge_out)
-
-
-def summarize_flows(topology, edge_in, edge_out):
-    """Billables and cost from per-slot edge flows (ISP flows are sums)."""
-    isp_in = edge_in.sum(axis=0)
-    isp_out = edge_out.sum(axis=0)
-    m = percentile_exempt_count(edge_in.shape[2])
-    zin_e, _ = _percentile_select(edge_in, m)
-    zout_e, _ = _percentile_select(edge_out, m)
-    z_edge = np.maximum(zin_e, zout_e)
-    zin_l, _ = _percentile_select(isp_in, m)
-    zout_l, _ = _percentile_select(isp_out, m)
-    z_isp = np.maximum(zin_l, zout_l)
-    cost_edge = topology.edge_rate * np.maximum(z_edge - topology.edge_cap_basic, 0.0)
-    cost_isp = topology.isp_rate * np.maximum(z_isp - topology.isp_cap_basic, 0.0)
-    return FlowSummary(
-        edge_in=edge_in, edge_out=edge_out, isp_in=isp_in, isp_out=isp_out,
-        z_edge=z_edge, z_isp=z_isp, cost_edge=cost_edge, cost_isp=cost_isp,
-        cost_total=float(cost_edge.sum() + cost_isp.sum()))
+    return _kernels.price_flows(instance.topology, edge_in, edge_out)
 
 
 def total_cost(instance, alloc, table=None):
@@ -356,23 +305,14 @@ def total_cost(instance, alloc, table=None):
 
 def check_feasibility(instance, alloc, table=None):
     """Physical and billable capacity checks, with per-violation detail."""
-    flows = compute_flows(instance, alloc, table)
-    topo = instance.topology
     report = FeasibilityReport()
-    for direction, arr in (("in", flows.edge_in), ("out", flows.edge_out)):
-        over = arr - topo.edge_cap_phys[:, :, None]
-        for n, j, t in np.argwhere(over > 0):
-            report.edge_phys.append(((int(n), int(j), int(t), direction), float(over[n, j, t])))
-    for direction, arr in (("in", flows.isp_in), ("out", flows.isp_out)):
-        over = arr - topo.isp_cap_phys[:, None]
-        for j, t in np.argwhere(over > 0):
-            report.isp_phys.append(((int(j), int(t), direction), float(over[j, t])))
-    over = flows.z_edge - topo.edge_cap_billable
-    for n, j in np.argwhere(over > 0):
-        report.edge_billable.append(((int(n), int(j)), float(over[n, j])))
-    over = flows.z_isp - topo.isp_cap_billable
-    for (j,) in np.argwhere(over > 0):
-        report.isp_billable.append(((int(j),), float(over[j])))
+    families = ((report.edge_phys, ("in",)), (report.edge_phys, ("out",)),
+                (report.isp_phys, ("in",)), (report.isp_phys, ("out",)),
+                (report.edge_billable, ()), (report.isp_billable, ()))
+    for (family, direction), over in zip(families, compute_flows(instance, alloc, table).overshoot):
+        for idx in np.argwhere(over > 0):
+            loc = tuple(int(i) for i in idx)
+            family.append((loc + direction, float(over[loc])))
     return report
 
 
@@ -381,26 +321,10 @@ def evaluate_hard(instance, table, option):
     edge_in, edge_out = _kernels.hard_edge_flows(
         np.ascontiguousarray(option), table.weights,
         instance.demands.inbound, instance.demands.outbound)
-    topo = instance.topology
-    if (edge_in > topo.edge_cap_phys[:, :, None]).any() or \
-       (edge_out > topo.edge_cap_phys[:, :, None]).any():
+    flows = _kernels.price_flows(instance.topology, edge_in, edge_out)
+    if not flows.feasible:
         return np.inf, False
-    isp_in = edge_in.sum(axis=0)
-    isp_out = edge_out.sum(axis=0)
-    if (isp_in > topo.isp_cap_phys[:, None]).any() or \
-       (isp_out > topo.isp_cap_phys[:, None]).any():
-        return np.inf, False
-    m = percentile_exempt_count(edge_in.shape[2])
-    t_last = edge_in.shape[2] - 1 - m
-    z_edge = np.maximum(np.sort(edge_in, axis=-1)[..., t_last],
-                        np.sort(edge_out, axis=-1)[..., t_last])
-    z_isp = np.maximum(np.sort(isp_in, axis=-1)[..., t_last],
-                       np.sort(isp_out, axis=-1)[..., t_last])
-    if (z_edge > topo.edge_cap_billable).any() or (z_isp > topo.isp_cap_billable).any():
-        return np.inf, False
-    cost = float((topo.edge_rate * np.maximum(z_edge - topo.edge_cap_basic, 0.0)).sum()
-                 + (topo.isp_rate * np.maximum(z_isp - topo.isp_cap_basic, 0.0)).sum())
-    return cost, True
+    return flows.cost_total, True
 
 
 @dataclass(frozen=True)
@@ -428,20 +352,8 @@ def soft_loss(instance, alloc, lam_g=1.0, lam_h=1.0, table=None):
     """
     if lam_g < 0 or lam_h < 0:
         raise ValueError("penalty weights must be nonnegative")
-    instance.validate()
-    if table is None:
-        table = build_option_table(instance.topology)
-    _check_alloc(instance, alloc, table)
     flows = compute_flows(instance, alloc, table)
-    topo = instance.topology
-    pen = float(
-        (np.maximum(flows.edge_in - topo.edge_cap_phys[:, :, None], 0.0) ** 2).sum()
-        + (np.maximum(flows.edge_out - topo.edge_cap_phys[:, :, None], 0.0) ** 2).sum()
-        + (np.maximum(flows.isp_in - topo.isp_cap_phys[:, None], 0.0) ** 2).sum()
-        + (np.maximum(flows.isp_out - topo.isp_cap_phys[:, None], 0.0) ** 2).sum()
-        + (np.maximum(flows.z_edge - topo.edge_cap_billable, 0.0) ** 2).sum()
-        + (np.maximum(flows.z_isp - topo.isp_cap_billable, 0.0) ** 2).sum())
-    return flows.cost_total + lam_g * pen
+    return flows.cost_total + lam_g * flows.penalty
 
 
 def soft_loss_and_grad(instance, table, x, lam_g=1.0):
@@ -454,36 +366,19 @@ def soft_loss_and_grad(instance, table, x, lam_g=1.0):
     topo = instance.topology
     d_in = instance.demands.inbound
     d_out = instance.demands.outbound
-    edge_in, edge_out = _kernels.soft_edge_flows(
-        np.ascontiguousarray(x), table.weights, d_in, d_out)
-    isp_in = edge_in.sum(axis=0)
-    isp_out = edge_out.sum(axis=0)
-    T = edge_in.shape[2]
-    m = percentile_exempt_count(T)
-
-    zin_e, tin_e = _percentile_select(edge_in, m)
-    zout_e, tout_e = _percentile_select(edge_out, m)
-    win_e = zin_e >= zout_e  # ties go inbound
-    z_edge = np.where(win_e, zin_e, zout_e)
-    zin_l, tin_l = _percentile_select(isp_in, m)
-    zout_l, tout_l = _percentile_select(isp_out, m)
-    win_l = zin_l >= zout_l
-    z_isp = np.where(win_l, zin_l, zout_l)
-
-    over_e_in = np.maximum(edge_in - topo.edge_cap_phys[:, :, None], 0.0)
-    over_e_out = np.maximum(edge_out - topo.edge_cap_phys[:, :, None], 0.0)
-    over_l_in = np.maximum(isp_in - topo.isp_cap_phys[:, None], 0.0)
-    over_l_out = np.maximum(isp_out - topo.isp_cap_phys[:, None], 0.0)
-    over_ze = np.maximum(z_edge - topo.edge_cap_billable, 0.0)
-    over_zl = np.maximum(z_isp - topo.isp_cap_billable, 0.0)
-
-    cost_e = topo.edge_rate * np.maximum(z_edge - topo.edge_cap_basic, 0.0)
-    cost_l = topo.isp_rate * np.maximum(z_isp - topo.isp_cap_basic, 0.0)
-    cost = float(cost_e.sum() + cost_l.sum())
-    penalty = float((over_e_in ** 2).sum() + (over_e_out ** 2).sum()
-                    + (over_l_in ** 2).sum() + (over_l_out ** 2).sum()
-                    + (over_ze ** 2).sum() + (over_zl ** 2).sum())
+    flows = _kernels.price_flows(topo, *_kernels.soft_edge_flows(
+        np.ascontiguousarray(x), table.weights, d_in, d_out))
+    m = percentile_exempt_count(d_in.shape[2])
+    tin_e, tout_e, tin_l, tout_l = (
+        _kernels.descending_slots(arr)[..., m]
+        for arr in (flows.edge_in, flows.edge_out, flows.isp_in, flows.isp_out))
+    win_e, win_l = flows.inbound_edge, flows.inbound_isp
+    z_edge, z_isp = flows.z_edge, flows.z_isp
+    over_e_in, over_e_out, over_l_in, over_l_out, over_ze, over_zl = flows.overshoot
+    cost, penalty = flows.cost_total, flows.penalty
     loss = cost + lam_g * penalty
+    above_e = z_edge > topo.edge_cap_basic  # links billing an overage
+    above_l = z_isp > topo.isp_cap_basic
 
     # d loss / d flow, accumulated per slot then routed back through x
     dE_in = 2.0 * lam_g * over_e_in
@@ -492,14 +387,14 @@ def soft_loss_and_grad(instance, table, x, lam_g=1.0):
     dL_out = 2.0 * lam_g * over_l_out
 
     # billable terms enter through the single selected slot per link
-    coef_e = topo.edge_rate * (z_edge > topo.edge_cap_basic) + 2.0 * lam_g * over_ze
+    coef_e = topo.edge_rate * above_e + 2.0 * lam_g * over_ze
     n_idx, j_idx = np.nonzero(coef_e)
     for n, j in zip(n_idx, j_idx):
         if win_e[n, j]:
             dE_in[n, j, tin_e[n, j]] += coef_e[n, j]
         else:
             dE_out[n, j, tout_e[n, j]] += coef_e[n, j]
-    coef_l = topo.isp_rate * (z_isp > topo.isp_cap_basic) + 2.0 * lam_g * over_zl
+    coef_l = topo.isp_rate * above_l + 2.0 * lam_g * over_zl
     for j in np.nonzero(coef_l)[0]:
         if win_l[j]:
             dL_in[j, tin_l[j]] += coef_l[j]
@@ -521,7 +416,6 @@ def soft_loss_and_grad(instance, table, x, lam_g=1.0):
         (over_e_in > 0).tobytes(), (over_e_out > 0).tobytes(),
         (over_l_in > 0).tobytes(), (over_l_out > 0).tobytes(),
         (over_ze > 0).tobytes(), (over_zl > 0).tobytes(),
-        (z_edge > topo.edge_cap_basic).tobytes(),
-        (z_isp > topo.isp_cap_basic).tobytes(),
+        above_e.tobytes(), above_l.tobytes(),
     )
     return loss, dx, LossBreakdown(cost=cost, penalty=penalty, loss=loss, signature=signature)

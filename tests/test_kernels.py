@@ -1,18 +1,11 @@
-"""Backend agreement: the compiled kernels must match the numpy fallback."""
-
-import os
-import subprocess
-import sys
+"""Exhaustive-search kernel: pricing combinations in chunks must not
+change the result."""
 
 import numpy as np
-import pytest
 
 from conftest import make_tiny
 from ecsched import _kernels
-from ecsched.model import build_option_table, percentile_exempt_count
-
-needs_numba = pytest.mark.skipif(not _kernels.HAS_NUMBA,
-                                 reason="numba not installed")
+from ecsched.model import build_option_table
 
 
 def flat_valid_counts(inst, table):
@@ -21,123 +14,12 @@ def flat_valid_counts(inst, table):
         np.broadcast_to(table.n_valid.T[None], (t, n, k)).reshape(-1))
 
 
-def kernel_args(inst, table):
-    topo = inst.topology
-    return (table.weights, inst.demands.inbound, inst.demands.outbound,
-            topo.edge_cap_basic, topo.edge_cap_billable, topo.edge_cap_phys,
-            topo.edge_rate, topo.isp_cap_basic, topo.isp_cap_billable,
-            topo.isp_cap_phys, topo.isp_rate)
-
-
-def test_backend_matches_env_flag():
-    flag = os.environ.get("ECSCHED_DISABLE_NUMBA", "").strip().lower()
-    disabled = flag in {"1", "true", "yes", "on"}
-    if disabled or not _kernels.HAS_NUMBA:
-        assert _kernels.BACKEND == "numpy"
-        assert not _kernels.USE_NUMBA
-    else:
-        assert _kernels.BACKEND == "numba"
-        assert _kernels.USE_NUMBA
-
-
-def test_disable_flag_forces_numpy():
-    code = ("import ecsched._kernels as k; "
-            "print(k.BACKEND, k.USE_NUMBA)")
-    env = dict(os.environ, ECSCHED_DISABLE_NUMBA="1")
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, check=True)
-    assert out.stdout.split() == ["numpy", "False"]
-
-
-@needs_numba
-def test_hard_flow_backends_agree():
-    rng = np.random.default_rng(0)
-    for seed in range(6):
-        inst = make_tiny(seed, n_users=2, n_slots=4, n_types=3, n_isps=3,
-                         full_admissible=False, demand_scale=4.0)
-        table = build_option_table(inst.topology)
-        t, n, k = inst.dims
-        counts = np.broadcast_to(table.n_valid.T[None], (t, n, k))
-        options = rng.integers(0, counts)
-        a_in, a_out = _kernels.hard_edge_flows_numpy(
-            options, table.weights, inst.demands.inbound, inst.demands.outbound)
-        b_in, b_out = _kernels.hard_edge_flows_numba(
-            options, table.weights, inst.demands.inbound, inst.demands.outbound)
-        np.testing.assert_allclose(b_in, a_in, rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(b_out, a_out, rtol=1e-12, atol=1e-12)
-
-
-@needs_numba
-def test_soft_flow_backends_agree():
-    rng = np.random.default_rng(1)
-    for seed in range(6):
-        inst = make_tiny(seed, n_users=2, n_slots=4, n_types=2, n_isps=3,
-                         full_admissible=False)
-        table = build_option_table(inst.topology)
-        t, n, k = inst.dims
-        u = rng.uniform(0.1, 1.0, size=(t, n, k, table.n_options))
-        u *= table.valid.transpose(1, 0, 2)[None]
-        x = u / u.sum(axis=3, keepdims=True)
-        a_in, a_out = _kernels.soft_edge_flows_numpy(
-            x, table.weights, inst.demands.inbound, inst.demands.outbound)
-        b_in, b_out = _kernels.soft_edge_flows_numba(
-            x, table.weights, inst.demands.inbound, inst.demands.outbound)
-        np.testing.assert_allclose(b_in, a_in, rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(b_out, a_out, rtol=1e-12, atol=1e-12)
-
-
-@needs_numba
-def test_search_backends_agree():
-    for seed in range(5):
-        inst = make_tiny(seed, demand_scale=8.0)
-        table = build_option_table(inst.topology)
-        nv = flat_valid_counts(inst, table)
-        m = percentile_exempt_count(inst.dims[0])
-        cost_a, best_a, found_a, nf_a = _kernels.brute_force_numpy(
-            nv, *kernel_args(inst, table), m)
-        cost_b, best_b, found_b, nf_b = _kernels.brute_force_numba(
-            nv, *kernel_args(inst, table), m)
-        assert found_a == found_b
-        assert nf_a == nf_b
-        if found_a:
-            assert cost_b == pytest.approx(cost_a, rel=1e-12, abs=1e-12)
-            assert np.array_equal(best_a, best_b)
-
-
-@needs_numba
-def test_search_backends_agree_with_infeasible_mix():
-    # squeeze the physical caps so a slice of combinations gets rejected
-    import dataclasses
-    inst = make_tiny(3, demand_scale=8.0)
-    topo = inst.topology
-    tight = dataclasses.replace(
-        topo,
-        edge_cap_phys=np.maximum(topo.edge_cap_billable * 1.05,
-                                 topo.edge_cap_basic + 1.0),
-        isp_cap_phys=np.maximum(topo.isp_cap_billable * 1.05,
-                                topo.isp_cap_basic + 1.0))
-    inst = dataclasses.replace(inst, topology=tight)
-    table = build_option_table(inst.topology)
-    nv = flat_valid_counts(inst, table)
-    m = percentile_exempt_count(inst.dims[0])
-    cost_a, best_a, found_a, nf_a = _kernels.brute_force_numpy(
-        nv, *kernel_args(inst, table), m)
-    cost_b, best_b, found_b, nf_b = _kernels.brute_force_numba(
-        nv, *kernel_args(inst, table), m)
-    assert nf_a == nf_b and found_a == found_b
-    total = int(np.prod([int(c) for c in nv]))
-    assert nf_a < total
-    if found_a:
-        assert cost_b == pytest.approx(cost_a, rel=1e-12)
-        assert np.array_equal(best_a, best_b)
-
-
 def test_numpy_chunking_is_invisible():
     inst = make_tiny(4, demand_scale=8.0)
     table = build_option_table(inst.topology)
     nv = flat_valid_counts(inst, table)
-    m = percentile_exempt_count(inst.dims[0])
-    a = _kernels.brute_force_numpy(nv, *kernel_args(inst, table), m, chunk=7)
-    b = _kernels.brute_force_numpy(nv, *kernel_args(inst, table), m, chunk=4096)
+    args = (table.weights, inst.demands.inbound, inst.demands.outbound, inst.topology)
+    a = _kernels.brute_force_search(nv, *args, chunk=7)
+    b = _kernels.brute_force_search(nv, *args, chunk=4096)
     assert a[0] == b[0] and a[2] == b[2] and a[3] == b[3]
     assert np.array_equal(a[1], b[1])

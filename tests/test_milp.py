@@ -11,11 +11,11 @@ from conftest import make_tiny
 from ecsched.baselines import brute_force
 from ecsched.generate import GenConfig, generate_instance
 from ecsched.io import FormatError
-from ecsched.milp import (complete_assignment, exhaustive_optimum, linearize,
-                          objective_of, read_solution, verify_assignment,
-                          write_lp, write_warmstart)
+from ecsched.milp import (linearize, objective_of, read_solution, write_lp,
+                          write_warmstart)
 from ecsched.model import build_option_table, total_cost
-from milp_utils import solve_with_scipy
+from milp_utils import (complete_assignment, exhaustive_optimum, solve_with_scipy,
+                        verify_assignment)
 
 DATA = Path(__file__).parent / "data"
 

@@ -9,7 +9,7 @@ import pytest
 
 import oracles
 from conftest import make_tiny
-from ecsched import baselines
+from ecsched import baselines, milp
 from ecsched.model import (AllocationScheme, DemandTensor, Instance,
                            InvalidTopologyError, SoftAllocation, Topology,
                            build_option_table, check_feasibility, compute_flows,
@@ -301,6 +301,36 @@ def test_hard_cost_matches_oracle():
         scheme = baselines.rsn_sample(inst, rng, table)
         assert total_cost(inst, scheme, table) == pytest.approx(
             oracles.cost(inst, scheme.option), rel=1e-10)
+
+
+@pytest.mark.parametrize("n_slots", [20, 40, 48])
+@pytest.mark.parametrize("seed", range(6))
+def test_pricing_routes_agree_with_oracle_on_tied_slots(seed, n_slots):
+    # m >= 1 exempt slots, and slots 1-3 repeat slot 0's demands and
+    # options, so equal flows meet at the exemption boundary
+    base = make_tiny(seed, n_users=2, n_slots=n_slots, n_types=2, n_isps=3,
+                     full_admissible=False, demand_scale=6.0)
+    assert percentile_exempt_count(n_slots) >= 1
+    d_in = base.demands.inbound.copy()
+    d_out = base.demands.outbound.copy()
+    d_in[:, :, 1:4] = d_in[:, :, :1]
+    d_out[:, :, 1:4] = d_out[:, :, :1]
+    inst = Instance(topology=base.topology, demands=DemandTensor(inbound=d_in, outbound=d_out),
+                    instance_id=base.instance_id).validate()
+    table = build_option_table(inst.topology)
+    model = milp.linearize(inst, table)
+    rng = np.random.default_rng(seed)
+    for _ in range(5):
+        option = baselines.rsn_sample(inst, rng, table).option
+        option[1:4] = option[0]
+        scheme = AllocationScheme(option=option)
+        want = oracles.cost(inst, option)
+        feasible = oracles.feasible(inst, option)
+        priced = want if feasible else np.inf
+        assert check_feasibility(inst, scheme, table).feasible == feasible
+        assert total_cost(inst, scheme, table) == pytest.approx(want, rel=1e-12)
+        assert evaluate_hard(inst, table, option)[0] == pytest.approx(priced, rel=1e-12)
+        assert milp.objective_of(model, option) == pytest.approx(priced, rel=1e-12)
 
 
 def test_soft_loss_matches_oracle():

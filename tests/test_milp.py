@@ -1,5 +1,6 @@
 """Exact linearization: model structure, text formats, optima agreement."""
 
+import hashlib
 import re
 from pathlib import Path
 
@@ -8,7 +9,7 @@ import pytest
 
 import oracles
 from conftest import make_tiny
-from ecsched.baselines import brute_force
+from ecsched.baselines import brute_force, rsn_sample
 from ecsched.generate import GenConfig, generate_instance
 from ecsched.io import FormatError
 from ecsched.milp import (linearize, objective_of, read_solution, write_lp,
@@ -128,6 +129,26 @@ def test_lp_bytes_are_frozen(tmp_path):
     out = tmp_path / "tiny.lp"
     write_lp(model, out)
     assert out.read_bytes() == (DATA / "tiny.lp").read_bytes()
+
+
+def test_ragged_export_bytes_are_pinned(tmp_path):
+    # the frozen fixture has m=0, one user and full admissibility; this
+    # instance has ragged option blocks and one exempt slot per series
+    inst = make_tiny(3, n_users=2, n_slots=20, n_types=2, n_isps=3,
+                     full_admissible=False, demand_scale=8.0)
+    table = build_option_table(inst.topology)
+    model = linearize(inst, table)
+    assert table.n_valid.tolist() == [[3, 3], [1, 1]]
+    assert model.meta["exempt"] == 1
+    scheme = rsn_sample(inst, np.random.default_rng(0), table)
+    write_lp(model, tmp_path / "model.lp")
+    write_warmstart(model, scheme, tmp_path / "warm.mst")
+    digest = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+              for name in ("model.lp", "warm.mst")}
+    assert digest == {
+        "model.lp": "3b90cfe8f41d0332ae24f904c26b2636a94a3949b5a313387b5e42c9c73446c2",
+        "warm.mst": "2f95cd1bbdfdd03787624687b12caedab45d8a9f1b789488f0ac73c9d35e3d54",
+    }
 
 
 def test_lp_text_reparses(tmp_path):

@@ -146,17 +146,27 @@ def cmd_sample(args):
     return EXIT_OK
 
 
+def _check_scheme(scheme, instance, table):
+    """FormatError unless every option of the scheme exists in the instance."""
+    option = scheme.option
+    if option.shape != instance.dims:
+        raise FormatError(
+            f"scheme shape {option.shape} does not match instance dims {instance.dims}")
+    bad = np.argwhere((option < 0) | (option >= table.n_valid.T))
+    if bad.size:
+        t, n, k = bad[0]
+        raise FormatError(f"option {option[t, n, k]} out of range at slot {t}, user {n}, type {k}")
+
+
 def cmd_eval(args):
     instance = io.read_instance(args.instance)
     scheme, scheme_for, _ = io.read_scheme(args.scheme)
     if scheme_for is not None and scheme_for != instance.instance_id:
         print(f"note: scheme was produced for '{scheme_for}'", file=sys.stderr)
-    t, n, k = instance.dims
-    if scheme.option.shape != (t, n, k):
-        raise FormatError(
-            f"scheme shape {scheme.option.shape} does not match instance dims {(t, n, k)}")
-    report = check_feasibility(instance, scheme)
-    cost = total_cost(instance, scheme)
+    table = build_option_table(instance.topology)
+    _check_scheme(scheme, instance, table)
+    report = check_feasibility(instance, scheme, table)
+    cost = total_cost(instance, scheme, table)
     print(json.dumps({"cost": cost, "feasible": report.feasible,
                       "violations": report.counts()}))
     return EXIT_OK if report.feasible else EXIT_NO_RESULT
@@ -180,11 +190,14 @@ def cmd_oracle(args):
 def cmd_export_milp(args):
     instance = io.read_instance(args.instance)
     model = milp.linearize(instance)
+    if args.warmstart:
+        # read and checked first, so a bad scheme leaves no LP file behind
+        scheme, _, _ = io.read_scheme(args.warmstart)
+        _check_scheme(scheme, instance, model.meta["table"])
     milp.write_lp(model, args.out)
     print(f"{len(model.variables)} variables ({model.n_binaries()} binary), "
           f"{len(model.constraints)} rows; LP written to {args.out}")
     if args.warmstart:
-        scheme, _, _ = io.read_scheme(args.warmstart)
         start_path = args.warmstart_out or str(Path(args.out).with_suffix(".mst"))
         milp.write_warmstart(model, scheme, start_path)
         print(f"warm start written to {start_path}")

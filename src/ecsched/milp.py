@@ -13,12 +13,18 @@ slots per link and direction, which makes z the (m+1)-th largest flow;
 the MILP optimum therefore coincides with the percentile model optimum,
 and ``objective_of`` prices an assignment with the cost model itself.
 
+The model is held as arrays (see ``MilpModel``): every variable family
+is an index block of columns and the rows are CSR, so the LP writer,
+the warm start, solution import and external solvers all read one
+structure, and only ``linearize`` formats variable names.
+
 The LP text export is deterministic: fixed variable naming, fixed row
 order, full-precision repr coefficients, and no timestamps, so exports
 are byte-stable across runs and platforms.
 """
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,31 +33,37 @@ from .io import FormatError
 from .model import (AllocationScheme, build_option_table, evaluate_hard,
                     percentile_exempt_count)
 
-
-@dataclass(frozen=True)
-class MilpVariable:
-    name: str
-    binary: bool
-
-
-@dataclass(frozen=True)
-class MilpConstraint:
-    name: str
-    terms: tuple  # ((var index, coefficient), ...)
-    sense: str    # "<=", ">=", "="
-    rhs: float
-
-
 @dataclass
 class MilpModel:
+    """One instance's MILP as arrays.
+
+    Columns: ``variables[c]`` is column c's name and ``binary[c]`` its
+    type.  ``blocks`` maps each variable family to an int array of its
+    columns: ``lam`` (T, N, K, P), -1 where option p does not exist;
+    ``u_e`` and ``f_e`` (2, N, EL, T); ``u_l`` and ``x_l`` (2, EL, T);
+    ``z_e`` and ``w_e`` (N, EL); ``z_l`` and ``w_l`` (EL,).  A leading 2
+    is the direction, in then out.  Rows are CSR: row r's terms are
+    ``cols[indptr[r]:indptr[r + 1]]`` with ``coeffs`` in written order,
+    ``sense[r]`` is "<=", ">=" or "=", ``rhs[r]`` its bound and
+    ``constraints[r]`` its name.  ``objective`` lists (column,
+    coefficient) pairs.
+    """
+
     variables: list
+    binary: np.ndarray
+    blocks: dict
     constraints: list
-    objective: list  # (var index, coefficient)
-    index: dict = field(default_factory=dict)
-    meta: dict = field(default_factory=dict)
+    indptr: np.ndarray
+    cols: np.ndarray
+    coeffs: np.ndarray
+    sense: np.ndarray
+    rhs: np.ndarray
+    objective: list
+    index: dict
+    meta: dict
 
     def n_binaries(self):
-        return sum(1 for v in self.variables if v.binary)
+        return int(self.binary.sum())
 
 
 def linearize(instance, table=None):
@@ -63,157 +75,116 @@ def linearize(instance, table=None):
     t_n, n_n, k_n = instance.dims
     el = topo.n_isps
     m = percentile_exempt_count(t_n)
-    w_tab = table.weights
-    d_in = instance.demands.inbound
-    d_out = instance.demands.outbound
+    dirs = ("in", "out")  # the leading axis of the u, f and X blocks
 
-    variables = []
-    index = {}
+    variables, binary, blocks = [], [], {}
 
-    def add_var(name, binary):
-        index[name] = len(variables)
-        variables.append(MilpVariable(name=name, binary=binary))
-        return index[name]
+    def add_block(family, shape, name, is_binary, exists=None):
+        # columns numbered in C order of shape, -1 where a variable is absent
+        exists = np.ones(shape, dtype=bool) if exists is None else exists
+        count = int(np.count_nonzero(exists))
+        cols = np.full(shape, -1, dtype=np.int64)
+        cols[exists] = np.arange(len(variables), len(variables) + count)
+        variables.extend(name(*pos) for pos in np.argwhere(exists).tolist())
+        binary.extend([is_binary] * count)
+        blocks[family] = cols
+        return cols
 
-    lam = {}
-    for t in range(t_n):
-        for n in range(n_n):
-            for k in range(k_n):
-                for p in range(int(table.n_valid[k, n])):
-                    lam[t, n, k, p] = add_var(f"lam_t{t}_n{n}_k{k}_p{p}", True)
-    u_e = {}
-    for direction in ("in", "out"):
-        for n in range(n_n):
-            for i in range(el):
-                for t in range(t_n):
-                    u_e[direction, n, i, t] = add_var(f"u_{direction}_e_n{n}_i{i}_t{t}", True)
-    u_l = {}
-    for direction in ("in", "out"):
-        for i in range(el):
-            for t in range(t_n):
-                u_l[direction, i, t] = add_var(f"u_{direction}_l_i{i}_t{t}", True)
-    f_e = {}
-    for direction in ("in", "out"):
-        for n in range(n_n):
-            for i in range(el):
-                for t in range(t_n):
-                    f_e[direction, n, i, t] = add_var(f"f_{direction}_n{n}_i{i}_t{t}", False)
-    x_l = {}
-    for direction in ("in", "out"):
-        for i in range(el):
-            for t in range(t_n):
-                x_l[direction, i, t] = add_var(f"X_{direction}_i{i}_t{t}", False)
-    z_e = {(n, i): add_var(f"z_e_n{n}_i{i}", False)
-           for n in range(n_n) for i in range(el)}
-    z_l = {i: add_var(f"z_l_i{i}", False) for i in range(el)}
-    w_e = {(n, i): add_var(f"w_e_n{n}_i{i}", False)
-           for n in range(n_n) for i in range(el)}
-    w_l = {i: add_var(f"w_l_i{i}", False) for i in range(el)}
+    lam_shape = (t_n, n_n, k_n, table.n_options)
+    lam = add_block("lam", lam_shape, lambda t, n, k, p: f"lam_t{t}_n{n}_k{k}_p{p}", True,
+                    np.broadcast_to(table.valid.transpose(1, 0, 2), lam_shape))
+    u_e = add_block("u_e", (2, n_n, el, t_n),
+                    lambda d, n, i, t: f"u_{dirs[d]}_e_n{n}_i{i}_t{t}", True)
+    u_l = add_block("u_l", (2, el, t_n), lambda d, i, t: f"u_{dirs[d]}_l_i{i}_t{t}", True)
+    f_e = add_block("f_e", (2, n_n, el, t_n),
+                    lambda d, n, i, t: f"f_{dirs[d]}_n{n}_i{i}_t{t}", False)
+    x_l = add_block("x_l", (2, el, t_n), lambda d, i, t: f"X_{dirs[d]}_i{i}_t{t}", False)
+    z_e = add_block("z_e", (n_n, el), lambda n, i: f"z_e_n{n}_i{i}", False)
+    z_l = add_block("z_l", (el,), lambda i: f"z_l_i{i}", False)
+    w_e = add_block("w_e", (n_n, el), lambda n, i: f"w_e_n{n}_i{i}", False)
+    w_l = add_block("w_l", (el,), lambda i: f"w_l_i{i}", False)
 
-    constraints = []
+    names, counts, cols, coeffs, senses, bounds = [], [], [], [], [], []
 
-    def add_con(name, terms, sense, rhs):
-        constraints.append(MilpConstraint(name=name, terms=tuple(terms), sense=sense, rhs=float(rhs)))
+    def add_rows(shape, name, sense, bound, *terms):
+        # rows in C order of shape; each term is (cols, coeffs) whose last
+        # axis lists that term's columns in a row; column -1 drops a term
+        row_cols = np.concatenate(
+            [np.broadcast_to(c, shape + np.shape(c)[-1:]) for c, _ in terms], axis=-1)
+        row_coeffs = np.concatenate(
+            [np.broadcast_to(v, shape + np.shape(c)[-1:]) for c, v in terms], axis=-1)
+        keep = row_cols >= 0
+        names.extend(name(*pos) for pos in np.ndindex(*shape))
+        counts.append(keep.sum(axis=-1).ravel())
+        cols.append(row_cols[keep])
+        coeffs.append(row_coeffs[keep])
+        senses.append(np.full(int(np.prod(shape)), sense))
+        bounds.append(np.broadcast_to(np.asarray(bound, dtype=float), shape).ravel())
 
-    for t in range(t_n):
-        for n in range(n_n):
-            for k in range(k_n):
-                terms = [(lam[t, n, k, p], 1.0) for p in range(int(table.n_valid[k, n]))]
-                add_con(f"assign_t{t}_n{n}_k{k}", terms, "=", 1.0)
+    add_rows((t_n, n_n, k_n), lambda t, n, k: f"assign_t{t}_n{n}_k{k}", "=", 1.0, (lam, 1.0))
 
-    demand = {"in": d_in, "out": d_out}
-    for direction in ("in", "out"):
-        for n in range(n_n):
-            for i in range(el):
-                for t in range(t_n):
-                    terms = [(f_e[direction, n, i, t], 1.0)]
-                    for k in range(k_n):
-                        for p in range(int(table.n_valid[k, n])):
-                            share = w_tab[k, n, p, i] * demand[direction][k, n, t]
-                            if share != 0.0:
-                                terms.append((lam[t, n, k, p], -share))
-                    add_con(f"def_f{direction}_n{n}_i{i}_t{t}", terms, "=", 0.0)
-    for direction in ("in", "out"):
-        for i in range(el):
-            for t in range(t_n):
-                terms = [(x_l[direction, i, t], 1.0)]
-                terms += [(f_e[direction, n, i, t], -1.0) for n in range(n_n)]
-                add_con(f"def_X{direction}_i{i}_t{t}", terms, "=", 0.0)
+    # def_f: f = sum of the chosen options' shares; zero shares get no term
+    demand = np.stack([instance.demands.inbound, instance.demands.outbound])  # (2, K, N, T)
+    share = (table.weights.transpose(1, 3, 0, 2)[None, :, :, None]
+             * demand.transpose(0, 2, 3, 1)[:, :, None, :, :, None])  # (2, N, EL, T, K, P)
+    share_cols = np.where(share != 0.0, lam.transpose(1, 0, 2, 3)[None, :, None], -1)
+    add_rows((2, n_n, el, t_n), lambda d, n, i, t: f"def_f{dirs[d]}_n{n}_i{i}_t{t}", "=", 0.0,
+             (f_e[..., None], 1.0),
+             (share_cols.reshape(2, n_n, el, t_n, -1), -share.reshape(2, n_n, el, t_n, -1)))
+    add_rows((2, el, t_n), lambda d, i, t: f"def_X{dirs[d]}_i{i}_t{t}", "=", 0.0,
+             (x_l[..., None], 1.0), (f_e.transpose(0, 2, 3, 1), -1.0))
 
-    for direction in ("in", "out"):
-        for n in range(n_n):
-            for i in range(el):
-                terms = [(u_e[direction, n, i, t], 1.0) for t in range(t_n)]
-                add_con(f"bud_{direction}_e_n{n}_i{i}", terms, "<=", m)
-    for direction in ("in", "out"):
-        for i in range(el):
-            terms = [(u_l[direction, i, t], 1.0) for t in range(t_n)]
-            add_con(f"bud_{direction}_l_i{i}", terms, "<=", m)
+    add_rows((2, n_n, el), lambda d, n, i: f"bud_{dirs[d]}_e_n{n}_i{i}", "<=", m, (u_e, 1.0))
+    add_rows((2, el), lambda d, i: f"bud_{dirs[d]}_l_i{i}", "<=", m, (u_l, 1.0))
 
-    # z >= f - cphys * u on every slot; f <= cbill + (cphys - cbill) * u
-    for direction in ("in", "out"):
-        for n in range(n_n):
-            for i in range(el):
-                big = topo.edge_cap_phys[n, i]
-                cap = topo.edge_cap_billable[n, i]
-                for t in range(t_n):
-                    add_con(f"zlb_{direction}_e_n{n}_i{i}_t{t}",
-                            [(z_e[n, i], 1.0), (f_e[direction, n, i, t], -1.0),
-                             (u_e[direction, n, i, t], big)], ">=", 0.0)
-                for t in range(t_n):
-                    add_con(f"cap_{direction}_e_n{n}_i{i}_t{t}",
-                            [(f_e[direction, n, i, t], 1.0),
-                             (u_e[direction, n, i, t], big - cap)], "<=", big)
-    for direction in ("in", "out"):
-        for i in range(el):
-            big = topo.isp_cap_phys[i]
-            cap = topo.isp_cap_billable[i]
-            for t in range(t_n):
-                add_con(f"zlb_{direction}_l_i{i}_t{t}",
-                        [(z_l[i], 1.0), (x_l[direction, i, t], -1.0),
-                         (u_l[direction, i, t], big)], ">=", 0.0)
-            for t in range(t_n):
-                add_con(f"cap_{direction}_l_i{i}_t{t}",
-                        [(x_l[direction, i, t], 1.0),
-                         (u_l[direction, i, t], big - cap)], "<=", big)
+    def level_rows(link, z, flow, u, big, cap):
+        # z >= f - cphys * u on every slot; f <= cbill + (cphys - cbill) * u
+        add_rows((t_n,), lambda t: f"zlb_{link}_t{t}", ">=", 0.0,
+                 (z[None], 1.0), (flow[:, None], -1.0), (u[:, None], big))
+        add_rows((t_n,), lambda t: f"cap_{link}_t{t}", "<=", big,
+                 (flow[:, None], 1.0), (u[:, None], big - cap))
 
-    for n in range(n_n):
-        for i in range(el):
-            add_con(f"zub_e_n{n}_i{i}", [(z_e[n, i], 1.0)], "<=", topo.edge_cap_billable[n, i])
-    for i in range(el):
-        add_con(f"zub_l_i{i}", [(z_l[i], 1.0)], "<=", topo.isp_cap_billable[i])
+    for d, n, i in np.ndindex(2, n_n, el):
+        level_rows(f"{dirs[d]}_e_n{n}_i{i}", z_e[n, i], f_e[d, n, i], u_e[d, n, i],
+                   topo.edge_cap_phys[n, i], topo.edge_cap_billable[n, i])
+    for d, i in np.ndindex(2, el):
+        level_rows(f"{dirs[d]}_l_i{i}", z_l[i], x_l[d, i], u_l[d, i],
+                   topo.isp_cap_phys[i], topo.isp_cap_billable[i])
 
-    for n in range(n_n):
-        for i in range(el):
-            add_con(f"wlb_e_n{n}_i{i}",
-                    [(w_e[n, i], 1.0), (z_e[n, i], -1.0)], ">=", -topo.edge_cap_basic[n, i])
-    for i in range(el):
-        add_con(f"wlb_l_i{i}",
-                [(w_l[i], 1.0), (z_l[i], -1.0)], ">=", -topo.isp_cap_basic[i])
+    add_rows((n_n, el), lambda n, i: f"zub_e_n{n}_i{i}", "<=", topo.edge_cap_billable,
+             (z_e[..., None], 1.0))
+    add_rows((el,), lambda i: f"zub_l_i{i}", "<=", topo.isp_cap_billable, (z_l[:, None], 1.0))
+    add_rows((n_n, el), lambda n, i: f"wlb_e_n{n}_i{i}", ">=", -topo.edge_cap_basic,
+             (w_e[..., None], 1.0), (z_e[..., None], -1.0))
+    add_rows((el,), lambda i: f"wlb_l_i{i}", ">=", -topo.isp_cap_basic,
+             (w_l[:, None], 1.0), (z_l[:, None], -1.0))
 
-    objective = [(w_e[n, i], float(topo.edge_rate[n, i]))
-                 for n in range(n_n) for i in range(el)]
-    objective += [(w_l[i], float(topo.isp_rate[i])) for i in range(el)]
+    objective = list(zip(w_e.ravel().tolist(), topo.edge_rate.ravel().tolist()))
+    objective += list(zip(w_l.tolist(), topo.isp_rate.tolist()))
 
     meta = {"instance": instance, "table": table, "dims": (t_n, n_n, k_n), "exempt": m}
-    return MilpModel(variables=variables, constraints=constraints,
-                     objective=objective, index=index, meta=meta)
+    return MilpModel(variables=variables, binary=np.array(binary, dtype=bool), blocks=blocks,
+                     constraints=names,
+                     indptr=np.concatenate([[0], np.cumsum(np.concatenate(counts))]),
+                     cols=np.concatenate(cols), coeffs=np.concatenate(coeffs),
+                     sense=np.concatenate(senses), rhs=np.concatenate(bounds),
+                     objective=objective,
+                     index={name: col for col, name in enumerate(variables)}, meta=meta)
 
 
 # ---------------------------------------------------------------------------
 # text formats
 # ---------------------------------------------------------------------------
 
-def _term_tokens(model, terms, lead_sign=False):
+def _term_tokens(names, terms):
+    # terms: (column, coefficient) pairs of Python numbers
     tokens = []
-    for pos, (idx, coeff) in enumerate(terms):
-        coeff = float(coeff)
-        sign = "-" if coeff < 0 else "+"
-        body = f"{repr(abs(coeff))} {model.variables[idx].name}"
-        if pos == 0 and not lead_sign and sign == "+":
-            tokens.append(body)
+    for pos, (col, coeff) in enumerate(terms):
+        body = f"{abs(coeff)!r} {names[col]}"
+        if coeff < 0:
+            tokens.append(f"- {body}")
         else:
-            tokens.append(f"{sign} {body}")
+            tokens.append(body if pos == 0 else f"+ {body}")
     return tokens
 
 
@@ -228,22 +199,24 @@ def _wrap(prefix, tokens, per_line=8):
 def write_lp(model, path):
     """CPLEX-style LP text; byte-stable for a given model."""
     t_n, n_n, k_n = model.meta["dims"]
+    names = model.variables
     lines = [
         "\\ percentile billing schedule",
         f"\\ instance: {model.meta['instance'].instance_id}",
         f"\\ dims: T={t_n} N={n_n} K={k_n} exempt={model.meta['exempt']}",
         "Minimize",
     ]
-    lines += _wrap(" obj: ", _term_tokens(model, model.objective))
+    lines += _wrap(" obj: ", _term_tokens(names, model.objective))
     lines.append("Subject To")
-    for con in model.constraints:
-        sense = {"<=": "<=", ">=": ">=", "=": "="}[con.sense]
-        tokens = _term_tokens(model, con.terms)
-        tokens.append(f"{sense} {repr(con.rhs)}")
-        lines += _wrap(f" {con.name}: ", tokens)
+    # Python numbers, not numpy scalars: formatting numpy scalars is much slower
+    indptr, cols, coeffs = model.indptr.tolist(), model.cols.tolist(), model.coeffs.tolist()
+    rows = zip(model.constraints, indptr, indptr[1:], model.sense.tolist(), model.rhs.tolist())
+    for name, lo, hi, sense, rhs in rows:
+        tokens = _term_tokens(names, zip(cols[lo:hi], coeffs[lo:hi]))
+        tokens.append(f"{sense} {rhs!r}")
+        lines += _wrap(f" {name}: ", tokens)
     lines.append("Binaries")
-    names = [v.name for v in model.variables if v.binary]
-    lines += _wrap(" ", names, per_line=8)
+    lines += _wrap(" ", [names[c] for c in np.flatnonzero(model.binary).tolist()], per_line=8)
     lines.append("End")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -263,32 +236,39 @@ def write_warmstart(model, scheme, path):
     link and direction's m largest flow slots (lowest slot on ties),
     which is the optimal exemption pattern for that scheme.
     """
-    t_n, n_n, k_n = model.meta["dims"]
-    if scheme.option.shape != (t_n, n_n, k_n):
-        raise ValueError(f"scheme shape {scheme.option.shape} does not match model dims {(t_n, n_n, k_n)}")
+    dims = model.meta["dims"]
+    option = scheme.option
+    if option.shape != dims:
+        raise ValueError(f"scheme shape {option.shape} does not match model dims {dims}")
     instance, table = model.meta["instance"], model.meta["table"]
-    n_valid = table.n_valid
-    for (t, n, k), p in np.ndenumerate(scheme.option):
-        if not 0 <= p < n_valid[k, n]:
-            raise ValueError(f"option {p} out of range at slot {t}, user {n}, type {k}")
+    # checked before the lam lookup: a padded -1 entry would index the last column
+    bad = np.argwhere((option < 0) | (option >= table.n_valid.T))
+    if bad.size:
+        t, n, k = bad[0]
+        raise ValueError(f"option {option[t, n, k]} out of range at slot {t}, user {n}, type {k}")
+    edge = np.stack(_kernels.hard_edge_flows(option, table.weights, instance.demands.inbound,
+                                             instance.demands.outbound))  # (2, N, EL, T)
     m = model.meta["exempt"]
-    edge_flows = _kernels.hard_edge_flows(scheme.option, table.weights,
-                                          instance.demands.inbound, instance.demands.outbound)
-    values = {}
-    for t in range(t_n):
-        for n in range(n_n):
-            for k in range(k_n):
-                for p in range(int(n_valid[k, n])):
-                    values[f"lam_t{t}_n{n}_k{k}_p{p}"] = int(p == scheme.option[t, n, k])
-    for direction, edge in zip(("in", "out"), edge_flows):
-        for (n, i, t), u in np.ndenumerate(_exempt_mask(edge, m)):
-            values[f"u_{direction}_e_n{n}_i{i}_t{t}"] = int(u)
-        for (i, t), u in np.ndenumerate(_exempt_mask(edge.sum(axis=0), m)):
-            values[f"u_{direction}_l_i{i}_t{t}"] = int(u)
+    x = np.zeros(len(model.variables), dtype=np.int64)
+    x[np.take_along_axis(model.blocks["lam"], option[..., None], axis=-1)] = 1
+    x[model.blocks["u_e"][_exempt_mask(edge, m)]] = 1
+    x[model.blocks["u_l"][_exempt_mask(edge.sum(axis=1), m)]] = 1
+    binaries = np.flatnonzero(model.binary).tolist()
     lines = [f"# warm start for instance {instance.instance_id}"]
-    lines += [f"{v.name} {values[v.name]}" for v in model.variables if v.binary]
+    lines += [f"{model.variables[c]} {v}" for c, v in zip(binaries, x[binaries].tolist())]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def _finite(text, error):
+    """float(text); FormatError(error) unless it is a finite number."""
+    try:
+        value = float(text)
+    except ValueError as exc:
+        raise FormatError(error) from exc
+    if not math.isfinite(value):
+        raise FormatError(f"{error}: {text} is not finite")
+    return value
 
 
 def read_solution(path, model):
@@ -296,13 +276,13 @@ def read_solution(path, model):
 
     Accepts comment lines starting with '#' or '\\'; an objective may be
     declared either as "# Objective value = X" or a plain "objective X"
-    line.  Errors: unknown variable names, fractional binaries (beyond
-    1e-6), blocks without exactly one chosen option, and a declared
-    objective that disagrees with the recomputed cost by more than 1e-4
-    relative.  Returns (scheme, objective).
+    line.  Errors: unknown variable names, non-finite values, fractional
+    binaries (beyond 1e-6), blocks without exactly one chosen option, and
+    a declared objective that disagrees with the recomputed cost by more
+    than 1e-4 relative.  Returns (scheme, objective).
     """
     declared = None
-    values = {}
+    values = np.zeros(len(model.variables))
     with open(path) as fh:
         for line_no, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -311,54 +291,41 @@ def read_solution(path, model):
             if line.startswith("#") or line.startswith("\\"):
                 low = line.lstrip("#\\ \t").lower()
                 if low.startswith("objective value"):
-                    _, _, tail = line.partition("=")
-                    try:
-                        declared = float(tail.strip())
-                    except ValueError as exc:
-                        raise FormatError(f"{path}:{line_no}: bad objective comment") from exc
+                    declared = _finite(line.partition("=")[2].strip(),
+                                       f"{path}:{line_no}: bad objective comment")
                 continue
             parts = line.split()
             if len(parts) != 2:
                 raise FormatError(f"{path}:{line_no}: expected 'name value'")
             name, text = parts
             if name.lower() == "objective":
-                try:
-                    declared = float(text)
-                except ValueError as exc:
-                    raise FormatError(f"{path}:{line_no}: bad objective value") from exc
+                declared = _finite(text, f"{path}:{line_no}: bad objective value")
                 continue
             if name not in model.index:
                 raise FormatError(f"{path}:{line_no}: unknown variable '{name}'")
-            try:
-                values[name] = float(text)
-            except ValueError as exc:
-                raise FormatError(f"{path}:{line_no}: bad value for '{name}'") from exc
+            values[model.index[name]] = _finite(text, f"{path}:{line_no}: bad value for '{name}'")
 
-    t_n, n_n, k_n = model.meta["dims"]
-    n_valid = model.meta["table"].n_valid
-    option = np.zeros((t_n, n_n, k_n), dtype=np.int64)
-    for t in range(t_n):
-        for n in range(n_n):
-            for k in range(k_n):
-                chosen = []
-                for p in range(int(n_valid[k, n])):
-                    val = values.get(f"lam_t{t}_n{n}_k{k}_p{p}", 0.0)
-                    if min(abs(val), abs(val - 1.0)) > 1e-6:
-                        raise FormatError(
-                            f"{path}: lam_t{t}_n{n}_k{k}_p{p} = {val} is not binary")
-                    if val > 0.5:
-                        chosen.append(p)
-                if len(chosen) != 1:
-                    raise FormatError(
-                        f"{path}: slot {t}, user {n}, type {k} has {len(chosen)} chosen options")
-                option[t, n, k] = chosen[0]
-    scheme = AllocationScheme(option=option)
+    lam = model.blocks["lam"]
+    exists = lam >= 0
+    lam_values = np.where(exists, values[lam], 0.0)
+    fractional = exists & (np.minimum(np.abs(lam_values), np.abs(lam_values - 1.0)) > 1e-6)
+    chosen = exists & (lam_values > 0.5)
+    n_chosen = chosen.sum(axis=-1)
+    bad = np.argwhere(fractional.any(axis=-1) | (n_chosen != 1))
+    if bad.size:
+        t, n, k = bad[0]
+        if fractional[t, n, k].any():
+            col = lam[t, n, k][fractional[t, n, k]][0]
+            raise FormatError(f"{path}: {model.variables[col]} = {values[col]} is not binary")
+        raise FormatError(
+            f"{path}: slot {t}, user {n}, type {k} has {n_chosen[t, n, k]} chosen options")
+    option = chosen.argmax(axis=-1)
     cost = objective_of(model, option)
     if declared is not None:
         if abs(cost - declared) > 1e-4 * max(1.0, abs(declared)):
             raise FormatError(
                 f"{path}: declared objective {declared} disagrees with recomputed cost {cost}")
-    return scheme, cost
+    return AllocationScheme(option=option), cost
 
 
 def objective_of(model, option):

@@ -16,39 +16,29 @@ binary assignment to every variable and check it row by row.
 import numpy as np
 
 
-def solve_with_scipy(model):
-    """Exact optimum of a MilpModel; returns (objective, values dict)."""
-    from scipy.optimize import Bounds, LinearConstraint, milp
-    from scipy.sparse import lil_matrix
+def constraint_matrix(model):
+    """The model's rows as a scipy CSR matrix."""
+    from scipy.sparse import csr_matrix
 
-    n = len(model.variables)
-    c = np.zeros(n)
+    return csr_matrix((model.coeffs, model.cols, model.indptr),
+                      shape=(len(model.constraints), len(model.variables)))
+
+
+def solve_with_scipy(model):
+    """Exact optimum of a MilpModel; returns (objective, value per column)."""
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
+    c = np.zeros(len(model.variables))
     for vi, coeff in model.objective:
         c[vi] += coeff
-    integrality = np.array([1 if v.binary else 0 for v in model.variables])
-    ub = np.array([1.0 if v.binary else np.inf for v in model.variables])
-
-    a = lil_matrix((len(model.constraints), n))
-    lo = np.empty(len(model.constraints))
-    hi = np.empty(len(model.constraints))
-    for r, con in enumerate(model.constraints):
-        for vi, coeff in con.terms:
-            a[r, vi] += coeff
-        if con.sense == "<=":
-            lo[r], hi[r] = -np.inf, con.rhs
-        elif con.sense == ">=":
-            lo[r], hi[r] = con.rhs, np.inf
-        elif con.sense == "=":
-            lo[r], hi[r] = con.rhs, con.rhs
-        else:
-            raise ValueError(f"unknown sense {con.sense!r}")
-
-    res = milp(c=c, constraints=LinearConstraint(a.tocsr(), lo, hi),
-               integrality=integrality, bounds=Bounds(np.zeros(n), ub))
+    lo = np.where(model.sense == "<=", -np.inf, model.rhs)
+    hi = np.where(model.sense == ">=", np.inf, model.rhs)
+    res = milp(c=c, constraints=LinearConstraint(constraint_matrix(model), lo, hi),
+               integrality=model.binary.astype(int),
+               bounds=Bounds(0.0, np.where(model.binary, 1.0, np.inf)))
     if not res.success:
         raise RuntimeError(f"scipy milp failed: {res.message}")
-    values = {v.name: float(res.x[i]) for i, v in enumerate(model.variables)}
-    return float(res.fun), values
+    return float(res.fun), res.x
 
 
 def _flows_from_options(model, option):
@@ -144,68 +134,40 @@ def exhaustive_optimum(model, max_combinations=1_000_000):
 
 
 def complete_assignment(model, binaries):
-    """Extend a binary assignment to all continuous variables.
+    """Extend a {name: value} binary assignment to a value per column.
 
     Flows come from the definitional rows, z is the smallest value the
     non-exempt slots allow, w the smallest value the overage rows allow.
     """
-    values = dict(binaries)
-    t_n, n_n, k_n = model.meta["dims"]
+    x = np.zeros(len(model.variables))
+    for name, value in binaries.items():
+        x[model.index[name]] = value
+    blocks = model.blocks
+    lam = blocks["lam"]
+    chosen = (lam >= 0) & (x[lam] > 0.5)
+    bad = np.argwhere(chosen.sum(axis=-1) != 1)
+    if bad.size:
+        t, n, k = bad[0]
+        raise ValueError(f"slot {t}, user {n}, type {k}: need exactly one option set")
+    flows = _flows_from_options(model, chosen.argmax(axis=-1))
+    edge = np.stack([flows["in"], flows["out"]])  # (2, N, EL, T)
+    x[blocks["f_e"]] = edge
+    x[blocks["x_l"]] = edge.sum(axis=1)
     topo = model.meta["instance"].topology
-    el = topo.n_isps
-    n_valid = model.meta["table"].n_valid
-    option = np.zeros((t_n, n_n, k_n), dtype=np.int64)
-    for t in range(t_n):
-        for n in range(n_n):
-            for k in range(k_n):
-                chosen = [p for p in range(int(n_valid[k, n]))
-                          if values.get(f"lam_t{t}_n{n}_k{k}_p{p}", 0) > 0.5]
-                if len(chosen) != 1:
-                    raise ValueError(f"slot {t}, user {n}, type {k}: need exactly one option set")
-                option[t, n, k] = chosen[0]
-    flows = _flows_from_options(model, option)
-    for direction in ("in", "out"):
-        arr = flows[direction]
-        for n in range(n_n):
-            for i in range(el):
-                for t in range(t_n):
-                    values[f"f_{direction}_n{n}_i{i}_t{t}"] = arr[n, i, t]
-        agg = arr.sum(axis=0)
-        for i in range(el):
-            for t in range(t_n):
-                values[f"X_{direction}_i{i}_t{t}"] = agg[i, t]
-    for n in range(n_n):
-        for i in range(el):
-            z = 0.0
-            for direction in ("in", "out"):
-                for t in range(t_n):
-                    if values.get(f"u_{direction}_e_n{n}_i{i}_t{t}", 0) < 0.5:
-                        z = max(z, values[f"f_{direction}_n{n}_i{i}_t{t}"])
-            values[f"z_e_n{n}_i{i}"] = z
-            values[f"w_e_n{n}_i{i}"] = max(z - topo.edge_cap_basic[n, i], 0.0)
-    for i in range(el):
-        z = 0.0
-        for direction in ("in", "out"):
-            for t in range(t_n):
-                if values.get(f"u_{direction}_l_i{i}_t{t}", 0) < 0.5:
-                    z = max(z, values[f"X_{direction}_i{i}_t{t}"])
-        values[f"z_l_i{i}"] = z
-        values[f"w_l_i{i}"] = max(z - topo.isp_cap_basic[i], 0.0)
-    return values
+    for u, level, overage, flow, basic in (
+            ("u_e", "z_e", "w_e", edge, topo.edge_cap_basic),
+            ("u_l", "z_l", "w_l", x[blocks["x_l"]], topo.isp_cap_basic)):
+        # max over direction and non-exempt slots
+        z = np.where(x[blocks[u]] < 0.5, flow, 0.0).max(axis=(0, -1))
+        x[blocks[level]] = z
+        x[blocks[overage]] = np.maximum(z - basic, 0.0)
+    return x
 
 
-def verify_assignment(model, values, tol=1e-6):
+def verify_assignment(model, x, tol=1e-6):
     """Check every row; returns (feasible, objective, violated row names)."""
-    violated = []
-    for con in model.constraints:
-        lhs = sum(coeff * values.get(model.variables[idx].name, 0.0)
-                  for idx, coeff in con.terms)
-        if con.sense == "=" and abs(lhs - con.rhs) > tol:
-            violated.append(con.name)
-        elif con.sense == "<=" and lhs > con.rhs + tol:
-            violated.append(con.name)
-        elif con.sense == ">=" and lhs < con.rhs - tol:
-            violated.append(con.name)
-    objective = sum(coeff * values.get(model.variables[idx].name, 0.0)
-                    for idx, coeff in model.objective)
-    return not violated, objective, violated
+    lhs = constraint_matrix(model) @ x
+    violated = ((model.sense != ">=") & (lhs > model.rhs + tol)) | \
+        ((model.sense != "<=") & (lhs < model.rhs - tol))
+    objective = sum(coeff * x[idx] for idx, coeff in model.objective)
+    return not violated.any(), objective, [model.constraints[r] for r in np.flatnonzero(violated)]

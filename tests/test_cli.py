@@ -206,6 +206,20 @@ def test_eval_shape_mismatch_is_exit_3(cli_workspace, tmp_path, capsys):
     assert "does not match" in err
 
 
+def test_eval_option_out_of_range_is_exit_3(tmp_path, capsys):
+    inst = make_tiny(5)
+    inst_path = tmp_path / "inst.json"
+    io.write_instance(inst, inst_path)
+    scheme_path = tmp_path / "scheme.json"
+    from ecsched.model import AllocationScheme
+    io.write_scheme(AllocationScheme(option=np.full(inst.dims, 9, dtype=np.int64)),
+                    scheme_path)
+    code, _, err = run(capsys, "eval", "--instance", str(inst_path),
+                       "--scheme", str(scheme_path))
+    assert code == 3
+    assert "out of range" in err
+
+
 # ---------------------------------------------------------------------------
 # oracle / export / import
 # ---------------------------------------------------------------------------
@@ -259,6 +273,26 @@ def test_export_import_round_trip(tmp_path, capsys):
     back, _, cost = io.read_scheme(back_path)
     assert np.array_equal(back.option, ref[0].option)
     assert cost == pytest.approx(ref[1], abs=1e-9)
+
+
+@pytest.mark.parametrize("shape, fill, message", [
+    ((1, 1, 1), 0, "does not match"),
+    ((3, 1, 2), 9, "out of range"),
+])
+def test_export_bad_warmstart_scheme_is_exit_3(tmp_path, capsys, shape, fill, message):
+    inst = make_tiny(5)
+    assert inst.dims == (3, 1, 2)
+    inst_path = tmp_path / "inst.json"
+    io.write_instance(inst, inst_path)
+    scheme_path = tmp_path / "scheme.json"
+    from ecsched.model import AllocationScheme
+    io.write_scheme(AllocationScheme(option=np.full(shape, fill, dtype=np.int64)),
+                    scheme_path)
+    code, _, err = run(capsys, "export-milp", "--instance", str(inst_path),
+                       "--out", str(tmp_path / "model.lp"), "--warmstart", str(scheme_path))
+    assert code == 3
+    assert message in err
+    assert not (tmp_path / "model.lp").exists()
 
 
 def test_import_fractional_solution_is_exit_3(tmp_path, capsys):

@@ -3,8 +3,9 @@
 Every route that prices an allocation (the cost model, the soft loss and
 its gradient, the samplers, exhaustive search and the MILP objective)
 goes through ``price_flows``, so the percentile rule, the overage cost
-and the cap checks are written once.  Pricing takes leading batch axes,
-which lets exhaustive search price a chunk of combinations in one call.
+and the cap checks are written once.  Hard flows and pricing take
+leading batch axes, which lets exhaustive search build and price a
+chunk of combinations in one call.
 
 Array conventions match the rest of the package: demand tensors are
 ``[type, user, slot]``, per-slot link flows are ``[user, link, slot]``
@@ -130,16 +131,17 @@ def _selected_weights(weights, options):
 
 
 def hard_edge_flows(options, weights, d_in, d_out):
-    """Per-slot edge link flows of a hard scheme.
+    """Per-slot edge link flows of hard schemes.
 
-    options: (T, N, K) int64 option indices, weights: (K, N, P, EL),
-    d_in/d_out: (K, N, T).  Returns (edge_in, edge_out), each (N, EL, T).
-    The flows are written in C order: einsum's default output layout here
-    is several times slower, for the einsum and for the sorts after it.
+    options: (..., T, N, K) int64 option indices, weights: (K, N, P, EL),
+    d_in/d_out: (K, N, T).  Returns (edge_in, edge_out), each
+    (..., N, EL, T).  The flows are written in C order: einsum's default
+    output layout here is several times slower, for the einsum and for
+    the sorts after it.
     """
-    w_sel = _selected_weights(weights, options)  # (T, N, K, EL)
-    edge_in = np.einsum("tnkj,knt->njt", w_sel, d_in, order="C")
-    edge_out = np.einsum("tnkj,knt->njt", w_sel, d_out, order="C")
+    w_sel = _selected_weights(weights, options)  # (..., T, N, K, EL)
+    edge_in = np.einsum("...tnkj,knt->...njt", w_sel, d_in, order="C")
+    edge_out = np.einsum("...tnkj,knt->...njt", w_sel, d_out, order="C")
     return edge_in, edge_out
 
 
@@ -185,11 +187,8 @@ def brute_force_search(n_valid_flat, weights, d_in, d_out, topology, chunk=4096)
     for start in range(0, total, chunk):
         ids = np.arange(start, min(start + chunk, total), dtype=np.int64)
         digits = _digits_for(ids, n_valid_flat)
-        w_sel = _selected_weights(weights, digits.reshape(-1, T, N, K))  # (B, T, N, K, EL)
-        # C order for speed, as in hard_edge_flows
-        flows = price_flows(topology,
-                            np.einsum("btnkj,knt->bnjt", w_sel, d_in, order="C"),
-                            np.einsum("btnkj,knt->bnjt", w_sel, d_out, order="C"))
+        flows = price_flows(topology, *hard_edge_flows(
+            digits.reshape(-1, T, N, K), weights, d_in, d_out))
         ok = flows.feasible
         cost = np.where(ok, flows.cost_total, np.inf)
 

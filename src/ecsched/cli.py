@@ -20,7 +20,7 @@ import numpy as np
 from . import baselines, io, milp, sampler
 from .generate import GenConfig, generate_instance, sample_demands, sample_static
 from .io import FormatError
-from .model import Instance, build_option_table, check_feasibility, total_cost
+from .model import Instance, build_option_table, check_feasibility, check_scheme, total_cost
 from .sampler import TrainConfig
 
 EXIT_OK = 0
@@ -122,21 +122,27 @@ def cmd_train(args):
     return EXIT_OK
 
 
-def _sample_best(args, instance):
-    rng = np.random.default_rng(args.seed if args.seed is not None else 0)
+def _policy_network(args):
+    """The network behind --policy gssn; None for rsn."""
     if args.policy == "rsn":
-        best, n_feasible = baselines.rsn_best_of_detailed(instance, args.samples, rng)
-    else:
-        if not args.model:
-            raise FormatError("--model is required unless --policy rsn")
-        network = sampler.load_model(args.model)
-        best, n_feasible = sampler.best_of_detailed(network, instance, args.samples, rng)
-    return best, n_feasible
+        return None
+    if not args.model:
+        raise FormatError("--model is required unless --policy rsn")
+    return sampler.load_model(args.model)
+
+
+def _best_of(network, instance, n_samples, rng, table=None):
+    """Best of n_samples draws from the network, or from RSN when it is None;
+    returns ((scheme, cost) or None, feasible count)."""
+    if network is None:
+        return baselines.rsn_best_of_detailed(instance, n_samples, rng, table)
+    return sampler.best_of_detailed(network, instance, n_samples, rng, table)
 
 
 def cmd_sample(args):
     instance = io.read_instance(args.instance)
-    best, n_feasible = _sample_best(args, instance)
+    rng = np.random.default_rng(args.seed if args.seed is not None else 0)
+    best, n_feasible = _best_of(_policy_network(args), instance, args.samples, rng)
     if best is None:
         raise NoResult(f"no feasible scheme in {args.samples} samples")
     scheme, cost = best
@@ -148,14 +154,10 @@ def cmd_sample(args):
 
 def _check_scheme(scheme, instance, table):
     """FormatError unless every option of the scheme exists in the instance."""
-    option = scheme.option
-    if option.shape != instance.dims:
-        raise FormatError(
-            f"scheme shape {option.shape} does not match instance dims {instance.dims}")
-    bad = np.argwhere((option < 0) | (option >= table.n_valid.T))
-    if bad.size:
-        t, n, k = bad[0]
-        raise FormatError(f"option {option[t, n, k]} out of range at slot {t}, user {n}, type {k}")
+    try:
+        check_scheme(instance, scheme.option, table)
+    except ValueError as exc:
+        raise FormatError(str(exc)) from exc
 
 
 def cmd_eval(args):
@@ -213,26 +215,19 @@ def cmd_import_solution(args):
     return EXIT_OK
 
 
-def _bench_rows(args, instances, label):
+def _bench_rows(network, instances, n_samples, label, rng_for):
+    """One row per instance; rng_for(idx) seeds instance idx's draws."""
     rows = []
-    network = None
-    if args.policy == "gssn":
-        network = sampler.load_model(args.model)
     for idx, instance in enumerate(instances):
-        rng = np.random.default_rng([args.seed if args.seed is not None else 0, idx])
+        rng = rng_for(idx)
         table = build_option_table(instance.topology)
         start = time.perf_counter()
-        if network is None:
-            best, n_feasible = baselines.rsn_best_of_detailed(
-                instance, args.samples, rng, table)
-        else:
-            best, n_feasible = sampler.best_of_detailed(
-                network, instance, args.samples, rng, table)
+        best, n_feasible = _best_of(network, instance, n_samples, rng, table)
         elapsed = time.perf_counter() - start
         rows.append({
             "instance_id": instance.instance_id,
             "policy": label,
-            "n_samples": args.samples,
+            "n_samples": n_samples,
             "n_feasible": n_feasible,
             "best_cost": "" if best is None else repr(best[1]),
             "wall_time_s": f"{elapsed:.6f}",
@@ -251,10 +246,11 @@ def _aggregate(rows, n_samples):
 
 
 def cmd_bench(args):
-    if args.policy == "gssn" and not args.model:
-        raise FormatError("--model is required unless --policy rsn")
+    network = _policy_network(args)
     instances = _load_instances(args.instances)
-    rows = _bench_rows(args, instances, args.policy)
+    seed = args.seed if args.seed is not None else 0
+    rows = _bench_rows(network, instances, args.samples, args.policy,
+                       lambda idx: np.random.default_rng([seed, idx]))
     if args.out:
         with open(args.out, "w", newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
@@ -297,31 +293,16 @@ def cmd_generalize(args):
         else:
             instances = [generate_instance(config, seed=seed0 + point_idx * args.count + i)
                          for i in range(args.count)]
-        for policy in ("gssn", "rsn"):
-            per_instance = []
-            feasible_total = 0
-            hit = 0
-            for idx, instance in enumerate(instances):
-                rng = np.random.default_rng([seed0, point_idx, idx, policy == "gssn"])
-                table = build_option_table(instance.topology)
-                if policy == "gssn":
-                    best, n_feasible = sampler.best_of_detailed(
-                        network, instance, args.samples, rng, table)
-                else:
-                    best, n_feasible = baselines.rsn_best_of_detailed(
-                        instance, args.samples, rng, table)
-                feasible_total += n_feasible
-                if best is not None:
-                    hit += 1
-                    per_instance.append(best[1])
-            mean = float(np.mean(per_instance)) if per_instance else float("nan")
-            std = float(np.std(per_instance)) if per_instance else float("nan")
+        for policy, policy_network in (("gssn", network), ("rsn", None)):
+            rows = _bench_rows(
+                policy_network, instances, args.samples, policy,
+                lambda idx: np.random.default_rng([seed0, point_idx, idx, policy == "gssn"]))
+            mean, std, ssfr, pfr = _aggregate(rows, args.samples)
             out_rows.append({
                 "axis": args.axis, "value": value, "policy": policy,
                 "n_instances": args.count, "n_samples": args.samples,
                 "mean_best_cost": repr(mean), "std_best_cost": repr(std),
-                "ssfr": repr(feasible_total / (args.samples * args.count)),
-                "pfr": repr(hit / args.count),
+                "ssfr": repr(ssfr), "pfr": repr(pfr),
             })
             print(f"{args.axis}={value} {policy}: mean best cost {mean:.4f}")
     with open(args.out, "w", newline="") as fh:

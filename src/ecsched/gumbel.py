@@ -1,7 +1,9 @@
-"""Concrete (Gumbel-Softmax) sampling primitives.
+"""Row-wise concrete (Gumbel-Softmax) and categorical samplers.
 
-A concrete sample with location parameters alpha > 0 and temperature
-tau > 0 is
+Every sampler works on an (R, P) block of location parameters, one row
+per (slot, user, type) block, with a boolean mask of the row's valid
+categories.  A concrete sample of a row with location parameters
+alpha > 0 and temperature tau > 0 is
 
     x_k = exp((log alpha_k + G_k) / tau) / sum_j exp((log alpha_j + G_j) / tau)
 
@@ -11,9 +13,10 @@ subtracts the row maximum before exponentiating, so samples are finite
 for any tau >= 0.01 and alpha within [1e-6, 1e6].
 
 Rounding a sample to its largest coordinate recovers an exact categorical
-draw with probabilities alpha / ||alpha||_1, at any temperature.  Excluded
-categories are masked by adding -1e9 to their logit, which leaves them
-with zero probability mass.
+draw with probabilities alpha / ||alpha||_1, at any temperature;
+``categorical_rows`` draws that law directly, with one uniform per row.
+Excluded categories are masked by adding -1e9 to their logit, which
+leaves them with zero probability mass.
 """
 
 import numpy as np
@@ -26,46 +29,6 @@ def sample_gumbel(rng, size=None):
     """Standard Gumbel draws via the clamped inverse CDF."""
     u = np.clip(rng.uniform(size=size), U_CLAMP, 1.0 - U_CLAMP)
     return -np.log(-np.log(u))
-
-
-def _validate_alpha(alpha):
-    alpha = np.asarray(alpha, dtype=float)
-    if alpha.size == 0:
-        raise ValueError("alpha must be nonempty")
-    if not np.all(alpha > 0):
-        raise ValueError("alpha must be strictly positive")
-    return alpha
-
-
-def concrete_sample(alpha, tau, rng):
-    """One concrete sample on the simplex for a 1-d alpha vector."""
-    alpha = _validate_alpha(alpha)
-    if tau <= 0:
-        raise ValueError("temperature must be positive")
-    logits = (np.log(alpha) + sample_gumbel(rng, alpha.shape)) / tau
-    logits -= logits.max()
-    e = np.exp(logits)
-    return e / e.sum()
-
-
-def round_onehot(x):
-    """Index of the largest coordinate; first index wins ties."""
-    x = np.asarray(x)
-    if x.ndim != 1 or x.size == 0:
-        raise ValueError("expected a nonempty 1-d sample")
-    return int(np.argmax(x))
-
-
-def categorical_sample(alpha, rng):
-    """Exact categorical draw with probabilities alpha / sum(alpha).
-
-    Equivalent in law to round_onehot(concrete_sample(...)) at any
-    temperature, but needs one uniform instead of a Gumbel per category.
-    """
-    alpha = _validate_alpha(alpha)
-    cum = np.cumsum(alpha)
-    r = rng.uniform() * cum[-1]
-    return int(min(np.searchsorted(cum, r, side="right"), alpha.size - 1))
 
 
 def concrete_rows_given(alpha, valid, tau, g):

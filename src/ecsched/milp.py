@@ -30,7 +30,7 @@ import numpy as np
 
 from . import _kernels
 from .io import FormatError
-from .model import (AllocationScheme, build_option_table, evaluate_hard,
+from .model import (AllocationScheme, build_option_table, check_scheme, evaluate_hard,
                     percentile_exempt_count)
 
 @dataclass
@@ -236,16 +236,10 @@ def write_warmstart(model, scheme, path):
     link and direction's m largest flow slots (lowest slot on ties),
     which is the optimal exemption pattern for that scheme.
     """
-    dims = model.meta["dims"]
-    option = scheme.option
-    if option.shape != dims:
-        raise ValueError(f"scheme shape {option.shape} does not match model dims {dims}")
     instance, table = model.meta["instance"], model.meta["table"]
+    option = scheme.option
     # checked before the lam lookup: a padded -1 entry would index the last column
-    bad = np.argwhere((option < 0) | (option >= table.n_valid.T))
-    if bad.size:
-        t, n, k = bad[0]
-        raise ValueError(f"option {option[t, n, k]} out of range at slot {t}, user {n}, type {k}")
+    check_scheme(instance, option, table)
     edge = np.stack(_kernels.hard_edge_flows(option, table.weights, instance.demands.inbound,
                                              instance.demands.outbound))  # (2, N, EL, T)
     m = model.meta["exempt"]

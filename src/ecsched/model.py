@@ -260,18 +260,25 @@ def g95(series):
     return float(_kernels.billed_level(arr))
 
 
+def check_scheme(instance, option, table):
+    """ValueError unless option is a (T, N, K) array of the instance's options.
+
+    The shape is checked first; the first block (slot-major) holding an
+    option outside ``[0, n_valid)`` is named.
+    """
+    if option.shape != instance.dims:
+        raise ValueError(f"scheme shape {option.shape} does not match instance dims {instance.dims}")
+    bad = np.argwhere((option < 0) | (option >= table.n_valid.T))
+    if bad.size:
+        t, n, k = bad[0]
+        raise ValueError(f"option {option[t, n, k]} out of range at slot {t}, user {n}, type {k}")
+
+
 def _check_alloc(instance, alloc, table):
-    t_i, n_i, k_i = instance.dims
     if isinstance(alloc, AllocationScheme):
-        if alloc.option.shape != (t_i, n_i, k_i):
-            raise ValueError(f"scheme shape {alloc.option.shape} does not match instance dims {(t_i, n_i, k_i)}")
-        bad = alloc.option < 0
-        bad |= alloc.option >= table.n_valid[None].transpose(0, 2, 1)
-        if bad.any():
-            t, n, k = np.argwhere(bad)[0]
-            raise ValueError(f"option index out of range at slot {t}, user {n}, type {k}")
+        check_scheme(instance, alloc.option, table)
     elif isinstance(alloc, SoftAllocation):
-        if alloc.x.shape != (t_i, n_i, k_i, table.n_options):
+        if alloc.x.shape != (*instance.dims, table.n_options):
             raise ValueError(f"allocation shape {alloc.x.shape} does not match instance dims")
     else:
         raise TypeError("expected AllocationScheme or SoftAllocation")
@@ -327,21 +334,6 @@ def evaluate_hard(instance, table, option):
     return flows.cost_total, True
 
 
-@dataclass(frozen=True)
-class LossBreakdown:
-    """Soft loss pieces plus the discrete selections the loss committed to.
-
-    The selection signature makes kinks detectable: if a small parameter
-    perturbation changes any selection, a finite-difference probe through
-    this point is unreliable.
-    """
-
-    cost: float
-    penalty: float
-    loss: float
-    signature: tuple
-
-
 def soft_loss(instance, alloc, lam_g=1.0, lam_h=1.0, table=None):
     """Penalized objective: cost + lam_g * sum of squared cap overshoots.
 
@@ -359,9 +351,9 @@ def soft_loss(instance, alloc, lam_g=1.0, lam_h=1.0, table=None):
 def soft_loss_and_grad(instance, table, x, lam_g=1.0):
     """Soft loss of a relaxed allocation and its gradient in x.
 
-    Returns (loss, dloss/dx, LossBreakdown).  Subgradient conventions at
-    the kinks: ReLU'(0) = 0, the in/out max routes to inbound on ties,
-    and the percentile routes to the stable (m+1)-th largest slot.
+    Returns (loss, dloss/dx).  Subgradient conventions at the kinks:
+    ReLU'(0) = 0, the in/out max routes to inbound on ties, and the
+    percentile routes to the stable (m+1)-th largest slot.
     """
     topo = instance.topology
     d_in = instance.demands.inbound
@@ -375,8 +367,7 @@ def soft_loss_and_grad(instance, table, x, lam_g=1.0):
     win_e, win_l = flows.inbound_edge, flows.inbound_isp
     z_edge, z_isp = flows.z_edge, flows.z_isp
     over_e_in, over_e_out, over_l_in, over_l_out, over_ze, over_zl = flows.overshoot
-    cost, penalty = flows.cost_total, flows.penalty
-    loss = cost + lam_g * penalty
+    loss = flows.cost_total + lam_g * flows.penalty
     above_e = z_edge > topo.edge_cap_basic  # links billing an overage
     above_l = z_isp > topo.isp_cap_basic
 
@@ -409,13 +400,4 @@ def soft_loss_and_grad(instance, table, x, lam_g=1.0):
     a = (dE_in.transpose(2, 0, 1)[:, :, None, :] * d_in.transpose(2, 1, 0)[:, :, :, None]
          + dE_out.transpose(2, 0, 1)[:, :, None, :] * d_out.transpose(2, 1, 0)[:, :, :, None])
     dx = np.einsum("tnkj,knpj->tnkp", a, table.weights)
-
-    signature = (
-        tin_e.tobytes(), tout_e.tobytes(), win_e.tobytes(),
-        tin_l.tobytes(), tout_l.tobytes(), win_l.tobytes(),
-        (over_e_in > 0).tobytes(), (over_e_out > 0).tobytes(),
-        (over_l_in > 0).tobytes(), (over_l_out > 0).tobytes(),
-        (over_ze > 0).tobytes(), (over_zl > 0).tobytes(),
-        above_e.tobytes(), above_l.tobytes(),
-    )
-    return loss, dx, LossBreakdown(cost=cost, penalty=penalty, loss=loss, signature=signature)
+    return loss, dx

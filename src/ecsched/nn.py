@@ -1,5 +1,4 @@
-"""Minimal dense-network machinery: forward, reverse mode, Adam, and a
-finite-difference gradient checker.
+"""Minimal dense-network machinery: forward, reverse mode and Adam.
 
 Everything operates on plain numpy arrays.  A network is a list of
 (weight, bias) layers; hidden activations are ReLU6, the output layer
@@ -8,14 +7,10 @@ Backward passes consume the caches produced by the forward pass, so a
 training step is forward -> external loss gradient -> backward -> Adam.
 
 Subgradient convention: ReLU6 has derivative zero at both kinks (0 and
-6).  The checker probes random coordinates with central differences and
-compares against the analytic gradient; because the loss surface is
-piecewise smooth, a probe whose two evaluations commit to different
-discrete selections (reported by the loss callable) is discarded and
-redrawn rather than compared.
+6).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -145,62 +140,3 @@ def adam_step(state, params, grads):
         v += (1.0 - state.beta2) * g * g
         p -= state.lr * (m / b1c) / (np.sqrt(v / b2c) + state.eps)
     return params, state
-
-
-@dataclass
-class GradCheckReport:
-    """Per-coordinate comparison of analytic vs central-difference grads."""
-
-    coords: list = field(default_factory=list)  # (param idx, flat idx, analytic, numeric, rel err)
-    max_rel_err: float = 0.0
-    n_kinks_skipped: int = 0
-
-    def worst(self):
-        if not self.coords:
-            return None
-        return max(self.coords, key=lambda c: c[4])
-
-
-def grad_check(loss_and_grad, params, rng, n_coords=20, h=1e-5, max_retries=50):
-    """Probe random parameter coordinates with central differences.
-
-    loss_and_grad() must return (loss, grads, signature) at the current
-    params; the signature captures every discrete selection the loss
-    committed to.  A probe where the signatures at +h and -h differ
-    straddles a kink and is redrawn (counted, not compared).  Relative
-    error uses max(|analytic|, |numeric|) as denominator; coordinates
-    where both magnitudes are below 1e-8 count as exact.
-    """
-    _, grads0, sig0 = loss_and_grad()
-    sizes = [p.size for p in params]
-    total = sum(sizes)
-    report = GradCheckReport()
-    picked = 0
-    attempts = 0
-    while picked < n_coords:
-        if attempts > n_coords + max_retries:
-            raise RuntimeError("too many kinked coordinates; loosen h or reseed")
-        attempts += 1
-        flat = int(rng.integers(total))
-        pi = 0
-        while flat >= sizes[pi]:
-            flat -= sizes[pi]
-            pi += 1
-        p = params[pi].reshape(-1)
-        old = p[flat]
-        p[flat] = old + h
-        lp, _, sig_plus = loss_and_grad()
-        p[flat] = old - h
-        lm, _, sig_minus = loss_and_grad()
-        p[flat] = old
-        if sig_plus != sig_minus or sig_plus != sig0:
-            report.n_kinks_skipped += 1
-            continue
-        numeric = (lp - lm) / (2.0 * h)
-        analytic = float(grads0[pi].reshape(-1)[flat])
-        denom = max(abs(analytic), abs(numeric))
-        rel = 0.0 if denom < 1e-8 else abs(analytic - numeric) / denom
-        report.coords.append((pi, flat, analytic, numeric, rel))
-        report.max_rel_err = max(report.max_rel_err, rel)
-        picked += 1
-    return report

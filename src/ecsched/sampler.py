@@ -39,8 +39,7 @@ from . import gumbel
 from .io import FormatError
 from .model import (AllocationScheme, SoftAllocation, build_option_table,
                     evaluate_hard, soft_loss, soft_loss_and_grad)
-from .nn import (AdamState, Mlp, adam_step, grad_check, init_mlp, mlp_backward,
-                 mlp_forward, parameters)
+from .nn import AdamState, Mlp, adam_step, init_mlp, mlp_backward, mlp_forward, parameters
 
 MODEL_FORMAT = "ecsched-model"
 MODEL_VERSION = 1
@@ -164,28 +163,17 @@ def network_parameters(network):
     return parameters(network.link) + parameters(network.program) + parameters(network.ranking)
 
 
-def _relu6_activity(mlp, cache):
-    # boolean pattern of units on the rising segment; kinks sit at 0 and 6
-    _, preacts = cache
-    live = preacts if mlp.output == "relu6_eps" else preacts[:-1]
-    return b"".join(((z > 0.0) & (z < 6.0)).tobytes() for z in live)
-
-
 def loss_grads_with_noise(network, instance, table, inp, tau, lam_g, gumbels):
     """Sampled penalized cost and its parameter gradient for fixed noise.
 
     With the Gumbel block pinned, the loss is a deterministic piecewise
-    smooth function of the parameters; the returned signature identifies
-    the active smooth piece (discrete selections inside the billing cost
-    plus every encoder's ReLU6 activity pattern), so finite-difference
-    probes can tell whether they straddled a kink.  Returns
-    (loss, grads, signature) with grads ordered link, program, ranking.
+    smooth function of the parameters.  Returns (loss, grads) with grads
+    ordered link, program, ranking.
     """
     alpha, (c1, c2, c3) = forward_alpha(network, inp)
     x_rows = gumbel.concrete_rows_given(alpha.values, alpha.valid, tau, gumbels)
     t, n, k = alpha.dims
-    loss, dx, breakdown = soft_loss_and_grad(
-        instance, table, x_rows.reshape(t, n, k, -1), lam_g)
+    loss, dx = soft_loss_and_grad(instance, table, x_rows.reshape(t, n, k, -1), lam_g)
     dx_rows = dx.reshape(-1, network.n_options)
     # softmax jacobian per row, then through log alpha at temperature tau
     row_dot = (x_rows * dx_rows).sum(axis=1, keepdims=True)
@@ -194,42 +182,7 @@ def loss_grads_with_noise(network, instance, table, inp, tau, lam_g, gumbels):
     dv_rows, g_rank = mlp_backward(network.ranking, c3, dalpha)
     ds_rows, g_prog = mlp_backward(network.program, c2, dv_rows.reshape(-1, 1))
     _, g_link = mlp_backward(network.link, c1, ds_rows.reshape(-1, 1))
-    signature = breakdown.signature + (
-        _relu6_activity(network.link, c1),
-        _relu6_activity(network.program, c2),
-        _relu6_activity(network.ranking, c3),
-    )
-    return loss, g_link + g_prog + g_rank, signature
-
-
-def _sampled_loss_grads(network, instance, table, inp, tau, lam_g, rng):
-    # one fresh noise block per call, then the deterministic-noise path
-    g = gumbel.sample_gumbel(rng, inp.valid.shape)
-    loss, grads, _ = loss_grads_with_noise(
-        network, instance, table, inp, tau, lam_g, g)
-    return loss, grads
-
-
-def gssn_grad_check(network, instance, tau=1.0, lam_g=1.0, n_coords=20,
-                    h=1e-5, seed=0, table=None):
-    """Central-difference audit of the sampled-loss parameter gradient.
-
-    The noise block is drawn once and frozen, making the loss a fixed
-    function of the parameters; probed coordinates whose +/- h points
-    land on different smooth pieces are re-drawn at a perturbed base
-    point rather than compared across a kink.
-    """
-    if table is None:
-        table = build_option_table(instance.topology)
-    inp = preprocess(instance, table)
-    noise = gumbel.sample_gumbel(np.random.default_rng([seed, 3]), inp.valid.shape)
-    params = network_parameters(network)
-
-    def closure():
-        return loss_grads_with_noise(network, instance, table, inp, tau, lam_g, noise)
-
-    return grad_check(closure, params, np.random.default_rng([seed, 4]),
-                      n_coords=n_coords, h=h)
+    return loss, g_link + g_prog + g_rank
 
 
 @dataclass(frozen=True)
@@ -307,8 +260,9 @@ def train(network, instances, config, eval_instances=()):
     for epoch in range(1, config.n_epochs + 1):
         tau = anneal_tau(epoch, config)
         for inst, table, inp in data:
-            loss, grads = _sampled_loss_grads(
-                network, inst, table, inp, tau, config.lam_g, rng_train)
+            noise = gumbel.sample_gumbel(rng_train, inp.valid.shape)
+            loss, grads = loss_grads_with_noise(
+                network, inst, table, inp, tau, config.lam_g, noise)
             if not np.isfinite(loss):
                 raise TrainingDiverged(
                     f"non-finite loss at epoch {epoch} on {inst.instance_id}")

@@ -19,6 +19,7 @@ from ecsched.baselines import (brute_force, combination_count,
 from ecsched.generate import GenConfig, generate_instance
 from ecsched.model import (AllocationScheme, build_option_table, compute_flows,
                            evaluate_hard, g95, total_cost)
+from gradcheck import gssn_grad_check
 from milp_utils import exhaustive_optimum
 
 TARGET = np.array([0.1, 0.2, 0.3, 0.4])
@@ -69,8 +70,8 @@ def test_criterion_03_gradient_correctness():
     inst = generate_instance(cfg, seed=8)
     net = sampler.create_network(seed=1)
     start = time.perf_counter()
-    rep = sampler.gssn_grad_check(net, inst, tau=1.0, lam_g=1.0,
-                                  n_coords=20, h=1e-5, seed=0)
+    rep = gssn_grad_check(net, inst, tau=1.0, lam_g=1.0,
+                          n_coords=20, h=1e-5, seed=0)
     elapsed = time.perf_counter() - start
     live = sum(1 for c in rep.coords if abs(c[2]) > 1e-8)
     ok = (rep.max_rel_err <= 1e-3 and elapsed < 30.0 and live >= 1

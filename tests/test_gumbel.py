@@ -20,6 +20,13 @@ class FixedUniform:
         return self._values.reshape(size)
 
 
+def concrete_row(alpha, tau, rng):
+    """One concrete sample of a single all-valid row."""
+    alpha = np.asarray(alpha, dtype=float)[None]
+    x, _ = gumbel.concrete_rows(alpha, np.ones(alpha.shape, dtype=bool), tau, rng)
+    return x[0]
+
+
 def test_transform_fixed_point():
     # u = 1/e collapses both logs: -log(-log(1/e)) = 0
     g = gumbel.sample_gumbel(FixedUniform(np.exp(-1.0)))
@@ -43,7 +50,7 @@ def test_gumbel_mean_is_euler_mascheroni():
 
 
 def test_single_category_is_degenerate():
-    x = gumbel.concrete_sample(np.array([3.0]), 0.5, np.random.default_rng(1))
+    x = concrete_row([3.0], 0.5, np.random.default_rng(1))
     assert x.shape == (1,)
     assert x[0] == pytest.approx(1.0)
 
@@ -52,24 +59,16 @@ def test_samples_live_on_the_simplex():
     rng = np.random.default_rng(2)
     for _ in range(200):
         alpha = rng.uniform(0.1, 5.0, size=int(rng.integers(2, 8)))
-        x = gumbel.concrete_sample(alpha, float(rng.uniform(0.05, 3.0)), rng)
+        x = concrete_row(alpha, float(rng.uniform(0.05, 3.0)), rng)
         assert (x >= 0).all()
         assert abs(x.sum() - 1.0) < 1e-12
 
 
 def test_high_temperature_flattens():
     rng = np.random.default_rng(3)
-    xs = np.array([gumbel.concrete_sample(np.array([1.0, 1.0]), 100.0, rng)
+    xs = np.array([concrete_row([1.0, 1.0], 100.0, rng)
                    for _ in range(1000)])
     assert np.allclose(xs.mean(axis=0), [0.5, 0.5], atol=0.01)
-
-
-def test_round_onehot_picks_largest():
-    assert gumbel.round_onehot(np.array([0.2, 0.5, 0.3])) == 1
-
-
-def test_round_onehot_tie_takes_lowest_index():
-    assert gumbel.round_onehot(np.array([0.5, 0.5])) == 0
 
 
 def test_rounding_law_chi_square():
@@ -79,19 +78,9 @@ def test_rounding_law_chi_square():
     n = 20_000
     counts = np.zeros(4)
     for _ in range(n):
-        counts[gumbel.round_onehot(gumbel.concrete_sample(alpha, 0.5, rng))] += 1
+        counts[np.argmax(concrete_row(alpha, 0.5, rng))] += 1
     expected = alpha / alpha.sum() * n
     assert stats.chisquare(counts, expected).pvalue > 0.001
-
-
-def test_categorical_sample_chi_square():
-    alpha = np.array([1.0, 2.0, 3.0, 4.0])
-    rng = np.random.default_rng(5)
-    n = 50_000
-    counts = np.zeros(4)
-    for _ in range(n):
-        counts[gumbel.categorical_sample(alpha, rng)] += 1
-    assert stats.chisquare(counts, alpha / alpha.sum() * n).pvalue > 0.001
 
 
 def test_categorical_rows_frequencies():
@@ -137,8 +126,8 @@ def test_saturation_fraction_follows_margin_law():
 
 def test_scale_invariance():
     alpha = np.array([0.3, 1.7, 2.2])
-    x1 = gumbel.concrete_sample(alpha, 0.7, np.random.default_rng(9))
-    x2 = gumbel.concrete_sample(1000.0 * alpha, 0.7, np.random.default_rng(9))
+    x1 = concrete_row(alpha, 0.7, np.random.default_rng(9))
+    x2 = concrete_row(1000.0 * alpha, 0.7, np.random.default_rng(9))
     np.testing.assert_allclose(x1, x2, atol=1e-12)
 
 
@@ -175,13 +164,7 @@ def test_concrete_rows_given_is_the_same_transform():
 def test_rejects_bad_inputs():
     rng = np.random.default_rng(14)
     with pytest.raises(ValueError):
-        gumbel.concrete_sample(np.array([1.0, -1.0]), 0.5, rng)
-    with pytest.raises(ValueError):
-        gumbel.concrete_sample(np.array([1.0, 2.0]), 0.0, rng)
-    with pytest.raises(ValueError):
-        gumbel.concrete_sample(np.array([]), 0.5, rng)
-    with pytest.raises(ValueError):
-        gumbel.round_onehot(np.array([]))
+        concrete_row([1.0, 2.0], 0.0, rng)
     bad_valid = np.array([[True, True], [False, False]])
     with pytest.raises(ValueError):
         gumbel.concrete_rows(np.ones((2, 2)), bad_valid, 0.5, rng)

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from ecsched.nn import (AdamState, Mlp, adam_step, grad_check, init_mlp,
-                        mlp_backward, mlp_forward, parameters, relu6,
-                        relu6_grad)
+from ecsched.nn import (AdamState, Mlp, adam_step, init_mlp, mlp_backward,
+                        mlp_forward, parameters, relu6, relu6_grad)
+from gradcheck import grad_check
 
 
 def test_relu6_values():

@@ -14,9 +14,10 @@ from ecsched.model import (DemandTensor, Instance, Topology,
 from ecsched.sampler import (IntegrityError, TrainConfig, TrainingDiverged,
                              anneal_tau, best_of, best_of_detailed,
                              create_network, draw_hard, draw_soft,
-                             forward_alpha, gssn_grad_check, load_model,
-                             preprocess, save_model, train)
+                             forward_alpha, load_model, preprocess,
+                             save_model, train)
 from ecsched.io import FormatError
+from gradcheck import gssn_grad_check
 
 
 def small_net(inst, seed=0):
@@ -358,6 +359,25 @@ def test_sampled_gradient_passes_extended_check():
     assert any(abs(c[2]) > 1e-8 for c in report.coords)
 
 
+def test_grad_check_catches_corrupted_billing_gradient(monkeypatch):
+    # the audit must see the package's gradient: scaling the billing
+    # gradient by 1.1 leaves the loss alone and every live coordinate
+    # off by 0.1 / 1.1
+    cfg = GenConfig(n_users=2, n_slots=6, n_types=2, n_isps=4)
+    inst = generate_instance(cfg, seed=8)
+    net = create_network(seed=1)
+    soft_loss_and_grad = sampler.soft_loss_and_grad
+
+    def corrupted(*args):
+        loss, dx = soft_loss_and_grad(*args)
+        return loss, 1.1 * dx
+
+    monkeypatch.setattr(sampler, "soft_loss_and_grad", corrupted)
+    report = gssn_grad_check(net, inst, tau=1.0, lam_g=1.0, n_coords=10,
+                             h=1e-5, seed=0)
+    assert report.max_rel_err > 1e-2
+
+
 def test_fixed_noise_loss_is_deterministic():
     cfg = GenConfig(n_users=2, n_slots=6, n_types=2, n_isps=4)
     inst = generate_instance(cfg, seed=8)
@@ -365,9 +385,9 @@ def test_fixed_noise_loss_is_deterministic():
     table = build_option_table(inst.topology)
     inp = preprocess(inst, table)
     noise = gumbel.sample_gumbel(np.random.default_rng([0, 3]), inp.valid.shape)
-    l1, g1, s1 = sampler.loss_grads_with_noise(net, inst, table, inp, 1.0, 1.0, noise)
-    l2, g2, s2 = sampler.loss_grads_with_noise(net, inst, table, inp, 1.0, 1.0, noise)
-    assert l1 == l2 and s1 == s2
+    l1, g1 = sampler.loss_grads_with_noise(net, inst, table, inp, 1.0, 1.0, noise)
+    l2, g2 = sampler.loss_grads_with_noise(net, inst, table, inp, 1.0, 1.0, noise)
+    assert l1 == l2
     for a, b in zip(g1, g2):
         assert np.array_equal(a, b)
 
@@ -378,7 +398,7 @@ def test_soft_draw_loss_matches_manual_pipeline():
     net, table = small_net(inst, seed=3)
     inp = preprocess(inst, table)
     noise = gumbel.sample_gumbel(np.random.default_rng(8), inp.valid.shape)
-    loss, _, _ = sampler.loss_grads_with_noise(net, inst, table, inp, 0.9, 1.5, noise)
+    loss, _ = sampler.loss_grads_with_noise(net, inst, table, inp, 0.9, 1.5, noise)
     alpha, _ = forward_alpha(net, inp)
     x = gumbel.concrete_rows_given(alpha.values, alpha.valid, 0.9, noise)
     t, n, k = inst.dims

@@ -21,34 +21,27 @@ class BudgetExceededError(RuntimeError):
 
 def rsn_sample(instance, rng, table=None):
     """One scheme with every block uniform over its valid options."""
-    instance.validate()
     if table is None:
         table = build_option_table(instance.topology)
-    t, n, k = instance.dims
     # n_valid is (K, N); draws are block by block in slot-major order
-    counts = np.broadcast_to(table.n_valid.T[None], (t, n, k))
-    option = rng.integers(0, counts)
-    return AllocationScheme(option=option)
+    return AllocationScheme(option=rng.integers(0, table.n_valid.T, size=instance.dims))
 
 
 def rsn_best_of_detailed(instance, n_samples, rng, table=None):
     """n_samples uniform schemes; ((scheme, cost) or None, feasible count)."""
     if n_samples < 1:
         raise ValueError("need at least one sample")
-    instance.validate()
     if table is None:
         table = build_option_table(instance.topology)
-    t, n, k = instance.dims
-    counts = np.broadcast_to(table.n_valid.T[None], (t, n, k))
     best = None
     n_feasible = 0
     for _ in range(n_samples):
-        option = rng.integers(0, counts)
-        cost, feasible = evaluate_hard(instance, table, option)
+        scheme = rsn_sample(instance, rng, table)
+        cost, feasible = evaluate_hard(instance, table, scheme.option)
         if feasible:
             n_feasible += 1
             if best is None or cost < best[1]:
-                best = (AllocationScheme(option=option), cost)
+                best = (scheme, cost)
     return best, n_feasible
 
 
@@ -82,7 +75,6 @@ def brute_force(instance, budget=SearchBudget(), table=None):
     slot-major, so equal-cost optima resolve deterministically to the
     earliest combination.  Raises BudgetExceededError above the budget.
     """
-    instance.validate()
     if table is None:
         table = build_option_table(instance.topology)
     total = combination_count(instance, table)

@@ -20,7 +20,7 @@ import numpy as np
 from . import baselines, io, milp, sampler
 from .generate import GenConfig, generate_instance, sample_demands, sample_static
 from .io import FormatError
-from .model import Instance, build_option_table, check_feasibility, check_scheme, total_cost
+from .model import FeasibilityReport, Instance, build_option_table, check_scheme, compute_flows
 from .sampler import TrainConfig
 
 EXIT_OK = 0
@@ -167,9 +167,9 @@ def cmd_eval(args):
         print(f"note: scheme was produced for '{scheme_for}'", file=sys.stderr)
     table = build_option_table(instance.topology)
     _check_scheme(scheme, instance, table)
-    report = check_feasibility(instance, scheme, table)
-    cost = total_cost(instance, scheme, table)
-    print(json.dumps({"cost": cost, "feasible": report.feasible,
+    flows = compute_flows(instance, scheme, table)
+    report = FeasibilityReport.from_flows(flows)
+    print(json.dumps({"cost": flows.cost_total, "feasible": report.feasible,
                       "violations": report.counts()}))
     return EXIT_OK if report.feasible else EXIT_NO_RESULT
 
@@ -289,7 +289,7 @@ def cmd_generalize(args):
                 instances.append(Instance(
                     topology=statics[i], demands=demands,
                     instance_id=f"sweep-t{value:04d}-{i:04d}",
-                    seed=seed0 + i).validate())
+                    seed=seed0 + i))
         else:
             instances = [generate_instance(config, seed=seed0 + point_idx * args.count + i)
                          for i in range(args.count)]

@@ -25,7 +25,7 @@ draws come from a single numpy Generator, so one seed pins the instance
 bit for bit.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -76,7 +76,7 @@ def sample_static(config, rng):
         edge_cap_basic=cb_e, edge_cap_billable=cm_e, edge_cap_phys=cmax_e,
         edge_rate=r_e, isp_cap_basic=cb_l, isp_cap_billable=cm_l,
         isp_cap_phys=cmax_l, isp_rate=r_l, admissible=admissible,
-    ).validate()
+    )
 
 
 def sample_demands(topology, rng, config=None):
@@ -116,7 +116,7 @@ def sample_demands(topology, rng, config=None):
             row = d_out[q, u, :]
             d_out[q, u, :] = np.where(row > thresh, fresh_out, row)
 
-    return DemandTensor(inbound=d_in, outbound=d_out).validate()
+    return DemandTensor(inbound=d_in, outbound=d_out)
 
 
 def generate_instance(config, seed=None, instance_id=None):
@@ -128,17 +128,9 @@ def generate_instance(config, seed=None, instance_id=None):
     demands = sample_demands(topo, rng, config)
     if instance_id is None:
         instance_id = f"inst-{seed:08d}"
-    return Instance(topology=topo, demands=demands, instance_id=instance_id, seed=seed).validate()
+    return Instance(topology=topo, demands=demands, instance_id=instance_id, seed=seed)
 
 
 def generate_instances(config, count):
     """Instances i = 0..count-1, instance i seeded with config.seed + i."""
     return [generate_instance(config, seed=config.seed + i) for i in range(count)]
-
-
-def resample_demands(instance, seed, config=None):
-    """Same topology, a fresh demand cycle from its own seeded stream."""
-    rng = np.random.default_rng(seed)
-    demands = sample_demands(instance.topology, rng, config)
-    return replace(instance, demands=demands,
-                   instance_id=f"{instance.instance_id}-d{seed:08d}", seed=seed)

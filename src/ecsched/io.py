@@ -126,7 +126,9 @@ def read_instance(path):
     except (TypeError, ValueError, IndexError) as exc:
         raise FormatError(f"{path}: topology.admissible must be a {k}x{n} integer grid") from exc
 
-    topology = Topology(
+    # every field is parsed before any is checked, so a missing field is
+    # reported ahead of an invalid value
+    arrays = dict(
         edge_cap_basic=edge("edge_cap_basic"),
         edge_cap_billable=edge("edge_cap_billable"),
         edge_cap_phys=edge("edge_cap_phys"),
@@ -135,17 +137,15 @@ def read_instance(path):
         isp_cap_billable=isp("isp_cap_billable"),
         isp_cap_phys=isp("isp_cap_phys"),
         isp_rate=isp("isp_rate"),
-        admissible=admissible,
     )
     demands_doc = _need(doc, "demands", path)
-    demands = DemandTensor(
-        inbound=_demand_array(_need(demands_doc, "inbound", "demands"), t, n, k, path),
-        outbound=_demand_array(_need(demands_doc, "outbound", "demands"), t, n, k, path),
-    )
-    instance = Instance(topology=topology, demands=demands,
-                        instance_id=_need(doc, "id", path), seed=doc.get("seed"))
+    d_in = _demand_array(_need(demands_doc, "inbound", "demands"), t, n, k, path)
+    d_out = _demand_array(_need(demands_doc, "outbound", "demands"), t, n, k, path)
+    instance_id = _need(doc, "id", path)
     try:
-        return instance.validate()
+        return Instance(topology=Topology(**arrays, admissible=admissible),
+                        demands=DemandTensor(inbound=d_in, outbound=d_out),
+                        instance_id=instance_id, seed=doc.get("seed"))
     except ValueError as exc:
         raise FormatError(f"{path}: {exc}") from exc
 

@@ -68,7 +68,6 @@ class MilpModel:
 
 def linearize(instance, table=None):
     """Build the MILP for one instance."""
-    instance.validate()
     if table is None:
         table = build_option_table(instance.topology)
     topo = instance.topology

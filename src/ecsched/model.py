@@ -21,6 +21,9 @@ Conventions fixed here and relied on everywhere else:
   (m+1)-th largest value; on ties the lowest slot index is selected;
 * ``max(inbound, outbound)`` resolves ties toward inbound.
 
+``Topology``, ``DemandTensor`` and ``Instance`` check themselves at
+construction, so an instance that exists is valid: pricing, sampling,
+search and export code trusts what it is given and never re-checks it.
 All operations are pure: they never mutate their inputs, so instances and
 option tables can be shared freely across threads.
 """
@@ -55,6 +58,9 @@ class Topology:
     isp_cap_phys: np.ndarray
     isp_rate: np.ndarray
     admissible: np.ndarray
+
+    def __post_init__(self):
+        self.validate()
 
     @property
     def n_users(self):
@@ -104,6 +110,9 @@ class DemandTensor:
     inbound: np.ndarray
     outbound: np.ndarray
 
+    def __post_init__(self):
+        self.validate()
+
     @property
     def n_slots(self):
         return self.inbound.shape[2]
@@ -127,6 +136,9 @@ class Instance:
     instance_id: str = "unnamed"
     seed: int | None = None
 
+    def __post_init__(self):
+        self.validate()
+
     @property
     def dims(self):
         """(T, N, K) of this instance."""
@@ -134,8 +146,8 @@ class Instance:
         return t, n, k
 
     def validate(self):
-        self.topology.validate()
-        self.demands.validate()
+        """ValueError unless the demands' (K, N) match the topology; returns
+        self.  The topology and the demands checked themselves when built."""
         k, n, _ = self.demands.inbound.shape
         if (k, n) != (self.topology.n_types, self.topology.n_users):
             raise ValueError("demand tensor does not match topology (K, N)")
@@ -168,7 +180,6 @@ def build_option_table(topology, n_options=None):
     The table is padded with zero rows up to ``n_options`` (default
     2**EL - 1).
     """
-    topology.validate()
     k_types, n_users, el = topology.admissible.shape
     if n_options is None:
         n_options = 2 ** el - 1
@@ -234,6 +245,19 @@ class FeasibilityReport:
     edge_billable: list = field(default_factory=list)
     isp_billable: list = field(default_factory=list)
 
+    @classmethod
+    def from_flows(cls, flows):
+        """Every positive overshoot of a FlowSummary, by constraint family."""
+        report = cls()
+        families = ((report.edge_phys, ("in",)), (report.edge_phys, ("out",)),
+                    (report.isp_phys, ("in",)), (report.isp_phys, ("out",)),
+                    (report.edge_billable, ()), (report.isp_billable, ()))
+        for (family, direction), over in zip(families, flows.overshoot):
+            for idx in np.argwhere(over > 0):
+                loc = tuple(int(i) for i in idx)
+                family.append((loc + direction, float(over[loc])))
+        return report
+
     @property
     def feasible(self):
         return not (self.edge_phys or self.isp_phys or self.edge_billable or self.isp_billable)
@@ -290,7 +314,6 @@ def compute_flows(instance, alloc, table=None):
     ``alloc`` may be hard or relaxed.  Caps are not enforced here; their
     overshoots are reported (see check_feasibility).
     """
-    instance.validate()
     if table is None:
         table = build_option_table(instance.topology)
     _check_alloc(instance, alloc, table)
@@ -312,15 +335,7 @@ def total_cost(instance, alloc, table=None):
 
 def check_feasibility(instance, alloc, table=None):
     """Physical and billable capacity checks, with per-violation detail."""
-    report = FeasibilityReport()
-    families = ((report.edge_phys, ("in",)), (report.edge_phys, ("out",)),
-                (report.isp_phys, ("in",)), (report.isp_phys, ("out",)),
-                (report.edge_billable, ()), (report.isp_billable, ()))
-    for (family, direction), over in zip(families, compute_flows(instance, alloc, table).overshoot):
-        for idx in np.argwhere(over > 0):
-            loc = tuple(int(i) for i in idx)
-            family.append((loc + direction, float(over[loc])))
-    return report
+    return FeasibilityReport.from_flows(compute_flows(instance, alloc, table))
 
 
 def evaluate_hard(instance, table, option):

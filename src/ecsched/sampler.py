@@ -113,7 +113,6 @@ def create_network(n_options=15, n_links=4, seed=0,
 
 def preprocess(instance, table=None):
     """Expand an instance into the (T*N*K*P*EL, 4) feature matrix."""
-    instance.validate()
     if table is None:
         table = build_option_table(instance.topology)
     t, n, k = instance.dims
@@ -218,10 +217,8 @@ def _mean_sampled_loss(network, dataset, tau, config, rng):
     vals = []
     for inst, table, inp in dataset:
         alpha, _ = forward_alpha(network, inp)
-        t, n, k = alpha.dims
         for _ in range(config.metric_samples):
-            x_rows, _ = gumbel.concrete_rows(alpha.values, alpha.valid, tau, rng)
-            vals.append(soft_loss(inst, SoftAllocation(x=x_rows.reshape(t, n, k, -1)),
+            vals.append(soft_loss(inst, draw_soft(alpha, tau, rng),
                                   config.lam_g, config.lam_h, table=table))
     return float(np.mean(vals))
 
@@ -242,14 +239,11 @@ def train(network, instances, config, eval_instances=()):
     network at the same tau instead.  Raises TrainingDiverged if a
     descent loss goes non-finite.
     """
-    data = []
-    for inst in instances:
-        table = build_option_table(inst.topology)
-        data.append((inst, table, preprocess(inst, table)))
-    held = []
-    for inst in eval_instances:
-        table = build_option_table(inst.topology)
-        held.append((inst, table, preprocess(inst, table)))
+    data, held = [], []
+    for group, dataset in ((instances, data), (eval_instances, held)):
+        for inst in group:
+            table = build_option_table(inst.topology)
+            dataset.append((inst, table, preprocess(inst, table)))
 
     params = network_parameters(network)
     adam = AdamState.for_params(params, lr=config.learning_rate)
@@ -287,17 +281,15 @@ def best_of_detailed(network, instance, n_samples, rng, table=None):
         table = build_option_table(instance.topology)
     inp = preprocess(instance, table)
     alpha, _ = forward_alpha(network, inp)
-    t, n, k = alpha.dims
     best = None
     n_feasible = 0
     for _ in range(n_samples):
-        idx = gumbel.categorical_rows(alpha.values, alpha.valid, rng)
-        option = idx.reshape(t, n, k)
-        cost, feasible = evaluate_hard(instance, table, option)
+        scheme = draw_hard(alpha, rng)
+        cost, feasible = evaluate_hard(instance, table, scheme.option)
         if feasible:
             n_feasible += 1
             if best is None or cost < best[1]:
-                best = (AllocationScheme(option=option), cost)
+                best = (scheme, cost)
     return best, n_feasible
 
 

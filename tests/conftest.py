@@ -7,10 +7,9 @@ import time
 import numpy as np
 import pytest
 
-from ecsched import baselines, gumbel, sampler
+from ecsched import baselines, sampler
 from ecsched.generate import GenConfig, generate_instance, generate_instances
-from ecsched.model import (DemandTensor, Instance, SoftAllocation,
-                           build_option_table, soft_loss)
+from ecsched.model import DemandTensor, Instance, build_option_table, soft_loss
 from ecsched.sampler import TrainConfig
 
 DESK_CONFIG = GenConfig(n_users=4, n_slots=12, n_types=6, n_isps=4, seed=101)
@@ -39,7 +38,7 @@ def make_tiny(seed, n_users=1, n_slots=3, n_types=2, n_isps=2,
         demands = DemandTensor(inbound=demands.inbound * demand_scale,
                                outbound=demands.outbound * demand_scale)
     return Instance(topology=topo, demands=demands,
-                    instance_id=inst.instance_id, seed=inst.seed).validate()
+                    instance_id=inst.instance_id, seed=inst.seed)
 
 
 def recorded_protocol_loss(network, instances, tau, config, rng):
@@ -49,10 +48,8 @@ def recorded_protocol_loss(network, instances, tau, config, rng):
     for inst in instances:
         table = build_option_table(inst.topology)
         alpha, _ = sampler.forward_alpha(network, sampler.preprocess(inst, table))
-        t, n, k = alpha.dims
         for _ in range(config.metric_samples):
-            x, _ = gumbel.concrete_rows(alpha.values, alpha.valid, tau, rng)
-            vals.append(soft_loss(inst, SoftAllocation(x=x.reshape(t, n, k, -1)),
+            vals.append(soft_loss(inst, sampler.draw_soft(alpha, tau, rng),
                                   config.lam_g, config.lam_h, table=table))
     return float(np.mean(vals))
 

@@ -39,11 +39,11 @@ def hopeless_instance():
         isp_cap_billable=np.full(2, 18.0),
         isp_cap_phys=np.full(2, 28.0),
         isp_rate=np.full(2, 5.0),
-        admissible=np.ones((1, 1, 2), dtype=bool)).validate()
+        admissible=np.ones((1, 1, 2), dtype=bool))
     return Instance(topology=topo,
                     demands=DemandTensor(inbound=np.full((1, 1, 3), 90.0),
                                          outbound=np.full((1, 1, 3), 90.0)),
-                    instance_id="hopeless").validate()
+                    instance_id="hopeless")
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import DESK_CONFIG
 from ecsched.generate import (GenConfig, generate_instance, generate_instances,
-                              resample_demands, sample_static)
+                              sample_static)
 
 
 def topology_arrays(topo):
@@ -98,16 +98,6 @@ def test_generate_instances_seed_ladder():
     assert batch[0].instance_id != batch[1].instance_id
     again = generate_instance(DESK_CONFIG, seed=102)
     assert np.array_equal(batch[1].demands.inbound, again.demands.inbound)
-
-
-def test_resample_keeps_topology():
-    base = generate_instance(DESK_CONFIG, seed=42)
-    fresh = resample_demands(base, 7, DESK_CONFIG)
-    for x, y in zip(topology_arrays(base.topology), topology_arrays(fresh.topology)):
-        assert np.array_equal(x, y)
-    assert not np.array_equal(base.demands.inbound, fresh.demands.inbound)
-    assert fresh.instance_id.endswith("-d00000007")
-    assert fresh.demands.n_slots == base.demands.n_slots
 
 
 def test_static_only_stream_stable():

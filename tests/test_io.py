@@ -145,18 +145,29 @@ def test_negative_option_rejected(tmp_path):
         read_scheme(path)
 
 
-def test_inconsistent_topology_rejected(tmp_path):
-    inst = make_tiny(10)
-    path = tmp_path / "inst.json"
-    write_instance(inst, path)
-    doc = json.loads(path.read_text())
+def _swap_basic_and_half_billable(doc):
     # basic cap above billable violates the cap ordering on load
     doc["topology"]["edge_cap_basic"] = doc["topology"]["edge_cap_billable"]
     doc["topology"]["edge_cap_billable"] = [
         [v * 0.5 for v in row] for row in doc["topology"]["edge_cap_basic"]]
-    path.write_text(json.dumps(doc))
-    with pytest.raises(FormatError):
-        read_instance(path)
+
+
+def _negate_one_demand(doc):
+    doc["demands"]["outbound"][0][0][0] = -1.0
+
+
+def test_inconsistent_topology_rejected(tmp_path):
+    inst = make_tiny(10)
+    path = tmp_path / "inst.json"
+    write_instance(inst, path)
+    clean = json.loads(path.read_text())
+    for corrupt, message in ((_swap_basic_and_half_billable, "basic <= billable"),
+                             (_negate_one_demand, "nonnegative")):
+        doc = json.loads(json.dumps(clean))
+        corrupt(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FormatError, match=message):
+            read_instance(path)
 
 
 def test_missing_file_raises_not_format_error(tmp_path):

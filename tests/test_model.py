@@ -9,7 +9,7 @@ import pytest
 
 import oracles
 from conftest import make_tiny
-from ecsched import baselines, milp
+from ecsched import baselines, milp, sampler
 from ecsched.model import (AllocationScheme, DemandTensor, Instance,
                            InvalidTopologyError, SoftAllocation, Topology,
                            build_option_table, check_feasibility, compute_flows,
@@ -33,13 +33,13 @@ def plain_topology(cb_e, cm_e, r_e, admissible, cmax_e=1e6,
         isp_cap_phys=np.full(el, float(cmax_l)),
         isp_rate=np.full(el, float(r_l)),
         admissible=np.asarray(admissible, dtype=bool),
-    ).validate()
+    )
 
 
 def instance_of(topology, d_in, d_out, name="hand"):
     demands = DemandTensor(inbound=np.asarray(d_in, dtype=float),
                            outbound=np.asarray(d_out, dtype=float))
-    return Instance(topology=topology, demands=demands, instance_id=name).validate()
+    return Instance(topology=topology, demands=demands, instance_id=name)
 
 
 def random_soft(instance, table, rng):
@@ -127,11 +127,40 @@ def test_topology_rejects_cap_order_violation():
 
 def test_demands_reject_negative_but_allow_zero():
     z = np.zeros((1, 1, 3))
-    DemandTensor(inbound=z, outbound=z).validate()
+    DemandTensor(inbound=z, outbound=z)
     with pytest.raises(ValueError):
-        DemandTensor(inbound=z - 1.0, outbound=z).validate()
+        DemandTensor(inbound=z - 1.0, outbound=z)
     with pytest.raises(ValueError):
-        DemandTensor(inbound=z + np.nan, outbound=z).validate()
+        DemandTensor(inbound=z + np.nan, outbound=z)
+
+
+def test_instance_rejects_demands_of_other_types():
+    topo = plain_topology([[100.0, 300.0]], 1e4, 5.0, np.ones((2, 1, 2), dtype=bool))
+    z = np.zeros((1, 1, 3))
+    with pytest.raises(ValueError, match=r"\(K, N\)"):
+        instance_of(topo, z, z)
+
+
+def test_built_instances_are_not_checked_again(monkeypatch, tmp_path):
+    inst = make_tiny(3, demand_scale=8.0)
+    held = make_tiny(4)
+
+    def refuse(self):
+        raise AssertionError(f"{type(self).__name__} checked again after construction")
+
+    for cls in (Topology, DemandTensor, Instance):
+        monkeypatch.setattr(cls, "validate", refuse)
+    rng = np.random.default_rng(0)
+    table = build_option_table(inst.topology)
+    compute_flows(inst, baselines.rsn_sample(inst, rng))
+    soft_loss(inst, random_soft(inst, table, rng))
+    network = sampler.create_network(n_options=table.n_options, n_links=inst.topology.n_isps)
+    sampler.forward_alpha(network, sampler.preprocess(inst))
+    sampler.best_of_detailed(network, inst, 5, rng)
+    baselines.rsn_best_of_detailed(inst, 5, rng)
+    baselines.brute_force(inst)
+    milp.write_lp(milp.linearize(inst), tmp_path / "tiny.lp")
+    sampler.train(network, [inst], sampler.TrainConfig(n_epochs=1), eval_instances=[held])
 
 
 def test_scheme_option_out_of_range():
@@ -317,7 +346,7 @@ def test_pricing_routes_agree_with_oracle_on_tied_slots(seed, n_slots):
     d_in[:, :, 1:4] = d_in[:, :, :1]
     d_out[:, :, 1:4] = d_out[:, :, :1]
     inst = Instance(topology=base.topology, demands=DemandTensor(inbound=d_in, outbound=d_out),
-                    instance_id=base.instance_id).validate()
+                    instance_id=base.instance_id)
     table = build_option_table(inst.topology)
     model = milp.linearize(inst, table)
     rng = np.random.default_rng(seed)
@@ -400,7 +429,7 @@ def test_penalty_scales_quadratically():
         topology=scaled_topo,
         demands=DemandTensor(inbound=inst.demands.inbound * c,
                              outbound=inst.demands.outbound * c),
-        instance_id="scaled").validate()
+        instance_id="scaled")
     cost_c = soft_loss(scaled, alloc, lam_g=0.0)
     pen_c = soft_loss(scaled, alloc, lam_g=1.0) - cost_c
     assert cost_c == pytest.approx(c * cost1, rel=1e-9)
@@ -420,7 +449,7 @@ def test_cost_monotone_in_demand():
         bumped = Instance(
             topology=inst.topology,
             demands=DemandTensor(inbound=d, outbound=inst.demands.outbound),
-            instance_id="bumped").validate()
+            instance_id="bumped")
         assert total_cost(bumped, scheme, table) >= base - 1e-12
 
 

@@ -70,7 +70,7 @@ def test_doubled_demand_doubles_traffic_columns():
         topology=inst.topology,
         demands=DemandTensor(inbound=inst.demands.inbound * 2.0,
                              outbound=inst.demands.outbound * 2.0),
-        instance_id="double").validate()
+        instance_id="double")
     a = preprocess(inst)
     b = preprocess(double)
     np.testing.assert_allclose(b.matrix[:, :2], 2.0 * a.matrix[:, :2])
@@ -107,7 +107,7 @@ def test_identical_blocks_get_identical_rows():
                             inst.demands.outbound.shape).copy()
     flat = Instance(topology=inst.topology,
                     demands=DemandTensor(inbound=d_in, outbound=d_out),
-                    instance_id="flat").validate()
+                    instance_id="flat")
     net, table = small_net(flat)
     alpha, _ = forward_alpha(net, preprocess(flat, table))
     t, n, k = flat.dims
@@ -132,7 +132,7 @@ def test_user_permutation_equivariance():
             admissible=topo.admissible[:, perm]),
         demands=DemandTensor(inbound=inst.demands.inbound[:, perm],
                              outbound=inst.demands.outbound[:, perm]),
-        instance_id="perm").validate()
+        instance_id="perm")
     net, table = small_net(inst)
     table_p = build_option_table(permuted.topology)
     a = forward_alpha(net, preprocess(inst, table))[0].values
@@ -170,11 +170,11 @@ def test_single_valid_option_is_forced():
         isp_cap_billable=np.full(3, 1200.0),
         isp_cap_phys=np.full(3, 25000.0),
         isp_rate=np.full(3, 6.0),
-        admissible=adm).validate()
+        admissible=adm)
     inst = Instance(topology=topo,
                     demands=DemandTensor(inbound=np.full((2, 1, 4), 10.0),
                                          outbound=np.full((2, 1, 4), 10.0)),
-                    instance_id="forced").validate()
+                    instance_id="forced")
     net, table = small_net(inst)
     alpha, _ = forward_alpha(net, preprocess(inst, table))
     rng = np.random.default_rng(1)
@@ -313,11 +313,11 @@ def test_best_of_none_when_nothing_fits():
         isp_cap_billable=np.full(2, 18.0),
         isp_cap_phys=np.full(2, 28.0),
         isp_rate=np.full(2, 5.0),
-        admissible=np.ones((1, 1, 2), dtype=bool)).validate()
+        admissible=np.ones((1, 1, 2), dtype=bool))
     inst = Instance(topology=topo,
                     demands=DemandTensor(inbound=np.full((1, 1, 3), 90.0),
                                          outbound=np.full((1, 1, 3), 90.0)),
-                    instance_id="hopeless").validate()
+                    instance_id="hopeless")
     net, table = small_net(inst, seed=9)
     best, n_feasible = best_of_detailed(net, inst, 40, np.random.default_rng(6), table)
     assert best is None and n_feasible == 0

@@ -1,6 +1,8 @@
 """Sampling network: features, alpha, draws, training loop, model files."""
 
+import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -301,6 +303,25 @@ def test_best_of_is_min_over_feasible_draws():
     assert best[1] == min(costs)
     got_cost, got_feasible = evaluate_hard(inst, table, best[0].option)
     assert got_feasible and got_cost == best[1]
+
+
+# sha256 over best_of_detailed's scheme bytes, cost repr and feasible count
+# on three default-size instances with the stored benchmark network
+GSSN_BEST_OF_SHA256 = "30692c8b157dbbe5ac07688f0ef4607127132eb68343611223a5ff2ce2d2ae13"
+
+
+def test_gssn_best_of_bytes_are_pinned():
+    network = load_model(Path(__file__).resolve().parents[1] / "perfbench" / "desk_model.json")
+    digest = hashlib.sha256()
+    for j, seed in enumerate(range(100000, 100003)):
+        inst = generate_instance(GenConfig(), seed=seed)
+        best, n_feasible = best_of_detailed(network, inst, 100, np.random.default_rng([1, j, 0]))
+        assert best is not None
+        scheme, cost = best
+        digest.update(scheme.option.tobytes())
+        digest.update(repr(cost).encode())
+        digest.update(str(n_feasible).encode())
+    assert digest.hexdigest() == GSSN_BEST_OF_SHA256
 
 
 def test_best_of_none_when_nothing_fits():

@@ -145,14 +145,21 @@ def hard_edge_flows(options, weights, d_in, d_out):
     return edge_in, edge_out
 
 
+# x with the weights first, then the demands: the path numpy's greedy
+# search picks whenever a block has more than one option (with one, x and
+# the weights are exactly 1 and the order cannot move a bit); fixed here
+# so the search does not run again on every call
+_SOFT_FLOW_PATH = ["einsum_path", (0, 1), (0, 1)]
+
+
 def soft_edge_flows(x, weights, d_in, d_out):
     """Per-slot edge link flows of a relaxed allocation.
 
     x: (T, N, K, P) option weights, rows on the simplex.  Same returns as
     the hard variant.
     """
-    edge_in = np.einsum("tnkp,knpj,knt->njt", x, weights, d_in, optimize=True)
-    edge_out = np.einsum("tnkp,knpj,knt->njt", x, weights, d_out, optimize=True)
+    edge_in = np.einsum("tnkp,knpj,knt->njt", x, weights, d_in, optimize=_SOFT_FLOW_PATH)
+    edge_out = np.einsum("tnkp,knpj,knt->njt", x, weights, d_out, optimize=_SOFT_FLOW_PATH)
     return edge_in, edge_out
 
 

@@ -14,9 +14,9 @@ for any tau >= 0.01 and alpha within [1e-6, 1e6].
 
 Rounding a sample to its largest coordinate recovers an exact categorical
 draw with probabilities alpha / ||alpha||_1, at any temperature;
-``categorical_rows`` draws that law directly, with one uniform per row.
-Excluded categories are masked by adding -1e9 to their logit, which
-leaves them with zero probability mass.
+``categorical_rows`` draws that law directly, with one uniform per row
+per draw.  Excluded categories are masked by adding -1e9 to their
+logit, which leaves them with zero probability mass.
 """
 
 import numpy as np
@@ -61,20 +61,28 @@ def concrete_rows(alpha, valid, tau, rng):
     return concrete_rows_given(alpha, valid, tau, g), g
 
 
-def categorical_rows(alpha, valid, rng):
-    """Row-wise masked categorical draws; one uniform per row.
+def categorical_rows(alpha, valid, rng, n_draws=None):
+    """Row-wise masked categorical draws; one uniform per row per draw.
 
-    Never returns an excluded index: masked entries carry zero mass and
-    the rare boundary draw is snapped to the first valid category.
+    With n_draws = S the (S, R) uniform block is drawn in one call
+    (draw-major, so it equals S single draws in a row) against one
+    masked cumsum, and the result is (S, R); without it, one draw of
+    shape (R,).  Never returns an excluded index: masked entries carry
+    zero mass and the rare boundary draw is snapped to the first valid
+    category.
     """
     if not valid.any(axis=1).all():
         raise ValueError("every row needs at least one valid category")
-    p = np.where(valid, alpha, 0.0)
-    cum = np.cumsum(p, axis=1)
-    r = rng.uniform(size=alpha.shape[0]) * cum[:, -1]
-    idx = np.minimum(np.sum(cum < r[:, None], axis=1), alpha.shape[1] - 1)
-    rows = np.arange(alpha.shape[0])
-    bad = ~valid[rows, idx]
+    n_rows, n_cats = alpha.shape
+    size = (n_rows,) if n_draws is None else (n_draws, n_rows)
+    cum = np.cumsum(np.where(valid, alpha, 0.0), axis=1)
+    r = rng.uniform(size=size) * cum[:, -1]
+    # count cum < r one category at a time, with no (S, R, P) temporary
+    idx = np.zeros(size, dtype=int)
+    for column in np.ascontiguousarray(cum.T):
+        idx += column < r
+    np.minimum(idx, n_cats - 1, out=idx)
+    bad = ~valid[np.arange(n_rows), idx]
     if bad.any():
-        idx[bad] = np.argmax(valid[bad], axis=1)
+        idx[bad] = np.argmax(valid, axis=1)[np.nonzero(bad)[-1]]
     return idx

@@ -22,13 +22,14 @@ Conventions fixed here and relied on everywhere else:
 * ``max(inbound, outbound)`` resolves ties toward inbound.
 
 ``Topology``, ``DemandTensor`` and ``Instance`` check themselves at
-construction, so an instance that exists is valid: pricing, sampling,
-search and export code trusts what it is given and never re-checks it.
+construction and the first two keep read-only copies of their arrays, so
+an instance that exists is valid and stays so: pricing, sampling, search
+and export code trusts what it is given and never re-checks it.
 All operations are pure: they never mutate their inputs, so instances and
 option tables can be shared freely across threads.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -38,6 +39,18 @@ from ._kernels import FlowSummary, percentile_exempt_count
 
 class InvalidTopologyError(ValueError):
     """Topology arrays are inconsistent or violate a capacity ordering."""
+
+
+def _store_read_only(obj):
+    """Replace every array field of a frozen dataclass with a read-only copy.
+
+    Nothing re-checks an instance after construction, so neither the
+    caller's arrays nor an in-place write may change what was validated.
+    """
+    for f in fields(obj):
+        value = getattr(obj, f.name).copy()
+        value.flags.writeable = False
+        object.__setattr__(obj, f.name, value)
 
 
 @dataclass(frozen=True)
@@ -61,6 +74,7 @@ class Topology:
 
     def __post_init__(self):
         self.validate()
+        _store_read_only(self)
 
     @property
     def n_users(self):
@@ -112,6 +126,7 @@ class DemandTensor:
 
     def __post_init__(self):
         self.validate()
+        _store_read_only(self)
 
     @property
     def n_slots(self):

@@ -272,24 +272,29 @@ def train(network, instances, config, eval_instances=()):
 def best_of_detailed(network, instance, n_samples, rng, table=None):
     """n_samples hard draws; returns ((scheme, cost) or None, feasible count).
 
-    The location parameters are computed once; ties between equal-cost
-    feasible samples resolve to the earliest draw.
+    The location parameters are computed once and all n_samples schemes
+    are drawn in one block, the same stream as n_samples ``draw_hard``
+    calls; ties between equal-cost feasible samples resolve to the
+    earliest draw.
     """
     if n_samples < 1:
         raise ValueError("need at least one sample")
     if table is None:
         table = build_option_table(instance.topology)
-    inp = preprocess(instance, table)
-    alpha, _ = forward_alpha(network, inp)
+    # [0] drops the forward caches before the draw block is allocated
+    alpha = forward_alpha(network, preprocess(instance, table))[0]
+    options = gumbel.categorical_rows(alpha.values, alpha.valid, rng, n_samples)
+    options = options.reshape(n_samples, *alpha.dims)
     best = None
     n_feasible = 0
-    for _ in range(n_samples):
-        scheme = draw_hard(alpha, rng)
-        cost, feasible = evaluate_hard(instance, table, scheme.option)
+    for option in options:
+        cost, feasible = evaluate_hard(instance, table, option)
         if feasible:
             n_feasible += 1
             if best is None or cost < best[1]:
-                best = (scheme, cost)
+                best = (option, cost)
+    if best is not None:
+        best = (AllocationScheme(option=best[0].copy()), best[1])
     return best, n_feasible
 
 

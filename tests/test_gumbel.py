@@ -9,15 +9,17 @@ from ecsched import gumbel
 
 
 class FixedUniform:
-    """Stands in for a Generator and returns pre-chosen uniform draws."""
+    """Stands in for a Generator and hands out pre-chosen uniform draws in order."""
 
     def __init__(self, values):
-        self._values = np.asarray(values, dtype=float)
+        self._values = np.asarray(values, dtype=float).ravel()
+        self._used = 0
 
     def uniform(self, size=None):
-        if size is None:
-            return float(self._values)
-        return self._values.reshape(size)
+        n = 1 if size is None else int(np.prod(size))
+        out = self._values[self._used:self._used + n]
+        self._used += n
+        return float(out[0]) if size is None else out.reshape(size)
 
 
 def concrete_row(alpha, tau, rng):
@@ -90,6 +92,31 @@ def test_categorical_rows_frequencies():
                                   np.random.default_rng(6))
     freq = np.bincount(idx, minlength=4) / n
     assert np.abs(freq - alpha / alpha.sum()).max() < 0.01
+
+
+def test_categorical_block_equals_sequential_draws():
+    rng = np.random.default_rng(15)
+    alpha = rng.uniform(0.5, 2.0, size=(40, 6))
+    valid = rng.random((40, 6)) > 0.4
+    valid[:, 4] = True
+    valid[0] = [False, False, True, False, True, True]
+    valid[1] = [False, True, False, True, True, False]
+    u = np.random.default_rng(16).uniform(size=(7, 40))
+    # r = 0 lands on the boundary cum[0] = 0 of a masked first option,
+    # so both draws take the snap to the row's first valid option
+    u[2, 0] = u[4, 1] = 0.0
+    block = gumbel.categorical_rows(alpha, valid, FixedUniform(u), 7)
+    stream = FixedUniform(u)
+    single = [gumbel.categorical_rows(alpha, valid, stream) for _ in range(7)]
+    assert block.shape == (7, 40)
+    assert np.array_equal(block, np.stack(single))
+    assert block[2, 0] == 2 and block[4, 1] == 1
+    assert valid[np.arange(40), block].all()
+
+    block = gumbel.categorical_rows(alpha, valid, np.random.default_rng(17), 50)
+    stream = np.random.default_rng(17)
+    single = [gumbel.categorical_rows(alpha, valid, stream) for _ in range(50)]
+    assert np.array_equal(block, np.stack(single))
 
 
 def test_near_zero_temperature_matches_categorical():

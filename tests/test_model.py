@@ -4,12 +4,15 @@ Reference values come from tests/oracles.py, which recomputes everything
 with plain loops.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 import oracles
-from conftest import make_tiny
+from conftest import DESK_CONFIG, make_tiny
 from ecsched import baselines, milp, sampler
+from ecsched.generate import generate_instance
 from ecsched.model import (AllocationScheme, DemandTensor, Instance,
                            InvalidTopologyError, SoftAllocation, Topology,
                            build_option_table, check_feasibility, compute_flows,
@@ -161,6 +164,31 @@ def test_built_instances_are_not_checked_again(monkeypatch, tmp_path):
     baselines.brute_force(inst)
     milp.write_lp(milp.linearize(inst), tmp_path / "tiny.lp")
     sampler.train(network, [inst], sampler.TrainConfig(n_epochs=1), eval_instances=[held])
+
+
+def test_instance_arrays_are_read_only_copies():
+    inst = generate_instance(DESK_CONFIG, seed=9000)
+    scheme = baselines.rsn_sample(inst, np.random.default_rng(0))
+    report, cost = check_feasibility(inst, scheme), total_cost(inst, scheme)
+    for part in (inst.topology, inst.demands):
+        for f in dataclasses.fields(part):
+            assert not getattr(part, f.name).flags.writeable, f.name
+    with pytest.raises(ValueError, match="read-only"):
+        inst.demands.inbound[0, 0, 0] = np.nan
+    with pytest.raises(ValueError, match="read-only"):
+        inst.topology.edge_cap_basic[0, 0] = 0.0
+
+    # built from arrays the caller keeps: writing to them changes nothing
+    owned = {f.name: getattr(inst.topology, f.name).copy()
+             for f in dataclasses.fields(inst.topology)}
+    d_in, d_out = inst.demands.inbound.copy(), inst.demands.outbound.copy()
+    rebuilt = Instance(topology=Topology(**owned),
+                       demands=DemandTensor(inbound=d_in, outbound=d_out))
+    for array in (*owned.values(), d_in, d_out):
+        array[...] = 0
+    d_in[0, 0, 0] = np.nan
+    assert check_feasibility(rebuilt, scheme) == report
+    assert total_cost(rebuilt, scheme) == cost
 
 
 def test_scheme_option_out_of_range():

@@ -294,6 +294,7 @@ def best_of_detailed(network, instance, n_samples, rng, table=None):
             if best is None or cost < best[1]:
                 best = (option, cost)
     if best is not None:
+        # a copy, so the returned scheme does not keep the draw block alive
         best = (AllocationScheme(option=best[0].copy()), best[1])
     return best, n_feasible
 

@@ -5,6 +5,7 @@ with plain loops.
 """
 
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ import pytest
 import oracles
 from conftest import DESK_CONFIG, make_tiny
 from ecsched import baselines, milp, sampler
-from ecsched.generate import generate_instance
+from ecsched.generate import GenConfig, generate_instance
 from ecsched.model import (AllocationScheme, DemandTensor, Instance,
                            InvalidTopologyError, SoftAllocation, Topology,
                            build_option_table, check_feasibility, compute_flows,
@@ -494,6 +495,29 @@ def test_flow_conservation():
                                    inst.demands.inbound.sum(axis=0), rtol=1e-9)
         np.testing.assert_allclose(flows.edge_out.sum(axis=1),
                                    inst.demands.outbound.sum(axis=0), rtol=1e-9)
+
+
+# sha256 over soft_loss_and_grad's loss repr and gradient bytes on a
+# desk-size and a default-size instance, each as generated and with
+# doubled demands (which adds ISP overages and cap overshoots)
+SOFT_LOSS_AND_GRAD_SHA256 = "44cd665ff714cd2e7c87870707fcc289f283a780e2ed7988fcbcb8de3326a6d3"
+
+
+def test_soft_loss_and_grad_bytes_are_pinned():
+    digest = hashlib.sha256()
+    for base in (generate_instance(DESK_CONFIG, seed=9000),
+                 generate_instance(GenConfig(), seed=100000)):
+        for factor in (1.0, 2.0):
+            inst = Instance(topology=base.topology,
+                            demands=DemandTensor(inbound=base.demands.inbound * factor,
+                                                 outbound=base.demands.outbound * factor))
+            table = build_option_table(inst.topology)
+            x = random_soft(inst, table, np.random.default_rng(0)).x
+            for lam_g in (0.0, 1.0, 3.5):
+                loss, dx = soft_loss_and_grad(inst, table, x, lam_g)
+                digest.update(repr(loss).encode())
+                digest.update(dx.tobytes())
+    assert digest.hexdigest() == SOFT_LOSS_AND_GRAD_SHA256
 
 
 def test_soft_gradient_matches_central_differences():

@@ -7,9 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import make_tiny
+from conftest import DESK_CONFIG, DESK_NET_SEED, HELD_SEED0, make_tiny
 from ecsched import gumbel, sampler
-from ecsched.generate import GenConfig, generate_instance
+from ecsched.cli import main
+from ecsched.generate import GenConfig, generate_instance, generate_instances
 from ecsched.model import (DemandTensor, Instance, Topology,
                            build_option_table, evaluate_hard, soft_loss,
                            total_cost)
@@ -269,6 +270,24 @@ def test_history_is_reproducible():
     assert not np.isnan(h0[0].eval_loss)
 
 
+# sha256 over a 4-epoch desk training history (repr of every field) and
+# the final parameter bytes
+DESK_TRAINING_SHA256 = "f1c29261a4581764eb6f82bc1720b91a822f9759176f64fc3b19b85d664a1962"
+
+
+def test_desk_training_bytes_are_pinned():
+    train_insts = generate_instances(DESK_CONFIG, 20)
+    held = [generate_instance(DESK_CONFIG, seed=HELD_SEED0 + i) for i in range(20)]
+    net = create_network(seed=DESK_NET_SEED)
+    history = train(net, train_insts, TrainConfig(n_epochs=4, seed=7), eval_instances=held)
+    digest = hashlib.sha256()
+    for h in history:
+        digest.update(repr((h.epoch, h.tau, h.train_loss, h.eval_loss)).encode())
+    for p in sampler.network_parameters(net):
+        digest.update(p.tobytes())
+    assert digest.hexdigest() == DESK_TRAINING_SHA256
+
+
 def test_divergence_is_reported():
     inst = make_tiny(0, n_isps=4)
     net = create_network(seed=2)
@@ -448,6 +467,30 @@ def test_model_round_trip_bit_exact(tmp_path, desk_run):
     second = best_of(back, inst, 20, np.random.default_rng(9), table)
     assert first[1] == second[1]
     assert np.array_equal(first[0].option, second[0].option)
+
+
+# sha256 of save_model's bytes for a fresh default network, and for the
+# 2-link network that `ecsched train` builds and trains for one epoch
+FRESH_MODEL_SHA256 = "0b3aa86ffa19221abf04058d9ccd96b9449e93936eb1e23312ac87091cb65327"
+TWO_LINK_MODEL_SHA256 = "3516b3780fe5c97ff5b9b74cec5c8340787b88547fa344b3b4ce8b87416448a5"
+
+
+def test_model_bytes_are_pinned(tmp_path):
+    fresh = tmp_path / "fresh.json"
+    save_model(create_network(seed=3), fresh)
+    assert hashlib.sha256(fresh.read_bytes()).hexdigest() == FRESH_MODEL_SHA256
+
+    insts = tmp_path / "insts"
+    assert main(["gen", "--count", "2", "--users", "1", "--slots", "3",
+                 "--types", "2", "--isps", "2", "--seed", "60",
+                 "--out", str(insts)]) == 0
+    cfg = tmp_path / "train.json"
+    cfg.write_text(json.dumps({"n_epochs": 1, "seed": 5, "metric_samples": 2}))
+    two_link = tmp_path / "two_link.json"
+    assert main(["train", "--instances", str(insts), "--config", str(cfg),
+                 "--out", str(two_link)]) == 0
+    assert load_model(two_link).n_links == 2
+    assert hashlib.sha256(two_link.read_bytes()).hexdigest() == TWO_LINK_MODEL_SHA256
 
 
 def test_model_corruption_detected(tmp_path):

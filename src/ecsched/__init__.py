@@ -1,8 +1,7 @@
 """Edge-cloud traffic scheduling under 95th-percentile billing."""
 
 from ._kernels import BACKEND
-from .baselines import (BudgetExceededError, SearchBudget, brute_force,
-                        rsn_best_of, rsn_sample)
+from .baselines import BudgetExceededError, brute_force, rsn_best_of, rsn_sample
 from .generate import GenConfig, generate_instance, generate_instances, sample_demands, sample_static
 from .gumbel import sample_gumbel
 from .io import FormatError, read_instance, read_scheme, write_instance, write_scheme
@@ -21,7 +20,7 @@ __all__ = [
     "AllocationScheme", "BACKEND", "BudgetExceededError", "DemandTensor",
     "FeasibilityReport", "FlowSummary", "FormatError", "GenConfig", "Instance",
     "IntegrityError", "InvalidTopologyError", "OptionTable", "SamplingNetwork",
-    "SearchBudget", "SoftAllocation", "Topology", "TrainConfig", "TrainingDiverged",
+    "SoftAllocation", "Topology", "TrainConfig", "TrainingDiverged",
     "best_of", "brute_force", "build_option_table", "check_feasibility",
     "compute_flows", "create_network", "draw_hard", "draw_soft", "forward_alpha",
     "g95", "generate_instance", "generate_instances", "linearize", "load_model",

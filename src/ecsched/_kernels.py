@@ -65,8 +65,6 @@ class FlowSummary:
     z_isp: np.ndarray         # (EL,)
     inbound_edge: np.ndarray  # (N, EL) True where inbound sets z (ties inbound)
     inbound_isp: np.ndarray   # (EL,)
-    cost_edge: np.ndarray
-    cost_isp: np.ndarray
     cost_total: float
     overshoot: tuple
 
@@ -116,7 +114,6 @@ def price_flows(topology, edge_in, edge_out):
     return FlowSummary(
         edge_in=edge_in, edge_out=edge_out, isp_in=isp_in, isp_out=isp_out,
         z_edge=z_edge, z_isp=z_isp, inbound_edge=inbound_edge, inbound_isp=inbound_isp,
-        cost_edge=cost_edge, cost_isp=cost_isp,
         cost_total=_per_allocation(cost_edge.sum(axis=(-2, -1)) + cost_isp.sum(axis=-1)),
         overshoot=overshoot)
 

@@ -7,8 +7,6 @@ true optimum; it refuses instances whose combination count exceeds an
 explicit budget instead of silently running for hours.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import _kernels
@@ -51,11 +49,6 @@ def rsn_best_of(instance, n_samples, rng, table=None):
     return best
 
 
-@dataclass(frozen=True)
-class SearchBudget:
-    max_combinations: int = 1_000_000
-
-
 def combination_count(instance, table=None):
     """Product of valid option counts over all (t, n, k) blocks."""
     if table is None:
@@ -67,20 +60,21 @@ def combination_count(instance, table=None):
     return total
 
 
-def brute_force(instance, budget=SearchBudget(), table=None):
+def brute_force(instance, max_combinations=1_000_000, table=None):
     """Exact optimum by enumeration: (scheme, cost), or None if nothing
     is feasible.
 
     Combinations are scanned in odometer order over blocks laid out
     slot-major, so equal-cost optima resolve deterministically to the
-    earliest combination.  Raises BudgetExceededError above the budget.
+    earliest combination.  Raises BudgetExceededError when the instance
+    has more than max_combinations.
     """
     if table is None:
         table = build_option_table(instance.topology)
     total = combination_count(instance, table)
-    if total > budget.max_combinations:
+    if total > max_combinations:
         raise BudgetExceededError(
-            f"{total} option combinations exceed the budget of {budget.max_combinations}")
+            f"{total} option combinations exceed the budget of {max_combinations}")
     t, n, k = instance.dims
     n_valid_flat = np.broadcast_to(table.n_valid.T[None], (t, n, k)).reshape(-1)
     cost, best_flat, found, _ = _kernels.brute_force_search(

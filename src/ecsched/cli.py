@@ -102,8 +102,7 @@ def cmd_train(args):
         config = replace(config, seed=args.seed)
     instances = _load_instances(args.instances)
     eval_instances = _load_instances(args.eval) if args.eval else ()
-    el = instances[0].topology.n_isps
-    network = sampler.create_network(n_options=2 ** el - 1, n_links=el, seed=config.seed)
+    network = sampler.create_network(n_links=instances[0].topology.n_isps, seed=config.seed)
     history = sampler.train(network, instances, config, eval_instances)
     sampler.save_model(network, args.out)
     if args.history:
@@ -177,8 +176,7 @@ def cmd_eval(args):
 def cmd_oracle(args):
     instance = io.read_instance(args.instance)
     try:
-        result = baselines.brute_force(
-            instance, baselines.SearchBudget(max_combinations=args.budget))
+        result = baselines.brute_force(instance, max_combinations=args.budget)
     except baselines.BudgetExceededError as exc:
         raise NoResult(str(exc)) from exc
     if result is None:

@@ -119,16 +119,14 @@ def sample_demands(topology, rng, config=None):
     return DemandTensor(inbound=d_in, outbound=d_out)
 
 
-def generate_instance(config, seed=None, instance_id=None):
+def generate_instance(config, seed=None):
     """Topology plus demands from a single seeded stream (static first)."""
     if seed is None:
         seed = config.seed
     rng = np.random.default_rng(seed)
     topo = sample_static(config, rng)
     demands = sample_demands(topo, rng, config)
-    if instance_id is None:
-        instance_id = f"inst-{seed:08d}"
-    return Instance(topology=topo, demands=demands, instance_id=instance_id, seed=seed)
+    return Instance(topology=topo, demands=demands, instance_id=f"inst-{seed:08d}", seed=seed)
 
 
 def generate_instances(config, count):

@@ -187,17 +187,15 @@ class OptionTable:
         return self.weights.shape[2]
 
 
-def build_option_table(topology, n_options=None):
+def build_option_table(topology):
     """Enumerate link subsets and their capacity-proportional split weights.
 
     Option p (0-based) selects the links whose global ascending positions
     correspond to the set bits of p + 1 over that pair's admissible links.
-    The table is padded with zero rows up to ``n_options`` (default
-    2**EL - 1).
+    Every pair's rows are padded with zero rows up to 2**EL - 1.
     """
     k_types, n_users, el = topology.admissible.shape
-    if n_options is None:
-        n_options = 2 ** el - 1
+    n_options = 2 ** el - 1
     weights = np.zeros((k_types, n_users, n_options, el))
     valid = np.zeros((k_types, n_users, n_options), dtype=bool)
     n_valid = np.zeros((k_types, n_users), dtype=np.int64)
@@ -205,9 +203,6 @@ def build_option_table(topology, n_options=None):
         for n in range(n_users):
             links = np.flatnonzero(topology.admissible[k, n])
             count = 2 ** links.size - 1
-            if count > n_options:
-                raise InvalidTopologyError(
-                    f"{links.size} admissible links need {count} options, table holds {n_options}")
             n_valid[k, n] = count
             cb = topology.edge_cap_basic[n]
             for p in range(count):
@@ -391,15 +386,16 @@ def soft_loss_and_grad(instance, table, x, lam_g=1.0):
     flows = _kernels.price_flows(topo, *_kernels.soft_edge_flows(
         np.ascontiguousarray(x), table.weights, d_in, d_out))
     m = percentile_exempt_count(d_in.shape[2])
-    tin_e, tout_e, tin_l, tout_l = (
-        _kernels.descending_slots(arr)[..., m]
-        for arr in (flows.edge_in, flows.edge_out, flows.isp_in, flows.isp_out))
-    win_e, win_l = flows.inbound_edge, flows.inbound_isp
-    z_edge, z_isp = flows.z_edge, flows.z_isp
+    slots = np.arange(d_in.shape[2])
+
+    def billed(flow, coef):
+        # coef on each link's billed slot of flow, zero on every other slot
+        return coef[..., None] * (slots == _kernels.descending_slots(flow)[..., m, None])
+
     over_e_in, over_e_out, over_l_in, over_l_out, over_ze, over_zl = flows.overshoot
     loss = flows.cost_total + lam_g * flows.penalty
-    above_e = z_edge > topo.edge_cap_basic  # links billing an overage
-    above_l = z_isp > topo.isp_cap_basic
+    above_e = flows.z_edge > topo.edge_cap_basic  # links billing an overage
+    above_l = flows.z_isp > topo.isp_cap_basic
 
     # d loss / d flow, accumulated per slot then routed back through x
     dE_in = 2.0 * lam_g * over_e_in
@@ -407,20 +403,16 @@ def soft_loss_and_grad(instance, table, x, lam_g=1.0):
     dL_in = 2.0 * lam_g * over_l_in
     dL_out = 2.0 * lam_g * over_l_out
 
-    # billable terms enter through the single selected slot per link
+    # billable terms enter through the billed slot of the direction that
+    # sets z; added in place, since the einsum below sums in an order that
+    # depends on the memory layout of these arrays
     coef_e = topo.edge_rate * above_e + 2.0 * lam_g * over_ze
-    n_idx, j_idx = np.nonzero(coef_e)
-    for n, j in zip(n_idx, j_idx):
-        if win_e[n, j]:
-            dE_in[n, j, tin_e[n, j]] += coef_e[n, j]
-        else:
-            dE_out[n, j, tout_e[n, j]] += coef_e[n, j]
     coef_l = topo.isp_rate * above_l + 2.0 * lam_g * over_zl
-    for j in np.nonzero(coef_l)[0]:
-        if win_l[j]:
-            dL_in[j, tin_l[j]] += coef_l[j]
-        else:
-            dL_out[j, tout_l[j]] += coef_l[j]
+    win_e, win_l = flows.inbound_edge, flows.inbound_isp
+    dE_in += billed(flows.edge_in, np.where(win_e, coef_e, 0.0))
+    dE_out += billed(flows.edge_out, np.where(win_e, 0.0, coef_e))
+    dL_in += billed(flows.isp_in, np.where(win_l, coef_l, 0.0))
+    dL_out += billed(flows.isp_out, np.where(win_l, 0.0, coef_l))
 
     # ISP flows are sums over users, so their sensitivities broadcast
     dE_in = dE_in + dL_in[None, :, :]

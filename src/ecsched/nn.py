@@ -107,6 +107,12 @@ def parameters(mlp):
     return out
 
 
+# Adam's moment decay rates and denominator floor
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class AdamState:
     """First/second moment accumulators plus the step counter."""
@@ -115,15 +121,11 @@ class AdamState:
     v: list
     step: int = 0
     lr: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
-    def for_params(cls, params, lr=1e-4, beta1=0.9, beta2=0.999, eps=1e-8):
+    def for_params(cls, params, lr=1e-4):
         return cls(m=[np.zeros_like(p) for p in params],
-                   v=[np.zeros_like(p) for p in params],
-                   lr=lr, beta1=beta1, beta2=beta2, eps=eps)
+                   v=[np.zeros_like(p) for p in params], lr=lr)
 
 
 def adam_step(state, params, grads):
@@ -131,12 +133,12 @@ def adam_step(state, params, grads):
     if len(params) != len(state.m) or len(grads) != len(params):
         raise ValueError("params/grads do not match the optimizer state")
     state.step += 1
-    b1c = 1.0 - state.beta1 ** state.step
-    b2c = 1.0 - state.beta2 ** state.step
+    b1c = 1.0 - ADAM_BETA1 ** state.step
+    b2c = 1.0 - ADAM_BETA2 ** state.step
     for p, g, m, v in zip(params, grads, state.m, state.v):
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        p -= state.lr * (m / b1c) / (np.sqrt(v / b2c) + state.eps)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g * g
+        p -= state.lr * (m / b1c) / (np.sqrt(v / b2c) + ADAM_EPS)
     return params, state

@@ -87,28 +87,37 @@ class AlphaMatrix:
 
 @dataclass
 class SamplingNetwork:
-    """The three encoders plus the sizes they were built for."""
+    """The three encoders; their widths fix the sizes the network serves."""
 
     link: Mlp
     program: Mlp
     ranking: Mlp
-    n_options: int
-    n_links: int
-    alpha_eps: float = 1e-6
     input_scale: tuple = INPUT_SCALE
 
+    @property
+    def n_options(self):
+        return self.ranking.widths[0]
 
-def create_network(n_options=15, n_links=4, seed=0,
-                   link_hidden=(8, 8, 8), program_hidden=(8, 8, 8),
-                   ranking_widths=(32, 16, 8, 16, 32), alpha_eps=1e-6):
-    """Fresh network; encoders initialized in order link, program, ranking."""
+    @property
+    def n_links(self):
+        return self.program.widths[0]
+
+    @property
+    def alpha_eps(self):
+        """Floor added to every location parameter."""
+        return self.ranking.eps
+
+
+def create_network(n_links=4, seed=0):
+    """Fresh network for blocks of n_links links, so 2**n_links - 1 options;
+    encoders initialized in order link, program, ranking."""
+    n_options = 2 ** n_links - 1
     rng = np.random.default_rng(seed)
-    link = init_mlp([4, *link_hidden, 1], rng, output="identity")
-    program = init_mlp([n_links, *program_hidden, 1], rng, output="identity")
-    ranking = init_mlp([n_options, *ranking_widths, n_options], rng,
-                       output="relu6_eps", eps=alpha_eps)
-    return SamplingNetwork(link=link, program=program, ranking=ranking,
-                           n_options=n_options, n_links=n_links, alpha_eps=alpha_eps)
+    link = init_mlp([4, 8, 8, 8, 1], rng, output="identity")
+    program = init_mlp([n_links, 8, 8, 8, 1], rng, output="identity")
+    ranking = init_mlp([n_options, 32, 16, 8, 16, 32, n_options], rng,
+                       output="relu6_eps", eps=1e-6)
+    return SamplingNetwork(link=link, program=program, ranking=ranking)
 
 
 def preprocess(instance, table=None):
@@ -382,13 +391,14 @@ def load_model(path):
         link=_encoder_from_doc(doc["encoders"]["link"], path),
         program=_encoder_from_doc(doc["encoders"]["program"], path),
         ranking=_encoder_from_doc(doc["encoders"]["ranking"], path),
-        n_options=int(doc["n_options"]),
-        n_links=int(doc["n_links"]),
-        alpha_eps=float(doc["alpha_eps"]),
         input_scale=tuple(doc["input_scale"]),
     )
-    if network.ranking.widths[0] != network.n_options or network.ranking.widths[-1] != network.n_options:
+    # the sizes are read from the encoders; a file whose stated sizes
+    # disagree with them is inconsistent
+    if not doc["n_options"] == network.n_options == network.ranking.widths[-1]:
         raise FormatError(f"{path}: ranking head does not match n_options")
-    if network.program.widths[0] != network.n_links:
+    if doc["n_links"] != network.n_links:
         raise FormatError(f"{path}: program encoder does not match n_links")
+    if doc["alpha_eps"] != network.alpha_eps:
+        raise FormatError(f"{path}: ranking head floor does not match alpha_eps")
     return network

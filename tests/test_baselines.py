@@ -6,7 +6,7 @@ import scipy.stats
 
 import oracles
 from conftest import make_tiny
-from ecsched.baselines import (BudgetExceededError, SearchBudget, brute_force,
+from ecsched.baselines import (BudgetExceededError, brute_force,
                                combination_count, rsn_best_of,
                                rsn_best_of_detailed, rsn_sample)
 from ecsched.model import (build_option_table, check_feasibility,
@@ -78,7 +78,7 @@ def test_budget_refusal_is_explicit():
     inst = make_tiny(5, n_users=2, n_slots=4, n_types=2, n_isps=3)
     assert combination_count(inst) > 10000
     with pytest.raises(BudgetExceededError, match="exceed"):
-        brute_force(inst, budget=SearchBudget(max_combinations=10000))
+        brute_force(inst, max_combinations=10000)
 
 
 def test_brute_force_matches_oracle():

@@ -19,14 +19,13 @@ from ecsched.sampler import (IntegrityError, TrainConfig, TrainingDiverged,
                              create_network, draw_hard, draw_soft,
                              forward_alpha, load_model, preprocess,
                              save_model, train)
-from ecsched.io import FormatError
+from ecsched.io import FormatError, write_instance
 from gradcheck import gssn_grad_check
 
 
 def small_net(inst, seed=0):
-    table = build_option_table(inst.topology)
-    return create_network(n_options=table.n_options,
-                          n_links=inst.topology.n_isps, seed=seed), table
+    return (create_network(n_links=inst.topology.n_isps, seed=seed),
+            build_option_table(inst.topology))
 
 
 # ---------------------------------------------------------------------------
@@ -53,18 +52,20 @@ def test_feature_matrix_layout():
 
 
 def test_padded_rows_keep_caps_zero_traffic():
-    inst = make_tiny(1, n_users=1, n_types=2, n_isps=2, full_admissible=False)
-    table = build_option_table(inst.topology, n_options=15)
+    # type 0 has one admissible link of three, type 1 two
+    inst = make_tiny(1, n_users=1, n_types=2, n_isps=3, full_admissible=False)
+    table = build_option_table(inst.topology)
+    assert table.n_valid[:, 0].tolist() == [1, 3]
     inp = preprocess(inst, table)
     t, n, k = inst.dims
-    mat = inp.matrix.reshape(t, n, k, 15, 2, 4)
+    mat = inp.matrix.reshape(t, n, k, 7, 3, 4)
     for ki in range(k):
         nv = int(table.n_valid[ki, 0])
         pad = mat[:, 0, ki, nv:]
         assert pad[..., :2].sum() == 0.0
         assert (pad[..., 2] == inst.topology.edge_cap_basic[0][None, None]).all()
         assert (pad[..., 3] == inst.topology.edge_cap_billable[0][None, None]).all()
-        assert not inp.valid.reshape(t, n, k, 15)[:, 0, ki, nv:].any()
+        assert not inp.valid.reshape(t, n, k, 7)[:, 0, ki, nv:].any()
 
 
 def test_doubled_demand_doubles_traffic_columns():
@@ -96,7 +97,7 @@ def test_alpha_shape_and_positivity():
 
 def test_network_size_mismatch_rejected():
     inst = make_tiny(3, n_isps=2)
-    net = create_network(n_options=15, n_links=4)
+    net = create_network(n_links=4)
     with pytest.raises(ValueError):
         forward_alpha(net, preprocess(inst))
 
@@ -502,6 +503,21 @@ def test_model_corruption_detected(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(IntegrityError, match="checksum"):
         load_model(path)
+
+
+@pytest.mark.parametrize("field, value", [("n_options", 7), ("n_links", 3), ("alpha_eps", 1e-3)])
+def test_model_sizes_must_match_encoders(tmp_path, field, value):
+    path = tmp_path / "model.json"
+    save_model(create_network(seed=4), path)
+    doc = json.loads(path.read_text())
+    doc[field] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(FormatError, match=field):
+        load_model(path)
+    inst_path = tmp_path / "inst.json"
+    write_instance(make_tiny(0, n_isps=4), inst_path)
+    assert main(["sample", "--policy", "gssn", "--model", str(path),
+                 "--instance", str(inst_path), "--out", str(tmp_path / "s.json")]) == 3
 
 
 def test_model_missing_field(tmp_path):

@@ -8,6 +8,15 @@ training step is forward -> external loss gradient -> backward -> Adam.
 
 Subgradient convention: ReLU6 has derivative zero at both kinks (0 and
 6).
+
+The forward pass writes one array per layer: the matmul result takes
+the bias and, in hidden layers, is clamped in place, so that array is
+both the layer's activation and the next layer's input.  The cache
+keeps the layer inputs and the output layer's preactivation only.  The
+backward pass reads each hidden ReLU6 mask from the activation
+relu6(z) instead of from z: relu6(z) lies strictly inside (0, 6)
+exactly where z does (at -0.0, +-inf and NaN too), so the two masks
+are equal.
 """
 
 from dataclasses import dataclass
@@ -54,42 +63,48 @@ def init_mlp(widths, rng, output="identity", eps=1e-6):
 
 
 def mlp_forward(mlp, x):
-    """Batched forward pass; x is (rows, widths[0]).
+    """Batched forward pass; x is (rows, widths[0]) and is not modified.
 
-    Returns (y, cache) where the cache holds each layer's input and
-    preactivation for the backward pass.
+    Returns (y, cache) with cache = (inputs, z): inputs[i] is layer i's
+    input (x, then the ReLU6 activations of the hidden layers) and z is
+    the output layer's preactivation.
     """
-    inputs, preacts = [], []
+    inputs = []
     a = x
     last = len(mlp.weights) - 1
     for i, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
         inputs.append(a)
-        z = a @ w.T + b
-        preacts.append(z)
+        z = a @ w.T
+        z += b
         if i < last:
-            a = relu6(z)
+            # z is the matmul's own output, so clamping it never writes x
+            a = np.minimum(np.maximum(z, 0.0, out=z), 6.0, out=z)
         elif mlp.output == "identity":
             a = z
         elif mlp.output == "relu6_eps":
             a = relu6(z) + mlp.eps
         else:
             raise ValueError(f"unknown output transform '{mlp.output}'")
-    return a, (inputs, preacts)
+    return a, (inputs, z)
 
 
 def mlp_backward(mlp, cache, dy):
     """Gradients from a forward cache.
 
+    Hidden layer i's ReLU6 mask is read from its activation inputs[i+1],
+    which equals the mask of its preactivation (see the module
+    docstring); only a relu6_eps output reads the stored preactivation.
     Returns (dx, grads) with grads a flat list [dW0, db0, dW1, db1, ...]
     matching parameters(mlp).
     """
-    inputs, preacts = cache
+    inputs, z = cache
     last = len(mlp.weights) - 1
     grads = [None] * (2 * len(mlp.weights))
     d = dy
     for i in range(last, -1, -1):
-        z = preacts[i]
-        if i < last or mlp.output == "relu6_eps":
+        if i < last:
+            d = d * relu6_grad(inputs[i + 1])
+        elif mlp.output == "relu6_eps":
             d = d * relu6_grad(z)
         # identity output: d passes through
         grads[2 * i] = d.T @ inputs[i]

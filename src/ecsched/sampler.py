@@ -127,14 +127,14 @@ def preprocess(instance, table=None):
     t, n, k = instance.dims
     p = table.n_options
     el = instance.topology.n_isps
-    share_in = np.einsum("knpj,knt->tnkpj", table.weights, instance.demands.inbound)
-    share_out = np.einsum("knpj,knt->tnkpj", table.weights, instance.demands.outbound)
-    shape = (t, n, k, p, el)
-    cb = np.broadcast_to(instance.topology.edge_cap_basic[None, :, None, None, :], shape)
-    cm = np.broadcast_to(instance.topology.edge_cap_billable[None, :, None, None, :], shape)
-    matrix = np.stack([share_in, share_out, cb, cm], axis=-1).reshape(-1, 4)
+    # one array, each column written in place through a strided view
+    matrix = np.empty((t, n, k, p, el, 4))
+    np.einsum("knpj,knt->tnkpj", table.weights, instance.demands.inbound, out=matrix[..., 0])
+    np.einsum("knpj,knt->tnkpj", table.weights, instance.demands.outbound, out=matrix[..., 1])
+    matrix[..., 2] = instance.topology.edge_cap_basic[None, :, None, None, :]
+    matrix[..., 3] = instance.topology.edge_cap_billable[None, :, None, None, :]
     valid = np.broadcast_to(table.valid.transpose(1, 0, 2)[None], (t, n, k, p)).reshape(-1, p)
-    return NetworkInput(matrix=matrix, valid=np.ascontiguousarray(valid),
+    return NetworkInput(matrix=matrix.reshape(-1, 4), valid=np.ascontiguousarray(valid),
                         dims=(t, n, k), n_links=el)
 
 
@@ -401,4 +401,14 @@ def load_model(path):
         raise FormatError(f"{path}: program encoder does not match n_links")
     if doc["alpha_eps"] != network.alpha_eps:
         raise FormatError(f"{path}: ranking head floor does not match alpha_eps")
+    # preprocess writes one feature column per INPUT_SCALE entry, and the
+    # link and program encoders each emit one score per row
+    n_features = len(INPUT_SCALE)
+    if not network.link.widths[0] == len(network.input_scale) == n_features:
+        raise FormatError(f"{path}: link encoder and input_scale must both take "
+                          f"{n_features} features")
+    if network.link.widths[-1] != 1:
+        raise FormatError(f"{path}: link encoder must emit one score per link")
+    if network.program.widths[-1] != 1:
+        raise FormatError(f"{path}: program encoder must emit one score per option")
     return network

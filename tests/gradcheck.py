@@ -38,10 +38,14 @@ def billing_signature(instance, table, x):
 
 
 def relu6_activity(mlp, cache):
-    """Which units sit on the rising segment of ReLU6 (kinks at 0 and 6)."""
-    _, preacts = cache
-    live = preacts if mlp.output == "relu6_eps" else preacts[:-1]
-    return b"".join(((z > 0.0) & (z < 6.0)).tobytes() for z in live)
+    """Which units sit on the rising segment of ReLU6 (kinks at 0 and 6).
+
+    Hidden units are read from their activations, which sit strictly
+    inside (0, 6) exactly where their preactivations do.
+    """
+    inputs, z = cache
+    live = inputs[1:] + [z] if mlp.output == "relu6_eps" else inputs[1:]
+    return b"".join(((a > 0.0) & (a < 6.0)).tobytes() for a in live)
 
 
 @dataclass

@@ -132,6 +132,26 @@ def test_train_is_reproducible(cli_workspace, tmp_path, capsys):
     assert model2.read_bytes() == cli_workspace["model"].read_bytes()
 
 
+def test_train_moves_the_parameters_on_desk_instances(tmp_path, capsys):
+    # the workspace's 1-user, 3-slot instances give all-zero descent
+    # gradients; desk-size instances do not, so a broken step shows here
+    insts = tmp_path / "insts"
+    code, _, _ = run(capsys, "gen", "--count", "2", "--users", "4", "--slots", "12",
+                     "--types", "6", "--isps", "4", "--seed", "61", "--out", str(insts))
+    assert code == 0
+    cfg = tmp_path / "train.json"
+    cfg.write_text(json.dumps({"n_epochs": 1, "seed": 5, "metric_samples": 1}))
+    model = tmp_path / "model.json"
+    code, _, _ = run(capsys, "train", "--instances", str(insts), "--config", str(cfg),
+                     "--out", str(model))
+    assert code == 0
+    trained = sampler.network_parameters(sampler.load_model(model))
+    fresh = sampler.network_parameters(sampler.create_network(n_links=4, seed=5))
+    assert [p.shape for p in trained] == [p.shape for p in fresh]
+    moved = [not np.array_equal(p, q) for p, q in zip(trained, fresh)]
+    assert all(moved), moved
+
+
 def test_sample_then_eval(cli_workspace, tmp_path, capsys):
     inst_path = next(cli_workspace["insts"].glob("inst-*.json"))
     scheme_path = tmp_path / "scheme.json"

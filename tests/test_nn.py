@@ -14,6 +14,64 @@ def test_relu6_values():
     np.testing.assert_array_equal(relu6_grad(z), [0.0, 0.0, 1.0, 0.0, 0.0])
 
 
+def test_relu6_mask_reads_the_same_from_activations():
+    z = np.array([-0.0, 0.0, 6.0,
+                  np.nextafter(0.0, -1.0), np.nextafter(0.0, 1.0),
+                  np.nextafter(6.0, 0.0), np.nextafter(6.0, 7.0),
+                  -np.inf, np.inf, np.nan, -3.0, 2.5, 10.0])
+    np.testing.assert_array_equal(relu6_grad(relu6(z)), relu6_grad(z))
+    np.testing.assert_array_equal(relu6_grad(z), [0, 0, 0, 0, 1, 1, 0, 0, 0, 0, 0, 1, 0])
+
+
+def reference_backward(net, x, dy):
+    """The backward pass with every mask taken from a stored preactivation."""
+    acts, preacts = [x], []
+    for w, b in zip(net.weights, net.biases):
+        preacts.append(acts[-1] @ w.T + b)
+        acts.append(relu6(preacts[-1]))
+    last = len(net.weights) - 1
+    grads = [None] * (2 * len(net.weights))
+    d = dy
+    for i in range(last, -1, -1):
+        if i < last or net.output == "relu6_eps":
+            d = d * relu6_grad(preacts[i])
+        grads[2 * i] = d.T @ acts[i]
+        grads[2 * i + 1] = d.sum(axis=0)
+        d = d @ net.weights[i]
+    return d, grads, preacts
+
+
+@pytest.mark.parametrize("output", ["identity", "relu6_eps"])
+def test_kinked_hidden_units_match_preactivation_masks(output):
+    # hidden units land exactly on 0 and on 6, below, inside and above
+    x = np.array([[0.0, 6.0], [6.0, 0.0], [3.0, 3.0], [-1.0, 7.0], [2.0, 4.0]])
+    net = Mlp(weights=[np.array([[1.0, 0.0], [0.0, 1.0], [1.0, -1.0]]),
+                       np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.5, 0.5, 1.0]]),
+                       np.array([[0.3, -1.2, 0.7], [2.0, 0.5, -0.4]])],
+              biases=[np.zeros(3), np.array([0.0, 0.0, -3.0]), np.array([4.0, 1.0])],
+              output=output)
+    dy = np.random.default_rng(11).normal(size=(5, 2))
+    y, cache = mlp_forward(net, x)
+    dx, grads = mlp_backward(net, cache, dy)
+    ref_dx, ref_grads, preacts = reference_backward(net, x, dy)
+    hidden = np.concatenate([z.ravel() for z in preacts[:-1]])
+    assert (hidden == 0.0).any() and (hidden == 6.0).any()
+    assert ((hidden > 0.0) & (hidden < 6.0)).any()
+    np.testing.assert_array_equal(dx, ref_dx)
+    for g, ref in zip(grads, ref_grads):
+        np.testing.assert_array_equal(g, ref)
+    assert any((g != 0.0).any() for g in grads)
+
+
+def test_forward_leaves_its_input_unchanged():
+    rng = np.random.default_rng(12)
+    x = rng.normal(scale=10.0, size=(20, 3))
+    before = x.copy()
+    for widths, output in (([3, 5, 5, 2], "identity"), ([3, 4, 3], "relu6_eps"), ([3, 2], "relu6_eps")):
+        mlp_forward(init_mlp(widths, rng, output=output), x)
+        np.testing.assert_array_equal(x, before)
+
+
 def test_zero_weights_pass_bias():
     net = Mlp(weights=[np.zeros((3, 2))], biases=[np.array([1.0, -4.0, 9.0])],
               output="relu6_eps", eps=1e-6)

@@ -505,19 +505,59 @@ def test_model_corruption_detected(tmp_path):
         load_model(path)
 
 
+def assert_model_rejected(tmp_path, doc, message):
+    """load_model raises a FormatError matching message; `sample` exits 3."""
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(FormatError, match=message):
+        load_model(path)
+    inst_path = tmp_path / "inst.json"
+    write_instance(make_tiny(0, n_isps=4), inst_path)
+    assert main(["sample", "--policy", "gssn", "--model", str(path),
+                 "--instance", str(inst_path), "--out", str(tmp_path / "s.json")]) == 3
+
+
 @pytest.mark.parametrize("field, value", [("n_options", 7), ("n_links", 3), ("alpha_eps", 1e-3)])
 def test_model_sizes_must_match_encoders(tmp_path, field, value):
     path = tmp_path / "model.json"
     save_model(create_network(seed=4), path)
     doc = json.loads(path.read_text())
     doc[field] = value
-    path.write_text(json.dumps(doc))
-    with pytest.raises(FormatError, match=field):
-        load_model(path)
-    inst_path = tmp_path / "inst.json"
-    write_instance(make_tiny(0, n_isps=4), inst_path)
-    assert main(["sample", "--policy", "gssn", "--model", str(path),
-                 "--instance", str(inst_path), "--out", str(tmp_path / "s.json")]) == 3
+    assert_model_rejected(tmp_path, doc, field)
+
+
+def drop_link_input(doc):
+    link = doc["encoders"]["link"]
+    link["widths"][0] = 3
+    link["layers"][0]["w"] = [row[:3] for row in link["layers"][0]["w"]]
+
+
+def widen_output(name):
+    def edit(doc):
+        enc = doc["encoders"][name]
+        enc["widths"][-1] = 2
+        enc["layers"][-1]["w"].append(enc["layers"][-1]["w"][0])
+        enc["layers"][-1]["b"].append(0.0)
+    return edit
+
+
+def shorten_input_scale(doc):
+    doc["input_scale"] = doc["input_scale"][:3]
+
+
+@pytest.mark.parametrize("edit, message", [
+    (drop_link_input, "link encoder and input_scale must both take 4 features"),
+    (shorten_input_scale, "link encoder and input_scale must both take 4 features"),
+    (widen_output("link"), "link encoder must emit one score"),
+    (widen_output("program"), "program encoder must emit one score"),
+], ids=["link-input", "input-scale", "link-output", "program-output"])
+def test_model_encoders_must_fit_the_features(tmp_path, edit, message):
+    path = tmp_path / "model.json"
+    save_model(create_network(seed=4), path)
+    doc = json.loads(path.read_text())
+    edit(doc)
+    doc["checksum"] = sampler._payload_checksum(doc["encoders"])
+    assert_model_rejected(tmp_path, doc, message)
 
 
 def test_model_missing_field(tmp_path):

@@ -8,7 +8,8 @@ import numpy as np
 
 from conftest import DESK_CONFIG
 from ecsched import baselines, sampler
-from ecsched.generate import generate_instance
+from ecsched.generate import generate_instance, generate_instances
+from ecsched.sampler import TrainConfig
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -41,3 +42,24 @@ def test_traced_best_of_runs_keep_the_tracer_contract():
     metrics = tracing.layer_metrics(tracer.spans)
     assert metrics["gumbel.categorical_rows.calls"] == (1, "count")
     assert metrics["sampler.best_of_detailed.calls"] == (1, "count")
+
+
+def test_traced_training_keeps_the_encoder_spans_and_rows():
+    tracing = load_tracer()
+    train = generate_instances(DESK_CONFIG, 3)
+    held = [generate_instance(DESK_CONFIG, seed=9000)]
+    network = sampler.create_network(seed=3)
+    tracer = tracing.Tracer()
+    tracer.label_network(network)
+    with tracing.installed(tracer), tracer.recording():
+        sampler.train(network, train, TrainConfig(n_epochs=1, seed=7, metric_samples=2), held)
+
+    names = [name for _, _, name, _, _, _ in tracer.spans]
+    for encoder in tracing.ENCODERS:
+        assert names.count(f"nn.mlp_backward.{encoder}") == len(train)
+    t, n, k = train[0].dims
+    rows = t * n * k * network.n_options * network.n_links
+    link_rows = [attrs["rows"] for _, _, name, _, _, attrs in tracer.spans
+                 if name == "nn.mlp_forward.link"]
+    # one forward per descent step, then one per instance in the metric pass
+    assert link_rows == [rows] * (2 * len(train) + len(held))

@@ -1,13 +1,14 @@
 """File formats: round trips are bit-exact, parse failures name the field."""
 
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
-from conftest import DESK_CONFIG, make_tiny
+from conftest import DESK_CONFIG, HELD_SEED0, make_tiny
 from ecsched import baselines
-from ecsched.generate import generate_instance
+from ecsched.generate import GenConfig, generate_instance
 from ecsched.io import (FormatError, read_instance, read_scheme,
                         write_instance, write_scheme)
 from ecsched.model import build_option_table, total_cost
@@ -33,6 +34,30 @@ def test_instance_round_trip_bit_exact(tmp_path):
     table = build_option_table(inst.topology)
     scheme = baselines.rsn_sample(inst, np.random.default_rng(0), table)
     assert total_cost(back, scheme) == total_cost(inst, scheme)
+
+
+# sha256 over dtype, shape and bytes of every array read_instance returns,
+# plus the id and seed, for a default-size and a desk instance
+READ_INSTANCE_SHA256 = "f1617d48229eeaec5c04cf4b53eb179cee81c611ff8150ed29553116c216094c"
+
+
+def test_read_instance_bytes_are_pinned(tmp_path):
+    digest = hashlib.sha256()
+    for config, seed in ((GenConfig(), 100001), (DESK_CONFIG, HELD_SEED0)):
+        path = tmp_path / f"{seed}.json"
+        write_instance(generate_instance(config, seed=seed), path)
+        inst = read_instance(path)
+        for name in ("edge_cap_basic", "edge_cap_billable", "edge_cap_phys",
+                     "edge_rate", "isp_cap_basic", "isp_cap_billable",
+                     "isp_cap_phys", "isp_rate", "admissible"):
+            arr = getattr(inst.topology, name)
+            digest.update(repr((name, arr.dtype.str, arr.shape)).encode())
+            digest.update(arr.tobytes())
+        for arr in (inst.demands.inbound, inst.demands.outbound):
+            digest.update(repr((arr.dtype.str, arr.shape)).encode())
+            digest.update(arr.tobytes())
+        digest.update(repr((inst.instance_id, inst.seed)).encode())
+    assert digest.hexdigest() == READ_INSTANCE_SHA256
 
 
 def test_demand_nesting_is_slot_major(tmp_path):

@@ -494,6 +494,21 @@ def test_model_bytes_are_pinned(tmp_path):
     assert hashlib.sha256(two_link.read_bytes()).hexdigest() == TWO_LINK_MODEL_SHA256
 
 
+# sha256 over dtype, shape and bytes of every parameter load_model reads
+# from the stored benchmark network, plus its input_scale
+DESK_MODEL_LOAD_SHA256 = "daf1968d9d0a336c1a46502dc0f8546a6bf3054cbf1662fe390e42741d2c658c"
+
+
+def test_loaded_model_bytes_are_pinned():
+    network = load_model(Path(__file__).resolve().parents[1] / "perfbench" / "desk_model.json")
+    digest = hashlib.sha256()
+    for p in sampler.network_parameters(network):
+        digest.update(repr((p.dtype.str, p.shape)).encode())
+        digest.update(p.tobytes())
+    digest.update(repr(network.input_scale).encode())
+    assert digest.hexdigest() == DESK_MODEL_LOAD_SHA256
+
+
 def test_model_corruption_detected(tmp_path):
     net = create_network(seed=4)
     path = tmp_path / "model.json"

@@ -10,6 +10,7 @@ refuses its budget), 3 on malformed input files.
 import argparse
 import csv
 import json
+import math
 import sys
 import time
 from dataclasses import fields, replace
@@ -32,34 +33,45 @@ class NoResult(RuntimeError):
     """Carries the exit-2 message."""
 
 
+def _misfit(value, default):
+    """What a JSON value must be to replace a config default, or None when
+    it fits: a bool is no number, an int field takes only ints and a tuple
+    field a list of as many numbers."""
+    if isinstance(default, tuple):
+        fits = (type(value) is list and len(value) == len(default)
+                and not any(map(_misfit, value, default)))
+        return None if fits else f"a list of {len(default)} finite numbers"
+    if type(default) is int:
+        return None if type(value) is int else "an integer"
+    fits = type(value) is int or type(value) is float and math.isfinite(value)
+    return None if fits else "a finite number"
+
+
 def _config_overrides(path, config):
-    """Apply JSON keys onto a dataclass config, rejecting unknown names."""
+    """Apply JSON keys onto a dataclass config; FormatError for an unknown
+    key, a value that does not fit its field, or one the config rejects."""
     if path is None:
         return config
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{path}: not valid JSON ({exc})") from exc
-    known = {f.name: f for f in fields(config)}
-    updates = {}
-    for key, value in doc.items():
-        if key not in known:
+    updates = io.load_json(path)
+    for key, value in updates.items():
+        if key not in {f.name for f in fields(config)}:
             raise FormatError(f"{path}: unknown config key '{key}'")
-        if isinstance(value, list):
-            value = tuple(value)
-        updates[key] = value
-    return replace(config, **updates)
+        need = _misfit(value, getattr(config, key))
+        if need:
+            raise FormatError(f"{path}: config key '{key}' must be {need}, got {json.dumps(value)}")
+        updates[key] = tuple(value) if isinstance(value, list) else value
+    try:
+        return replace(config, **updates)
+    except ValueError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
 
 
 def _load_instances(directory):
     root = Path(directory)
     manifest = root / "manifest.csv"
-    paths = []
     if manifest.exists():
         with open(manifest) as fh:
-            for row in csv.DictReader(fh):
-                paths.append(root / row["path"])
+            paths = [root / row["path"] for row in csv.DictReader(fh)]
     else:
         paths = sorted(root.glob("*.json"))
     if not paths:
@@ -68,16 +80,11 @@ def _load_instances(directory):
 
 
 def cmd_gen(args):
-    config = _config_overrides(args.config, GenConfig())
-    overrides = {}
-    for flag, name in (("users", "n_users"), ("slots", "n_slots"),
-                       ("types", "n_types"), ("isps", "n_isps")):
-        value = getattr(args, flag)
-        if value is not None:
-            overrides[name] = value
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    config = replace(config, **overrides)
+    flags = {"users": "n_users", "slots": "n_slots", "types": "n_types", "isps": "n_isps",
+             "seed": "seed"}
+    config = replace(_config_overrides(args.config, GenConfig()),
+                     **{name: getattr(args, flag) for flag, name in flags.items()
+                        if getattr(args, flag) is not None})
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     rows = []
@@ -394,10 +401,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FORMAT
-    except FileNotFoundError as exc:
+    except (FormatError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FORMAT
     except NoResult as exc:

@@ -1,4 +1,4 @@
-"""Instance and scheme files.
+"""Instance and scheme files, and the JSON reader behind every input.
 
 Both formats are versioned JSON.  Floats pass through Python's repr, so
 a write/read round trip reproduces every array bit for bit.  Demand
@@ -6,11 +6,13 @@ arrays are stored as nested lists indexed [slot][user][type] (slot
 outermost); admissible sets are stored per (type, user) as a bitmask
 over links, bit j = link j.
 
-Parse failures raise FormatError naming the missing or malformed field;
-the CLI maps that to exit code 3.
+Every JSON input (instance, scheme, model and config file) is decoded
+by ``load_json`` and its grids converted by ``need_array``; failures
+raise FormatError naming the field, which the CLI maps to exit code 3.
 """
 
 import json
+from dataclasses import fields
 
 import numpy as np
 
@@ -31,33 +33,51 @@ def _need(mapping, key, where):
     return mapping[key]
 
 
-def _load_json(path, expect_format):
+def load_json(path, expect_format=None, version=FORMAT_VERSION):
+    """The JSON object stored at path, checked for format and version when
+    expect_format is given; a missing file stays FileNotFoundError."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
-    except FileNotFoundError:
-        raise
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (IsADirectoryError, ValueError) as exc:  # a directory, undecodable bytes or text
         raise FormatError(f"{path}: not valid JSON ({exc})") from exc
-    got = _need(doc, "format", path)
-    if got != expect_format:
-        raise FormatError(f"{path}: format is '{got}', expected '{expect_format}'")
-    version = _need(doc, "version", path)
-    if version != FORMAT_VERSION:
-        raise FormatError(f"{path}: unsupported version {version}")
+    if not isinstance(doc, dict):
+        raise FormatError(f"{path}: top level must be a JSON object")
+    if expect_format is not None:
+        got = _need(doc, "format", path)
+        if got != expect_format:
+            raise FormatError(f"{path}: format is '{got}', expected '{expect_format}'")
+        if _need(doc, "version", path) != version:
+            raise FormatError(f"{path}: unsupported version {doc['version']}")
     return doc
+
+
+def need_array(mapping, key, where, shape=None, integer=False):
+    """mapping[key] as a float64 array, or int64 when integer is set.
+
+    FormatError unless the value is a grid of finite numbers, or of JSON
+    integers within int64 when integer is set: not ragged, and no strings
+    or grid of booleans.  A None entry of shape admits any length.
+    """
+    value = _need(mapping, key, where)
+    try:
+        arr = np.asarray(value)
+        ok = arr.dtype.kind in ("i" if integer else "iuf") and np.isfinite(arr).all()
+    except ValueError:  # ragged nesting
+        ok = False
+    if not ok:
+        kind = "integers" if integer else "numbers"
+        raise FormatError(f"field '{key}' in {where} is not a grid of finite {kind}")
+    arr = arr.astype(np.int64 if integer else float, copy=False)
+    if shape is not None and (arr.ndim != len(shape) or any(
+            want not in (None, got) for got, want in zip(arr.shape, shape))):
+        raise FormatError(f"field '{key}' in {where} has shape {arr.shape}, expected {shape}")
+    return arr
 
 
 def _demand_lists(arr):
     # (K, N, T) -> [t][n][k]
     return arr.transpose(2, 1, 0).tolist()
-
-
-def _demand_array(nested, t, n, k, where):
-    arr = np.asarray(nested, dtype=float)
-    if arr.shape != (t, n, k):
-        raise FormatError(f"{where}: demand array has shape {arr.shape}, expected {(t, n, k)}")
-    return np.ascontiguousarray(arr.transpose(2, 1, 0))
 
 
 def write_instance(instance, path):
@@ -96,55 +116,26 @@ def write_instance(instance, path):
 
 
 def read_instance(path):
-    doc = _load_json(path, INSTANCE_FORMAT)
+    doc = load_json(path, INSTANCE_FORMAT)
     topo_doc = _need(doc, "topology", path)
-    n = _need(topo_doc, "n_users", "topology")
-    el = _need(topo_doc, "n_isps", "topology")
-    k = _need(topo_doc, "n_types", "topology")
-    t = _need(topo_doc, "n_slots", "topology")
-
-    def edge(name):
-        arr = np.asarray(_need(topo_doc, name, "topology"), dtype=float)
-        if arr.shape != (n, el):
-            raise FormatError(f"{path}: topology.{name} has shape {arr.shape}, expected {(n, el)}")
-        return arr
-
-    def isp(name):
-        arr = np.asarray(_need(topo_doc, name, "topology"), dtype=float)
-        if arr.shape != (el,):
-            raise FormatError(f"{path}: topology.{name} has shape {arr.shape}, expected {(el,)}")
-        return arr
-
-    masks = _need(topo_doc, "admissible", "topology")
-    admissible = np.zeros((k, n, el), dtype=bool)
-    try:
-        for q in range(k):
-            for u in range(n):
-                mask = int(masks[q][u])
-                for j in range(el):
-                    admissible[q, u, j] = bool(mask >> j & 1)
-    except (TypeError, ValueError, IndexError) as exc:
-        raise FormatError(f"{path}: topology.admissible must be a {k}x{n} integer grid") from exc
-
+    where = f"topology of {path}"
+    n, el, k, t = (int(need_array(topo_doc, name, where, shape=(), integer=True))
+                   for name in ("n_users", "n_isps", "n_types", "n_slots"))
+    masks = need_array(topo_doc, "admissible", where, shape=(k, n), integer=True)
     # every field is parsed before any is checked, so a missing field is
     # reported ahead of an invalid value
-    arrays = dict(
-        edge_cap_basic=edge("edge_cap_basic"),
-        edge_cap_billable=edge("edge_cap_billable"),
-        edge_cap_phys=edge("edge_cap_phys"),
-        edge_rate=edge("edge_rate"),
-        isp_cap_basic=isp("isp_cap_basic"),
-        isp_cap_billable=isp("isp_cap_billable"),
-        isp_cap_phys=isp("isp_cap_phys"),
-        isp_rate=isp("isp_rate"),
-    )
+    arrays = {f.name: need_array(topo_doc, f.name, where,
+                                 shape=(el,) if f.name.startswith("isp_") else (n, el))
+              for f in fields(Topology) if f.name != "admissible"}
+    # the link arrays have now shown el to be the real link count
+    admissible = (masks[:, :, None] >> np.arange(el) & 1).astype(bool)
     demands_doc = _need(doc, "demands", path)
-    d_in = _demand_array(_need(demands_doc, "inbound", "demands"), t, n, k, path)
-    d_out = _demand_array(_need(demands_doc, "outbound", "demands"), t, n, k, path)
+    demands = {name: need_array(demands_doc, name, f"demands of {path}", shape=(t, n, k))
+               .transpose(2, 1, 0) for name in ("inbound", "outbound")}  # (K, N, T)
     instance_id = _need(doc, "id", path)
     try:
         return Instance(topology=Topology(**arrays, admissible=admissible),
-                        demands=DemandTensor(inbound=d_in, outbound=d_out),
+                        demands=DemandTensor(**demands),
                         instance_id=instance_id, seed=doc.get("seed"))
     except ValueError as exc:
         raise FormatError(f"{path}: {exc}") from exc
@@ -166,14 +157,9 @@ def write_scheme(scheme, path, instance_id=None, cost=None):
 
 
 def read_scheme(path):
-    """Returns (scheme, instance_id or None, cost or None)."""
-    doc = _load_json(path, SCHEME_FORMAT)
-    try:
-        option = np.asarray(_need(doc, "option", path), dtype=np.int64)
-    except ValueError as exc:
-        raise FormatError(f"{path}: option grid is not integer") from exc
-    if option.ndim != 3:
-        raise FormatError(f"{path}: option grid must be [slot][user][type]")
+    """Returns (scheme, instance_id or None, cost or None); options are [t][n][k]."""
+    doc = load_json(path, SCHEME_FORMAT)
+    option = need_array(doc, "option", path, shape=(None, None, None), integer=True)
     if (option < 0).any():
         raise FormatError(f"{path}: negative option index")
     return AllocationScheme(option=option), doc.get("instance_id"), doc.get("cost")

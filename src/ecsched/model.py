@@ -59,7 +59,7 @@ class Topology:
 
     Edge arrays are (N, EL), ISP arrays are (EL,).  ``admissible`` is a
     boolean (K, N, EL) tensor; every (k, n) row must have at least one
-    True entry.
+    True entry.  Caps and rates are finite.
     """
 
     edge_cap_basic: np.ndarray
@@ -102,6 +102,9 @@ class Topology:
             raise InvalidTopologyError("admissible must be boolean")
         if not (self.admissible.any(axis=2)).all():
             raise InvalidTopologyError("every (type, user) pair needs at least one admissible link")
+        # NaN passes every ordering check below
+        if not all(np.isfinite(getattr(self, f.name)).all() for f in fields(self)):
+            raise InvalidTopologyError("capacities and rates must be finite")
         for cb, cm, cM, where in (
             (self.edge_cap_basic, self.edge_cap_billable, self.edge_cap_phys, "edge"),
             (self.isp_cap_basic, self.isp_cap_billable, self.isp_cap_phys, "ISP"),

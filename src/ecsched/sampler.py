@@ -31,12 +31,13 @@ temperature; see ``train``.
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import gumbel
-from .io import FormatError
+from .io import FormatError, load_json, need_array
 from .model import (AllocationScheme, SoftAllocation, build_option_table,
                     evaluate_hard, soft_loss, soft_loss_and_grad)
 from .nn import AdamState, Mlp, adam_step, init_mlp, mlp_backward, mlp_forward, parameters
@@ -206,6 +207,14 @@ class TrainConfig:
     # losses swing too much at small sizes for curves to be comparable
     metric_samples: int = 8
 
+    def __post_init__(self):
+        if not (self.n_epochs >= 1 and self.metric_samples >= 1):
+            raise ValueError("n_epochs and metric_samples must be at least 1")
+        if not all(0 < v < math.inf for v in (self.tau_start, self.tau_end, self.learning_rate)):
+            raise ValueError("tau_start, tau_end and learning_rate must be finite and positive")
+        if not all(0 <= v < math.inf for v in (self.lam_g, self.lam_h)):
+            raise ValueError("lam_g and lam_h must be finite and nonnegative")
+
 
 @dataclass(frozen=True)
 class EpochStats:
@@ -328,20 +337,24 @@ def _encoder_doc(mlp):
     }
 
 
-def _encoder_from_doc(doc, where):
+def _encoder_from_doc(encoders, name, path):
+    """The named encoder of a model file, or a FormatError naming it."""
+    where = f"{name} encoder of {path}"
     try:
-        widths = list(doc["widths"])
-        layers = doc["layers"]
-        mlp = Mlp(weights=[np.asarray(l["w"], dtype=float) for l in layers],
-                  biases=[np.asarray(l["b"], dtype=float) for l in layers],
-                  output=doc["output"], eps=float(doc["eps"]))
+        doc = encoders[name]
+        widths, layers, output = list(doc["widths"]), list(doc["layers"]), doc["output"]
     except (KeyError, TypeError) as exc:
         raise FormatError(f"{where}: malformed encoder block ({exc})") from exc
-    if mlp.widths != widths:
+    if output not in ("identity", "relu6_eps"):
+        raise FormatError(f"{where}: unknown output transform {output!r}")
+    mlp = Mlp(weights=[need_array(layer, "w", f"layer {i} of {where}", shape=(None, None))
+                       for i, layer in enumerate(layers)],
+              biases=[need_array(layer, "b", f"layer {i} of {where}", shape=(None,))
+                      for i, layer in enumerate(layers)],
+              output=output, eps=float(need_array(doc, "eps", where, shape=())))
+    shapes = [(w.shape, b.shape) for w, b in zip(mlp.weights, mlp.biases)]
+    if not layers or shapes != [((o, i), (o,)) for i, o in zip(widths, widths[1:])]:
         raise FormatError(f"{where}: layer shapes disagree with declared widths")
-    for w, b, fan_out in zip(mlp.weights, mlp.biases, widths[1:]):
-        if b.shape != (fan_out,) or w.shape[0] != fan_out:
-            raise FormatError(f"{where}: bias/weight shape mismatch")
     return mlp
 
 
@@ -372,26 +385,16 @@ def save_model(network, path):
 
 
 def load_model(path):
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise FormatError(f"{path}: not valid JSON ({exc})") from exc
-    for key in ("format", "version", "n_options", "n_links", "alpha_eps",
-                "input_scale", "encoders", "checksum"):
+    doc = load_json(path, MODEL_FORMAT, MODEL_VERSION)
+    for key in ("n_options", "n_links", "alpha_eps", "input_scale", "encoders", "checksum"):
         if key not in doc:
             raise FormatError(f"{path}: missing field '{key}'")
-    if doc["format"] != MODEL_FORMAT:
-        raise FormatError(f"{path}: format is '{doc['format']}', expected '{MODEL_FORMAT}'")
-    if doc["version"] != MODEL_VERSION:
-        raise FormatError(f"{path}: unsupported version {doc['version']}")
     if _payload_checksum(doc["encoders"]) != doc["checksum"]:
         raise IntegrityError(f"{path}: checksum mismatch, model payload corrupted")
     network = SamplingNetwork(
-        link=_encoder_from_doc(doc["encoders"]["link"], path),
-        program=_encoder_from_doc(doc["encoders"]["program"], path),
-        ranking=_encoder_from_doc(doc["encoders"]["ranking"], path),
-        input_scale=tuple(doc["input_scale"]),
+        **{name: _encoder_from_doc(doc["encoders"], name, path)
+           for name in ("link", "program", "ranking")},
+        input_scale=tuple(need_array(doc, "input_scale", path, shape=(None,)).tolist()),
     )
     # the sizes are read from the encoders; a file whose stated sizes
     # disagree with them is inconsistent
@@ -401,6 +404,9 @@ def load_model(path):
         raise FormatError(f"{path}: program encoder does not match n_links")
     if doc["alpha_eps"] != network.alpha_eps:
         raise FormatError(f"{path}: ranking head floor does not match alpha_eps")
+    # the floor keeps every location parameter strictly positive
+    if network.ranking.output != "relu6_eps" or not network.alpha_eps > 0:
+        raise FormatError(f"ranking encoder of {path}: needs output relu6_eps, eps > 0")
     # preprocess writes one feature column per INPUT_SCALE entry, and the
     # link and program encoders each emit one score per row
     n_features = len(INPUT_SCALE)

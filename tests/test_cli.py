@@ -88,6 +88,45 @@ def test_unknown_config_key_is_exit_3(tmp_path, capsys):
     assert "n_userz" in err
 
 
+@pytest.mark.parametrize("command, config, message", [
+    ("gen", {"n_users": "3"}, "'n_users' must be an integer"),
+    ("gen", {"n_users": 2.0}, "'n_users' must be an integer"),
+    ("gen", {"admissible_prob": "x"}, "'admissible_prob' must be a finite number"),
+    ("gen", {"cap_phys": float("nan")}, "'cap_phys' must be a finite number"),
+    ("gen", {"demand_band": [1]}, "'demand_band' must be a list of 2 finite numbers"),
+    ("gen", {"demand_band": [0.6, True]}, "'demand_band' must be a list of 2 finite numbers"),
+    ("gen", [1, 2], "top level must be a JSON object"),
+    ("train", {"n_epochs": "ten"}, "'n_epochs' must be an integer"),
+    ("train", {"n_epochs": 2.5}, "'n_epochs' must be an integer"),
+    ("train", {"n_epochs": True}, "'n_epochs' must be an integer"),
+    ("train", {"n_epochs": 0}, "n_epochs and metric_samples must be at least 1"),
+    ("train", {"metric_samples": 0}, "n_epochs and metric_samples must be at least 1"),
+    ("train", {"tau_start": -1}, "tau_start, tau_end and learning_rate must be finite and positive"),
+    ("train", {"learning_rate": "x"}, "'learning_rate' must be a finite number"),
+], ids=["gen-string-int", "gen-float-int", "gen-string-float", "gen-nan", "gen-short-tuple",
+        "gen-bool-in-tuple", "gen-list", "train-string-int", "train-float-int",
+        "train-bool-int", "train-zero-epochs", "train-zero-metric-samples",
+        "train-negative-tau", "train-string-float"])
+def test_config_type_and_range_errors_are_exit_3(cli_workspace, tmp_path, capsys,
+                                                 command, config, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    where = ["--out", str(tmp_path / "out")]
+    if command == "train":
+        where += ["--instances", str(cli_workspace["insts"])]
+    code, _, err = run(capsys, command, "--config", str(cfg), *where)
+    assert code == 3
+    assert message in err
+
+
+def test_undecodable_config_is_exit_3(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(b"\xff\xfe")
+    code, _, err = run(capsys, "gen", "--config", str(cfg), "--out", str(tmp_path / "x"))
+    assert code == 3
+    assert "not valid JSON" in err
+
+
 # ---------------------------------------------------------------------------
 # train / sample / eval
 # ---------------------------------------------------------------------------

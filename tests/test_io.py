@@ -8,10 +8,11 @@ import pytest
 
 from conftest import DESK_CONFIG, HELD_SEED0, make_tiny
 from ecsched import baselines
+from ecsched.cli import main
 from ecsched.generate import GenConfig, generate_instance
-from ecsched.io import (FormatError, read_instance, read_scheme,
-                        write_instance, write_scheme)
-from ecsched.model import build_option_table, total_cost
+from ecsched.io import (FormatError, load_json, need_array, read_instance,
+                        read_scheme, write_instance, write_scheme)
+from ecsched.model import AllocationScheme, build_option_table, total_cost
 
 
 def test_instance_round_trip_bit_exact(tmp_path):
@@ -198,3 +199,117 @@ def test_inconsistent_topology_rejected(tmp_path):
 def test_missing_file_raises_not_format_error(tmp_path):
     with pytest.raises(FileNotFoundError):
         read_instance(tmp_path / "nope.json")
+
+
+# ---------------------------------------------------------------------------
+# malformed values: every one is a FormatError, and exit 3 from the CLI
+# ---------------------------------------------------------------------------
+
+def set_topology(name, value):
+    def edit(doc):
+        doc["topology"][name] = value
+    return edit
+
+
+def nan_in_topology(name):
+    def edit(doc):
+        grid = doc["topology"][name]
+        if isinstance(grid[0], list):
+            grid[0][0] = float("nan")
+        else:
+            grid[0] = float("nan")
+    return edit
+
+
+def ragged_demands(doc):
+    doc["demands"]["inbound"][0][0] = doc["demands"]["inbound"][0][0][:1]
+
+
+@pytest.mark.parametrize("edit, message", [
+    (set_topology("edge_rate", [["x", "y"]]), "edge_rate.*not a grid of finite numbers"),
+    (set_topology("edge_rate", [[True, True]]), "edge_rate.*not a grid of finite numbers"),
+    (set_topology("edge_cap_phys", [[10000.0, 10000.0], [10000.0]]), "edge_cap_phys.*not a grid of finite numbers"),
+    (ragged_demands, "inbound.*not a grid of finite numbers"),
+    (set_topology("n_users", "1"), "n_users.*not a grid of finite integers"),
+    (set_topology("admissible", [[2.5], [3]]), "admissible.*not a grid of finite integers"),
+    (nan_in_topology("edge_rate"), "edge_rate.*finite"),
+    (nan_in_topology("edge_cap_basic"), "edge_cap_basic.*finite"),
+    (nan_in_topology("isp_cap_phys"), "isp_cap_phys.*finite"),
+], ids=["string-grid", "boolean-grid", "ragged-grid", "ragged-demands", "string-n_users",
+        "float-admissible", "nan-edge-rate", "nan-edge-cap-basic", "nan-isp-cap-phys"])
+def test_malformed_instance_values_are_exit_3(tmp_path, edit, message):
+    inst = make_tiny(11)
+    path = tmp_path / "inst.json"
+    write_instance(inst, path)
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(FormatError, match=message):
+        read_instance(path)
+    scheme_path = tmp_path / "scheme.json"
+    write_scheme(AllocationScheme(option=np.zeros(inst.dims, dtype=np.int64)), scheme_path)
+    assert main(["eval", "--instance", str(path), "--scheme", str(scheme_path)]) == 3
+
+
+def test_fractional_option_is_rejected_not_truncated(tmp_path):
+    inst = make_tiny(12)
+    inst_path = tmp_path / "inst.json"
+    write_instance(inst, inst_path)
+    path = tmp_path / "scheme.json"
+    path.write_text(json.dumps({
+        "format": "ecsched-scheme", "version": 1,
+        "option": np.full(inst.dims, 0.5).tolist()}))
+    with pytest.raises(FormatError, match="option.*not a grid of finite integers"):
+        read_scheme(path)
+    assert main(["eval", "--instance", str(inst_path), "--scheme", str(path)]) == 3
+
+
+def test_integer_fields_take_only_json_integers(tmp_path):
+    path = tmp_path / "scheme.json"
+    path.write_text(json.dumps({
+        "format": "ecsched-scheme", "version": 1, "option": [[[1.0, 0]]]}))
+    with pytest.raises(FormatError, match="option.*not a grid of finite integers"):
+        read_scheme(path)
+
+
+@pytest.mark.parametrize("content, message", [
+    (b"\xff\xfe{", "not valid JSON"),
+    (b"[1, 2]", "top level must be a JSON object"),
+    (b"3", "top level must be a JSON object"),
+], ids=["undecodable", "list", "number"])
+def test_load_json_needs_a_decodable_object(tmp_path, content, message):
+    path = tmp_path / "doc.json"
+    path.write_bytes(content)
+    with pytest.raises(FormatError, match=message):
+        load_json(path)
+
+
+def test_directory_path_is_exit_3(tmp_path):
+    with pytest.raises(FormatError, match="Is a directory"):
+        read_instance(tmp_path)
+    assert main(["eval", "--instance", str(tmp_path), "--scheme", str(tmp_path)]) == 3
+
+
+@pytest.mark.parametrize("value, kwargs, message", [
+    ([[1, 2], [3, 4]], {}, None),
+    ([[1, 2], [3, 4]], {"shape": (2, None)}, None),
+    ([[1, 2], [3, 4]], {"shape": (None,)}, "has shape \\(2, 2\\)"),
+    ([[1, 2], [3, 4]], {"shape": (2, 3)}, "has shape \\(2, 2\\), expected \\(2, 3\\)"),
+    ([[1.5, 2]], {"integer": True}, "not a grid of finite integers"),
+    ([2 ** 63], {"integer": True}, "not a grid of finite integers"),
+    ([[1, 2], [3]], {}, "not a grid of finite numbers"),
+    ([1, None], {}, "not a grid of finite numbers"),
+    ({"a": 1}, {}, "not a grid of finite numbers"),
+    ([1.0, float("inf")], {}, "not a grid of finite numbers"),
+    ([True], {"integer": True}, "not a grid of finite integers"),
+], ids=["plain", "open-axis", "wrong-rank", "wrong-length", "fractional", "overflow", "ragged",
+        "null", "object", "infinity", "boolean"])
+def test_need_array(value, kwargs, message):
+    if message is None:
+        arr = need_array({"x": value}, "x", "doc", **kwargs)
+        assert arr.dtype == np.float64 and arr.tolist() == value
+    else:
+        with pytest.raises(FormatError, match=f"field 'x' in doc .*{message}"):
+            need_array({"x": value}, "x", "doc", **kwargs)
+    with pytest.raises(FormatError, match="missing field 'y' in doc"):
+        need_array({"x": value}, "y", "doc", **kwargs)

@@ -126,6 +126,17 @@ def test_topology_rejects_cap_order_violation():
         plain_topology([[100.0, 300.0]], 50.0, 5.0, np.ones((1, 1, 2), dtype=bool))
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"r_e": np.nan}, {"cb_e": [[np.nan, 300.0]]}, {"cmax_e": np.inf},
+    {"cmax_l": np.nan}, {"r_l": np.inf},
+], ids=["nan-edge-rate", "nan-edge-basic", "inf-edge-phys", "nan-isp-phys", "inf-isp-rate"])
+def test_topology_rejects_non_finite_caps_and_rates(kwargs):
+    args = {"cb_e": [[100.0, 300.0]], "cm_e": 1e4, "r_e": 5.0,
+            "admissible": np.ones((1, 1, 2), dtype=bool), **kwargs}
+    with pytest.raises(InvalidTopologyError, match="finite"):
+        plain_topology(**args)
+
+
 def test_demands_reject_negative_but_allow_zero():
     z = np.zeros((1, 1, 3))
     DemandTensor(inbound=z, outbound=z)

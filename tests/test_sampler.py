@@ -575,6 +575,52 @@ def test_model_encoders_must_fit_the_features(tmp_path, edit, message):
     assert_model_rejected(tmp_path, doc, message)
 
 
+def set_encoder(name, key, value):
+    def edit(doc):
+        doc["encoders"][name][key] = value
+    return edit
+
+
+def string_weight(doc):
+    doc["encoders"]["link"]["layers"][0]["w"][0][0] = "x"
+
+
+def string_input_scale(doc):
+    doc["input_scale"] = ["a", "b", "c", "d"]
+
+
+@pytest.mark.parametrize("edit, message", [
+    (string_input_scale, "'input_scale' in .* not a grid of finite numbers"),
+    (string_weight, "'w' in layer 0 of link encoder of .* not a grid of finite numbers"),
+    (set_encoder("link", "output", "tanh"), "link encoder of .*unknown output transform 'tanh'"),
+    (set_encoder("program", "eps", "x"), "'eps' in program encoder of .* not a grid"),
+    (set_encoder("ranking", "output", "identity"), "ranking encoder of .*needs output relu6_eps, eps > 0"),
+    (set_encoder("ranking", "layers", []), "ranking encoder of .*disagree with declared widths"),
+], ids=["string-input-scale", "string-weight", "tanh-output", "string-eps",
+        "identity-ranking-head", "no-layers"])
+def test_malformed_model_values_are_exit_3(tmp_path, edit, message):
+    path = tmp_path / "model.json"
+    save_model(create_network(seed=4), path)
+    doc = json.loads(path.read_text())
+    edit(doc)
+    doc["checksum"] = sampler._payload_checksum(doc["encoders"])
+    assert_model_rejected(tmp_path, doc, message)
+
+
+def test_model_file_must_be_an_object(tmp_path):
+    assert_model_rejected(tmp_path, 3, "top level must be a JSON object")
+
+
+@pytest.mark.parametrize("field, value", [
+    ("n_epochs", 0), ("metric_samples", 0), ("tau_start", -1.0), ("tau_end", 0.0),
+    ("learning_rate", float("nan")), ("tau_start", float("inf")),
+    ("lam_g", -0.5), ("lam_h", float("nan")),
+])
+def test_train_config_rejects_out_of_range_values(field, value):
+    with pytest.raises(ValueError, match=field):
+        TrainConfig(**{field: value})
+
+
 def test_model_missing_field(tmp_path):
     net = create_network(seed=4)
     path = tmp_path / "model.json"

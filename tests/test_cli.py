@@ -111,10 +111,10 @@ def test_config_type_and_range_errors_are_exit_3(cli_workspace, tmp_path, capsys
                                                  command, config, message):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
-    where = ["--out", str(tmp_path / "out")]
+    args = ["--out", str(tmp_path / "out")]
     if command == "train":
-        where += ["--instances", str(cli_workspace["insts"])]
-    code, _, err = run(capsys, command, "--config", str(cfg), *where)
+        args += ["--instances", str(cli_workspace["insts"])]
+    code, _, err = run(capsys, command, "--config", str(cfg), *args)
     assert code == 3
     assert message in err
 

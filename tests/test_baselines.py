@@ -1,5 +1,7 @@
 """Uniform sampling policy and exhaustive search."""
 
+import hashlib
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -9,6 +11,7 @@ from conftest import make_tiny
 from ecsched.baselines import (BudgetExceededError, brute_force,
                                combination_count, rsn_best_of,
                                rsn_best_of_detailed, rsn_sample)
+from ecsched.generate import GenConfig, generate_instance
 from ecsched.model import (build_option_table, check_feasibility,
                            evaluate_hard, total_cost)
 
@@ -127,3 +130,21 @@ def test_rsn_best_of_replay():
     assert np.array_equal(again[0].option, best[0].option)
     with pytest.raises(ValueError):
         rsn_best_of_detailed(inst, 0, np.random.default_rng(5), table)
+
+
+# sha256 over rsn_best_of_detailed's scheme bytes, cost repr and feasible
+# count on three default-size instances
+RSN_BEST_OF_SHA256 = "c2be78e8c2692dafd97ba51c032419b0f3c5e20a2ec861ba5bfd0a2ae94ca93c"
+
+
+def test_rsn_best_of_bytes_are_pinned():
+    digest = hashlib.sha256()
+    for j, seed in enumerate(range(100000, 100003)):
+        inst = generate_instance(GenConfig(), seed=seed)
+        best, n_feasible = rsn_best_of_detailed(inst, 100, np.random.default_rng([1, j, 1]))
+        assert best is not None
+        scheme, cost = best
+        digest.update(scheme.option.tobytes())
+        digest.update(repr(cost).encode())
+        digest.update(str(n_feasible).encode())
+    assert digest.hexdigest() == RSN_BEST_OF_SHA256

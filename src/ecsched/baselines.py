@@ -10,7 +10,7 @@ explicit budget instead of silently running for hours.
 import numpy as np
 
 from . import _kernels
-from .model import AllocationScheme, build_option_table, evaluate_hard
+from .model import AllocationScheme, best_feasible, build_option_table, evaluate_hard
 
 
 class BudgetExceededError(RuntimeError):
@@ -26,27 +26,12 @@ def rsn_sample(instance, rng, table=None):
 
 
 def rsn_best_of_detailed(instance, n_samples, rng, table=None):
-    """n_samples uniform schemes; ((scheme, cost) or None, feasible count)."""
-    if n_samples < 1:
-        raise ValueError("need at least one sample")
+    """n_samples uniform schemes, drawn in one call (the same stream as
+    n_samples ``rsn_sample`` calls); ``best_feasible`` of them."""
     if table is None:
         table = build_option_table(instance.topology)
-    best = None
-    n_feasible = 0
-    for _ in range(n_samples):
-        scheme = rsn_sample(instance, rng, table)
-        cost, feasible = evaluate_hard(instance, table, scheme.option)
-        if feasible:
-            n_feasible += 1
-            if best is None or cost < best[1]:
-                best = (scheme, cost)
-    return best, n_feasible
-
-
-def rsn_best_of(instance, n_samples, rng, table=None):
-    """Best feasible of n uniform draws as (scheme, cost), or None."""
-    best, _ = rsn_best_of_detailed(instance, n_samples, rng, table)
-    return best
+    options = rng.integers(0, table.n_valid.T, size=(n_samples, *instance.dims))
+    return best_feasible(options, [evaluate_hard(instance, table, o) for o in options])
 
 
 def combination_count(instance, table=None):

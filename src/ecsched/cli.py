@@ -4,11 +4,12 @@ Subcommands cover the whole workflow: generate instances, train a
 sampler, sample and evaluate schemes, run the exact baselines, export
 the MILP, import a solver's solution, and benchmark policies.  Exit
 codes: 0 on success, 2 when no feasible result exists (or a search
-refuses its budget), 3 on malformed input files.
+refuses its budget), 3 on malformed input files or out-of-range flags.
 """
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -60,18 +61,25 @@ def _config_overrides(path, config):
         if need:
             raise FormatError(f"{path}: config key '{key}' must be {need}, got {json.dumps(value)}")
         updates[key] = tuple(value) if isinstance(value, list) else value
+    return _replaced(config, path, **updates)
+
+
+def _replaced(config, where, **changes):
+    """dataclasses.replace, with the config's range error as a FormatError."""
     try:
-        return replace(config, **updates)
+        return replace(config, **changes)
     except ValueError as exc:
-        raise FormatError(f"{path}: {exc}") from exc
+        raise FormatError(f"{where}: {exc}") from exc
 
 
 def _load_instances(directory):
     root = Path(directory)
     manifest = root / "manifest.csv"
     if manifest.exists():
-        with open(manifest) as fh:
-            paths = [root / row["path"] for row in csv.DictReader(fh)]
+        rows = csv.DictReader(io.read_text(manifest, "CSV").split("\n"), restval="")
+        if "path" not in (rows.fieldnames or ()):
+            raise FormatError(f"{manifest}: no 'path' column")
+        paths = [root / row["path"] for row in rows]
     else:
         paths = sorted(root.glob("*.json"))
     if not paths:
@@ -79,12 +87,20 @@ def _load_instances(directory):
     return [io.read_instance(p) for p in paths]
 
 
+def _write_csv(path, rows):
+    """Rows of dicts as CSV, headed by the first row's keys."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)
+
+
 def cmd_gen(args):
     flags = {"users": "n_users", "slots": "n_slots", "types": "n_types", "isps": "n_isps",
              "seed": "seed"}
-    config = replace(_config_overrides(args.config, GenConfig()),
-                     **{name: getattr(args, flag) for flag, name in flags.items()
-                        if getattr(args, flag) is not None})
+    config = _replaced(_config_overrides(args.config, GenConfig()), "command line",
+                       **{name: getattr(args, flag) for flag, name in flags.items()
+                          if getattr(args, flag) is not None})
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     rows = []
@@ -95,10 +111,7 @@ def cmd_gen(args):
         rows.append({"id": inst.instance_id, "seed": inst.seed,
                      "n_users": config.n_users, "n_slots": config.n_slots,
                      "path": path.name})
-    with open(out / "manifest.csv", "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=["id", "seed", "n_users", "n_slots", "path"])
-        writer.writeheader()
-        writer.writerows(rows)
+    _write_csv(out / "manifest.csv", rows)
     print(f"wrote {args.count} instances to {out}")
     return EXIT_OK
 
@@ -113,11 +126,9 @@ def cmd_train(args):
     history = sampler.train(network, instances, config, eval_instances)
     sampler.save_model(network, args.out)
     if args.history:
-        with open(args.history, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["epoch", "tau", "train_loss", "eval_loss"])
-            for h in history:
-                writer.writerow([h.epoch, f"{h.tau:.6f}", repr(h.train_loss), repr(h.eval_loss)])
+        _write_csv(args.history, [{"epoch": h.epoch, "tau": f"{h.tau:.6f}",
+                                   "train_loss": repr(h.train_loss),
+                                   "eval_loss": repr(h.eval_loss)} for h in history])
     first = history[0]
     last = history[-1]
     print(f"trained {config.n_epochs} epochs on {len(instances)} instances")
@@ -128,27 +139,19 @@ def cmd_train(args):
     return EXIT_OK
 
 
-def _policy_network(args):
-    """The network behind --policy gssn; None for rsn."""
+def _policy_best_of(args):
+    """--policy's best-of sampler, called as (instance, n_samples, rng, table)."""
     if args.policy == "rsn":
-        return None
+        return baselines.rsn_best_of_detailed
     if not args.model:
         raise FormatError("--model is required unless --policy rsn")
-    return sampler.load_model(args.model)
-
-
-def _best_of(network, instance, n_samples, rng, table=None):
-    """Best of n_samples draws from the network, or from RSN when it is None;
-    returns ((scheme, cost) or None, feasible count)."""
-    if network is None:
-        return baselines.rsn_best_of_detailed(instance, n_samples, rng, table)
-    return sampler.best_of_detailed(network, instance, n_samples, rng, table)
+    return functools.partial(sampler.best_of_detailed, sampler.load_model(args.model))
 
 
 def cmd_sample(args):
     instance = io.read_instance(args.instance)
     rng = np.random.default_rng(args.seed if args.seed is not None else 0)
-    best, n_feasible = _best_of(_policy_network(args), instance, args.samples, rng)
+    best, n_feasible = _policy_best_of(args)(instance, args.samples, rng)
     if best is None:
         raise NoResult(f"no feasible scheme in {args.samples} samples")
     scheme, cost = best
@@ -220,14 +223,14 @@ def cmd_import_solution(args):
     return EXIT_OK
 
 
-def _bench_rows(network, instances, n_samples, label, rng_for):
+def _bench_rows(best_of, instances, n_samples, label, rng_for):
     """One row per instance; rng_for(idx) seeds instance idx's draws."""
     rows = []
     for idx, instance in enumerate(instances):
         rng = rng_for(idx)
         table = build_option_table(instance.topology)
         start = time.perf_counter()
-        best, n_feasible = _best_of(network, instance, n_samples, rng, table)
+        best, n_feasible = best_of(instance, n_samples, rng, table)
         elapsed = time.perf_counter() - start
         rows.append({
             "instance_id": instance.instance_id,
@@ -251,16 +254,13 @@ def _aggregate(rows, n_samples):
 
 
 def cmd_bench(args):
-    network = _policy_network(args)
+    best_of = _policy_best_of(args)
     instances = _load_instances(args.instances)
     seed = args.seed if args.seed is not None else 0
-    rows = _bench_rows(network, instances, args.samples, args.policy,
+    rows = _bench_rows(best_of, instances, args.samples, args.policy,
                        lambda idx: np.random.default_rng([seed, idx]))
     if args.out:
-        with open(args.out, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
-            writer.writeheader()
-            writer.writerows(rows)
+        _write_csv(args.out, rows)
     mean, std, ssfr, pfr = _aggregate(rows, args.samples)
     print(f"{args.policy}: {len(instances)} instances, {args.samples} samples each")
     print(f"mean best cost {mean:.4f} (std {std:.4f})")
@@ -269,12 +269,14 @@ def cmd_bench(args):
 
 
 def cmd_generalize(args):
-    network = sampler.load_model(args.model)
+    policies = {"gssn": functools.partial(sampler.best_of_detailed, sampler.load_model(args.model)),
+                "rsn": baselines.rsn_best_of_detailed}
     base = _config_overrides(args.config, GenConfig())
     grid = [int(v) for v in args.grid.split(",") if v]
     if not grid:
         raise FormatError("--grid needs at least one value")
     axis_field = {"slots": "n_slots", "users": "n_users"}[args.axis]
+    configs = [_replaced(base, "--grid", **{axis_field: value}) for value in grid]
     seed0 = args.seed if args.seed is not None else 0
     # slot sweeps hold the static draw fixed per instance index and
     # resample only demands; user sweeps change the topology, so both
@@ -284,8 +286,7 @@ def cmd_generalize(args):
         statics = [sample_static(base, np.random.default_rng(seed0 + i))
                    for i in range(args.count)]
     out_rows = []
-    for point_idx, value in enumerate(grid):
-        config = replace(base, **{axis_field: value})
+    for point_idx, (value, config) in enumerate(zip(grid, configs)):
         if statics is not None:
             instances = []
             for i in range(args.count):
@@ -298,9 +299,9 @@ def cmd_generalize(args):
         else:
             instances = [generate_instance(config, seed=seed0 + point_idx * args.count + i)
                          for i in range(args.count)]
-        for policy, policy_network in (("gssn", network), ("rsn", None)):
+        for policy, best_of in policies.items():
             rows = _bench_rows(
-                policy_network, instances, args.samples, policy,
+                best_of, instances, args.samples, policy,
                 lambda idx: np.random.default_rng([seed0, point_idx, idx, policy == "gssn"]))
             mean, std, ssfr, pfr = _aggregate(rows, args.samples)
             out_rows.append({
@@ -310,10 +311,7 @@ def cmd_generalize(args):
                 "ssfr": repr(ssfr), "pfr": repr(pfr),
             })
             print(f"{args.axis}={value} {policy}: mean best cost {mean:.4f}")
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(out_rows[0].keys()))
-        writer.writeheader()
-        writer.writerows(out_rows)
+    _write_csv(args.out, out_rows)
     print(f"sweep written to {args.out}")
     return EXIT_OK
 
@@ -400,13 +398,14 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for flag, least in (("seed", 0), ("count", 1), ("samples", 1)):
+            value = getattr(args, flag, None)
+            if value is not None and value < least:
+                raise FormatError(f"--{flag} must be at least {least}")
         return args.func(args)
-    except (FormatError, FileNotFoundError) as exc:
+    except (FormatError, FileNotFoundError, NoResult) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FORMAT
-    except NoResult as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NO_RESULT
+        return EXIT_NO_RESULT if isinstance(exc, NoResult) else EXIT_FORMAT
 
 
 if __name__ == "__main__":

@@ -25,6 +25,7 @@ draws come from a single numpy Generator, so one seed pins the instance
 bit for bit.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,6 +52,26 @@ class GenConfig:
     demand_band: tuple = (0.6, 0.8)
     cap_pass_trigger: float = 0.25
     cap_pass_band: tuple = (0.05, 0.125)
+
+    def __post_init__(self):
+        """ValueError unless every draw is a valid Topology and DemandTensor."""
+        if min(self.n_users, self.n_slots, self.n_types, self.n_isps) < 1 or self.seed < 0:
+            raise ValueError("n_users, n_slots, n_types and n_isps must be at least 1, seed at least 0")
+        for name in ("cap_billable_range", "cap_basic_frac", "rate_range", "isp_contraction",
+                     "demand_init", "demand_band", "cap_pass_band"):
+            lo, hi = getattr(self, name)
+            if not 0 <= lo <= hi < math.inf or lo == 0 and name in ("isp_contraction", "demand_init"):
+                raise ValueError(f"{name} must be a finite ascending pair from 0 "
+                                 "(above 0 for isp_contraction and demand_init)")
+        if not (0 <= self.admissible_prob <= 1 and 0 <= self.cap_pass_trigger < math.inf):
+            raise ValueError("admissible_prob must lie in [0, 1], cap_pass_trigger in [0, inf)")
+        # ISP caps are contracted edge sums drawn one by one, so only these
+        # margins keep them ordered basic <= billable <= physical
+        c_lo, c_hi = self.isp_contraction
+        if not (c_hi * self.cap_basic_frac[1] <= c_lo
+                and c_hi * self.cap_billable_range[1] <= c_lo * self.cap_phys < math.inf):
+            raise ValueError("isp_contraction needs cap_basic_frac[1] <= lo/hi and "
+                             "cap_billable_range[1] <= cap_phys * lo/hi")
 
 
 def sample_static(config, rng):

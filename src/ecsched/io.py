@@ -33,13 +33,22 @@ def _need(mapping, key, where):
     return mapping[key]
 
 
+def read_text(path, kind):
+    """Text at path, line ends read as "\\n"; FormatError for a directory or undecodable bytes."""
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except (IsADirectoryError, UnicodeDecodeError) as exc:
+        raise FormatError(f"{path}: not valid {kind} ({exc})") from exc
+
+
 def load_json(path, expect_format=None, version=FORMAT_VERSION):
     """The JSON object stored at path, checked for format and version when
     expect_format is given; a missing file stays FileNotFoundError."""
+    text = read_text(path, "JSON")
     try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except (IsADirectoryError, ValueError) as exc:  # a directory, undecodable bytes or text
+        doc = json.loads(text)
+    except ValueError as exc:
         raise FormatError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(doc, dict):
         raise FormatError(f"{path}: top level must be a JSON object")

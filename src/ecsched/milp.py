@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .io import FormatError
+from .io import FormatError, read_text
 from .model import (AllocationScheme, build_option_table, check_scheme, evaluate_hard,
                     percentile_exempt_count)
 
@@ -276,27 +276,26 @@ def read_solution(path, model):
     """
     declared = None
     values = np.zeros(len(model.variables))
-    with open(path) as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#") or line.startswith("\\"):
-                low = line.lstrip("#\\ \t").lower()
-                if low.startswith("objective value"):
-                    declared = _finite(line.partition("=")[2].strip(),
-                                       f"{path}:{line_no}: bad objective comment")
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise FormatError(f"{path}:{line_no}: expected 'name value'")
-            name, text = parts
-            if name.lower() == "objective":
-                declared = _finite(text, f"{path}:{line_no}: bad objective value")
-                continue
-            if name not in model.index:
-                raise FormatError(f"{path}:{line_no}: unknown variable '{name}'")
-            values[model.index[name]] = _finite(text, f"{path}:{line_no}: bad value for '{name}'")
+    for line_no, raw in enumerate(read_text(path, "solution text").split("\n"), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith("#") or line.startswith("\\"):
+            low = line.lstrip("#\\ \t").lower()
+            if low.startswith("objective value"):
+                declared = _finite(line.partition("=")[2].strip(),
+                                   f"{path}:{line_no}: bad objective comment")
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise FormatError(f"{path}:{line_no}: expected 'name value'")
+        name, text = parts
+        if name.lower() == "objective":
+            declared = _finite(text, f"{path}:{line_no}: bad objective value")
+            continue
+        if name not in model.index:
+            raise FormatError(f"{path}:{line_no}: unknown variable '{name}'")
+        values[model.index[name]] = _finite(text, f"{path}:{line_no}: bad value for '{name}'")
 
     lam = model.blocks["lam"]
     exists = lam >= 0

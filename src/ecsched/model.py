@@ -273,15 +273,10 @@ class FeasibilityReport:
 
     @property
     def feasible(self):
-        return not (self.edge_phys or self.isp_phys or self.edge_billable or self.isp_billable)
+        return not any(self.counts().values())
 
     def counts(self):
-        return {
-            "edge_phys": len(self.edge_phys),
-            "isp_phys": len(self.isp_phys),
-            "edge_billable": len(self.edge_billable),
-            "isp_billable": len(self.isp_billable),
-        }
+        return {f.name: len(getattr(self, f.name)) for f in fields(self)}
 
 
 def g95(series):
@@ -362,16 +357,31 @@ def evaluate_hard(instance, table, option):
     return flows.cost_total, True
 
 
-def soft_loss(instance, alloc, lam_g=1.0, lam_h=1.0, table=None):
+def best_feasible(options, priced):
+    """The cheapest feasible draw of an (S, T, N, K) option block, given
+    priced[s] = (cost, feasible) for draw s: ((scheme, cost) or None,
+    feasible count).  Ties go to the earliest draw, and the scheme holds a
+    copy, not a view of the block.  Each sampler prices its draws with its
+    own module's ``evaluate_hard``: the benchmark's tracer counts draws per
+    policy there."""
+    if not priced:
+        raise ValueError("need at least one sample")
+    feasible = [i for i, (_, ok) in enumerate(priced) if ok]
+    if not feasible:
+        return None, 0
+    best = min(feasible, key=lambda i: priced[i][0])
+    return (AllocationScheme(option=options[best].copy()), priced[best][0]), len(feasible)
+
+
+def soft_loss(instance, alloc, lam_g=1.0, table=None):
     """Penalized objective: cost + lam_g * sum of squared cap overshoots.
 
     The overshoots cover per-slot physical caps (edge and ISP) and the
-    billable caps on z.  The equality-penalty weight lam_h is accepted
-    for interface completeness; split weights are normalized per option,
-    so flow conservation holds identically and that term is zero.
+    billable caps on z.  Flow conservation needs no penalty: split
+    weights are normalized per option, so it holds identically.
     """
-    if lam_g < 0 or lam_h < 0:
-        raise ValueError("penalty weights must be nonnegative")
+    if lam_g < 0:
+        raise ValueError("penalty weight lam_g must be nonnegative")
     flows = compute_flows(instance, alloc, table)
     return flows.cost_total + lam_g * flows.penalty
 

@@ -38,7 +38,7 @@ import numpy as np
 
 from . import gumbel
 from .io import FormatError, load_json, need_array
-from .model import (AllocationScheme, SoftAllocation, build_option_table,
+from .model import (AllocationScheme, SoftAllocation, best_feasible, build_option_table,
                     evaluate_hard, soft_loss, soft_loss_and_grad)
 from .nn import AdamState, Mlp, adam_step, init_mlp, mlp_backward, mlp_forward, parameters
 
@@ -201,19 +201,18 @@ class TrainConfig:
     tau_end: float = 0.31
     learning_rate: float = 1e-4
     lam_g: float = 1.0
-    lam_h: float = 1.0
     seed: int = 0
     # samples per instance for the recorded loss curves; single sampled
     # losses swing too much at small sizes for curves to be comparable
     metric_samples: int = 8
 
     def __post_init__(self):
-        if not (self.n_epochs >= 1 and self.metric_samples >= 1):
-            raise ValueError("n_epochs and metric_samples must be at least 1")
+        if not (self.n_epochs >= 1 and self.metric_samples >= 1 and self.seed >= 0):
+            raise ValueError("n_epochs and metric_samples must be at least 1, seed at least 0")
         if not all(0 < v < math.inf for v in (self.tau_start, self.tau_end, self.learning_rate)):
             raise ValueError("tau_start, tau_end and learning_rate must be finite and positive")
-        if not all(0 <= v < math.inf for v in (self.lam_g, self.lam_h)):
-            raise ValueError("lam_g and lam_h must be finite and nonnegative")
+        if not 0 <= self.lam_g < math.inf:
+            raise ValueError("lam_g must be finite and nonnegative")
 
 
 @dataclass(frozen=True)
@@ -236,8 +235,7 @@ def _mean_sampled_loss(network, dataset, tau, config, rng):
     for inst, table, inp in dataset:
         alpha, _ = forward_alpha(network, inp)
         for _ in range(config.metric_samples):
-            vals.append(soft_loss(inst, draw_soft(alpha, tau, rng),
-                                  config.lam_g, config.lam_h, table=table))
+            vals.append(soft_loss(inst, draw_soft(alpha, tau, rng), config.lam_g, table=table))
     return float(np.mean(vals))
 
 
@@ -288,39 +286,15 @@ def train(network, instances, config, eval_instances=()):
 
 
 def best_of_detailed(network, instance, n_samples, rng, table=None):
-    """n_samples hard draws; returns ((scheme, cost) or None, feasible count).
-
-    The location parameters are computed once and all n_samples schemes
-    are drawn in one block, the same stream as n_samples ``draw_hard``
-    calls; ties between equal-cost feasible samples resolve to the
-    earliest draw.
-    """
-    if n_samples < 1:
-        raise ValueError("need at least one sample")
+    """n_samples hard draws from one forward pass, drawn in one block (the
+    same stream as n_samples ``draw_hard`` calls); ``best_feasible`` of them."""
     if table is None:
         table = build_option_table(instance.topology)
     # [0] drops the forward caches before the draw block is allocated
     alpha = forward_alpha(network, preprocess(instance, table))[0]
     options = gumbel.categorical_rows(alpha.values, alpha.valid, rng, n_samples)
     options = options.reshape(n_samples, *alpha.dims)
-    best = None
-    n_feasible = 0
-    for option in options:
-        cost, feasible = evaluate_hard(instance, table, option)
-        if feasible:
-            n_feasible += 1
-            if best is None or cost < best[1]:
-                best = (option, cost)
-    if best is not None:
-        # a copy, so the returned scheme does not keep the draw block alive
-        best = (AllocationScheme(option=best[0].copy()), best[1])
-    return best, n_feasible
-
-
-def best_of(network, instance, n_samples, rng, table=None):
-    """Best feasible of n_samples draws as (scheme, cost), or None."""
-    best, _ = best_of_detailed(network, instance, n_samples, rng, table)
-    return best
+    return best_feasible(options, [evaluate_hard(instance, table, o) for o in options])
 
 
 # ---------------------------------------------------------------------------

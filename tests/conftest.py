@@ -50,7 +50,7 @@ def recorded_protocol_loss(network, instances, tau, config, rng):
         alpha, _ = sampler.forward_alpha(network, sampler.preprocess(inst, table))
         for _ in range(config.metric_samples):
             vals.append(soft_loss(inst, sampler.draw_soft(alpha, tau, rng),
-                                  config.lam_g, config.lam_h, table=table))
+                                  config.lam_g, table=table))
     return float(np.mean(vals))
 
 

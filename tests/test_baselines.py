@@ -9,8 +9,8 @@ import scipy.stats
 import oracles
 from conftest import make_tiny
 from ecsched.baselines import (BudgetExceededError, brute_force,
-                               combination_count, rsn_best_of,
-                               rsn_best_of_detailed, rsn_sample)
+                               combination_count, rsn_best_of_detailed,
+                               rsn_sample)
 from ecsched.generate import GenConfig, generate_instance
 from ecsched.model import (build_option_table, check_feasibility,
                            evaluate_hard, total_cost)
@@ -125,7 +125,7 @@ def test_rsn_best_of_replay():
     assert nf == len(costs)
     assert 0 < nf < 60
     assert best is not None and best[1] == min(costs)
-    again = rsn_best_of(inst, 60, np.random.default_rng(5), table)
+    again, _ = rsn_best_of_detailed(inst, 60, np.random.default_rng(5), table)
     assert again[1] == best[1]
     assert np.array_equal(again[0].option, best[0].option)
     with pytest.raises(ValueError):

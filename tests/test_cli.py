@@ -127,6 +127,42 @@ def test_undecodable_config_is_exit_3(tmp_path, capsys):
     assert "not valid JSON" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["gen", {"n_users": -1}], "n_users, n_slots, n_types and n_isps must be at least 1"),
+    (["gen", {"cap_phys": -1}], "cap_phys"),
+    (["gen", {"rate_range": [10, 5]}], "rate_range must be a finite ascending pair"),
+    (["gen", {"n_isps": 0}], "n_users, n_slots, n_types and n_isps must be at least 1"),
+    (["gen", "--users", "-1"], "command line: n_users, n_slots"),
+    (["gen", "--seed", "-1"], "--seed must be at least 0"),
+    (["gen", "--count", "-1"], "--count must be at least 1"),
+    (["train", {"seed": -1}], "seed at least 0"),
+    (["sample", "--policy", "rsn", "--samples", "0"], "--samples must be at least 1"),
+    (["bench", "--policy", "rsn", "--samples", "0"], "--samples must be at least 1"),
+    (["generalize", "--count", "0"], "--count must be at least 1"),
+    (["generalize", "--grid", "0"], "--grid: n_users, n_slots"),
+], ids=["gen-config-users", "gen-config-cap-phys", "gen-config-rate-range", "gen-config-isps",
+        "gen-users", "gen-seed", "gen-count", "train-config-seed", "sample-samples",
+        "bench-samples", "generalize-count", "generalize-grid"])
+def test_out_of_range_settings_are_exit_3(cli_workspace, tmp_path, capsys, argv, message):
+    command, *rest = argv
+    args = {"gen": [], "train": ["--instances", str(cli_workspace["insts"])],
+            "sample": ["--instance", str(cli_workspace["insts"] / "inst-00000060.json")],
+            "bench": ["--instances", str(cli_workspace["insts"])],
+            "generalize": ["--model", str(cli_workspace["model"]), "--axis", "slots",
+                           "--grid", "3", "--count", "1"]}[command]
+    for arg in rest:
+        if isinstance(arg, dict):
+            (tmp_path / "cfg.json").write_text(json.dumps(arg))
+            args += ["--config", str(tmp_path / "cfg.json")]
+        else:
+            args.append(arg)
+    out = tmp_path / "out"
+    code, _, err = run(capsys, command, *args, "--out", str(out))
+    assert code == 3
+    assert message in err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # train / sample / eval
 # ---------------------------------------------------------------------------
@@ -366,6 +402,21 @@ def test_import_fractional_solution_is_exit_3(tmp_path, capsys):
     assert "not binary" in err
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda path: path.write_bytes(b"lam_t0_n0_k0_p0 1\n\xff\xfe\n"), "not valid solution text"),
+    (lambda path: path.mkdir(), "Is a directory"),
+], ids=["undecodable", "directory"])
+def test_unreadable_solution_is_exit_3(tmp_path, capsys, make, message):
+    inst_path = tmp_path / "inst.json"
+    io.write_instance(make_tiny(5), inst_path)
+    sol = tmp_path / "sol.txt"
+    make(sol)
+    code, _, err = run(capsys, "import-solution", "--instance", str(inst_path),
+                       "--solution", str(sol), "--out", str(tmp_path / "b.json"))
+    assert code == 3
+    assert str(sol) in err and message in err
+
+
 # ---------------------------------------------------------------------------
 # bench
 # ---------------------------------------------------------------------------
@@ -434,6 +485,23 @@ def test_bench_rsn_policy(tmp_path, capsys):
                         "--policy", "rsn", "--samples", "10", "--seed", "1")
     assert code == 0
     assert "rsn: 2 instances" in text
+
+
+@pytest.mark.parametrize("manifest, message", [
+    (b"id,file\ninst-00000060,inst-00000060.json\n", "no 'path' column"),
+    (b"", "no 'path' column"),
+    (b"id,path\n\xff\n", "not valid CSV"),
+    (b"id,path\ninst-00000060\n", "Is a directory"),
+], ids=["no-path-column", "empty", "undecodable", "short-row"])
+def test_malformed_manifest_is_exit_3(tmp_path, capsys, manifest, message):
+    insts = tmp_path / "insts"
+    assert main(["gen", "--count", "1", "--users", "1", "--slots", "3", "--types", "2",
+                 "--isps", "2", "--seed", "60", "--out", str(insts)]) == 0
+    (insts / "manifest.csv").write_bytes(manifest)
+    code, _, err = run(capsys, "bench", "--instances", str(insts), "--policy", "rsn",
+                       "--samples", "2")
+    assert code == 3
+    assert str(insts) in err and message in err
 
 
 def test_bench_gssn_without_model_is_exit_3(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import DESK_CONFIG
 from ecsched.generate import (GenConfig, generate_instance, generate_instances,
@@ -109,3 +110,46 @@ def test_static_only_stream_stable():
     t2 = sample_static(DESK_CONFIG, rng2)
     for x, y in zip(topology_arrays(t1), topology_arrays(t2)):
         assert np.array_equal(x, y)
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"n_users": 0}, "n_users, n_slots, n_types and n_isps must be at least 1"),
+    ({"n_isps": 0}, "n_users, n_slots, n_types and n_isps must be at least 1"),
+    ({"seed": -1}, "seed at least 0"),
+    ({"rate_range": (10.0, 5.0)}, "rate_range must be a finite ascending pair"),
+    ({"cap_billable_range": (-1.0, 5.0)}, "cap_billable_range must be a finite ascending pair"),
+    ({"demand_init": (0.0, 1.0)}, "demand_init must be a finite ascending pair"),
+    ({"demand_band": (0.6, float("inf"))}, "demand_band must be a finite ascending pair"),
+    ({"admissible_prob": 1.5}, "admissible_prob must lie in"),
+    ({"cap_pass_trigger": float("nan")}, "cap_pass_trigger in"),
+    ({"cap_phys": -1.0}, "cap_phys"),
+    ({"cap_phys": 1000.0}, "cap_phys"),
+    ({"cap_basic_frac": (0.05, 0.95)}, "cap_basic_frac"),
+], ids=["users", "isps", "seed", "rate-order", "negative-cap", "zero-demand", "inf-band",
+        "prob", "nan-trigger", "negative-phys", "phys-below-contracted-billable",
+        "basic-above-contracted-billable"])
+def test_gen_config_rejects_out_of_range_values(change, message):
+    with pytest.raises(ValueError, match=message):
+        GenConfig(**change)
+
+
+def ascending(lo, hi):
+    return st.lists(st.floats(lo, hi), min_size=2, max_size=2).map(sorted).map(tuple)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(st.fixed_dictionaries({
+    "cap_billable_range": ascending(0.0, 2000.0), "cap_basic_frac": ascending(0.0, 1.0),
+    "cap_phys": st.floats(0.0, 20000.0), "rate_range": ascending(0.0, 20.0),
+    "admissible_prob": st.floats(0.0, 1.0), "isp_contraction": ascending(0.01, 1.0),
+    "demand_init": ascending(0.01, 100.0), "demand_band": ascending(0.0, 2.0),
+    "cap_pass_trigger": st.floats(0.0, 1.0), "cap_pass_band": ascending(0.0, 1.0),
+}))
+def test_every_accepted_gen_config_generates_an_instance(knobs):
+    """A config either is rejected or draws a valid Topology and demands."""
+    try:
+        config = GenConfig(n_users=2, n_slots=3, n_types=2, n_isps=2, **knobs)
+    except ValueError:
+        return
+    for seed in range(3):
+        generate_instance(config, seed=seed)

@@ -3,7 +3,8 @@
 Each test takes one valid file, changes one field of it (a wrong JSON
 type, a bare NaN or Infinity token, a short or ragged list, a deleted
 key, or a top level that is not an object) and runs the command that
-reads it.  Whatever the change, ``main`` must answer with an exit code:
+reads it.  The solver solution file is text, so its lines are edited
+instead.  Whatever the change, ``main`` must answer with an exit code:
 0 when the file is still valid, 2 when no result exists, 3 when the file
 is rejected.
 """
@@ -145,3 +146,44 @@ def test_config_mutations_exit_cleanly(workspace, command):
                 "--out", str(workspace / "trained.json")]
     write_doc(workspace / "config.json", config)
     assert_mutations_answer(workspace, "config.json", argv + ["--config", "config.json"])
+
+
+def edited_lines(lines, index, how, junk):
+    """lines with line index dropped, repeated, halved, given a junk name
+    or value, or preceded by a line of junk bytes."""
+    lines = list(lines)
+    name, _, value = lines[index].partition(b" ")
+    if how == "drop":
+        del lines[index]
+    elif how == "repeat":
+        lines.insert(index, lines[index])
+    elif how == "halve":
+        lines[index] = lines[index][:len(lines[index]) // 2]
+    elif how == "name":
+        lines[index] = junk + b" " + value
+    elif how == "value":
+        lines[index] = name + b" " + junk
+    else:
+        lines.insert(index, junk)
+    return lines
+
+
+def test_solution_mutations_exit_cleanly(workspace):
+    inst = str(workspace / "inst.json")
+    solution = workspace / "solution.mst"
+    assert main(["export-milp", "--instance", inst, "--out", str(workspace / "model.lp"),
+                 "--warmstart", str(workspace / "scheme.json"),
+                 "--warmstart-out", str(solution)]) == 0
+    lines = solution.read_bytes().split(b"\n")
+    bad = workspace / "bad-solution.mst"
+
+    @property_settings
+    @given(st.integers(0, len(lines) - 1),
+           st.sampled_from(("drop", "repeat", "halve", "name", "value", "junk")),
+           st.binary(max_size=8))
+    def check(index, how, junk):
+        bad.write_bytes(b"\n".join(edited_lines(lines, index, how, junk)))
+        assert main(["import-solution", "--instance", inst, "--solution", str(bad),
+                     "--out", str(workspace / "imported.json")]) in EXIT_CODES
+
+    check()

@@ -433,15 +433,6 @@ def test_billable_violation_penalty_value():
     assert pen == pytest.approx(4.0)
 
 
-def test_equality_weight_is_inert():
-    rng = np.random.default_rng(13)
-    inst = make_tiny(1, demand_scale=9.0)
-    table = build_option_table(inst.topology)
-    alloc = random_soft(inst, table, rng)
-    assert soft_loss(inst, alloc, lam_h=0.0, table=table) == \
-        soft_loss(inst, alloc, lam_h=25.0, table=table)
-
-
 def test_penalty_scales_quadratically():
     rng = np.random.default_rng(14)
     inst = make_tiny(6, n_users=2, n_types=3, demand_scale=12.0)

@@ -15,7 +15,7 @@ from ecsched.model import (DemandTensor, Instance, Topology,
                            build_option_table, evaluate_hard, soft_loss,
                            total_cost)
 from ecsched.sampler import (IntegrityError, TrainConfig, TrainingDiverged,
-                             anneal_tau, best_of, best_of_detailed,
+                             anneal_tau, best_of_detailed,
                              create_network, draw_hard, draw_soft,
                              forward_alpha, load_model, preprocess,
                              save_model, train)
@@ -362,7 +362,6 @@ def test_best_of_none_when_nothing_fits():
     net, table = small_net(inst, seed=9)
     best, n_feasible = best_of_detailed(net, inst, 40, np.random.default_rng(6), table)
     assert best is None and n_feasible == 0
-    assert best_of(net, inst, 40, np.random.default_rng(6), table) is None
     with pytest.raises(ValueError):
         best_of_detailed(net, inst, 0, np.random.default_rng(6), table)
 
@@ -464,8 +463,8 @@ def test_model_round_trip_bit_exact(tmp_path, desk_run):
     a = forward_alpha(net, inp)[0].values
     b = forward_alpha(back, inp)[0].values
     assert np.array_equal(a, b)
-    first = best_of(net, inst, 20, np.random.default_rng(9), table)
-    second = best_of(back, inst, 20, np.random.default_rng(9), table)
+    first, _ = best_of_detailed(net, inst, 20, np.random.default_rng(9), table)
+    second, _ = best_of_detailed(back, inst, 20, np.random.default_rng(9), table)
     assert first[1] == second[1]
     assert np.array_equal(first[0].option, second[0].option)
 
@@ -614,7 +613,7 @@ def test_model_file_must_be_an_object(tmp_path):
 @pytest.mark.parametrize("field, value", [
     ("n_epochs", 0), ("metric_samples", 0), ("tau_start", -1.0), ("tau_end", 0.0),
     ("learning_rate", float("nan")), ("tau_start", float("inf")),
-    ("lam_g", -0.5), ("lam_h", float("nan")),
+    ("lam_g", -0.5), ("lam_g", float("nan")),
 ])
 def test_train_config_rejects_out_of_range_values(field, value):
     with pytest.raises(ValueError, match=field):

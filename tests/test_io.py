@@ -61,6 +61,32 @@ def test_read_instance_bytes_are_pinned(tmp_path):
     assert digest.hexdigest() == READ_INSTANCE_SHA256
 
 
+# sha256 of the file write_instance writes for a default-size and a desk
+# instance, and of the file write_scheme writes with both optional fields
+WRITE_INSTANCE_SHA256 = {
+    100001: "82be748c813a11482ae4fb5b1606b735d7ac32fa1f682312c5cee285c5875082",
+    HELD_SEED0: "198747aed0723d0d363b70b5f0ac9266ce3f9bf3ba68ecaf5a4f409905c1ad14",
+}
+WRITE_SCHEME_SHA256 = "36d2a17fb51a70f44429af2a6ffdaa4fecadaf3bd80ba607e5184591cfefd4ae"
+
+
+@pytest.mark.parametrize("config, seed", [(GenConfig(), 100001), (DESK_CONFIG, HELD_SEED0)],
+                         ids=["default", "desk"])
+def test_write_instance_bytes_are_pinned(tmp_path, config, seed):
+    path = tmp_path / "inst.json"
+    write_instance(generate_instance(config, seed=seed), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == WRITE_INSTANCE_SHA256[seed]
+
+
+def test_write_scheme_bytes_are_pinned(tmp_path):
+    inst = generate_instance(DESK_CONFIG, seed=HELD_SEED0)
+    table = build_option_table(inst.topology)
+    scheme = baselines.rsn_sample(inst, np.random.default_rng(3), table)
+    path = tmp_path / "scheme.json"
+    write_scheme(scheme, path, instance_id=inst.instance_id, cost=total_cost(inst, scheme, table))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == WRITE_SCHEME_SHA256
+
+
 def test_demand_nesting_is_slot_major(tmp_path):
     inst = make_tiny(1, n_users=2, n_slots=4, n_types=3, n_isps=2)
     path = tmp_path / "inst.json"

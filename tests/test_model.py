@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import DESK_CONFIG, make_tiny
+from conftest import DESK_CONFIG, HELD_SEED0, make_tiny
 from ecsched import baselines, milp, sampler
 from ecsched.generate import GenConfig, generate_instance
 from ecsched.model import (AllocationScheme, DemandTensor, Instance,
@@ -92,6 +92,32 @@ def test_padded_rows_are_zero():
     assert table.n_valid[:, 0].tolist() == [3, 1]
     assert table.weights[1, :, 1:].sum() == 0.0
     assert not table.valid[1, :, 1:].any()
+
+
+# sha256 over dtype, shape and bytes of build_option_table's three arrays
+# for a default-size, a desk and a tiny instance with some links closed,
+# for the default-size topology with all, then some, basic caps at 0, and
+# for 8 open links, where numpy sums 8 caps pairwise and fewer in order
+OPTION_TABLE_SHA256 = "22c728954ee99213568ad37b5fe5a946592cc081de1f2fc064c14be9d8048f51"
+
+
+def test_option_table_bytes_are_pinned():
+    default = generate_instance(GenConfig(), seed=100001).topology
+    cb = default.edge_cap_basic.copy()
+    cb[::2, 1:] = 0.0  # even users keep one nonzero basic cap, link 0
+    topologies = [default,
+                  generate_instance(DESK_CONFIG, seed=HELD_SEED0).topology,
+                  make_tiny(4, n_users=2, n_isps=3, full_admissible=False).topology,
+                  dataclasses.replace(default, edge_cap_basic=np.zeros_like(cb)),
+                  dataclasses.replace(default, edge_cap_basic=cb),
+                  make_tiny(4, n_users=2, n_isps=8).topology]
+    digest = hashlib.sha256()
+    for topology in topologies:
+        table = build_option_table(topology)
+        for arr in (table.weights, table.valid, table.n_valid):
+            digest.update(repr((arr.dtype.str, arr.shape)).encode())
+            digest.update(arr.tobytes())
+    assert digest.hexdigest() == OPTION_TABLE_SHA256
 
 
 def test_option_table_matches_oracle_subsets():

@@ -139,19 +139,19 @@ def cmd_train(args):
     return EXIT_OK
 
 
-def _policy_best_of(args):
-    """--policy's best-of sampler, called as (instance, n_samples, rng, table)."""
-    if args.policy == "rsn":
+def _policy_best_of(policy, model_path):
+    """The policy's best-of sampler, called as (instance, n_samples, rng, table)."""
+    if policy == "rsn":
         return baselines.rsn_best_of_detailed
-    if not args.model:
+    if not model_path:
         raise FormatError("--model is required unless --policy rsn")
-    return functools.partial(sampler.best_of_detailed, sampler.load_model(args.model))
+    return functools.partial(sampler.best_of_detailed, sampler.load_model(model_path))
 
 
 def cmd_sample(args):
     instance = io.read_instance(args.instance)
     rng = np.random.default_rng(args.seed if args.seed is not None else 0)
-    best, n_feasible = _policy_best_of(args)(instance, args.samples, rng)
+    best, n_feasible = _policy_best_of(args.policy, args.model)(instance, args.samples, rng)
     if best is None:
         raise NoResult(f"no feasible scheme in {args.samples} samples")
     scheme, cost = best
@@ -254,7 +254,7 @@ def _aggregate(rows, n_samples):
 
 
 def cmd_bench(args):
-    best_of = _policy_best_of(args)
+    best_of = _policy_best_of(args.policy, args.model)
     instances = _load_instances(args.instances)
     seed = args.seed if args.seed is not None else 0
     rows = _bench_rows(best_of, instances, args.samples, args.policy,
@@ -269,10 +269,12 @@ def cmd_bench(args):
 
 
 def cmd_generalize(args):
-    policies = {"gssn": functools.partial(sampler.best_of_detailed, sampler.load_model(args.model)),
-                "rsn": baselines.rsn_best_of_detailed}
+    policies = {policy: _policy_best_of(policy, args.model) for policy in ("gssn", "rsn")}
     base = _config_overrides(args.config, GenConfig())
-    grid = [int(v) for v in args.grid.split(",") if v]
+    try:
+        grid = [int(v) for v in args.grid.split(",") if v]
+    except ValueError as exc:
+        raise FormatError(f"--grid takes comma-separated integers ({exc})") from exc
     if not grid:
         raise FormatError("--grid needs at least one value")
     axis_field = {"slots": "n_slots", "users": "n_users"}[args.axis]

@@ -1,4 +1,4 @@
-"""Instance and scheme files, and the JSON reader behind every input.
+"""Instance and scheme files, and the reader and writer behind every file.
 
 Both formats are versioned JSON.  Floats pass through Python's repr, so
 a write/read round trip reproduces every array bit for bit.  Demand
@@ -9,6 +9,8 @@ over links, bit j = link j.
 Every JSON input (instance, scheme, model and config file) is decoded
 by ``load_json`` and its grids converted by ``need_array``; failures
 raise FormatError naming the field, which the CLI maps to exit code 3.
+Every JSON output (instance, scheme and model file) is written by
+``write_json``, and the LP and warm-start text by ``write_text``.
 """
 
 import json
@@ -40,6 +42,17 @@ def read_text(path, kind):
             return fh.read()
     except (IsADirectoryError, UnicodeDecodeError) as exc:
         raise FormatError(f"{path}: not valid {kind} ({exc})") from exc
+
+
+def write_text(path, text):
+    """Write text to path, replacing any file there."""
+    with open(path, "w") as fh:
+        fh.write(text)
+
+
+def write_json(path, doc):
+    """Write doc to path as one line of JSON and a newline."""
+    write_text(path, json.dumps(doc) + "\n")
 
 
 def load_json(path, expect_format=None, version=FORMAT_VERSION):
@@ -84,17 +97,12 @@ def need_array(mapping, key, where, shape=None, integer=False):
     return arr
 
 
-def _demand_lists(arr):
-    # (K, N, T) -> [t][n][k]
-    return arr.transpose(2, 1, 0).tolist()
-
-
 def write_instance(instance, path):
     topo = instance.topology
     k, n, el = topo.admissible.shape
-    masks = [[int(sum(1 << j for j in range(el) if topo.admissible[q, u, j]))
-              for u in range(n)] for q in range(k)]
-    doc = {
+    arrays = {f.name: getattr(topo, f.name).tolist()
+              for f in fields(Topology) if f.name != "admissible"}
+    write_json(path, {
         "format": INSTANCE_FORMAT,
         "version": FORMAT_VERSION,
         "id": instance.instance_id,
@@ -104,24 +112,14 @@ def write_instance(instance, path):
             "n_isps": el,
             "n_types": k,
             "n_slots": instance.demands.n_slots,
-            "edge_cap_basic": topo.edge_cap_basic.tolist(),
-            "edge_cap_billable": topo.edge_cap_billable.tolist(),
-            "edge_cap_phys": topo.edge_cap_phys.tolist(),
-            "edge_rate": topo.edge_rate.tolist(),
-            "isp_cap_basic": topo.isp_cap_basic.tolist(),
-            "isp_cap_billable": topo.isp_cap_billable.tolist(),
-            "isp_cap_phys": topo.isp_cap_phys.tolist(),
-            "isp_rate": topo.isp_rate.tolist(),
-            "admissible": masks,
+            **arrays,
+            # the inverse of read_instance's masks >> arange(EL) & 1
+            "admissible": (topo.admissible << np.arange(el)).sum(axis=2).tolist(),
         },
-        "demands": {
-            "inbound": _demand_lists(instance.demands.inbound),
-            "outbound": _demand_lists(instance.demands.outbound),
-        },
-    }
-    with open(path, "w") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
+        # (K, N, T) -> [t][n][k]
+        "demands": {name: getattr(instance.demands, name).transpose(2, 1, 0).tolist()
+                    for name in ("inbound", "outbound")},
+    })
 
 
 def read_instance(path):
@@ -160,9 +158,7 @@ def write_scheme(scheme, path, instance_id=None, cost=None):
         doc["instance_id"] = instance_id
     if cost is not None:
         doc["cost"] = float(cost)
-    with open(path, "w") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
+    write_json(path, doc)
 
 
 def read_scheme(path):

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .io import FormatError, read_text
+from .io import FormatError, read_text, write_text
 from .model import (AllocationScheme, build_option_table, check_scheme, evaluate_hard,
                     percentile_exempt_count)
 
@@ -175,6 +175,9 @@ def linearize(instance, table=None):
 # text formats
 # ---------------------------------------------------------------------------
 
+TERMS_PER_LINE = 8  # LP terms per line, continuation lines included
+
+
 def _term_tokens(names, terms):
     # terms: (column, coefficient) pairs of Python numbers
     tokens = []
@@ -187,10 +190,10 @@ def _term_tokens(names, terms):
     return tokens
 
 
-def _wrap(prefix, tokens, per_line=8):
+def _wrap(prefix, tokens):
     lines = []
-    for start in range(0, len(tokens), per_line):
-        chunk = " ".join(tokens[start:start + per_line])
+    for start in range(0, len(tokens), TERMS_PER_LINE):
+        chunk = " ".join(tokens[start:start + TERMS_PER_LINE])
         lines.append(f"{prefix}{chunk}" if start == 0 else f"   {chunk}")
     return lines
 
@@ -215,10 +218,9 @@ def write_lp(model, path):
         tokens.append(f"{sense} {rhs!r}")
         lines += _wrap(f" {name}: ", tokens)
     lines.append("Binaries")
-    lines += _wrap(" ", [names[c] for c in np.flatnonzero(model.binary).tolist()], per_line=8)
+    lines += _wrap(" ", [names[c] for c in np.flatnonzero(model.binary).tolist()])
     lines.append("End")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def _exempt_mask(flows, m):
@@ -249,8 +251,7 @@ def write_warmstart(model, scheme, path):
     binaries = np.flatnonzero(model.binary).tolist()
     lines = [f"# warm start for instance {instance.instance_id}"]
     lines += [f"{model.variables[c]} {v}" for c, v in zip(binaries, x[binaries].tolist())]
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def _finite(text, error):

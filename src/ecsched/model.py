@@ -193,32 +193,31 @@ class OptionTable:
 def build_option_table(topology):
     """Enumerate link subsets and their capacity-proportional split weights.
 
-    Option p (0-based) selects the links whose global ascending positions
-    correspond to the set bits of p + 1 over that pair's admissible links.
-    Every pair's rows are padded with zero rows up to 2**EL - 1.
+    Option p (0-based) selects link j when bit rank(j) of p + 1 is set,
+    where rank(j) is j's position among that pair's admissible links.
+    The selected links split the demand in proportion to their basic
+    capacities, evenly when those sum to 0.  Every pair's rows are padded
+    with zero rows up to 2**EL - 1.
     """
-    k_types, n_users, el = topology.admissible.shape
-    n_options = 2 ** el - 1
-    weights = np.zeros((k_types, n_users, n_options, el))
-    valid = np.zeros((k_types, n_users, n_options), dtype=bool)
-    n_valid = np.zeros((k_types, n_users), dtype=np.int64)
-    for k in range(k_types):
-        for n in range(n_users):
-            links = np.flatnonzero(topology.admissible[k, n])
-            count = 2 ** links.size - 1
-            n_valid[k, n] = count
-            cb = topology.edge_cap_basic[n]
-            for p in range(count):
-                bits = p + 1
-                sel = links[[j for j in range(links.size) if bits >> j & 1]]
-                w = cb[sel]
-                total = w.sum()
-                if total > 0:
-                    weights[k, n, p, sel] = w / total
-                else:
-                    # all-zero basic capacities: fall back to an even split
-                    weights[k, n, p, sel] = 1.0 / sel.size
-                valid[k, n, p] = True
+    adm = topology.admissible
+    el = adm.shape[2]
+    n_valid = 2 ** adm.sum(axis=2) - 1
+    bits = np.arange(1, 2 ** el)  # p + 1
+    valid = bits <= n_valid[:, :, None]
+    rank = np.cumsum(adm, axis=2) - adm  # admissible links before j
+    sel = (bits[:, None] >> rank[:, :, None, :] & 1).astype(bool)  # (K, N, P, EL)
+    sel &= adm[:, :, None, :] & valid[..., None]
+    caps = np.where(sel, topology.edge_cap_basic[None, :, None, :], 0.0)
+    count = sel.sum(axis=3, keepdims=True)
+    # each total sums its selected caps alone, as a row of its own term
+    # count: padding zeros would regroup numpy's pairwise sum of 8 or more
+    total = np.zeros(count.shape)
+    for c in range(1, el + 1):
+        total[count == c] = caps[sel & (count == c)].reshape(-1, c).sum(axis=1)
+    # a zero total is an all-zero split or a padded row; the latter has no
+    # selected link and stays zero
+    zero = total == 0
+    weights = np.where(zero, sel, caps) / np.where(zero, np.maximum(count, 1), total)
     return OptionTable(weights=weights, valid=valid, n_valid=n_valid)
 
 

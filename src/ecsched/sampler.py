@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gumbel
-from .io import FormatError, load_json, need_array
+from .io import FormatError, load_json, need_array, write_json
 from .model import (AllocationScheme, SoftAllocation, best_feasible, build_option_table,
                     evaluate_hard, soft_loss, soft_loss_and_grad)
 from .nn import AdamState, Mlp, adam_step, init_mlp, mlp_backward, mlp_forward, parameters
@@ -343,7 +343,7 @@ def save_model(network, path):
         "program": _encoder_doc(network.program),
         "ranking": _encoder_doc(network.ranking),
     }
-    doc = {
+    write_json(path, {
         "format": MODEL_FORMAT,
         "version": MODEL_VERSION,
         "n_options": network.n_options,
@@ -352,10 +352,7 @@ def save_model(network, path):
         "input_scale": list(network.input_scale),
         "encoders": encoders,
         "checksum": _payload_checksum(encoders),
-    }
-    with open(path, "w") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
+    })
 
 
 def load_model(path):

@@ -140,9 +140,10 @@ def test_undecodable_config_is_exit_3(tmp_path, capsys):
     (["bench", "--policy", "rsn", "--samples", "0"], "--samples must be at least 1"),
     (["generalize", "--count", "0"], "--count must be at least 1"),
     (["generalize", "--grid", "0"], "--grid: n_users, n_slots"),
+    (["generalize", "--grid", "a,b"], "--grid"),
 ], ids=["gen-config-users", "gen-config-cap-phys", "gen-config-rate-range", "gen-config-isps",
         "gen-users", "gen-seed", "gen-count", "train-config-seed", "sample-samples",
-        "bench-samples", "generalize-count", "generalize-grid"])
+        "bench-samples", "generalize-count", "generalize-grid", "generalize-grid-not-integer"])
 def test_out_of_range_settings_are_exit_3(cli_workspace, tmp_path, capsys, argv, message):
     command, *rest = argv
     args = {"gen": [], "train": ["--instances", str(cli_workspace["insts"])],

@@ -77,11 +77,12 @@ def categorical_rows(alpha, valid, rng, n_draws=None):
     size = (n_rows,) if n_draws is None else (n_draws, n_rows)
     cum = np.cumsum(np.where(valid, alpha, 0.0), axis=1)
     r = rng.uniform(size=size) * cum[:, -1]
-    # count cum < r one category at a time, with no (S, R, P) temporary
-    idx = np.zeros(size, dtype=int)
+    # count cum < r one category at a time, with no (S, R, P) temporary,
+    # in the narrowest unsigned dtype that holds the count n_cats
+    count = np.zeros(size, dtype=np.min_scalar_type(n_cats))
     for column in np.ascontiguousarray(cum.T):
-        idx += column < r
-    np.minimum(idx, n_cats - 1, out=idx)
+        count += column < r
+    idx = np.minimum(count, n_cats - 1, out=count).astype(int)
     bad = ~valid[np.arange(n_rows), idx]
     if bad.any():
         idx[bad] = np.argmax(valid, axis=1)[np.nonzero(bad)[-1]]

@@ -9,14 +9,19 @@ training step is forward -> external loss gradient -> backward -> Adam.
 Subgradient convention: ReLU6 has derivative zero at both kinks (0 and
 6).
 
-The forward pass writes one array per layer: the matmul result takes
-the bias and, in hidden layers, is clamped in place, so that array is
-both the layer's activation and the next layer's input.  The cache
-keeps the layer inputs and the output layer's preactivation only.  The
-backward pass reads each hidden ReLU6 mask from the activation
-relu6(z) instead of from z: relu6(z) lies strictly inside (0, 6)
-exactly where z does (at -0.0, +-inf and NaN too), so the two masks
-are equal.
+The forward pass runs its rows in tiles of ROW_TILE rows and takes each
+tile through every layer while the tile is still in the CPU cache.  A
+layer step is one matmul into a preallocated array, an in-place bias add
+and, in hidden layers, one in-place clamp, so that array is both the
+layer's activation and the next layer's input.  With the backward cache,
+each tile writes into its layer's full activation array, and the cache
+keeps the layer inputs and the output layer's preactivation only.
+Without it, the tiles pass through reused tile-sized buffers and only
+the output array is allocated.  The backward pass reads each hidden
+ReLU6 mask from the activation relu6(z) instead of from z: relu6(z) lies
+strictly inside (0, 6) exactly where z does, so the two masks are equal.
+The clamp returns -0.0 and NaN unchanged and maps -inf to 0 and +inf to
+6, and none of these lies inside (0, 6).
 """
 
 from dataclasses import dataclass
@@ -24,8 +29,13 @@ from dataclasses import dataclass
 import numpy as np
 
 
-def relu6(z):
-    return np.minimum(np.maximum(z, 0.0), 6.0)
+# rows per forward tile: 4,096 rows of a width-8 layer are 256 KiB, so a
+# tile's layer arrays stay in L2 from one layer to the next
+ROW_TILE = 4096
+
+
+def relu6(z, out=None):
+    return np.clip(z, 0.0, 6.0, out=out)
 
 
 def relu6_grad(z):
@@ -62,30 +72,39 @@ def init_mlp(widths, rng, output="identity", eps=1e-6):
     return Mlp(weights=weights, biases=biases, output=output, eps=eps)
 
 
-def mlp_forward(mlp, x):
+def mlp_forward(mlp, x, keep_cache=True):
     """Batched forward pass; x is (rows, widths[0]) and is not modified.
 
     Returns (y, cache) with cache = (inputs, z): inputs[i] is layer i's
     input (x, then the ReLU6 activations of the hidden layers) and z is
-    the output layer's preactivation.
+    the output layer's preactivation.  With keep_cache=False the cache is
+    None and no per-layer array of all rows is allocated.
     """
-    inputs = []
-    a = x
+    if mlp.output not in ("identity", "relu6_eps"):
+        raise ValueError(f"unknown output transform '{mlp.output}'")
+    rows = x.shape[0]
     last = len(mlp.weights) - 1
-    for i, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
-        inputs.append(a)
-        z = a @ w.T
-        z += b
-        if i < last:
-            # z is the matmul's own output, so clamping it never writes x
-            a = np.minimum(np.maximum(z, 0.0, out=z), 6.0, out=z)
-        elif mlp.output == "identity":
-            a = z
-        elif mlp.output == "relu6_eps":
-            a = relu6(z) + mlp.eps
-        else:
-            raise ValueError(f"unknown output transform '{mlp.output}'")
-    return a, (inputs, z)
+    y = np.empty((rows, mlp.widths[-1]))
+    # each layer's output: all rows when cached, else one reused tile; an
+    # identity output layer writes straight into y
+    span = rows if keep_cache else min(rows, ROW_TILE)
+    outs = [np.empty((span, width)) for width in mlp.widths[1:-1]]
+    outs.append(y if mlp.output == "identity" else np.empty((span, y.shape[1])))
+    for start in range(0, rows, ROW_TILE):
+        stop = min(start + ROW_TILE, rows)
+        a = x[start:stop]
+        for i, (w, b, out) in enumerate(zip(mlp.weights, mlp.biases, outs)):
+            # an array of all rows is sliced at the tile, a tile buffer from 0
+            z = out[start:stop] if len(out) == rows else out[:stop - start]
+            np.matmul(a, w.T, out=z)
+            z += b
+            if i < last:
+                a = relu6(z, out=z)
+        if mlp.output == "relu6_eps":
+            np.add(relu6(z), mlp.eps, out=y[start:stop])
+    if not keep_cache:
+        return y, None
+    return y, ([x] + outs[:last], outs[last])
 
 
 def mlp_backward(mlp, cache, dy):

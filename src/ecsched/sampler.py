@@ -139,18 +139,25 @@ def preprocess(instance, table=None):
                         dims=(t, n, k), n_links=el)
 
 
-def forward_alpha(network, inp):
-    """Location parameters for every block; returns (AlphaMatrix, caches)."""
+def forward_alpha(network, inp, keep_cache=True):
+    """Location parameters for every block; returns (AlphaMatrix, caches).
+
+    caches holds the link, program and ranking forward caches for
+    mlp_backward; with keep_cache=False it is None and each encoder runs
+    its rows through tile-sized buffers (see ``nn.mlp_forward``).
+    """
     if inp.n_links != network.n_links:
         raise ValueError(f"input has {inp.n_links} links per user, network expects {network.n_links}")
     if inp.n_options != network.n_options:
         raise ValueError(f"input has {inp.n_options} options per block, network expects {network.n_options}")
     x = inp.matrix * np.asarray(network.input_scale)
-    s, link_cache = mlp_forward(network.link, x)
-    v, program_cache = mlp_forward(network.program, s.reshape(-1, network.n_links))
-    a, ranking_cache = mlp_forward(network.ranking, v.reshape(-1, network.n_options))
+    s, link_cache = mlp_forward(network.link, x, keep_cache=keep_cache)
+    v, program_cache = mlp_forward(network.program, s.reshape(-1, network.n_links),
+                                   keep_cache=keep_cache)
+    a, ranking_cache = mlp_forward(network.ranking, v.reshape(-1, network.n_options),
+                                   keep_cache=keep_cache)
     alpha = AlphaMatrix(values=a, valid=inp.valid, dims=inp.dims)
-    return alpha, (link_cache, program_cache, ranking_cache)
+    return alpha, ((link_cache, program_cache, ranking_cache) if keep_cache else None)
 
 
 def draw_soft(alpha, tau, rng):
@@ -233,7 +240,7 @@ def _mean_sampled_loss(network, dataset, tau, config, rng):
     # one forward per instance, metric_samples concrete draws sharing it
     vals = []
     for inst, table, inp in dataset:
-        alpha, _ = forward_alpha(network, inp)
+        alpha, _ = forward_alpha(network, inp, keep_cache=False)
         for _ in range(config.metric_samples):
             vals.append(soft_loss(inst, draw_soft(alpha, tau, rng), config.lam_g, table=table))
     return float(np.mean(vals))
@@ -290,8 +297,7 @@ def best_of_detailed(network, instance, n_samples, rng, table=None):
     same stream as n_samples ``draw_hard`` calls); ``best_feasible`` of them."""
     if table is None:
         table = build_option_table(instance.topology)
-    # [0] drops the forward caches before the draw block is allocated
-    alpha = forward_alpha(network, preprocess(instance, table))[0]
+    alpha, _ = forward_alpha(network, preprocess(instance, table), keep_cache=False)
     options = gumbel.categorical_rows(alpha.values, alpha.valid, rng, n_samples)
     options = options.reshape(n_samples, *alpha.dims)
     return best_feasible(options, [evaluate_hard(instance, table, o) for o in options])

@@ -119,6 +119,24 @@ def test_categorical_block_equals_sequential_draws():
     assert np.array_equal(block, np.stack(single))
 
 
+@pytest.mark.parametrize("n_cats", [4, 255, 256, 1023])
+def test_categorical_counts_match_a_search_at_every_count_width(n_cats):
+    # the counter is uint8 up to 255 categories and uint16 from 256 on
+    rng = np.random.default_rng(n_cats)
+    alpha = rng.uniform(0.5, 2.0, size=(30, n_cats))
+    valid = rng.random((30, n_cats)) > 0.3
+    valid[:, -1] = True
+    u = rng.uniform(size=(3, 30))
+    idx = gumbel.categorical_rows(alpha, valid, FixedUniform(u), 3)
+    assert idx.dtype == np.dtype(int)
+    cum = np.cumsum(np.where(valid, alpha, 0.0), axis=1)
+    for draw, row in np.ndindex(idx.shape):
+        want = min(np.searchsorted(cum[row], u[draw, row] * cum[row, -1]), n_cats - 1)
+        if not valid[row, want]:
+            want = np.argmax(valid[row])
+        assert idx[draw, row] == want
+
+
 def test_near_zero_temperature_matches_categorical():
     alpha = np.array([1.0, 2.0, 3.0, 4.0])
     n = 100_000

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from ecsched.nn import (AdamState, Mlp, adam_step, init_mlp, mlp_backward,
+from ecsched.nn import (ROW_TILE, AdamState, Mlp, adam_step, init_mlp, mlp_backward,
                         mlp_forward, parameters, relu6, relu6_grad)
 from gradcheck import grad_check
 
@@ -70,6 +70,29 @@ def test_forward_leaves_its_input_unchanged():
     for widths, output in (([3, 5, 5, 2], "identity"), ([3, 4, 3], "relu6_eps"), ([3, 2], "relu6_eps")):
         mlp_forward(init_mlp(widths, rng, output=output), x)
         np.testing.assert_array_equal(x, before)
+
+
+@pytest.mark.parametrize("output", ["identity", "relu6_eps"])
+@pytest.mark.parametrize("rows", [1, ROW_TILE, 2 * ROW_TILE + 7])
+def test_forward_without_cache_is_bit_identical(rows, output):
+    rng = np.random.default_rng(rows)
+    net = init_mlp([4, 8, 8, 3], rng, output=output)
+    net.biases = [rng.normal(size=b.shape) for b in net.biases]
+    x = rng.normal(scale=4.0, size=(rows, 4))
+    y, cache = mlp_forward(net, x)
+    y_bare, none = mlp_forward(net, x, keep_cache=False)
+    assert none is None
+    assert y_bare.shape == (rows, 3)
+    np.testing.assert_array_equal(y_bare, y)
+    inputs, z = cache
+    assert len(inputs) == 3 and inputs[0] is x
+    assert all(a.shape[0] == rows for a in inputs) and z.shape == (rows, 3)
+    if rows > 1:
+        # both kinks of the clamp are hit in the hidden layers
+        hidden = np.concatenate([a.ravel() for a in inputs[1:]])
+        assert (hidden == 0.0).any() and (hidden == 6.0).any()
+    if output == "relu6_eps":
+        np.testing.assert_array_equal(y, relu6(z) + net.eps)
 
 
 def test_zero_weights_pass_bias():

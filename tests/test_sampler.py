@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -93,6 +94,19 @@ def test_alpha_shape_and_positivity():
     assert alpha.values.shape == (t * n * k, table.n_options)
     assert (alpha.values > 0.0).all()
     assert alpha.dims == (t, n, k)
+
+
+@pytest.mark.parametrize("config", [GenConfig(), DESK_CONFIG], ids=["default", "desk"])
+def test_forward_without_cache_gives_the_same_alpha(config):
+    net = load_model(Path(__file__).resolve().parents[1] / "perfbench" / "desk_model.json")
+    inp = preprocess(generate_instance(config, seed=HELD_SEED0))
+    alpha, caches = forward_alpha(net, inp)
+    bare, none = forward_alpha(net, inp, keep_cache=False)
+    assert none is None
+    assert len(caches) == 3 and all(c is not None for c in caches)
+    np.testing.assert_array_equal(bare.values, alpha.values)
+    np.testing.assert_array_equal(bare.valid, alpha.valid)
+    assert bare.dims == alpha.dims
 
 
 def test_network_size_mismatch_rejected():
@@ -342,6 +356,19 @@ def test_gssn_best_of_bytes_are_pinned():
         digest.update(repr(cost).encode())
         digest.update(str(n_feasible).encode())
     assert digest.hexdigest() == GSSN_BEST_OF_SHA256
+
+
+def test_best_of_keeps_no_full_size_activations():
+    # the untiled forward with caches peaked at 73 MB here
+    network = load_model(Path(__file__).resolve().parents[1] / "perfbench" / "desk_model.json")
+    inst = generate_instance(GenConfig(), seed=100001)
+    tracemalloc.start()
+    try:
+        best_of_detailed(network, inst, 100, np.random.default_rng(0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2 ** 20
 
 
 def test_best_of_none_when_nothing_fits():

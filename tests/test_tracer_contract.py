@@ -9,6 +9,7 @@ import numpy as np
 from conftest import DESK_CONFIG
 from ecsched import baselines, sampler
 from ecsched.generate import generate_instance, generate_instances
+from ecsched.nn import ROW_TILE
 from ecsched.sampler import TrainConfig
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -42,6 +43,16 @@ def test_traced_best_of_runs_keep_the_tracer_contract():
     metrics = tracing.layer_metrics(tracer.spans)
     assert metrics["gumbel.categorical_rows.calls"] == (1, "count")
     assert metrics["sampler.best_of_detailed.calls"] == (1, "count")
+
+    # one call per encoder, however the forward tiles its rows inside it
+    forwards = [(name, attrs) for _, _, name, _, _, attrs in tracer.spans
+                if name.startswith("nn.mlp_forward.")]
+    assert sorted(name for name, _ in forwards) == sorted(
+        f"nn.mlp_forward.{encoder}" for encoder in tracing.ENCODERS)
+    t, n, k = inst.dims
+    rows = t * n * k * network.n_options * network.n_links
+    assert rows > 2 * ROW_TILE
+    assert [attrs["rows"] for name, attrs in forwards if name == "nn.mlp_forward.link"] == [rows]
 
 
 def test_traced_training_keeps_the_encoder_spans_and_rows():

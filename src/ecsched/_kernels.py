@@ -3,9 +3,11 @@
 Every route that prices an allocation (the cost model, the soft loss and
 its gradient, the samplers, exhaustive search and the MILP objective)
 goes through ``price_flows``, so the percentile rule, the overage cost
-and the cap checks are written once.  Hard flows and pricing take
-leading batch axes, which lets exhaustive search build and price a
-chunk of combinations in one call.
+and the cap checks are written once.  Hard and soft flows and pricing
+take leading batch axes, which lets exhaustive search build and price a
+chunk of combinations in one call and training price an instance's
+metric draws in one call.  A stack's totals equal the totals of its
+allocations priced one at a time, bit for bit.
 
 Array conventions match the rest of the package: demand tensors are
 ``[type, user, slot]``, per-slot link flows are ``[user, link, slot]``
@@ -142,22 +144,31 @@ def hard_edge_flows(options, weights, d_in, d_out):
     return edge_in, edge_out
 
 
-# x with the weights first, then the demands: the path numpy's greedy
-# search picks whenever a block has more than one option (with one, x and
-# the weights are exactly 1 and the order cannot move a bit); fixed here
-# so the search does not run again on every call
-_SOFT_FLOW_PATH = ["einsum_path", (0, 1), (0, 1)]
-
-
 def soft_edge_flows(x, weights, d_in, d_out):
-    """Per-slot edge link flows of a relaxed allocation.
+    """Per-slot edge link flows of relaxed allocations.
 
-    x: (T, N, K, P) option weights, rows on the simplex.  Same returns as
-    the hard variant.
+    x: (..., T, N, K, P) option weights, rows on the simplex.  Same
+    returns as the hard variant.  Two stacked matmuls with the leading
+    axes of x as pure batch axes, so each allocation of a stack goes
+    through the same BLAS calls, and gets a block of the same memory
+    layout, as it does alone: its flows and every per-allocation sum of
+    them are bit-equal to its own.  The flows lie (..., N, T, EL) in
+    memory, viewed as (..., N, EL, T).
     """
-    edge_in = np.einsum("tnkp,knpj,knt->njt", x, weights, d_in, optimize=_SOFT_FLOW_PATH)
-    edge_out = np.einsum("tnkp,knpj,knt->njt", x, weights, d_out, optimize=_SOFT_FLOW_PATH)
-    return edge_in, edge_out
+    K, N, P, EL = weights.shape
+    *lead, T = x.shape[:-3]
+    # per (k, n) block, each link's share per slot: (EL, P) @ (P, T)
+    xb = np.moveaxis(x, -4, -1).swapaxes(-4, -3).reshape(*lead, K * N, P, T)
+    w = weights.transpose(0, 1, 3, 2).reshape(K * N, EL, P)
+    share = np.matmul(w, xb).reshape(*lead, K, N, EL, T)
+    # per (n, t), each link's flow summed over types: (EL, K) @ (K, 1)
+    share = np.moveaxis(share, -4, -1).swapaxes(-3, -2).reshape(*lead, N * T, EL, K)
+
+    def flows(d):
+        f = np.matmul(share, d.transpose(1, 2, 0).reshape(N * T, K, 1))
+        return f.reshape(*lead, N, T, EL).swapaxes(-1, -2)
+
+    return flows(d_in), flows(d_out)
 
 
 def _digits_for(combo_ids, radices):

@@ -34,30 +34,34 @@ def sample_gumbel(rng, size=None):
 def concrete_rows_given(alpha, valid, tau, g):
     """Row-wise masked concrete transform for pre-drawn Gumbel noise g.
 
-    alpha, valid, g: (R, P); every row needs at least one valid entry
-    with alpha > 0 there.  Masked entries get -1e9 added to their logit.
-    Returns x whose rows sum to 1 with zeros on masked entries.
+    alpha, valid: (R, P); every row needs at least one valid entry with
+    alpha > 0 there.  g is (R, P) or carries leading draw axes, (..., R,
+    P); the transform runs along the last axis.  Masked entries get -1e9
+    added to their logit.  Returns x of g's shape whose rows sum to 1
+    with zeros on masked entries.
     """
     if tau <= 0:
         raise ValueError("temperature must be positive")
-    if not valid.any(axis=1).all():
+    if not valid.any(axis=-1).all():
         raise ValueError("every row needs at least one valid category")
     safe = np.log(np.maximum(alpha, np.finfo(float).tiny))
     logits = (np.where(valid, safe, MASK_LOGIT) + g) / tau
-    logits -= logits.max(axis=1, keepdims=True)
+    logits -= logits.max(axis=-1, keepdims=True)
     e = np.exp(logits)
-    e[~valid] = 0.0
-    return e / e.sum(axis=1, keepdims=True)
+    np.copyto(e, 0.0, where=~valid)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
-def concrete_rows(alpha, valid, tau, rng):
+def concrete_rows(alpha, valid, tau, rng, n_draws=None):
     """Row-wise masked concrete samples.
 
     Gumbel noise is drawn for the full (R, P) block in one call
-    (row-major).  Returns (x, gumbels); see concrete_rows_given for the
+    (row-major).  With n_draws = S the (S, R, P) block is drawn in one
+    call (draw-major, so it equals S single draws in a row) and x is
+    (S, R, P).  Returns (x, gumbels); see concrete_rows_given for the
     transform itself.
     """
-    g = sample_gumbel(rng, alpha.shape)
+    g = sample_gumbel(rng, alpha.shape if n_draws is None else (n_draws, *alpha.shape))
     return concrete_rows_given(alpha, valid, tau, g), g
 
 

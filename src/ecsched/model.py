@@ -234,13 +234,15 @@ class AllocationScheme:
 
 @dataclass(frozen=True)
 class SoftAllocation:
-    """Relaxed allocation: x[t, n, k, p] with each valid row on the simplex."""
+    """Relaxed allocation: x[t, n, k, p] with each valid row on the simplex,
+    or a stack of S of them, x[s, t, n, k, p], priced in one call."""
 
     x: np.ndarray
 
     @property
     def dims(self):
-        return self.x.shape[:3]
+        """(T, N, K), without the draw axis of a stack."""
+        return self.x.shape[-4:-1]
 
 
 @dataclass
@@ -259,7 +261,13 @@ class FeasibilityReport:
 
     @classmethod
     def from_flows(cls, flows):
-        """Every positive overshoot of a FlowSummary, by constraint family."""
+        """Every positive overshoot of a FlowSummary, by constraint family.
+
+        The locations index one allocation, so the flows of a stack are
+        refused."""
+        if flows.z_isp.ndim != 1:
+            raise ValueError(f"a feasibility report covers one allocation, got flows of "
+                             f"shape {flows.edge_in.shape}")
         report = cls()
         families = ((report.edge_phys, ("in",)), (report.edge_phys, ("out",)),
                     (report.isp_phys, ("in",)), (report.isp_phys, ("out",)),
@@ -309,7 +317,7 @@ def _check_alloc(instance, alloc, table):
     if isinstance(alloc, AllocationScheme):
         check_scheme(instance, alloc.option, table)
     elif isinstance(alloc, SoftAllocation):
-        if alloc.x.shape != (*instance.dims, table.n_options):
+        if alloc.x.ndim not in (4, 5) or alloc.x.shape[-4:] != (*instance.dims, table.n_options):
             raise ValueError(f"allocation shape {alloc.x.shape} does not match instance dims")
     else:
         raise TypeError("expected AllocationScheme or SoftAllocation")
@@ -318,8 +326,10 @@ def _check_alloc(instance, alloc, table):
 def compute_flows(instance, alloc, table=None):
     """Aggregate an allocation into per-slot flows, billables, and cost.
 
-    ``alloc`` may be hard or relaxed.  Caps are not enforced here; their
-    overshoots are reported (see check_feasibility).
+    ``alloc`` may be hard or relaxed; a relaxed stack of S allocations
+    gives flows with a leading draw axis and (S,) totals, each equal to
+    that allocation's own.  Caps are not enforced here; their overshoots
+    are reported (see check_feasibility).
     """
     if table is None:
         table = build_option_table(instance.topology)
@@ -341,7 +351,8 @@ def total_cost(instance, alloc, table=None):
 
 
 def check_feasibility(instance, alloc, table=None):
-    """Physical and billable capacity checks, with per-violation detail."""
+    """Physical and billable capacity checks, with per-violation detail,
+    for one allocation (a stack raises ValueError)."""
     return FeasibilityReport.from_flows(compute_flows(instance, alloc, table))
 
 
@@ -377,7 +388,8 @@ def soft_loss(instance, alloc, lam_g=1.0, table=None):
 
     The overshoots cover per-slot physical caps (edge and ISP) and the
     billable caps on z.  Flow conservation needs no penalty: split
-    weights are normalized per option, so it holds identically.
+    weights are normalized per option, so it holds identically.  A
+    relaxed stack of S allocations gives an (S,) array of their losses.
     """
     if lam_g < 0:
         raise ValueError("penalty weight lam_g must be nonnegative")

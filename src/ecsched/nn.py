@@ -17,11 +17,15 @@ layer's activation and the next layer's input.  With the backward cache,
 each tile writes into its layer's full activation array, and the cache
 keeps the layer inputs and the output layer's preactivation only.
 Without it, the tiles pass through reused tile-sized buffers and only
-the output array is allocated.  The backward pass reads each hidden
-ReLU6 mask from the activation relu6(z) instead of from z: relu6(z) lies
-strictly inside (0, 6) exactly where z does, so the two masks are equal.
-The clamp returns -0.0 and NaN unchanged and maps -inf to 0 and +inf to
-6, and none of these lies inside (0, 6).
+the output array is allocated.  A per-column input scale is applied to
+each tile as it is read, so the scaled input exists in full only in the
+backward cache.
+
+The backward pass reads each hidden ReLU6 mask from the activation
+relu6(z) instead of from z: relu6(z) lies strictly inside (0, 6) exactly
+where z does, so the two masks are equal.  The clamp returns -0.0 and
+NaN unchanged and maps -inf to 0 and +inf to 6, and none of these lies
+inside (0, 6).
 """
 
 from dataclasses import dataclass
@@ -39,7 +43,9 @@ def relu6(z, out=None):
 
 
 def relu6_grad(z):
-    return ((z > 0.0) & (z < 6.0)).astype(float)
+    """Boolean mask of where ReLU6 has slope 1; a product with it is the
+    product with the 0/1 floats it stands for."""
+    return (z > 0.0) & (z < 6.0)
 
 
 @dataclass
@@ -72,27 +78,37 @@ def init_mlp(widths, rng, output="identity", eps=1e-6):
     return Mlp(weights=weights, biases=biases, output=output, eps=eps)
 
 
-def mlp_forward(mlp, x, keep_cache=True):
+def mlp_forward(mlp, x, keep_cache=True, in_scale=None):
     """Batched forward pass; x is (rows, widths[0]) and is not modified.
 
-    Returns (y, cache) with cache = (inputs, z): inputs[i] is layer i's
-    input (x, then the ReLU6 activations of the hidden layers) and z is
-    the output layer's preactivation.  With keep_cache=False the cache is
-    None and no per-layer array of all rows is allocated.
+    in_scale, if given, holds one factor per input column; each tile of x
+    is multiplied by it as it is read, so the network sees x * in_scale
+    without an array of all scaled rows.  Returns (y, cache) with cache =
+    (inputs, z): inputs[i] is layer i's input (the scaled x, then the
+    ReLU6 activations of the hidden layers) and z is the output layer's
+    preactivation.  With keep_cache=False the cache is None and no
+    per-layer array of all rows is allocated.
     """
     if mlp.output not in ("identity", "relu6_eps"):
         raise ValueError(f"unknown output transform '{mlp.output}'")
     rows = x.shape[0]
     last = len(mlp.weights) - 1
+    span = rows if keep_cache else min(rows, ROW_TILE)
+    # the scaled input comes first: allocated after the layer arrays, it
+    # made the cached desk-size link forward take 1.27x as long (glibc
+    # then hands out memory that faults in again on every call)
+    scaled = None if in_scale is None else np.empty((span, x.shape[1]))
     y = np.empty((rows, mlp.widths[-1]))
     # each layer's output: all rows when cached, else one reused tile; an
     # identity output layer writes straight into y
-    span = rows if keep_cache else min(rows, ROW_TILE)
     outs = [np.empty((span, width)) for width in mlp.widths[1:-1]]
     outs.append(y if mlp.output == "identity" else np.empty((span, y.shape[1])))
     for start in range(0, rows, ROW_TILE):
         stop = min(start + ROW_TILE, rows)
         a = x[start:stop]
+        if scaled is not None:
+            a = np.multiply(a, in_scale,
+                            out=scaled[start:stop] if keep_cache else scaled[:stop - start])
         for i, (w, b, out) in enumerate(zip(mlp.weights, mlp.biases, outs)):
             # an array of all rows is sliced at the tile, a tile buffer from 0
             z = out[start:stop] if len(out) == rows else out[:stop - start]
@@ -104,7 +120,7 @@ def mlp_forward(mlp, x, keep_cache=True):
             np.add(relu6(z), mlp.eps, out=y[start:stop])
     if not keep_cache:
         return y, None
-    return y, ([x] + outs[:last], outs[last])
+    return y, ([x if scaled is None else scaled] + outs[:last], outs[last])
 
 
 def mlp_backward(mlp, cache, dy):
@@ -113,8 +129,10 @@ def mlp_backward(mlp, cache, dy):
     Hidden layer i's ReLU6 mask is read from its activation inputs[i+1],
     which equals the mask of its preactivation (see the module
     docstring); only a relu6_eps output reads the stored preactivation.
-    Returns (dx, grads) with grads a flat list [dW0, db0, dW1, db1, ...]
-    matching parameters(mlp).
+    Each hidden mask multiplies, in place, the product ``d @ W`` that this
+    pass made, so neither dy nor the cache is written.  Returns (dx, grads)
+    with grads a flat list [dW0, db0, dW1, db1, ...] matching
+    parameters(mlp).
     """
     inputs, z = cache
     last = len(mlp.weights) - 1
@@ -122,7 +140,7 @@ def mlp_backward(mlp, cache, dy):
     d = dy
     for i in range(last, -1, -1):
         if i < last:
-            d = d * relu6_grad(inputs[i + 1])
+            d *= relu6_grad(inputs[i + 1])
         elif mlp.output == "relu6_eps":
             d = d * relu6_grad(z)
         # identity output: d passes through

@@ -150,8 +150,8 @@ def forward_alpha(network, inp, keep_cache=True):
         raise ValueError(f"input has {inp.n_links} links per user, network expects {network.n_links}")
     if inp.n_options != network.n_options:
         raise ValueError(f"input has {inp.n_options} options per block, network expects {network.n_options}")
-    x = inp.matrix * np.asarray(network.input_scale)
-    s, link_cache = mlp_forward(network.link, x, keep_cache=keep_cache)
+    s, link_cache = mlp_forward(network.link, inp.matrix, keep_cache=keep_cache,
+                                in_scale=np.asarray(network.input_scale))
     v, program_cache = mlp_forward(network.program, s.reshape(-1, network.n_links),
                                    keep_cache=keep_cache)
     a, ranking_cache = mlp_forward(network.ranking, v.reshape(-1, network.n_options),
@@ -237,12 +237,18 @@ def anneal_tau(epoch, config):
 
 
 def _mean_sampled_loss(network, dataset, tau, config, rng):
-    # one forward per instance, metric_samples concrete draws sharing it
+    """Mean soft loss over metric_samples concrete draws per instance.
+
+    Per instance: one uncached forward, the draws in one block (the same
+    stream as metric_samples ``draw_soft`` calls) and one ``soft_loss``
+    call pricing the stack, whose losses equal those of single calls.
+    """
     vals = []
     for inst, table, inp in dataset:
         alpha, _ = forward_alpha(network, inp, keep_cache=False)
-        for _ in range(config.metric_samples):
-            vals.append(soft_loss(inst, draw_soft(alpha, tau, rng), config.lam_g, table=table))
+        x, _ = gumbel.concrete_rows(alpha.values, alpha.valid, tau, rng, config.metric_samples)
+        stack = SoftAllocation(x=x.reshape(config.metric_samples, *alpha.dims, -1))
+        vals.extend(soft_loss(inst, stack, config.lam_g, table=table))
     return float(np.mean(vals))
 
 
@@ -255,12 +261,13 @@ def train(network, instances, config, eval_instances=()):
     (metric_samples concrete draws per instance at the epoch's
     temperature, drawn from a separate stream), so the train and
     held-out numbers are directly comparable and a fixed config
-    reproduces the history bit for bit.  Each epoch's losses are
-    measured at that epoch's tau, and a fixed network's loss moves
-    with tau (on the desk set it grows as tau falls), so rows at
-    different tau are not a learning curve; compare against another
-    network at the same tau instead.  Raises TrainingDiverged if a
-    descent loss goes non-finite.
+    reproduces the history bit for bit.  That pass prices each
+    instance's draws in one call (see ``_mean_sampled_loss``).  Each
+    epoch's losses are measured at that epoch's tau, and a fixed
+    network's loss moves with tau (on the desk set it grows as tau
+    falls), so rows at different tau are not a learning curve; compare
+    against another network at the same tau instead.  Raises
+    TrainingDiverged if a descent loss goes non-finite.
     """
     data, held = [], []
     for group, dataset in ((instances, data), (eval_instances, held)):

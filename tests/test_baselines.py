@@ -96,6 +96,16 @@ def test_brute_force_matches_oracle():
             assert check_feasibility(inst, got[0]).feasible
 
 
+def test_brute_force_cost_is_single_scheme_pricing():
+    # N * EL = 8 edge costs per combination, so pricing sums them pairwise
+    for seed in range(3):
+        inst = make_tiny(seed, n_users=2, n_slots=2, n_types=1, n_isps=4, demand_scale=30.0)
+        table = build_option_table(inst.topology)
+        scheme, cost = brute_force(inst, table=table)
+        assert cost > 0.0
+        assert evaluate_hard(inst, table, scheme.option) == (cost, True)
+
+
 def test_brute_force_bounds_sampling():
     rng = np.random.default_rng(4)
     inst = make_tiny(6, n_users=1, n_slots=3, n_types=2, n_isps=2,

@@ -206,6 +206,22 @@ def test_concrete_rows_given_is_the_same_transform():
     assert np.array_equal(x1, x2)
 
 
+def test_concrete_block_equals_sequential_draws():
+    rng = np.random.default_rng(18)
+    alpha = rng.uniform(0.5, 2.0, size=(30, 9))
+    valid = rng.random((30, 9)) > 0.4
+    valid[:, 3] = True
+    x, g = gumbel.concrete_rows(alpha, valid, 0.7, np.random.default_rng(19), 6)
+    assert x.shape == g.shape == (6, 30, 9)
+    stream = np.random.default_rng(19)
+    for s in range(6):
+        x1, g1 = gumbel.concrete_rows(alpha, valid, 0.7, stream)
+        assert np.array_equal(g[s], g1)
+        assert np.array_equal(x[s], x1)
+    assert np.array_equal(gumbel.concrete_rows_given(alpha, valid, 0.7, g), x)
+    assert (x[:, ~valid] == 0.0).all()
+
+
 def test_rejects_bad_inputs():
     rng = np.random.default_rng(14)
     with pytest.raises(ValueError):

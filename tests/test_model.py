@@ -9,12 +9,13 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from conftest import DESK_CONFIG, HELD_SEED0, make_tiny
-from ecsched import baselines, milp, sampler
+from ecsched import _kernels, baselines, milp, sampler
 from ecsched.generate import GenConfig, generate_instance
-from ecsched.model import (AllocationScheme, DemandTensor, Instance,
+from ecsched.model import (AllocationScheme, DemandTensor, FeasibilityReport, Instance,
                            InvalidTopologyError, SoftAllocation, Topology,
                            build_option_table, check_feasibility, compute_flows,
                            evaluate_hard, g95, percentile_exempt_count, soft_loss,
@@ -350,6 +351,20 @@ def test_physical_violation_reported():
     assert report.edge_billable[0][0] == (0, 0)
 
 
+def test_feasibility_report_refuses_a_stack():
+    rng = np.random.default_rng(15)
+    inst = make_tiny(3, n_users=2, n_slots=4, n_types=2, n_isps=3, demand_scale=9.0)
+    table = build_option_table(inst.topology)
+    stack = SoftAllocation(x=np.stack([random_soft(inst, table, rng).x for _ in range(3)]))
+    assert stack.dims == inst.dims
+    with pytest.raises(ValueError, match=r"\(3, 2, 3, 4\)"):
+        check_feasibility(inst, stack, table)
+    with pytest.raises(ValueError, match=r"\(3, 2, 3, 4\)"):
+        FeasibilityReport.from_flows(compute_flows(inst, stack, table))
+    with pytest.raises(ValueError, match="does not match"):
+        compute_flows(inst, SoftAllocation(x=stack.x[None]), table)
+
+
 def test_feasibility_agrees_with_oracle():
     rng = np.random.default_rng(8)
     hits = {True: 0, False: 0}
@@ -435,6 +450,45 @@ def test_soft_loss_matches_oracle():
         alloc = random_soft(inst, table, rng)
         got = soft_loss(inst, alloc, lam_g=1.3, table=table)
         assert got == pytest.approx(oracles.soft_loss(inst, alloc.x, 1.3), rel=1e-10)
+
+
+def test_soft_loss_of_a_stack_is_each_draws_loss():
+    rng = np.random.default_rng(16)
+    inst = make_tiny(4, n_users=3, n_slots=21, n_types=2, n_isps=3, demand_scale=9.0)
+    table = build_option_table(inst.topology)
+    allocs = [random_soft(inst, table, rng) for _ in range(5)]
+    losses = soft_loss(inst, SoftAllocation(x=np.stack([a.x for a in allocs])), 1.3, table)
+    assert losses.shape == (5,)
+    assert losses.tolist() == [soft_loss(inst, a, 1.3, table) for a in allocs]
+
+
+# N*EL >= 8 edge costs go through numpy's pairwise summation, whose order
+# follows the memory layout of the summed array
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(n_users=st.integers(1, 4), n_isps=st.integers(1, 4), n_slots=st.integers(1, 25),
+       n_types=st.integers(1, 3), seed=st.integers(0, 2 ** 16), n_draws=st.integers(1, 6),
+       hard=st.booleans())
+@example(n_users=4, n_isps=4, n_slots=24, n_types=2, seed=0, n_draws=6, hard=False)
+@example(n_users=4, n_isps=4, n_slots=24, n_types=2, seed=0, n_draws=6, hard=True)
+def test_stacked_pricing_equals_single_pricing(n_users, n_isps, n_slots, n_types, seed,
+                                               n_draws, hard):
+    inst = make_tiny(seed, n_users=n_users, n_slots=n_slots, n_types=n_types, n_isps=n_isps,
+                     full_admissible=False, demand_scale=8.0)
+    table = build_option_table(inst.topology)
+    rng = np.random.default_rng(seed)
+    args = (table.weights, inst.demands.inbound, inst.demands.outbound)
+    if hard:
+        stack = rng.integers(0, table.n_valid.T, size=(n_draws, *inst.dims))
+        flows_of = _kernels.hard_edge_flows
+    else:
+        stack = np.stack([random_soft(inst, table, rng).x for _ in range(n_draws)])
+        flows_of = _kernels.soft_edge_flows
+    batch = _kernels.price_flows(inst.topology, *flows_of(stack, *args))
+    for s in range(n_draws):
+        one = _kernels.price_flows(inst.topology, *flows_of(stack[s], *args))
+        assert batch.cost_total[s] == one.cost_total
+        assert batch.penalty[s] == one.penalty
+        assert batch.feasible[s] == one.feasible
 
 
 def test_soft_loss_two_paths_agree():

@@ -95,6 +95,41 @@ def test_forward_without_cache_is_bit_identical(rows, output):
         np.testing.assert_array_equal(y, relu6(z) + net.eps)
 
 
+@pytest.mark.parametrize("keep_cache", [True, False])
+@pytest.mark.parametrize("rows", [1, ROW_TILE, 2 * ROW_TILE + 7])
+def test_input_scaled_per_tile_equals_the_scaled_matrix(rows, keep_cache):
+    rng = np.random.default_rng(rows + 1)
+    net = init_mlp([4, 8, 8, 1], rng)
+    x = rng.normal(scale=300.0, size=(rows, 4))
+    before = x.copy()
+    scale = np.array([0.01, 0.01, 0.002, 0.002])
+    y_ref, cache_ref = mlp_forward(net, x * scale)
+    y, cache = mlp_forward(net, x, keep_cache=keep_cache, in_scale=scale)
+    np.testing.assert_array_equal(y, y_ref)
+    np.testing.assert_array_equal(x, before)
+    if keep_cache:
+        # backward reads the scaled rows from the cache
+        for a, ref in zip(cache[0], cache_ref[0]):
+            np.testing.assert_array_equal(a, ref)
+    else:
+        assert cache is None
+
+
+@pytest.mark.parametrize("output", ["identity", "relu6_eps"])
+def test_backward_writes_neither_dy_nor_the_cache(output):
+    rng = np.random.default_rng(21)
+    net = init_mlp([3, 6, 5, 2], rng, output=output)
+    x = rng.normal(scale=4.0, size=(50, 3))
+    dy = rng.normal(size=(50, 2))
+    _, cache = mlp_forward(net, x)
+    inputs, z = cache
+    saved = [a.copy() for a in inputs] + [z.copy(), dy.copy()]
+    mlp_backward(net, cache, dy)
+    for a, before in zip(inputs + [z, dy], saved):
+        np.testing.assert_array_equal(a, before)
+    assert relu6_grad(z).dtype == np.bool_
+
+
 def test_zero_weights_pass_bias():
     net = Mlp(weights=[np.zeros((3, 2))], biases=[np.array([1.0, -4.0, 9.0])],
               output="relu6_eps", eps=1e-6)

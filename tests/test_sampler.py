@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import DESK_CONFIG, DESK_NET_SEED, HELD_SEED0, make_tiny
+from conftest import DESK_CONFIG, DESK_NET_SEED, HELD_SEED0, make_tiny, recorded_protocol_loss
 from ecsched import gumbel, sampler
 from ecsched.cli import main
 from ecsched.generate import GenConfig, generate_instance, generate_instances
@@ -107,6 +107,20 @@ def test_forward_without_cache_gives_the_same_alpha(config):
     np.testing.assert_array_equal(bare.values, alpha.values)
     np.testing.assert_array_equal(bare.valid, alpha.valid)
     assert bare.dims == alpha.dims
+
+
+def test_uncached_forward_scales_its_input_per_tile():
+    # scaling the whole feature matrix first peaked at 13.6 MiB here
+    net = load_model(Path(__file__).resolve().parents[1] / "perfbench" / "desk_model.json")
+    inp = preprocess(generate_instance(GenConfig(), seed=HELD_SEED0))
+    assert inp.matrix.nbytes > 7 * 2 ** 20
+    tracemalloc.start()
+    try:
+        forward_alpha(net, inp, keep_cache=False)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2 ** 20
 
 
 def test_network_size_mismatch_rejected():
@@ -301,6 +315,17 @@ def test_desk_training_bytes_are_pinned():
     for p in sampler.network_parameters(net):
         digest.update(p.tobytes())
     assert digest.hexdigest() == DESK_TRAINING_SHA256
+
+
+def test_metric_pass_equals_per_draw_pricing():
+    # one stacked soft_loss per instance gives each draw's own loss
+    insts = [make_tiny(s, n_users=3, n_slots=21, n_types=2, n_isps=4, demand_scale=9.0)
+             for s in (0, 1)] + [generate_instance(DESK_CONFIG, seed=HELD_SEED0)]
+    net = create_network(seed=4)
+    config = TrainConfig(n_epochs=1, lam_g=1.5)
+    dataset = [(inst, build_option_table(inst.topology), preprocess(inst)) for inst in insts]
+    got = sampler._mean_sampled_loss(net, dataset, 0.8, config, np.random.default_rng(6))
+    assert got == recorded_protocol_loss(net, insts, 0.8, config, np.random.default_rng(6))
 
 
 def test_divergence_is_reported():

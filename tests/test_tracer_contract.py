@@ -74,3 +74,7 @@ def test_traced_training_keeps_the_encoder_spans_and_rows():
                  if name == "nn.mlp_forward.link"]
     # one forward per descent step, then one per instance in the metric pass
     assert link_rows == [rows] * (2 * len(train) + len(held))
+    # the metric pass draws and prices each instance's samples in one call
+    metric_instances = len(train) + len(held)
+    assert names.count("model.soft_loss") == metric_instances
+    assert names.count("gumbel.sample_gumbel") == len(train) + metric_instances

@@ -1,13 +1,18 @@
-"""Numeric kernels: per-slot flows of an allocation and their pricing.
+"""Numeric kernels: per-slot flows of an allocation, their pricing, and
+the adjoints of both.
 
 Every route that prices an allocation (the cost model, the soft loss and
 its gradient, the samplers, exhaustive search and the MILP objective)
-goes through ``price_flows``, so the percentile rule, the overage cost
-and the cap checks are written once.  Hard and soft flows and pricing
-take leading batch axes, which lets exhaustive search build and price a
-chunk of combinations in one call and training price an instance's
-metric draws in one call.  A stack's totals equal the totals of its
-allocations priced one at a time, bit for bit.
+goes through ``price_flows``.  It bills the edge links and the ISP links
+with one routine, so the percentile rule, the overage cost and the cap
+checks are written once; the soft loss's subgradient of that rule,
+``price_flows_grad``, is likewise one routine for both tiers, and
+``soft_edge_flows_grad`` carries it back to the relaxed allocation.
+Hard and soft flows and pricing take leading batch axes, which lets
+exhaustive search build and price a chunk of combinations in one call
+and training price an instance's metric draws in one call.  A stack's
+totals equal the totals of its allocations priced one at a time, bit
+for bit.
 
 Array conventions match the rest of the package: demand tensors are
 ``[type, user, slot]``, per-slot link flows are ``[user, link, slot]``
@@ -88,6 +93,40 @@ class FlowSummary:
         return _per_allocation(sum((o ** 2).sum(axis=self._per_allocation_axes(o))
                                    for o in self.overshoot))
 
+    @property
+    def tiers(self):
+        """The edge links, then the ISP links, each as (inbound flows,
+        outbound flows, z, inbound sets z, the in and out overshoots of
+        the physical cap, the overshoot of z over the billable cap)."""
+        o = self.overshoot
+        return ((self.edge_in, self.edge_out, self.z_edge, self.inbound_edge, *o[0:2], o[4]),
+                (self.isp_in, self.isp_out, self.z_isp, self.inbound_isp, *o[2:4], o[5]))
+
+
+def _link_tiers(topology):
+    """(rate, basic, billable and physical cap) of the edge links, then
+    of the ISP links."""
+    return ((topology.edge_rate, topology.edge_cap_basic,
+             topology.edge_cap_billable, topology.edge_cap_phys),
+            (topology.isp_rate, topology.isp_cap_basic,
+             topology.isp_cap_billable, topology.isp_cap_phys))
+
+
+def _bill_links(flow_in, flow_out, rate, cap_basic, cap_billable, cap_phys):
+    """Percentile billing of one tier of links, flows (..., L, T).
+
+    Returns (z, inbound sets z, cost per link, the in and out per-slot
+    overshoots of the physical cap, the overshoot of z over the billable
+    cap).
+    """
+    z_in, z_out = billed_level(flow_in), billed_level(flow_out)
+    inbound = z_in >= z_out
+    z = np.where(inbound, z_in, z_out)
+    phys = cap_phys[..., None]
+    return (z, inbound, rate * np.maximum(z - cap_basic, 0.0),
+            np.maximum(flow_in - phys, 0.0), np.maximum(flow_out - phys, 0.0),
+            np.maximum(z - cap_billable, 0.0))
+
 
 def price_flows(topology, edge_in, edge_out):
     """Percentile billing of per-slot edge flows (..., N, EL, T).
@@ -95,29 +134,46 @@ def price_flows(topology, edge_in, edge_out):
     A link's billable bandwidth z is the larger of its inbound and
     outbound (m+1)-th largest slot flows, its cost is rate times the
     overage of z over the basic cap, and ISP flows are sums over users.
+    Edge and ISP links are billed by the same routine.
     """
-    isp_in = edge_in.sum(axis=-3)
-    isp_out = edge_out.sum(axis=-3)
-    zin_e, zout_e = billed_level(edge_in), billed_level(edge_out)
-    zin_l, zout_l = billed_level(isp_in), billed_level(isp_out)
-    inbound_edge = zin_e >= zout_e
-    inbound_isp = zin_l >= zout_l
-    z_edge = np.where(inbound_edge, zin_e, zout_e)
-    z_isp = np.where(inbound_isp, zin_l, zout_l)
-    cost_edge = topology.edge_rate * np.maximum(z_edge - topology.edge_cap_basic, 0.0)
-    cost_isp = topology.isp_rate * np.maximum(z_isp - topology.isp_cap_basic, 0.0)
-    phys_e = topology.edge_cap_phys[:, :, None]
-    phys_l = topology.isp_cap_phys[:, None]
-    overshoot = (
-        np.maximum(edge_in - phys_e, 0.0), np.maximum(edge_out - phys_e, 0.0),
-        np.maximum(isp_in - phys_l, 0.0), np.maximum(isp_out - phys_l, 0.0),
-        np.maximum(z_edge - topology.edge_cap_billable, 0.0),
-        np.maximum(z_isp - topology.isp_cap_billable, 0.0))
+    isp_in, isp_out = edge_in.sum(axis=-3), edge_out.sum(axis=-3)
+    (z_e, in_e, cost_e, *over_e), (z_l, in_l, cost_l, *over_l) = (
+        _bill_links(f_in, f_out, *caps) for (f_in, f_out), caps
+        in zip(((edge_in, edge_out), (isp_in, isp_out)), _link_tiers(topology)))
     return FlowSummary(
         edge_in=edge_in, edge_out=edge_out, isp_in=isp_in, isp_out=isp_out,
-        z_edge=z_edge, z_isp=z_isp, inbound_edge=inbound_edge, inbound_isp=inbound_isp,
-        cost_total=_per_allocation(cost_edge.sum(axis=(-2, -1)) + cost_isp.sum(axis=-1)),
-        overshoot=overshoot)
+        z_edge=z_e, z_isp=z_l, inbound_edge=in_e, inbound_isp=in_l,
+        cost_total=_per_allocation(cost_e.sum(axis=(-2, -1)) + cost_l.sum(axis=-1)),
+        overshoot=(*over_e[:2], *over_l[:2], over_e[2], over_l[2]))
+
+
+def price_flows_grad(topology, flows, lam_g):
+    """Subgradient of cost + lam_g * penalty in the edge flows, from their
+    ``price_flows`` summary: (d/d edge_in, d/d edge_out), each shaped
+    like edge_in.
+
+    Conventions at the kinks: ReLU'(0) = 0, the in/out max routes to
+    inbound on ties, and the percentile routes to the stable (m+1)-th
+    largest slot.
+    """
+    slots = np.arange(flows.edge_in.shape[-1])
+    m = percentile_exempt_count(slots.size)
+    grads = []
+    for tier, (rate, cap_basic, _, _) in zip(flows.tiers, _link_tiers(topology)):
+        flow_in, flow_out, z, inbound, over_in, over_out, over_z = tier
+        # the billable terms enter through the billed slot of the
+        # direction that sets z
+        coef = rate * (z > cap_basic) + 2.0 * lam_g * over_z
+        for flow, over, sets_z in ((flow_in, over_in, inbound), (flow_out, over_out, ~inbound)):
+            # built in place: the einsum of soft_edge_flows_grad sums in
+            # an order that depends on the memory layout of this array,
+            # and an out-of-place sum lays it out differently
+            d = 2.0 * lam_g * over
+            d += np.where(sets_z, coef, 0.0)[..., None] * (slots == descending_slots(flow)[..., m, None])
+            grads.append(d)
+    e_in, e_out, l_in, l_out = grads
+    # ISP flows are sums over users, so their sensitivities broadcast
+    return e_in + l_in[..., None, :, :], e_out + l_out[..., None, :, :]
 
 
 def _selected_weights(weights, options):
@@ -169,6 +225,16 @@ def soft_edge_flows(x, weights, d_in, d_out):
         return f.reshape(*lead, N, T, EL).swapaxes(-1, -2)
 
     return flows(d_in), flows(d_out)
+
+
+def soft_edge_flows_grad(g_in, g_out, weights, d_in, d_out):
+    """Adjoint of soft_edge_flows for one allocation: d loss / d x, (T, N,
+    K, P), from the loss's sensitivities g_in and g_out to the edge flows,
+    each (N, EL, T), as ``price_flows_grad`` returns them."""
+    # d flow[n,j,t] / d x[t,n,k,p] = W[k,n,p,j] * d[k,n,t], per direction
+    a = (g_in.transpose(2, 0, 1)[:, :, None, :] * d_in.transpose(2, 1, 0)[:, :, :, None]
+         + g_out.transpose(2, 0, 1)[:, :, None, :] * d_out.transpose(2, 1, 0)[:, :, :, None])
+    return np.einsum("tnkj,knpj->tnkp", a, weights)
 
 
 def _digits_for(combo_ids, radices):

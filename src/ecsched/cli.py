@@ -400,7 +400,7 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        for flag, least in (("seed", 0), ("count", 1), ("samples", 1)):
+        for flag, least in (("seed", 0), ("count", 1), ("samples", 1), ("budget", 1)):
             value = getattr(args, flag, None)
             if value is not None and value < least:
                 raise FormatError(f"--{flag} must be at least {least}")

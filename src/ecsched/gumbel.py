@@ -52,6 +52,17 @@ def concrete_rows_given(alpha, valid, tau, g):
     return e / e.sum(axis=-1, keepdims=True)
 
 
+def concrete_rows_grad(alpha, valid, tau, x, dx):
+    """Adjoint of concrete_rows_given in alpha, for fixed noise.
+
+    x: the (R, P) transform of alpha, dx: d loss / d x.  Returns d loss /
+    d alpha, (R, P): the softmax Jacobian per row, then the chain rule
+    through log alpha / tau; masked entries get exactly 0.
+    """
+    dlogits = x * (dx - (x * dx).sum(axis=-1, keepdims=True))
+    return np.where(valid, dlogits / (tau * alpha), 0.0)
+
+
 def concrete_rows(alpha, valid, tau, rng, n_draws=None):
     """Row-wise masked concrete samples.
 

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import _kernels
-from ._kernels import FlowSummary, percentile_exempt_count
+from ._kernels import FlowSummary, percentile_exempt_count  # re-exported
 
 
 class InvalidTopologyError(ValueError):
@@ -400,50 +400,14 @@ def soft_loss(instance, alloc, lam_g=1.0, table=None):
 def soft_loss_and_grad(instance, table, x, lam_g=1.0):
     """Soft loss of a relaxed allocation and its gradient in x.
 
-    Returns (loss, dloss/dx).  Subgradient conventions at the kinks:
-    ReLU'(0) = 0, the in/out max routes to inbound on ties, and the
-    percentile routes to the stable (m+1)-th largest slot.
+    Returns (loss, dloss/dx): the flows are priced, the billing rule's
+    subgradient gives the loss's sensitivity to each edge flow (see
+    ``_kernels.price_flows_grad`` for the conventions at the kinks), and
+    the flow adjoint carries it back to x.
     """
-    topo = instance.topology
-    d_in = instance.demands.inbound
-    d_out = instance.demands.outbound
-    flows = _kernels.price_flows(topo, *_kernels.soft_edge_flows(
+    d_in, d_out = instance.demands.inbound, instance.demands.outbound
+    flows = _kernels.price_flows(instance.topology, *_kernels.soft_edge_flows(
         np.ascontiguousarray(x), table.weights, d_in, d_out))
-    m = percentile_exempt_count(d_in.shape[2])
-    slots = np.arange(d_in.shape[2])
-
-    def billed(flow, coef):
-        # coef on each link's billed slot of flow, zero on every other slot
-        return coef[..., None] * (slots == _kernels.descending_slots(flow)[..., m, None])
-
-    over_e_in, over_e_out, over_l_in, over_l_out, over_ze, over_zl = flows.overshoot
-    loss = flows.cost_total + lam_g * flows.penalty
-    above_e = flows.z_edge > topo.edge_cap_basic  # links billing an overage
-    above_l = flows.z_isp > topo.isp_cap_basic
-
-    # d loss / d flow, accumulated per slot then routed back through x
-    dE_in = 2.0 * lam_g * over_e_in
-    dE_out = 2.0 * lam_g * over_e_out
-    dL_in = 2.0 * lam_g * over_l_in
-    dL_out = 2.0 * lam_g * over_l_out
-
-    # billable terms enter through the billed slot of the direction that
-    # sets z; added in place, since the einsum below sums in an order that
-    # depends on the memory layout of these arrays
-    coef_e = topo.edge_rate * above_e + 2.0 * lam_g * over_ze
-    coef_l = topo.isp_rate * above_l + 2.0 * lam_g * over_zl
-    win_e, win_l = flows.inbound_edge, flows.inbound_isp
-    dE_in += billed(flows.edge_in, np.where(win_e, coef_e, 0.0))
-    dE_out += billed(flows.edge_out, np.where(win_e, 0.0, coef_e))
-    dL_in += billed(flows.isp_in, np.where(win_l, coef_l, 0.0))
-    dL_out += billed(flows.isp_out, np.where(win_l, 0.0, coef_l))
-
-    # ISP flows are sums over users, so their sensitivities broadcast
-    dE_in = dE_in + dL_in[None, :, :]
-    dE_out = dE_out + dL_out[None, :, :]
-
-    # d flow[n,j,t] / d x[t,n,k,p] = W[k,n,p,j] * d[k,n,t], per direction
-    a = (dE_in.transpose(2, 0, 1)[:, :, None, :] * d_in.transpose(2, 1, 0)[:, :, :, None]
-         + dE_out.transpose(2, 0, 1)[:, :, None, :] * d_out.transpose(2, 1, 0)[:, :, :, None])
-    dx = np.einsum("tnkj,knpj->tnkp", a, table.weights)
-    return loss, dx
+    dx = _kernels.soft_edge_flows_grad(
+        *_kernels.price_flows_grad(instance.topology, flows, lam_g), table.weights, d_in, d_out)
+    return flows.cost_total + lam_g * flows.penalty, dx

@@ -188,13 +188,9 @@ def loss_grads_with_noise(network, instance, table, inp, tau, lam_g, gumbels):
     """
     alpha, (c1, c2, c3) = forward_alpha(network, inp)
     x_rows = gumbel.concrete_rows_given(alpha.values, alpha.valid, tau, gumbels)
-    t, n, k = alpha.dims
-    loss, dx = soft_loss_and_grad(instance, table, x_rows.reshape(t, n, k, -1), lam_g)
-    dx_rows = dx.reshape(-1, network.n_options)
-    # softmax jacobian per row, then through log alpha at temperature tau
-    row_dot = (x_rows * dx_rows).sum(axis=1, keepdims=True)
-    dlogits = x_rows * (dx_rows - row_dot)
-    dalpha = np.where(alpha.valid, dlogits / (tau * alpha.values), 0.0)
+    loss, dx = soft_loss_and_grad(instance, table, x_rows.reshape(*alpha.dims, -1), lam_g)
+    dalpha = gumbel.concrete_rows_grad(alpha.values, alpha.valid, tau, x_rows,
+                                       dx.reshape(x_rows.shape))
     dv_rows, g_rank = mlp_backward(network.ranking, c3, dalpha)
     ds_rows, g_prog = mlp_backward(network.program, c2, dv_rows.reshape(-1, 1))
     _, g_link = mlp_backward(network.link, c1, ds_rows.reshape(-1, 1))

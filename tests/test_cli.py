@@ -345,6 +345,17 @@ def test_oracle_budget_refusal_is_exit_2(tmp_path, capsys):
     assert "exceed" in err
 
 
+@pytest.mark.parametrize("budget", ["0", "-1"])
+def test_oracle_budget_below_one_is_exit_3(tmp_path, capsys, budget):
+    inst_path = tmp_path / "inst.json"
+    io.write_instance(make_tiny(2), inst_path)
+    code, _, err = run(capsys, "oracle", "--instance", str(inst_path),
+                       "--budget", budget, "--out", str(tmp_path / "o.json"))
+    assert code == 3
+    assert "--budget must be at least 1" in err
+    assert not (tmp_path / "o.json").exists()
+
+
 def test_export_import_round_trip(tmp_path, capsys):
     inst = make_tiny(5, demand_scale=8.0)
     inst_path = tmp_path / "inst.json"

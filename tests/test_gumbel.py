@@ -222,6 +222,26 @@ def test_concrete_block_equals_sequential_draws():
     assert (x[:, ~valid] == 0.0).all()
 
 
+def test_concrete_rows_grad_matches_central_differences():
+    # L(alpha) = sum(c * x(alpha)) for fixed noise, so dL/dx = c
+    rng = np.random.default_rng(21)
+    alpha = rng.uniform(0.5, 2.0, size=(12, 7))
+    valid = rng.random((12, 7)) > 0.4
+    valid[:, 1] = True
+    g, c, tau = gumbel.sample_gumbel(rng, alpha.shape), rng.normal(size=alpha.shape), 0.8
+    x = gumbel.concrete_rows_given(alpha, valid, tau, g)
+    grad = gumbel.concrete_rows_grad(alpha, valid, tau, x, c)
+    assert not grad[~valid].view(np.uint64).any()  # +0.0, byte for byte
+    h = 1e-6
+    for r, p in np.argwhere(valid):
+        up, down = alpha.copy(), alpha.copy()
+        up[r, p] += h
+        down[r, p] -= h
+        numeric = (c * (gumbel.concrete_rows_given(up, valid, tau, g)
+                        - gumbel.concrete_rows_given(down, valid, tau, g))).sum() / (2 * h)
+        assert abs(grad[r, p] - numeric) <= 1e-7 * max(1.0, abs(numeric))
+
+
 def test_rejects_bad_inputs():
     rng = np.random.default_rng(14)
     with pytest.raises(ValueError):

@@ -57,10 +57,11 @@ def concrete_rows_grad(alpha, valid, tau, x, dx):
 
     x: the (R, P) transform of alpha, dx: d loss / d x.  Returns d loss /
     d alpha, (R, P): the softmax Jacobian per row, then the chain rule
-    through log alpha / tau; masked entries get exactly 0.
+    through log alpha / tau; masked entries get exactly 0 and are never
+    divided, so a masked alpha of 0 is accepted.
     """
     dlogits = x * (dx - (x * dx).sum(axis=-1, keepdims=True))
-    return np.where(valid, dlogits / (tau * alpha), 0.0)
+    return np.divide(dlogits, tau * alpha, out=np.zeros_like(dlogits), where=valid)
 
 
 def concrete_rows(alpha, valid, tau, rng, n_draws=None):

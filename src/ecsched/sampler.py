@@ -33,13 +33,14 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from . import gumbel
 from .io import FormatError, load_json, need_array, write_json
-from .model import (AllocationScheme, SoftAllocation, best_feasible, build_option_table,
-                    evaluate_hard, soft_loss, soft_loss_and_grad)
+from .model import (AllocationScheme, Instance, OptionTable, SoftAllocation, best_feasible,
+                    build_option_table, evaluate_hard, soft_loss, soft_loss_and_grad)
 from .nn import AdamState, Mlp, adam_step, init_mlp, mlp_backward, mlp_forward, parameters
 
 MODEL_FORMAT = "ecsched-model"
@@ -47,6 +48,11 @@ MODEL_VERSION = 1
 
 # per-column input scaling: traffic shares, then the two capacity columns
 INPUT_SCALE = (0.01, 0.01, 0.002, 0.002)
+
+# the distinct-row lists of NetworkInput end in copies of the full
+# forward's last rows, aligned to this many rows: a multiple of a BLAS
+# kernel's row unroll, and a divisor of nn.ROW_TILE
+TAIL_ALIGN = 64
 
 
 class IntegrityError(FormatError):
@@ -59,22 +65,54 @@ class TrainingDiverged(RuntimeError):
 
 @dataclass(frozen=True)
 class NetworkInput:
-    """Feature matrix of one instance.
+    """Network input of one instance: the index of its distinct rows, and
+    its full feature matrix, built on first use.
 
     matrix: (T*N*K*P*EL, 4) with row EL*p + j inside each block; valid:
     (T*N*K, P) marking real options.  Padded option rows keep the
     capacity columns (they describe links, not options) and have zero
-    traffic columns.
+    traffic columns.  Only the cached forward reads matrix, because
+    ``mlp_backward`` needs a cache row for every position.
+
+    A link row whose option weight is 0 equals the capacity-only row of
+    its (user, link), and every padded option of a user reads that
+    user's EL capacity-only rows, so the inference forward runs its link
+    and program encoders on distinct rows only:
+
+    * link_rows: the N*EL capacity-only rows (user major, traffic columns
+      +0.0), then the rows of matrix whose option weight is nonzero, in
+      matrix order;
+    * program_links: (rows, EL) indexes into link_rows: one capacity-only
+      row per user, then the rows of the valid options, slot by slot in
+      block order;
+    * program_index: (T*N*K*P,) the program row of every option.
+
+    Both lists then get zero rows up to a multiple of TAIL_ALIGN and a
+    copy of the full forward's last R option rows (R = T*N*K*P mod
+    TAIL_ALIGN) and of their R*EL link rows, which those options read
+    instead.  A BLAS may round the last rows of a call (its row count
+    modulo its kernel's unroll, a divisor of TAIL_ALIGN) differently from
+    the rest; with the copy each list ends in the rows the full forward
+    ends in, at the same count modulo TAIL_ALIGN, so both forwards round
+    every row alike.
     """
 
-    matrix: np.ndarray
+    instance: Instance
+    table: OptionTable
     valid: np.ndarray
     dims: tuple
     n_links: int
+    link_rows: np.ndarray
+    program_links: np.ndarray
+    program_index: np.ndarray
 
     @property
     def n_options(self):
         return self.valid.shape[1]
+
+    @cached_property
+    def matrix(self):
+        return _feature_rows(self.instance, self.table)
 
 
 @dataclass(frozen=True)
@@ -122,38 +160,102 @@ def create_network(n_links=4, seed=0):
 
 
 def preprocess(instance, table=None):
-    """Expand an instance into the (T*N*K*P*EL, 4) feature matrix."""
+    """Index the distinct network input rows of an instance (see
+    ``NetworkInput``); the full feature matrix waits for its first use."""
     if table is None:
         table = build_option_table(instance.topology)
+    topo = instance.topology
     t, n, k = instance.dims
-    p = table.n_options
-    el = instance.topology.n_isps
+    p, el = table.n_options, topo.n_isps
+    real = table.valid.transpose(1, 0, 2)  # (N, K, P)
+    valid = np.broadcast_to(real[None], (t, n, k, p)).reshape(-1, p)
+    carries = table.weights.transpose(1, 0, 2, 3) > 0  # (N, K, P, EL)
+    n_carry, n_real = int(carries.sum()), int(real.sum())
+
+    # the last `tail` options and their links run again as copies; each
+    # list is written in place, since a fresh large temporary costs its
+    # page faults again on every call
+    tail = t * n * k * p % TAIL_ALIGN
+    n_link, n_program = n * el + t * n_carry, n + t * n_real
+    link_rows = np.zeros((_round_up(n_link) + tail * el, 4))
+    capacity = link_rows[:n * el].reshape(n, el, 4)
+    capacity[..., 2] = topo.edge_cap_basic
+    capacity[..., 3] = topo.edge_cap_billable
+    users, types, _, links = carries.nonzero()
+    weighted = link_rows[n * el:n_link].reshape(t, n_carry, 4)
+    weighted[:] = capacity[users, links]
+    weights = table.weights.transpose(1, 0, 2, 3)[carries]
+    for col, demand in enumerate((instance.demands.inbound, instance.demands.outbound)):
+        np.multiply(weights, demand[types, users].T, out=weighted[..., col])
+    last = _feature_rows(instance, table, t + (-tail // (n * k * p)))
+    link_rows[len(link_rows) - tail * el:] = last[len(last) - tail * el:]
+
+    # each position's distinct row in slot 0; slot s moves a weighted link
+    # row by s*n_carry and a valid option row by s*n_real
+    slots = np.arange(t)
+    link0 = np.where(carries, n * el + np.cumsum(carries).reshape(carries.shape) - 1,
+                     np.arange(n * el).reshape(n, 1, 1, el))
+    program_links = np.zeros((_round_up(n_program) + tail, el), dtype=np.intp)
+    program_links[:n] = np.arange(n * el).reshape(n, el)
+    options = program_links[n:n_program].reshape(t, n_real, el)
+    np.multiply(slots[:, None, None], n_carry * carries[real], out=options)
+    options += link0[real]
+    program_links[len(program_links) - tail:] = np.arange(
+        len(link_rows) - tail * el, len(link_rows)).reshape(tail, el)
+    program_index = np.multiply.outer(slots, n_real * real)
+    program_index += np.where(real, n + np.cumsum(real).reshape(real.shape) - 1,
+                              np.arange(n)[:, None, None])
+    program_index = program_index.reshape(-1)
+    program_index[program_index.size - tail:] = np.arange(len(program_links) - tail,
+                                                          len(program_links))
+    return NetworkInput(instance=instance, table=table, valid=np.ascontiguousarray(valid),
+                        dims=(t, n, k), n_links=el, link_rows=link_rows,
+                        program_links=program_links, program_index=program_index)
+
+
+def _round_up(rows):
+    """rows rounded up to a multiple of TAIL_ALIGN."""
+    return -(-rows // TAIL_ALIGN) * TAIL_ALIGN
+
+
+def _feature_rows(instance, table, first_slot=0):
+    """Feature rows of slots first_slot to T-1, in ``NetworkInput.matrix`` order."""
+    topo = instance.topology
+    _, n, k = instance.dims
     # one array, each column written in place through a strided view
-    matrix = np.empty((t, n, k, p, el, 4))
-    np.einsum("knpj,knt->tnkpj", table.weights, instance.demands.inbound, out=matrix[..., 0])
-    np.einsum("knpj,knt->tnkpj", table.weights, instance.demands.outbound, out=matrix[..., 1])
-    matrix[..., 2] = instance.topology.edge_cap_basic[None, :, None, None, :]
-    matrix[..., 3] = instance.topology.edge_cap_billable[None, :, None, None, :]
-    valid = np.broadcast_to(table.valid.transpose(1, 0, 2)[None], (t, n, k, p)).reshape(-1, p)
-    return NetworkInput(matrix=matrix.reshape(-1, 4), valid=np.ascontiguousarray(valid),
-                        dims=(t, n, k), n_links=el)
+    matrix = np.empty((instance.dims[0] - first_slot, n, k, table.n_options, topo.n_isps, 4))
+    for col, demand in enumerate((instance.demands.inbound, instance.demands.outbound)):
+        np.einsum("knpj,knt->tnkpj", table.weights, demand[..., first_slot:], out=matrix[..., col])
+    matrix[..., 2] = topo.edge_cap_basic[None, :, None, None, :]
+    matrix[..., 3] = topo.edge_cap_billable[None, :, None, None, :]
+    return matrix.reshape(-1, 4)
 
 
 def forward_alpha(network, inp, keep_cache=True):
     """Location parameters for every block; returns (AlphaMatrix, caches).
 
     caches holds the link, program and ranking forward caches for
-    mlp_backward; with keep_cache=False it is None and each encoder runs
-    its rows through tile-sized buffers (see ``nn.mlp_forward``).
+    mlp_backward.  This forward runs every row of ``inp.matrix``: the
+    backward pass reads one cache row per position and sums the weight
+    gradients over all of them.  With keep_cache=False caches is None,
+    the link and program encoders run on the distinct rows of
+    ``NetworkInput`` only, and their scores are expanded back by index;
+    the alpha is the same, bit for bit.  Each uncached encoder runs its
+    rows through tile-sized buffers (see ``nn.mlp_forward``).
     """
     if inp.n_links != network.n_links:
         raise ValueError(f"input has {inp.n_links} links per user, network expects {network.n_links}")
     if inp.n_options != network.n_options:
         raise ValueError(f"input has {inp.n_options} options per block, network expects {network.n_options}")
-    s, link_cache = mlp_forward(network.link, inp.matrix, keep_cache=keep_cache,
+    rows = inp.matrix if keep_cache else inp.link_rows
+    s, link_cache = mlp_forward(network.link, rows, keep_cache=keep_cache,
                                 in_scale=np.asarray(network.input_scale))
+    if not keep_cache:
+        s = s[inp.program_links]
     v, program_cache = mlp_forward(network.program, s.reshape(-1, network.n_links),
                                    keep_cache=keep_cache)
+    if not keep_cache:
+        v = v[inp.program_index]
     a, ranking_cache = mlp_forward(network.ranking, v.reshape(-1, network.n_options),
                                    keep_cache=keep_cache)
     alpha = AlphaMatrix(values=a, valid=inp.valid, dims=inp.dims)

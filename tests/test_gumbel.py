@@ -229,17 +229,20 @@ def test_concrete_rows_grad_matches_central_differences():
     valid = rng.random((12, 7)) > 0.4
     valid[:, 1] = True
     g, c, tau = gumbel.sample_gumbel(rng, alpha.shape), rng.normal(size=alpha.shape), 0.8
-    x = gumbel.concrete_rows_given(alpha, valid, tau, g)
-    grad = gumbel.concrete_rows_grad(alpha, valid, tau, x, c)
-    assert not grad[~valid].view(np.uint64).any()  # +0.0, byte for byte
-    h = 1e-6
-    for r, p in np.argwhere(valid):
-        up, down = alpha.copy(), alpha.copy()
-        up[r, p] += h
-        down[r, p] -= h
-        numeric = (c * (gumbel.concrete_rows_given(up, valid, tau, g)
-                        - gumbel.concrete_rows_given(down, valid, tau, g))).sum() / (2 * h)
-        assert abs(grad[r, p] - numeric) <= 1e-7 * max(1.0, abs(numeric))
+    # masked entries never enter x, so a masked alpha of 0 is a valid input
+    # and must not be divided by
+    for block in (alpha, np.where(valid, alpha, 0.0)):
+        x = gumbel.concrete_rows_given(block, valid, tau, g)
+        grad = gumbel.concrete_rows_grad(block, valid, tau, x, c)
+        assert not grad[~valid].view(np.uint64).any()  # +0.0, byte for byte
+        h = 1e-6
+        for r, p in np.argwhere(valid):
+            up, down = block.copy(), block.copy()
+            up[r, p] += h
+            down[r, p] -= h
+            numeric = (c * (gumbel.concrete_rows_given(up, valid, tau, g)
+                            - gumbel.concrete_rows_given(down, valid, tau, g))).sum() / (2 * h)
+            assert abs(grad[r, p] - numeric) <= 1e-7 * max(1.0, abs(numeric))
 
 
 def test_rejects_bad_inputs():

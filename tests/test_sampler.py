@@ -1,5 +1,6 @@
 """Sampling network: features, alpha, draws, training loop, model files."""
 
+import dataclasses
 import hashlib
 import json
 import tracemalloc
@@ -96,17 +97,56 @@ def test_alpha_shape_and_positivity():
     assert alpha.dims == (t, n, k)
 
 
-@pytest.mark.parametrize("config", [GenConfig(), DESK_CONFIG], ids=["default", "desk"])
-def test_forward_without_cache_gives_the_same_alpha(config):
+def corner_instance(case):
+    """A tiny instance (3 users, 7 slots, 3 types, 4 links) at one corner of
+    the uncached forward's distinct rows.  Its 945 options leave a tail of
+    945 mod TAIL_ALIGN rows that run as copies."""
+    inst = make_tiny(5, n_users=3, n_slots=7, n_types=3, n_isps=4, full_admissible=False)
+    topo, demands = inst.topology, inst.demands
+    if case == "zero-basic-caps":
+        topo = dataclasses.replace(topo, edge_cap_basic=np.zeros_like(topo.edge_cap_basic))
+    elif case == "zero-demand":
+        # weighted links whose traffic columns are 0, like a capacity-only row
+        inbound, outbound = demands.inbound.copy(), demands.outbound.copy()
+        inbound[:, 1, :3] = outbound[:, 1, :3] = 0.0
+        inbound[0, 2] = 0.0
+        demands = DemandTensor(inbound=inbound, outbound=outbound)
+    elif case == "user-without-padding":
+        admissible = topo.admissible.copy()
+        admissible[:, 0] = True
+        topo = dataclasses.replace(topo, admissible=admissible)
+    return Instance(topology=topo, demands=demands, instance_id=inst.instance_id, seed=inst.seed)
+
+
+@pytest.mark.parametrize("case", ["default", "desk", "padded", "zero-basic-caps",
+                                  "zero-demand", "user-without-padding"])
+def test_forward_without_cache_gives_the_same_alpha(case):
     net = load_model(Path(__file__).resolve().parents[1] / "perfbench" / "desk_model.json")
-    inp = preprocess(generate_instance(config, seed=HELD_SEED0))
-    alpha, caches = forward_alpha(net, inp)
-    bare, none = forward_alpha(net, inp, keep_cache=False)
-    assert none is None
-    assert len(caches) == 3 and all(c is not None for c in caches)
-    np.testing.assert_array_equal(bare.values, alpha.values)
-    np.testing.assert_array_equal(bare.valid, alpha.valid)
-    assert bare.dims == alpha.dims
+    if case in ("default", "desk"):
+        inst = generate_instance(GenConfig() if case == "default" else DESK_CONFIG, seed=HELD_SEED0)
+    else:
+        inst = corner_instance(case)
+    inp = preprocess(inst)
+    t, n, k = inp.dims
+    padded = ~inp.valid.reshape(t, n, k, -1).all(axis=(0, 2, 3))
+    if case == "user-without-padding":
+        assert not padded[0] and padded[1:].any()
+    elif case != "default":
+        assert padded.any()
+    # on the corner instances the fresh network's last BLAS rows round
+    # apart from the rest, so it fails if the distinct rows lose their tail
+    for network in (net, create_network(seed=4)):
+        alpha, caches = forward_alpha(network, inp)
+        bare, none = forward_alpha(network, inp, keep_cache=False)
+        assert none is None
+        assert len(caches) == 3 and all(c is not None for c in caches)
+        assert bare.values.tobytes() == alpha.values.tobytes()
+        np.testing.assert_array_equal(bare.valid, alpha.valid)
+        assert bare.dims == alpha.dims
+    # the distinct rows, expanded by index, are the feature matrix
+    expanded = inp.link_rows[inp.program_links[inp.program_index]].reshape(-1, 4)
+    assert expanded.tobytes() == inp.matrix.tobytes()
+    assert len(inp.link_rows) < len(inp.matrix)
 
 
 def test_uncached_forward_scales_its_input_per_tile():

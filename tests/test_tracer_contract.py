@@ -9,8 +9,9 @@ import numpy as np
 from conftest import DESK_CONFIG
 from ecsched import baselines, sampler
 from ecsched.generate import generate_instance, generate_instances
+from ecsched.model import build_option_table
 from ecsched.nn import ROW_TILE
-from ecsched.sampler import TrainConfig
+from ecsched.sampler import TAIL_ALIGN, TrainConfig
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -20,6 +21,22 @@ def load_tracer():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def distinct_rows(inst, network):
+    """Rows of the uncached link and program forwards, from the option
+    table: a capacity-only row per (user, link) and per user, the weighted
+    links and the valid options of every slot, zero rows up to a multiple
+    of TAIL_ALIGN, then copies of the full forward's last options and
+    their links."""
+    table = build_option_table(inst.topology)
+    t, n, k = inst.dims
+    el = network.n_links
+    tail = t * n * k * network.n_options % TAIL_ALIGN
+    link = n * el + t * int((table.weights > 0).sum())
+    program = n + t * int(table.valid.sum())
+    return (-(-link // TAIL_ALIGN) * TAIL_ALIGN + tail * el,
+            -(-program // TAIL_ALIGN) * TAIL_ALIGN + tail)
 
 
 def test_traced_best_of_runs_keep_the_tracer_contract():
@@ -44,15 +61,15 @@ def test_traced_best_of_runs_keep_the_tracer_contract():
     assert metrics["gumbel.categorical_rows.calls"] == (1, "count")
     assert metrics["sampler.best_of_detailed.calls"] == (1, "count")
 
-    # one call per encoder, however the forward tiles its rows inside it
+    # one call per encoder, each on the distinct rows of its encoder
     forwards = [(name, attrs) for _, _, name, _, _, attrs in tracer.spans
                 if name.startswith("nn.mlp_forward.")]
     assert sorted(name for name, _ in forwards) == sorted(
         f"nn.mlp_forward.{encoder}" for encoder in tracing.ENCODERS)
     t, n, k = inst.dims
-    rows = t * n * k * network.n_options * network.n_links
-    assert rows > 2 * ROW_TILE
-    assert [attrs["rows"] for name, attrs in forwards if name == "nn.mlp_forward.link"] == [rows]
+    link, program = distinct_rows(inst, network)
+    assert link < t * n * k * network.n_options * network.n_links
+    assert [attrs["rows"] for name, attrs in forwards] == [link, program, t * n * k]
 
 
 def test_traced_training_keeps_the_encoder_spans_and_rows():
@@ -70,10 +87,15 @@ def test_traced_training_keeps_the_encoder_spans_and_rows():
         assert names.count(f"nn.mlp_backward.{encoder}") == len(train)
     t, n, k = train[0].dims
     rows = t * n * k * network.n_options * network.n_links
-    link_rows = [attrs["rows"] for _, _, name, _, _, attrs in tracer.spans
-                 if name == "nn.mlp_forward.link"]
-    # one forward per descent step, then one per instance in the metric pass
-    assert link_rows == [rows] * (2 * len(train) + len(held))
+    assert rows > 2 * ROW_TILE
+    link_rows, program_rows = ([attrs["rows"] for _, _, name, _, _, attrs in tracer.spans
+                                if name == f"nn.mlp_forward.{encoder}"]
+                               for encoder in ("link", "program"))
+    # one forward per descent step, on every row, however it tiles them;
+    # then one per instance in the metric pass, on the distinct rows
+    distinct = [distinct_rows(inst, network) for inst in train + held]
+    assert link_rows == [rows] * len(train) + [d[0] for d in distinct]
+    assert program_rows == [rows // network.n_links] * len(train) + [d[1] for d in distinct]
     # the metric pass draws and prices each instance's samples in one call
     metric_instances = len(train) + len(held)
     assert names.count("model.soft_loss") == metric_instances

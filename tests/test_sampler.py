@@ -22,6 +22,7 @@ from ecsched.sampler import (IntegrityError, TrainConfig, TrainingDiverged,
                              forward_alpha, load_model, preprocess,
                              save_model, train)
 from ecsched.io import FormatError, write_instance
+from ecsched.nn import mlp_forward
 from gradcheck import gssn_grad_check
 
 
@@ -97,6 +98,19 @@ def test_alpha_shape_and_positivity():
     assert alpha.dims == (t, n, k)
 
 
+def reference_matrix(inst):
+    """The feature matrix built column by column over all positions."""
+    table = build_option_table(inst.topology)
+    topo = inst.topology
+    t, n, k = inst.dims
+    matrix = np.empty((t, n, k, table.n_options, topo.n_isps, 4))
+    for col, demand in enumerate((inst.demands.inbound, inst.demands.outbound)):
+        np.einsum("knpj,knt->tnkpj", table.weights, demand, out=matrix[..., col])
+    matrix[..., 2] = topo.edge_cap_basic[None, :, None, None, :]
+    matrix[..., 3] = topo.edge_cap_billable[None, :, None, None, :]
+    return matrix.reshape(-1, 4)
+
+
 def corner_instance(case):
     """A tiny instance (3 users, 7 slots, 3 types, 4 links) at one corner of
     the uncached forward's distinct rows.  Its 945 options leave a tail of
@@ -144,23 +158,40 @@ def test_forward_without_cache_gives_the_same_alpha(case):
         np.testing.assert_array_equal(bare.valid, alpha.valid)
         assert bare.dims == alpha.dims
     # the distinct rows, expanded by index, are the feature matrix
-    expanded = inp.link_rows[inp.program_links[inp.program_index]].reshape(-1, 4)
-    assert expanded.tobytes() == inp.matrix.tobytes()
+    assert inp.matrix.tobytes() == reference_matrix(inst).tobytes()
     assert len(inp.link_rows) < len(inp.matrix)
 
 
-def test_uncached_forward_scales_its_input_per_tile():
-    # scaling the whole feature matrix first peaked at 13.6 MiB here
-    net = load_model(Path(__file__).resolve().parents[1] / "perfbench" / "desk_model.json")
-    inp = preprocess(generate_instance(GenConfig(), seed=HELD_SEED0))
-    assert inp.matrix.nbytes > 7 * 2 ** 20
+def traced_peak(call):
+    """Peak bytes that tracemalloc sees while call() runs."""
     tracemalloc.start()
     try:
-        forward_alpha(net, inp, keep_cache=False)
-        _, peak = tracemalloc.get_traced_memory()
+        call()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 10 * 2 ** 20
+
+
+def test_uncached_forward_scales_its_input_per_tile():
+    # scaling the whole feature matrix first peaked at 9.6 MiB here
+    net = load_model(Path(__file__).resolve().parents[1] / "perfbench" / "desk_model.json")
+    inp = preprocess(generate_instance(GenConfig(), seed=HELD_SEED0))
+    matrix = inp.matrix
+    assert matrix.nbytes > 7 * 2 ** 20
+    peak = traced_peak(lambda: mlp_forward(net.link, matrix, keep_cache=False,
+                                           in_scale=np.asarray(net.input_scale)))
+    assert peak < matrix.nbytes / 2
+
+
+def test_uncached_forward_never_builds_the_feature_matrix():
+    net = load_model(Path(__file__).resolve().parents[1] / "perfbench" / "desk_model.json")
+    inp = preprocess(generate_instance(GenConfig(), seed=HELD_SEED0))
+    t, n, k = inp.dims
+    matrix_bytes = t * n * k * inp.n_options * inp.n_links * 4 * 8
+    peak = traced_peak(lambda: forward_alpha(net, inp, keep_cache=False))
+    # the full rows are never built, nor any array of their size
+    assert "matrix" not in vars(inp)
+    assert peak < matrix_bytes
 
 
 def test_network_size_mismatch_rejected():

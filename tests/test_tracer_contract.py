@@ -8,7 +8,7 @@ import numpy as np
 
 from conftest import DESK_CONFIG
 from ecsched import baselines, sampler
-from ecsched.generate import generate_instance, generate_instances
+from ecsched.generate import GenConfig, generate_instance, generate_instances
 from ecsched.model import build_option_table
 from ecsched.nn import ROW_TILE
 from ecsched.sampler import TAIL_ALIGN, TrainConfig
@@ -70,6 +70,25 @@ def test_traced_best_of_runs_keep_the_tracer_contract():
     link, program = distinct_rows(inst, network)
     assert link < t * n * k * network.n_options * network.n_links
     assert [attrs["rows"] for name, attrs in forwards] == [link, program, t * n * k]
+
+
+def test_traced_default_size_best_of_keeps_one_span_per_encoder():
+    # its distinct link and program rows span several row tiles
+    tracing = load_tracer()
+    network = sampler.load_model(PERFBENCH / "desk_model.json")
+    inst = generate_instance(GenConfig(), seed=9000)
+    tracer = tracing.Tracer()
+    tracer.label_network(network)
+    with tracing.installed(tracer), tracer.recording():
+        sampler.best_of_detailed(network, inst, 2, np.random.default_rng(0))
+
+    forwards = [(name, attrs["rows"]) for _, _, name, _, _, attrs in tracer.spans
+                if name.startswith("nn.mlp_forward.")]
+    t, n, k = inst.dims
+    link, program = distinct_rows(inst, network)
+    assert link > 2 * ROW_TILE and program > 2 * ROW_TILE
+    assert forwards == [("nn.mlp_forward.link", link), ("nn.mlp_forward.program", program),
+                        ("nn.mlp_forward.ranking", t * n * k)]
 
 
 def test_traced_training_keeps_the_encoder_spans_and_rows():

@@ -72,9 +72,9 @@ class NetworkInput:
     [option weight * inbound demand, option weight * outbound demand,
     basic cap, billable cap]; valid: (T*N*K, P) marking real options.
     Padded option rows keep the capacity columns (they describe links,
-    not options) and have zero traffic columns.  Only the cached forward
-    reads matrix, because ``mlp_backward`` needs a cache row for every
-    position.
+    not options) and have zero traffic columns.  Only the descent step's
+    cached forward reads matrix; it runs every row because the benchmark
+    harness pins that forward's link row count at all of them.
 
     A link row whose option weight is 0 equals the capacity-only row of
     its (user, link), and every padded option of a user reads that
@@ -97,6 +97,9 @@ class NetworkInput:
     the rest; with the copy each list ends in the rows the full forward
     ends in, at the same count modulo TAIL_ALIGN, so both forwards round
     every row alike.
+
+    The descent step's backward also runs on these rows; ``backward_rows``
+    names, for each of them, the full forward's cache row it reads.
     """
 
     valid: np.ndarray
@@ -115,6 +118,41 @@ class NetworkInput:
         # np.take, as fancy indexing gathers these rows about 6x slower
         links = np.take(self.program_links, self.program_index, axis=0)
         return np.take(self.link_rows, links.reshape(-1), axis=0)
+
+    @cached_property
+    def backward_rows(self):
+        """(program, link): for each row of program_links one option
+        position that reads it, and for each row of link_rows one row of
+        matrix that reads it.  A row that no position reads (zero padding,
+        an original replaced by its tail copy, a capacity-only row without
+        a reader) gets some row; its gradient is 0.  Built from the slot-0
+        layout, without an array of all positions."""
+        t, n, k = self.dims
+        p, el = self.n_options, self.n_links
+        real = self.valid[:n * k].reshape(n, k * p)
+        n_real, block = int(real.sum()), n * k * p
+        # slot 0's valid options read a weighted link row where they carry
+        carries = np.zeros((n, k * p, el), dtype=bool)
+        carries[real] = self.program_links[n:n + n_real] >= n * el
+        n_carry = int(carries.sum())
+        tail = t * block % TAIL_ALIGN
+        slots = np.arange(t)[:, None]
+        user0 = np.arange(0, block, k * p)  # each user's first position in slot 0
+
+        program = np.zeros(len(self.program_links), dtype=np.intp)
+        # a user's capacity-only row is read by its padded options
+        program[:n] = user0 + np.argmin(real, axis=1)
+        program[n:n + t * n_real] = (slots * block + np.flatnonzero(real)).reshape(-1)
+        program[len(program) - tail:] = np.arange(t * block - tail, t * block)
+
+        link = np.zeros(len(self.link_rows), dtype=np.intp)
+        # (user, link)'s capacity-only row is read where that link carries nothing
+        free = user0[:, None] + np.argmin(carries, axis=1)  # (N, EL)
+        link[:n * el] = (free * el + np.arange(el)).reshape(-1)
+        link[n * el:n * el + t * n_carry] = (slots * block * el
+                                             + np.flatnonzero(carries)).reshape(-1)
+        link[len(link) - tail * el:] = np.arange((t * block - tail) * el, t * block * el)
+        return program, link
 
 
 @dataclass(frozen=True)
@@ -226,9 +264,10 @@ def forward_alpha(network, inp, keep_cache=True):
     """Location parameters for every block; returns (AlphaMatrix, caches).
 
     caches holds the link, program and ranking forward caches for
-    mlp_backward.  This forward runs every row of ``inp.matrix``: the
-    backward pass reads one cache row per position and sums the weight
-    gradients over all of them.  With keep_cache=False caches is None,
+    mlp_backward.  This forward runs every row of ``inp.matrix``, because
+    the benchmark harness pins its link row count at all of them; the
+    backward reads only the cache rows that ``inp.backward_rows`` names.
+    With keep_cache=False caches is None,
     the link and program encoders run on the distinct rows of
     ``NetworkInput`` only, and their scores are expanded back by index;
     the alpha is the same, bit for bit.  Each uncached encoder runs its
@@ -278,6 +317,12 @@ def loss_grads_with_noise(network, instance, table, inp, tau, lam_g, gumbels):
     With the Gumbel block pinned, the loss is a deterministic piecewise
     smooth function of the parameters.  Returns (loss, grads) with grads
     ordered link, program, ranking.
+
+    The link and program backward run on the distinct rows of ``inp``.
+    Once the activations are fixed a backward is linear in its output
+    gradient, and equal rows have equal activations, so each distinct row
+    backprops the sum of its positions' gradients through one position's
+    cache row.
     """
     alpha, (c1, c2, c3) = forward_alpha(network, inp)
     x_rows = gumbel.concrete_rows_given(alpha.values, alpha.valid, tau, gumbels)
@@ -285,9 +330,20 @@ def loss_grads_with_noise(network, instance, table, inp, tau, lam_g, gumbels):
     dalpha = gumbel.concrete_rows_grad(alpha.values, alpha.valid, tau, x_rows,
                                        dx.reshape(x_rows.shape))
     dv_rows, g_rank = mlp_backward(network.ranking, c3, dalpha)
-    ds_rows, g_prog = mlp_backward(network.program, c2, dv_rows.reshape(-1, 1))
-    _, g_link = mlp_backward(network.link, c1, ds_rows.reshape(-1, 1))
+    program_at, link_at = inp.backward_rows
+    dv = np.bincount(inp.program_index, weights=dv_rows.reshape(-1),
+                     minlength=len(inp.program_links))
+    ds, g_prog = mlp_backward(network.program, _cache_rows(c2, program_at), dv[:, None])
+    dl = np.bincount(inp.program_links.reshape(-1), weights=ds.reshape(-1),
+                     minlength=len(inp.link_rows))
+    _, g_link = mlp_backward(network.link, _cache_rows(c1, link_at), dl[:, None])
     return loss, g_link + g_prog + g_rank
+
+
+def _cache_rows(cache, rows):
+    """The given rows of an mlp_forward cache."""
+    inputs, z = cache
+    return [np.take(a, rows, axis=0) for a in inputs], np.take(z, rows, axis=0)
 
 
 @dataclass(frozen=True)
@@ -363,6 +419,10 @@ def train(network, instances, config, eval_instances=()):
         for inst in group:
             table = build_option_table(inst.topology)
             dataset.append((inst, table, preprocess(inst, table)))
+    # built with the dataset, so that these long-lived index arrays do not
+    # land between the first step's temporaries in the heap
+    for _, _, inp in data:
+        inp.backward_rows
 
     params = network_parameters(network)
     adam = AdamState.for_params(params, lr=config.learning_rate)

@@ -33,14 +33,16 @@ def openblas_threads():
 
 def digests():
     """sha256 of each case's bytes: the soft loss-and-gradient pin inputs,
-    a GSSN best-of-100, one stacked soft pricing and the 4-epoch desk
-    history with its trained parameters."""
+    a GSSN best-of-100, one default-size descent step's loss and
+    gradients, one stacked soft pricing and the 4-epoch desk history with
+    its trained parameters."""
     from conftest import DESK_CONFIG, DESK_NET_SEED, HELD_SEED0
     from ecsched.generate import GenConfig, generate_instance, generate_instances
     from ecsched.model import (DemandTensor, Instance, SoftAllocation, build_option_table,
                                soft_loss, soft_loss_and_grad)
+    from ecsched.gumbel import sample_gumbel
     from ecsched.sampler import (TrainConfig, best_of_detailed, create_network, load_model,
-                                 network_parameters, train)
+                                 loss_grads_with_noise, network_parameters, preprocess, train)
     from test_model import random_soft
 
     out = {}
@@ -62,6 +64,17 @@ def digests():
                                         100, np.random.default_rng(1))
     out["gssn_best_of"] = hashlib.sha256(
         best[0].option.tobytes() + repr((best[1], n_feasible)).encode()).hexdigest()
+
+    # the link and program backward sum gradients over distinct rows
+    inst = generate_instance(GenConfig(), seed=100003)
+    table = build_option_table(inst.topology)
+    inp = preprocess(inst, table)
+    noise = sample_gumbel(np.random.default_rng(3), inp.valid.shape)
+    loss, grads = loss_grads_with_noise(network, inst, table, inp, 0.5, 1.0, noise)
+    digest = hashlib.sha256(repr(loss).encode())
+    for g in grads:
+        digest.update(g.tobytes())
+    out["default_descent_step"] = digest.hexdigest()
 
     inst = generate_instance(GenConfig(), seed=100002)
     table = build_option_table(inst.topology)

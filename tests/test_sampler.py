@@ -15,14 +15,14 @@ from ecsched.cli import main
 from ecsched.generate import GenConfig, generate_instance, generate_instances
 from ecsched.model import (DemandTensor, Instance, Topology,
                            build_option_table, evaluate_hard, soft_loss,
-                           total_cost)
+                           soft_loss_and_grad, total_cost)
 from ecsched.sampler import (IntegrityError, TrainConfig, TrainingDiverged,
                              anneal_tau, best_of_detailed,
                              create_network, draw_hard, draw_soft,
                              forward_alpha, load_model, preprocess,
                              save_model, train)
 from ecsched.io import FormatError, write_instance
-from ecsched.nn import mlp_forward
+from ecsched.nn import ROW_TILE, mlp_backward, mlp_forward
 from gradcheck import gssn_grad_check
 
 
@@ -372,7 +372,7 @@ def test_history_is_reproducible():
 
 # sha256 over a 4-epoch desk training history (repr of every field) and
 # the final parameter bytes
-DESK_TRAINING_SHA256 = "f1c29261a4581764eb6f82bc1720b91a822f9759176f64fc3b19b85d664a1962"
+DESK_TRAINING_SHA256 = "eb6af0cb5bf874b5b267b91ac04486e6050e509ef7a187dfbc2747a19c8d886c"
 
 
 def test_desk_training_bytes_are_pinned():
@@ -553,6 +553,94 @@ def test_fixed_noise_loss_is_deterministic():
     assert l1 == l2
     for a, b in zip(g1, g2):
         assert np.array_equal(a, b)
+
+
+def full_rows_loss_grads(network, instance, table, inp, tau, lam_g, gumbels):
+    """The descent step with every encoder backward on the full caches."""
+    alpha, (c1, c2, c3) = forward_alpha(network, inp)
+    x_rows = gumbel.concrete_rows_given(alpha.values, alpha.valid, tau, gumbels)
+    loss, dx = soft_loss_and_grad(instance, table, x_rows.reshape(*alpha.dims, -1), lam_g)
+    dalpha = gumbel.concrete_rows_grad(alpha.values, alpha.valid, tau, x_rows,
+                                       dx.reshape(x_rows.shape))
+    dv_rows, g_rank = mlp_backward(network.ranking, c3, dalpha)
+    ds_rows, g_prog = mlp_backward(network.program, c2, dv_rows.reshape(-1, 1))
+    _, g_link = mlp_backward(network.link, c1, ds_rows.reshape(-1, 1))
+    return loss, g_link + g_prog + g_rank
+
+
+def descent_instance(case):
+    """An instance at one corner of the descent step's distinct rows."""
+    if case in ("desk", "default", "default-with-tail"):
+        config = {"desk": DESK_CONFIG, "default": GenConfig(),
+                  "default-with-tail": GenConfig(n_slots=47)}[case]
+        return generate_instance(config, seed=HELD_SEED0)
+    if case in ("padded", "user-without-padding"):
+        # scaled so that the tiny instance's cost has a gradient
+        inst = corner_instance(case)
+        return Instance(topology=inst.topology,
+                        demands=DemandTensor(inbound=inst.demands.inbound * 40.0,
+                                             outbound=inst.demands.outbound * 40.0))
+    inst = generate_instance(DESK_CONFIG, seed=HELD_SEED0)
+    topo, demands = inst.topology, inst.demands
+    if case == "zero-demand":
+        demands = DemandTensor(inbound=np.zeros_like(demands.inbound),
+                               outbound=np.zeros_like(demands.outbound))
+    else:  # zero-caps
+        topo = dataclasses.replace(topo, edge_cap_basic=np.zeros_like(topo.edge_cap_basic),
+                                   edge_cap_billable=np.zeros_like(topo.edge_cap_billable))
+    return Instance(topology=topo, demands=demands)
+
+
+@pytest.mark.parametrize("case", ["desk", "default", "default-with-tail", "padded",
+                                  "user-without-padding", "zero-demand", "zero-caps"])
+def test_distinct_row_backward_equals_the_full_rows_backward(case):
+    net = load_model(Path(__file__).resolve().parents[1] / "perfbench" / "desk_model.json")
+    inst = descent_instance(case)
+    table = build_option_table(inst.topology)
+    inp = preprocess(inst, table)
+    t, n, k = inp.dims
+    tail = t * n * k * inp.n_options % sampler.TAIL_ALIGN
+    if case.startswith("default"):
+        assert len(inp.link_rows) > 2 * ROW_TILE and len(inp.program_links) > 2 * ROW_TILE
+        assert (tail > 0) == (case == "default-with-tail")
+    padded = ~inp.valid.reshape(t, n, k, -1).all(axis=(0, 2, 3))
+    if case == "padded":
+        assert padded.all() and tail > 0
+    elif case == "user-without-padding":
+        assert not padded[0] and padded[1:].any()
+    noise = gumbel.sample_gumbel(np.random.default_rng(11), inp.valid.shape)
+    # the fresh network's padded tail rows carry gradient on the corner
+    # instances, so it fails if a tail copy backprops through another row
+    for network in (net, create_network(seed=4)):
+        loss, grads = sampler.loss_grads_with_noise(network, inst, table, inp, 0.5, 1.0, noise)
+        want_loss, want = full_rows_loss_grads(network, inst, table, inp, 0.5, 1.0, noise)
+        assert loss == want_loss
+        assert [g.shape for g in grads] == [g.shape for g in want]
+        for got, ref in zip(grads, want):
+            assert np.max(np.abs(got - ref)) <= 1e-9 * np.max(np.abs(ref))
+        assert any(np.any(g != 0.0) for g in want) == (case != "zero-demand")
+
+
+def test_descent_backward_runs_on_the_distinct_rows(monkeypatch):
+    net = create_network(seed=2)
+    inst = generate_instance(DESK_CONFIG, seed=HELD_SEED0)
+    table = build_option_table(inst.topology)
+    inp = preprocess(inst, table)
+    names = {id(net.link): "link", id(net.program): "program", id(net.ranking): "ranking"}
+    calls = []
+
+    def counted(mlp, cache, dy):
+        calls.append((names[id(mlp)], len(dy), len(cache[0][0])))
+        return mlp_backward(mlp, cache, dy)
+
+    monkeypatch.setattr(sampler, "mlp_backward", counted)
+    noise = gumbel.sample_gumbel(np.random.default_rng(0), inp.valid.shape)
+    sampler.loss_grads_with_noise(net, inst, table, inp, 1.0, 1.0, noise)
+    t, n, k = inp.dims
+    assert len(inp.link_rows) < len(inp.matrix)
+    assert calls == [("ranking", t * n * k, t * n * k),
+                     ("program", len(inp.program_links), len(inp.program_links)),
+                     ("link", len(inp.link_rows), len(inp.link_rows))]
 
 
 def test_soft_draw_loss_matches_manual_pipeline():

@@ -9,7 +9,6 @@ refuses its budget), 3 on malformed input files or out-of-range flags.
 
 import argparse
 import csv
-import functools
 import json
 import math
 import sys
@@ -87,6 +86,15 @@ def _load_instances(directory):
     return [io.read_instance(p) for p in paths]
 
 
+def _check_isps(instances, where, n_links, model):
+    """FormatError naming the first of the instances (read from where)
+    whose ISP count is not n_links, the link count of the named model."""
+    for inst in instances:
+        if inst.topology.n_isps != n_links:
+            raise FormatError(f"{where}: instance '{inst.instance_id}' has "
+                              f"{inst.topology.n_isps} ISPs per user, but {model} takes {n_links}")
+
+
 def _write_csv(path, rows):
     """Rows of dicts as CSV, headed by the first row's keys."""
     with open(path, "w", newline="") as fh:
@@ -123,6 +131,8 @@ def cmd_train(args):
     instances = _load_instances(args.instances)
     eval_instances = _load_instances(args.eval) if args.eval else ()
     network = sampler.create_network(n_links=instances[0].topology.n_isps, seed=config.seed)
+    for group, where in ((instances, args.instances), (eval_instances, args.eval)):
+        _check_isps(group, where, network.n_links, "the network for the first instance")
     history = sampler.train(network, instances, config, eval_instances)
     sampler.save_model(network, args.out)
     if args.history:
@@ -139,19 +149,26 @@ def cmd_train(args):
     return EXIT_OK
 
 
-def _policy_best_of(policy, model_path):
-    """The policy's best-of sampler, called as (instance, n_samples, rng, table)."""
+def _policy_best_of(policy, model_path, where):
+    """The policy's best-of sampler, called as (instance, n_samples, rng,
+    table) on instances read from where; a model's sampler first checks
+    that the instance has as many ISPs as the model has links."""
     if policy == "rsn":
         return baselines.rsn_best_of_detailed
     if not model_path:
         raise FormatError("--model is required unless --policy rsn")
-    return functools.partial(sampler.best_of_detailed, sampler.load_model(model_path))
+    network = sampler.load_model(model_path)
+
+    def best_of(instance, n_samples, rng, table=None):
+        _check_isps([instance], where, network.n_links, model_path)
+        return sampler.best_of_detailed(network, instance, n_samples, rng, table)
+    return best_of
 
 
 def cmd_sample(args):
     instance = io.read_instance(args.instance)
     rng = np.random.default_rng(args.seed if args.seed is not None else 0)
-    best, n_feasible = _policy_best_of(args.policy, args.model)(instance, args.samples, rng)
+    best, n_feasible = _policy_best_of(args.policy, args.model, args.instance)(instance, args.samples, rng)
     if best is None:
         raise NoResult(f"no feasible scheme in {args.samples} samples")
     scheme, cost = best
@@ -200,6 +217,8 @@ def cmd_oracle(args):
 def cmd_export_milp(args):
     instance = io.read_instance(args.instance)
     model = milp.linearize(instance)
+    if args.warmstart_out and not args.warmstart:
+        raise FormatError("--warmstart-out needs --warmstart, the scheme to start from")
     if args.warmstart:
         # read and checked first, so a bad scheme leaves no LP file behind
         scheme, _, _ = io.read_scheme(args.warmstart)
@@ -218,6 +237,8 @@ def cmd_import_solution(args):
     instance = io.read_instance(args.instance)
     model = milp.linearize(instance)
     scheme, objective = milp.read_solution(args.solution, model)
+    if not math.isfinite(objective):
+        raise NoResult(f"{args.solution}: the assignment is infeasible")
     io.write_scheme(scheme, args.out, instance_id=instance.instance_id, cost=objective)
     print(f"imported solution with objective {objective:.4f}; scheme written to {args.out}")
     return EXIT_OK
@@ -254,7 +275,7 @@ def _aggregate(rows, n_samples):
 
 
 def cmd_bench(args):
-    best_of = _policy_best_of(args.policy, args.model)
+    best_of = _policy_best_of(args.policy, args.model, args.instances)
     instances = _load_instances(args.instances)
     seed = args.seed if args.seed is not None else 0
     rows = _bench_rows(best_of, instances, args.samples, args.policy,
@@ -269,7 +290,7 @@ def cmd_bench(args):
 
 
 def cmd_generalize(args):
-    policies = {policy: _policy_best_of(policy, args.model) for policy in ("gssn", "rsn")}
+    policies = {policy: _policy_best_of(policy, args.model, "the sweep") for policy in ("gssn", "rsn")}
     base = _config_overrides(args.config, GenConfig())
     try:
         grid = [int(v) for v in args.grid.split(",") if v]
@@ -290,14 +311,11 @@ def cmd_generalize(args):
     out_rows = []
     for point_idx, (value, config) in enumerate(zip(grid, configs)):
         if statics is not None:
-            instances = []
-            for i in range(args.count):
-                demands = sample_demands(
-                    statics[i], np.random.default_rng([seed0, value, i]), config)
-                instances.append(Instance(
-                    topology=statics[i], demands=demands,
-                    instance_id=f"sweep-t{value:04d}-{i:04d}",
-                    seed=seed0 + i))
+            instances = [Instance(topology=static, seed=seed0 + i,
+                                  demands=sample_demands(
+                                      static, np.random.default_rng([seed0, value, i]), config),
+                                  instance_id=f"sweep-t{value:04d}-{i:04d}")
+                         for i, static in enumerate(statics)]
         else:
             instances = [generate_instance(config, seed=seed0 + point_idx * args.count + i)
                          for i in range(args.count)]

@@ -51,8 +51,9 @@ def write_text(path, text):
 
 
 def write_json(path, doc):
-    """Write doc to path as one line of JSON and a newline."""
-    write_text(path, json.dumps(doc) + "\n")
+    """Write doc to path as one line of JSON and a newline; ValueError,
+    before anything is written, for a NaN or infinite number."""
+    write_text(path, json.dumps(doc, allow_nan=False) + "\n")
 
 
 def load_json(path, expect_format=None, version=FORMAT_VERSION):

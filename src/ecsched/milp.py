@@ -273,7 +273,8 @@ def read_solution(path, model):
     line.  Errors: unknown variable names, non-finite values, fractional
     binaries (beyond 1e-6), blocks without exactly one chosen option, and
     a declared objective that disagrees with the recomputed cost by more
-    than 1e-4 relative.  Returns (scheme, objective).
+    than 1e-4 relative.  Returns (scheme, objective); the objective of an
+    infeasible assignment is inf, whatever the file declares.
     """
     declared = None
     values = np.zeros(len(model.variables))
@@ -314,7 +315,7 @@ def read_solution(path, model):
             f"{path}: slot {t}, user {n}, type {k} has {n_chosen[t, n, k]} chosen options")
     option = chosen.argmax(axis=-1)
     cost = objective_of(model, option)
-    if declared is not None:
+    if declared is not None and cost < math.inf:
         if abs(cost - declared) > 1e-4 * max(1.0, abs(declared)):
             raise FormatError(
                 f"{path}: declared objective {declared} disagrees with recomputed cost {cost}")

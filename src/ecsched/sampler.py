@@ -98,8 +98,9 @@ class NetworkInput:
     ends in, at the same count modulo TAIL_ALIGN, so both forwards round
     every row alike.
 
-    The descent step's backward also runs on these rows; ``backward_rows``
-    names, for each of them, the full forward's cache row it reads.
+    The descent step's backward also runs on these rows.  For each of
+    them ``backward_rows`` names a cache row of the full forward that
+    reads it, by inverting program_index and program_links.
     """
 
     valid: np.ndarray
@@ -123,35 +124,18 @@ class NetworkInput:
     def backward_rows(self):
         """(program, link): for each row of program_links one option
         position that reads it, and for each row of link_rows one row of
-        matrix that reads it.  A row that no position reads (zero padding,
-        an original replaced by its tail copy, a capacity-only row without
-        a reader) gets some row; its gradient is 0.  Built from the slot-0
-        layout, without an array of all positions."""
-        t, n, k = self.dims
-        p, el = self.n_options, self.n_links
-        real = self.valid[:n * k].reshape(n, k * p)
-        n_real, block = int(real.sum()), n * k * p
-        # slot 0's valid options read a weighted link row where they carry
-        carries = np.zeros((n, k * p, el), dtype=bool)
-        carries[real] = self.program_links[n:n + n_real] >= n * el
-        n_carry = int(carries.sum())
-        tail = t * block % TAIL_ALIGN
-        slots = np.arange(t)[:, None]
-        user0 = np.arange(0, block, k * p)  # each user's first position in slot 0
-
+        matrix that reads it; the inverse of program_index and
+        program_links.  A row that nothing reads (zero padding, an original
+        replaced by its tail copy) keeps row 0; its gradient is 0."""
+        el = self.n_links
         program = np.zeros(len(self.program_links), dtype=np.intp)
-        # a user's capacity-only row is read by its padded options
-        program[:n] = user0 + np.argmin(real, axis=1)
-        program[n:n + t * n_real] = (slots * block + np.flatnonzero(real)).reshape(-1)
-        program[len(program) - tail:] = np.arange(t * block - tail, t * block)
-
+        program[self.program_index] = np.arange(self.program_index.size)
+        # an unread row's reader is 0, but row 0 reads other link rows
+        read = np.zeros(len(self.program_links), dtype=bool)
+        read[self.program_index] = True
+        # matrix row pos*EL + j holds link row program_links[program_index[pos], j]
         link = np.zeros(len(self.link_rows), dtype=np.intp)
-        # (user, link)'s capacity-only row is read where that link carries nothing
-        free = user0[:, None] + np.argmin(carries, axis=1)  # (N, EL)
-        link[:n * el] = (free * el + np.arange(el)).reshape(-1)
-        link[n * el:n * el + t * n_carry] = (slots * block * el
-                                             + np.flatnonzero(carries)).reshape(-1)
-        link[len(link) - tail * el:] = np.arange((t * block - tail) * el, t * block * el)
+        link[self.program_links[read]] = program[read, None] * el + np.arange(el)
         return program, link
 
 
@@ -267,11 +251,11 @@ def forward_alpha(network, inp, keep_cache=True):
     mlp_backward.  This forward runs every row of ``inp.matrix``, because
     the benchmark harness pins its link row count at all of them; the
     backward reads only the cache rows that ``inp.backward_rows`` names.
-    With keep_cache=False caches is None,
-    the link and program encoders run on the distinct rows of
-    ``NetworkInput`` only, and their scores are expanded back by index;
-    the alpha is the same, bit for bit.  Each uncached encoder runs its
-    rows through tile-sized buffers (see ``nn.mlp_forward``).
+    With keep_cache=False caches is None, the link and program encoders
+    run on the distinct rows of ``NetworkInput`` only, and their scores
+    are expanded back by index; the alpha is the same, bit for bit.  Each
+    uncached encoder runs its rows through tile-sized buffers (see
+    ``nn.mlp_forward``).
     """
     if inp.n_links != network.n_links:
         raise ValueError(f"input has {inp.n_links} links per user, network expects {network.n_links}")
@@ -530,9 +514,10 @@ def load_model(path):
         input_scale=tuple(need_array(doc, "input_scale", path, shape=(None,)).tolist()),
     )
     # the sizes are read from the encoders; a file whose stated sizes
-    # disagree with them is inconsistent
-    if not doc["n_options"] == network.n_options == network.ranking.widths[-1]:
-        raise FormatError(f"{path}: ranking head does not match n_options")
+    # disagree with them is inconsistent, and so is a ranking head that
+    # does not take one option per nonempty subset of the links
+    if not doc["n_options"] == network.n_options == network.ranking.widths[-1] == 2 ** network.n_links - 1:
+        raise FormatError(f"{path}: ranking head does not match n_options = 2**n_links - 1")
     if doc["n_links"] != network.n_links:
         raise FormatError(f"{path}: program encoder does not match n_links")
     if doc["alpha_eps"] != network.alpha_eps:

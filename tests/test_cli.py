@@ -9,10 +9,10 @@ import pytest
 import scipy.stats
 
 from conftest import make_tiny
-from ecsched import io, sampler
+from ecsched import io, milp, sampler
 from ecsched.baselines import brute_force
 from ecsched.cli import main
-from ecsched.model import (DemandTensor, Instance, Topology,
+from ecsched.model import (AllocationScheme, DemandTensor, Instance, Topology,
                            build_option_table, total_cost)
 
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -402,6 +402,36 @@ def test_export_bad_warmstart_scheme_is_exit_3(tmp_path, capsys, shape, fill, me
     assert not (tmp_path / "model.lp").exists()
 
 
+def test_export_warmstart_out_without_warmstart_is_exit_3(tmp_path, capsys):
+    inst_path = tmp_path / "inst.json"
+    io.write_instance(make_tiny(5), inst_path)
+    code, _, err = run(capsys, "export-milp", "--instance", str(inst_path),
+                       "--out", str(tmp_path / "model.lp"),
+                       "--warmstart-out", str(tmp_path / "start.mst"))
+    assert code == 3
+    assert "--warmstart-out needs --warmstart" in err
+    assert not (tmp_path / "model.lp").exists() and not (tmp_path / "start.mst").exists()
+
+
+@pytest.mark.parametrize("objective", ["", "# Objective value = 1234.5\n"],
+                         ids=["bare", "declared-objective"])
+def test_import_infeasible_solution_is_exit_2(tmp_path, capsys, objective):
+    inst = hopeless_instance()
+    inst_path = tmp_path / "inst.json"
+    io.write_instance(inst, inst_path)
+    sol = tmp_path / "sol.txt"
+    milp.write_warmstart(milp.linearize(inst),
+                         AllocationScheme(option=np.zeros(inst.dims, dtype=np.int64)), sol)
+    with open(sol, "a") as fh:
+        fh.write(objective)
+    out = tmp_path / "b.json"
+    code, _, err = run(capsys, "import-solution", "--instance", str(inst_path),
+                       "--solution", str(sol), "--out", str(out))
+    assert code == 2
+    assert str(sol) in err and "infeasible" in err
+    assert not out.exists()
+
+
 def test_import_fractional_solution_is_exit_3(tmp_path, capsys):
     inst = make_tiny(5)
     inst_path = tmp_path / "inst.json"
@@ -525,6 +555,37 @@ def test_bench_gssn_without_model_is_exit_3(tmp_path, capsys):
                        "--samples", "5")
     assert code == 3
     assert "--model" in err
+
+
+@pytest.mark.parametrize("command", ["sample", "bench", "generalize", "train", "train-eval"])
+def test_model_that_does_not_fit_the_instances_is_exit_3(tmp_path, capsys, command):
+    # a 4-link model against 3-ISP instances; train builds its network
+    # for the first training instance, which has 4 ISPs
+    model = tmp_path / "model.json"
+    sampler.save_model(sampler.create_network(n_links=4), model)
+    three, four, mixed = (tmp_path / name for name in ("three", "four", "mixed"))
+    for directory, files in ((three, [3]), (four, [4]), (mixed, [4, 3])):
+        directory.mkdir()
+        for i, n_isps in enumerate(files):
+            io.write_instance(make_tiny(5 + i, n_isps=n_isps), directory / f"inst-{i}.json")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"n_isps": 3}))
+    out = tmp_path / "out"
+    argv, where = {
+        "sample": (["sample", "--instance", three / "inst-0.json", "--model", model],
+                   three / "inst-0.json"),
+        "bench": (["bench", "--instances", three, "--model", model], three),
+        "generalize": (["generalize", "--model", model, "--axis", "slots", "--grid", "3",
+                        "--count", "1", "--config", config], "the sweep"),
+        "train": (["train", "--instances", mixed], mixed),
+        "train-eval": (["train", "--instances", four, "--eval", three], three),
+    }[command]
+    code, _, err = run(capsys, *map(str, argv), "--out", str(out))
+    assert code == 3
+    assert f"{where}: instance" in err and "has 3 ISPs per user" in err and "takes 4" in err
+    if not command.startswith("train"):
+        assert str(model) in err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -137,6 +137,15 @@ def test_scheme_optional_fields_absent(tmp_path):
     assert iid is None and cost is None
 
 
+@pytest.mark.parametrize("cost", [float("inf"), float("nan")])
+def test_non_finite_numbers_are_never_written(tmp_path, cost):
+    scheme = AllocationScheme(option=np.zeros((1, 1, 1), dtype=np.int64))
+    path = tmp_path / "scheme.json"
+    with pytest.raises(ValueError, match="JSON compliant"):
+        write_scheme(scheme, path, cost=cost)
+    assert not path.exists()
+
+
 def test_missing_field_is_named(tmp_path):
     inst = make_tiny(5)
     path = tmp_path / "inst.json"

@@ -591,8 +591,11 @@ def descent_instance(case):
     return Instance(topology=topo, demands=demands)
 
 
-@pytest.mark.parametrize("case", ["desk", "default", "default-with-tail", "padded",
-                                  "user-without-padding", "zero-demand", "zero-caps"])
+DESCENT_CASES = ["desk", "default", "default-with-tail", "padded",
+                 "user-without-padding", "zero-demand", "zero-caps"]
+
+
+@pytest.mark.parametrize("case", DESCENT_CASES)
 def test_distinct_row_backward_equals_the_full_rows_backward(case):
     net = load_model(Path(__file__).resolve().parents[1] / "perfbench" / "desk_model.json")
     inst = descent_instance(case)
@@ -619,6 +622,16 @@ def test_distinct_row_backward_equals_the_full_rows_backward(case):
         for got, ref in zip(grads, want):
             assert np.max(np.abs(got - ref)) <= 1e-9 * np.max(np.abs(ref))
         assert any(np.any(g != 0.0) for g in want) == (case != "zero-demand")
+
+
+@pytest.mark.parametrize("case", DESCENT_CASES)
+def test_backward_rows_invert_the_row_index(case):
+    inp = preprocess(descent_instance(case))
+    program_at, link_at = inp.backward_rows
+    read = np.unique(inp.program_index)
+    assert np.array_equal(inp.program_index[program_at[read]], read)
+    linked = np.unique(np.take(inp.program_links, inp.program_index, axis=0))
+    assert inp.matrix[link_at[linked]].tobytes() == inp.link_rows[linked].tobytes()
 
 
 def test_descent_backward_runs_on_the_distinct_rows(monkeypatch):
@@ -766,6 +779,11 @@ def widen_output(name):
     return edit
 
 
+def narrow_ranking(doc):
+    doc["encoders"]["ranking"] = sampler._encoder_doc(create_network(n_links=3).ranking)
+    doc["n_options"] = 7
+
+
 def shorten_input_scale(doc):
     doc["input_scale"] = doc["input_scale"][:3]
 
@@ -775,7 +793,8 @@ def shorten_input_scale(doc):
     (shorten_input_scale, "link encoder and input_scale must both take 4 features"),
     (widen_output("link"), "link encoder must emit one score"),
     (widen_output("program"), "program encoder must emit one score"),
-], ids=["link-input", "input-scale", "link-output", "program-output"])
+    (narrow_ranking, r"ranking head does not match n_options = 2\*\*n_links - 1"),
+], ids=["link-input", "input-scale", "link-output", "program-output", "ranking-options"])
 def test_model_encoders_must_fit_the_features(tmp_path, edit, message):
     path = tmp_path / "model.json"
     save_model(create_network(seed=4), path)

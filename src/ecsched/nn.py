@@ -21,6 +21,18 @@ the output array is allocated.  A per-column input scale is applied to
 each tile as it is read, so the scaled input exists in full only in the
 backward cache.
 
+A BLAS may round the last rows of a matmul (its row count modulo its
+kernel's row unroll; 4 in OpenBLAS 0.3.31) with another kernel, so a
+row's last bit could depend on where it sits in a call.  Every matmul
+here therefore takes a multiple of ROW_ALIGN rows: a short last tile is
+zero-padded up to one, the arrays of all rows get the padded row count,
+and the result and the cache are views of their first rows.  At the
+link and program encoders' widths (at most 8 inputs per layer) a row then
+gives the same bytes in any call, so callers may run only the rows that
+differ and expand the results by index.  Not at every width: OpenBLAS
+0.3.31 picks its kernel by matrix size, and rounds 32 inputs apart in
+calls of 64 or 128 rows; no caller deduplicates rows of such a layer.
+
 The backward pass reads each hidden ReLU6 mask from the activation
 relu6(z) instead of from z: relu6(z) lies strictly inside (0, 6) exactly
 where z does, so the two masks are equal.  The clamp returns -0.0 and
@@ -36,6 +48,9 @@ import numpy as np
 # rows per forward tile: 4,096 rows of a width-8 layer are 256 KiB, so a
 # tile's layer arrays stay in L2 from one layer to the next
 ROW_TILE = 4096
+# every matmul takes a multiple of this many rows: a multiple of a BLAS
+# kernel's row unroll, and a divisor of ROW_TILE
+ROW_ALIGN = 64
 
 
 def relu6(z, out=None):
@@ -87,31 +102,35 @@ def mlp_forward(mlp, x, keep_cache=True, in_scale=None):
     (inputs, z): inputs[i] is layer i's input (the scaled x, then the
     ReLU6 activations of the hidden layers) and z is the output layer's
     preactivation.  With keep_cache=False the cache is None and no
-    per-layer array of all rows is allocated.
+    per-layer array of all rows is allocated.  Every matmul takes a
+    multiple of ROW_ALIGN rows (see the module docstring).
     """
     if mlp.output not in ("identity", "relu6_eps"):
         raise ValueError(f"unknown output transform '{mlp.output}'")
     rows = x.shape[0]
+    padded = -(-rows // ROW_ALIGN) * ROW_ALIGN
     last = len(mlp.weights) - 1
-    span = rows if keep_cache else min(rows, ROW_TILE)
+    span = padded if keep_cache else min(padded, ROW_TILE)
     # the scaled input comes first: allocated after the layer arrays, it
     # made the cached desk-size link forward take 1.27x as long (glibc
     # then hands out memory that faults in again on every call)
     scaled = None if in_scale is None else np.empty((span, x.shape[1]))
-    y = np.empty((rows, mlp.widths[-1]))
+    y = np.empty((padded, mlp.widths[-1]))
     # each layer's output: all rows when cached, else one reused tile; an
     # identity output layer writes straight into y
     outs = [np.empty((span, width)) for width in mlp.widths[1:-1]]
     outs.append(y if mlp.output == "identity" else np.empty((span, y.shape[1])))
-    for start in range(0, rows, ROW_TILE):
-        stop = min(start + ROW_TILE, rows)
+    for start in range(0, padded, ROW_TILE):
+        stop = min(start + ROW_TILE, padded)
         a = x[start:stop]
+        if len(a) < stop - start:
+            a = np.concatenate([a, np.zeros((stop - start - len(a), x.shape[1]))])
         if scaled is not None:
             a = np.multiply(a, in_scale,
                             out=scaled[start:stop] if keep_cache else scaled[:stop - start])
         for i, (w, b, out) in enumerate(zip(mlp.weights, mlp.biases, outs)):
             # an array of all rows is sliced at the tile, a tile buffer from 0
-            z = out[start:stop] if len(out) == rows else out[:stop - start]
+            z = out[start:stop] if len(out) == padded else out[:stop - start]
             np.matmul(a, w.T, out=z)
             z += b
             if i < last:
@@ -119,8 +138,9 @@ def mlp_forward(mlp, x, keep_cache=True, in_scale=None):
         if mlp.output == "relu6_eps":
             np.add(relu6(z), mlp.eps, out=y[start:stop])
     if not keep_cache:
-        return y, None
-    return y, ([x if scaled is None else scaled] + outs[:last], outs[last])
+        return y[:rows], None
+    inputs = [x if scaled is None else scaled[:rows]] + [a[:rows] for a in outs[:last]]
+    return y[:rows], (inputs, outs[last][:rows])
 
 
 def mlp_backward(mlp, cache, dy):

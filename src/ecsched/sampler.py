@@ -49,11 +49,6 @@ MODEL_VERSION = 1
 # per-column input scaling: traffic shares, then the two capacity columns
 INPUT_SCALE = (0.01, 0.01, 0.002, 0.002)
 
-# the distinct-row lists of NetworkInput end in copies of the full
-# forward's last rows, aligned to this many rows: a multiple of a BLAS
-# kernel's row unroll, and a divisor of nn.ROW_TILE
-TAIL_ALIGN = 64
-
 
 class IntegrityError(FormatError):
     """Stored checksum does not match the model payload."""
@@ -89,14 +84,9 @@ class NetworkInput:
       block order;
     * program_index: (T*N*K*P,) the program row of every option.
 
-    Both lists then get zero rows up to a multiple of TAIL_ALIGN and a
-    copy of the full forward's last R option rows (R = T*N*K*P mod
-    TAIL_ALIGN) and of their R*EL link rows, which those options read
-    instead.  A BLAS may round the last rows of a call (its row count
-    modulo its kernel's unroll, a divisor of TAIL_ALIGN) differently from
-    the rest; with the copy each list ends in the rows the full forward
-    ends in, at the same count modulo TAIL_ALIGN, so both forwards round
-    every row alike.
+    Each row gives the same bytes in the distinct-row forward as in the
+    full one, since ``nn.mlp_forward`` rounds a row alike wherever it
+    sits in a call.
 
     The descent step's backward also runs on these rows.  For each of
     them ``backward_rows`` names a cache row of the full forward that
@@ -125,8 +115,8 @@ class NetworkInput:
         """(program, link): for each row of program_links one option
         position that reads it, and for each row of link_rows one row of
         matrix that reads it; the inverse of program_index and
-        program_links.  A row that nothing reads (zero padding, an original
-        replaced by its tail copy) keeps row 0; its gradient is 0."""
+        program_links.  A row that nothing reads (a user's capacity-only rows
+        when none of its options is padded) keeps row 0; its gradient is 0."""
         el = self.n_links
         program = np.zeros(len(self.program_links), dtype=np.intp)
         program[self.program_index] = np.arange(self.program_index.size)
@@ -196,17 +186,14 @@ def preprocess(instance, table=None):
     carries = table.weights.transpose(1, 0, 2, 3) > 0  # (N, K, P, EL)
     n_carry, n_real = int(carries.sum()), int(real.sum())
 
-    # the last `tail` options and their links run again as copies; each
-    # list is written in place, since a fresh large temporary costs its
-    # page faults again on every call
-    tail = t * n * k * p % TAIL_ALIGN
-    n_link, n_program = n * el + t * n_carry, n + t * n_real
-    link_rows = np.zeros((_round_up(n_link) + tail * el, 4))
+    # each list is written in place, since a fresh large temporary costs
+    # its page faults again on every call
+    link_rows = np.zeros((n * el + t * n_carry, 4))
     capacity = link_rows[:n * el].reshape(n, el, 4)
     capacity[..., 2] = topo.edge_cap_basic
     capacity[..., 3] = topo.edge_cap_billable
     users, types, _, links = carries.nonzero()
-    weighted = link_rows[n * el:n_link].reshape(t, n_carry, 4)
+    weighted = link_rows[n * el:].reshape(t, n_carry, 4)
     weighted[:] = capacity[users, links]
     weights = table.weights.transpose(1, 0, 2, 3)[carries]
     for col, demand in enumerate((instance.demands.inbound, instance.demands.outbound)):
@@ -217,31 +204,18 @@ def preprocess(instance, table=None):
     slots = np.arange(t)
     link0 = np.where(carries, n * el + np.cumsum(carries).reshape(carries.shape) - 1,
                      np.arange(n * el).reshape(n, 1, 1, el))
-    program_links = np.zeros((_round_up(n_program) + tail, el), dtype=np.intp)
+    program_links = np.empty((n + t * n_real, el), dtype=np.intp)
     program_links[:n] = np.arange(n * el).reshape(n, el)
-    options = program_links[n:n_program].reshape(t, n_real, el)
+    options = program_links[n:].reshape(t, n_real, el)
     np.multiply(slots[:, None, None], n_carry * carries[real], out=options)
     options += link0[real]
     program_index = np.multiply.outer(slots, n_real * real)
     program_index += np.where(real, n + np.cumsum(real).reshape(real.shape) - 1,
                               np.arange(n)[:, None, None])
-    program_index = program_index.reshape(-1)
-
-    # the copies of the last options' rows, which those options then read
-    last = program_links[program_index[program_index.size - tail:]]
-    link_rows[len(link_rows) - tail * el:] = link_rows[last].reshape(-1, 4)
-    program_links[len(program_links) - tail:] = np.arange(
-        len(link_rows) - tail * el, len(link_rows)).reshape(tail, el)
-    program_index[program_index.size - tail:] = np.arange(len(program_links) - tail,
-                                                          len(program_links))
     return NetworkInput(valid=np.ascontiguousarray(valid),
                         dims=(t, n, k), n_links=el, link_rows=link_rows,
-                        program_links=program_links, program_index=program_index)
-
-
-def _round_up(rows):
-    """rows rounded up to a multiple of TAIL_ALIGN."""
-    return -(-rows // TAIL_ALIGN) * TAIL_ALIGN
+                        program_links=program_links,
+                        program_index=program_index.reshape(-1))
 
 
 def forward_alpha(network, inp, keep_cache=True):
@@ -253,9 +227,9 @@ def forward_alpha(network, inp, keep_cache=True):
     backward reads only the cache rows that ``inp.backward_rows`` names.
     With keep_cache=False caches is None, the link and program encoders
     run on the distinct rows of ``NetworkInput`` only, and their scores
-    are expanded back by index; the alpha is the same, bit for bit.  Each
-    uncached encoder runs its rows through tile-sized buffers (see
-    ``nn.mlp_forward``).
+    are expanded back by index.  The alpha is the same, bit for bit, as
+    ``nn.mlp_forward`` gives a row the same bytes wherever it sits in a
+    call.  Each uncached encoder runs its rows through tile-sized buffers.
     """
     if inp.n_links != network.n_links:
         raise ValueError(f"input has {inp.n_links} links per user, network expects {network.n_links}")

@@ -34,15 +34,17 @@ def openblas_threads():
 def digests():
     """sha256 of each case's bytes: the soft loss-and-gradient pin inputs,
     a GSSN best-of-100, one default-size descent step's loss and
-    gradients, one stacked soft pricing and the 4-epoch desk history with
-    its trained parameters."""
+    gradients, the cached and uncached alpha of a 47-slot instance, one
+    stacked soft pricing and the 4-epoch desk history with its trained
+    parameters."""
     from conftest import DESK_CONFIG, DESK_NET_SEED, HELD_SEED0
     from ecsched.generate import GenConfig, generate_instance, generate_instances
     from ecsched.model import (DemandTensor, Instance, SoftAllocation, build_option_table,
                                soft_loss, soft_loss_and_grad)
     from ecsched.gumbel import sample_gumbel
-    from ecsched.sampler import (TrainConfig, best_of_detailed, create_network, load_model,
-                                 loss_grads_with_noise, network_parameters, preprocess, train)
+    from ecsched.sampler import (TrainConfig, best_of_detailed, create_network, forward_alpha,
+                                 load_model, loss_grads_with_noise, network_parameters,
+                                 preprocess, train)
     from test_model import random_soft
 
     out = {}
@@ -75,6 +77,12 @@ def digests():
     for g in grads:
         digest.update(g.tobytes())
     out["default_descent_step"] = digest.hexdigest()
+
+    # 47 slots: the full program forward's row count is not a multiple of 64
+    inp = preprocess(generate_instance(GenConfig(n_slots=47), seed=HELD_SEED0))
+    for name, keep_cache in (("cached", True), ("uncached", False)):
+        alpha, _ = forward_alpha(network, inp, keep_cache=keep_cache)
+        out[f"alpha_47_slots_{name}"] = hashlib.sha256(alpha.values.tobytes()).hexdigest()
 
     inst = generate_instance(GenConfig(), seed=100002)
     table = build_option_table(inst.topology)
@@ -110,3 +118,5 @@ def test_digests_do_not_depend_on_blas_threads():
     runs = [run_child(threads) for threads in THREAD_COUNTS]
     assert [run["threads"] for run in runs] == list(THREAD_COUNTS)
     assert runs[0]["digests"] == runs[1]["digests"]
+    for run in runs:
+        assert run["digests"]["alpha_47_slots_cached"] == run["digests"]["alpha_47_slots_uncached"]

@@ -22,7 +22,7 @@ from ecsched.sampler import (IntegrityError, TrainConfig, TrainingDiverged,
                              forward_alpha, load_model, preprocess,
                              save_model, train)
 from ecsched.io import FormatError, write_instance
-from ecsched.nn import ROW_TILE, mlp_backward, mlp_forward
+from ecsched.nn import ROW_ALIGN, ROW_TILE, mlp_backward, mlp_forward
 from gradcheck import gssn_grad_check
 
 
@@ -113,8 +113,8 @@ def reference_matrix(inst):
 
 def corner_instance(case):
     """A tiny instance (3 users, 7 slots, 3 types, 4 links) at one corner of
-    the uncached forward's distinct rows.  Its 945 options leave a tail of
-    945 mod TAIL_ALIGN rows that run as copies."""
+    the uncached forward's distinct rows.  Its 945 options are not a
+    multiple of nn.ROW_ALIGN."""
     inst = make_tiny(5, n_users=3, n_slots=7, n_types=3, n_isps=4, full_admissible=False)
     topo, demands = inst.topology, inst.demands
     if case == "zero-basic-caps":
@@ -148,7 +148,7 @@ def test_forward_without_cache_gives_the_same_alpha(case):
     elif case != "default":
         assert padded.any()
     # on the corner instances the fresh network's last BLAS rows round
-    # apart from the rest, so it fails if the distinct rows lose their tail
+    # apart from the rest, so it fails if a matmul's rows are not aligned
     for network in (net, create_network(seed=4)):
         alpha, caches = forward_alpha(network, inp)
         bare, none = forward_alpha(network, inp, keep_cache=False)
@@ -372,7 +372,7 @@ def test_history_is_reproducible():
 
 # sha256 over a 4-epoch desk training history (repr of every field) and
 # the final parameter bytes
-DESK_TRAINING_SHA256 = "eb6af0cb5bf874b5b267b91ac04486e6050e509ef7a187dfbc2747a19c8d886c"
+DESK_TRAINING_SHA256 = "bfcb0488b2c97556f593531aabb4d8420b428a89b405f38a0155b7a2725311b0"
 
 
 def test_desk_training_bytes_are_pinned():
@@ -602,7 +602,7 @@ def test_distinct_row_backward_equals_the_full_rows_backward(case):
     table = build_option_table(inst.topology)
     inp = preprocess(inst, table)
     t, n, k = inp.dims
-    tail = t * n * k * inp.n_options % sampler.TAIL_ALIGN
+    tail = t * n * k * inp.n_options % ROW_ALIGN
     if case.startswith("default"):
         assert len(inp.link_rows) > 2 * ROW_TILE and len(inp.program_links) > 2 * ROW_TILE
         assert (tail > 0) == (case == "default-with-tail")
@@ -612,8 +612,8 @@ def test_distinct_row_backward_equals_the_full_rows_backward(case):
     elif case == "user-without-padding":
         assert not padded[0] and padded[1:].any()
     noise = gumbel.sample_gumbel(np.random.default_rng(11), inp.valid.shape)
-    # the fresh network's padded tail rows carry gradient on the corner
-    # instances, so it fails if a tail copy backprops through another row
+    # the fresh network's last rows carry gradient on the corner
+    # instances, so it fails if they backprop through misrounded rows
     for network in (net, create_network(seed=4)):
         loss, grads = sampler.loss_grads_with_noise(network, inst, table, inp, 0.5, 1.0, noise)
         want_loss, want = full_rows_loss_grads(network, inst, table, inp, 0.5, 1.0, noise)

@@ -11,7 +11,7 @@ from ecsched import baselines, sampler
 from ecsched.generate import GenConfig, generate_instance, generate_instances
 from ecsched.model import build_option_table
 from ecsched.nn import ROW_TILE
-from ecsched.sampler import TAIL_ALIGN, TrainConfig
+from ecsched.sampler import TrainConfig
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -25,18 +25,12 @@ def load_tracer():
 
 def distinct_rows(inst, network):
     """Rows of the uncached link and program forwards, from the option
-    table: a capacity-only row per (user, link) and per user, the weighted
-    links and the valid options of every slot, zero rows up to a multiple
-    of TAIL_ALIGN, then copies of the full forward's last options and
-    their links."""
+    table: a capacity-only row per (user, link) and per user, then the
+    weighted links and the valid options of every slot."""
     table = build_option_table(inst.topology)
-    t, n, k = inst.dims
-    el = network.n_links
-    tail = t * n * k * network.n_options % TAIL_ALIGN
-    link = n * el + t * int((table.weights > 0).sum())
-    program = n + t * int(table.valid.sum())
-    return (-(-link // TAIL_ALIGN) * TAIL_ALIGN + tail * el,
-            -(-program // TAIL_ALIGN) * TAIL_ALIGN + tail)
+    t, n, _ = inst.dims
+    return (n * network.n_links + t * int((table.weights > 0).sum()),
+            n + t * int(table.valid.sum()))
 
 
 def test_traced_best_of_runs_keep_the_tracer_contract():

@@ -336,7 +336,7 @@ class EpochStats:
 def anneal_tau(epoch, config):
     """Linear schedule, hitting tau_end exactly at the last epoch."""
     frac = epoch / config.n_epochs
-    return config.tau_start - frac * (config.tau_start - config.tau_end)
+    return (1.0 - frac) * config.tau_start + frac * config.tau_end
 
 
 def _mean_sampled_loss(network, dataset, tau, config, rng):

@@ -338,7 +338,7 @@ def test_soft_draw_entropy_shrinks_with_tau():
 def test_anneal_schedule():
     config = TrainConfig(n_epochs=100)
     assert anneal_tau(0, config) == 2.0
-    assert anneal_tau(100, config) == pytest.approx(0.31)
+    assert anneal_tau(100, config) == 0.31
     taus = [anneal_tau(e, config) for e in range(101)]
     assert all(a >= b for a, b in zip(taus, taus[1:]))
 
@@ -372,7 +372,7 @@ def test_history_is_reproducible():
 
 # sha256 over a 4-epoch desk training history (repr of every field) and
 # the final parameter bytes
-DESK_TRAINING_SHA256 = "bfcb0488b2c97556f593531aabb4d8420b428a89b405f38a0155b7a2725311b0"
+DESK_TRAINING_SHA256 = "d0708622b6ead062f50137641f8c68a3c27272b9f93883a65f3cc4e21b13190c"
 
 
 def test_desk_training_bytes_are_pinned():

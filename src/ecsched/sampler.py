@@ -369,14 +369,21 @@ def train(network, instances, config, eval_instances=()):
     epoch's losses are measured at that epoch's tau, and a fixed
     network's loss moves with tau (on the desk set it grows as tau
     falls), so rows at different tau are not a learning curve; compare
-    against another network at the same tau instead.  Raises
-    TrainingDiverged if a descent loss goes non-finite.
+    against another network at the same tau instead.  Raises ValueError,
+    before any update, if there is no training instance or an instance
+    does not have network.n_links ISPs; raises TrainingDiverged if a
+    descent loss goes non-finite.
     """
     data, held = [], []
     for group, dataset in ((instances, data), (eval_instances, held)):
         for inst in group:
+            if inst.topology.n_isps != network.n_links:
+                raise ValueError(f"instance {inst.instance_id} has {inst.topology.n_isps} ISPs, "
+                                 f"the network expects {network.n_links}")
             table = build_option_table(inst.topology)
             dataset.append((inst, table, preprocess(inst, table)))
+    if not data:
+        raise ValueError("training needs at least one instance")
     # built with the dataset, so that these long-lived index arrays do not
     # land between the first step's temporaries in the heap
     for _, _, inp in data:

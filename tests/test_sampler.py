@@ -399,6 +399,20 @@ def test_metric_pass_equals_per_draw_pricing():
     assert got == recorded_protocol_loss(net, insts, 0.8, config, np.random.default_rng(6))
 
 
+@pytest.mark.parametrize("case", ["empty", "training", "held-out"])
+def test_train_checks_its_instances_before_any_update(case):
+    net = create_network(seed=2)
+    # heavy enough that a step on fit moves the parameters
+    fit, misfit = make_tiny(0, n_isps=4, demand_scale=8.0), make_tiny(1, n_isps=3)
+    instances, held = {"empty": ([], [fit]), "training": ([fit, misfit], []),
+                       "held-out": ([fit], [fit, misfit])}[case]
+    before = [p.tobytes() for p in sampler.network_parameters(net)]
+    match = "at least one" if case == "empty" else f"instance {misfit.instance_id} has 3 ISPs"
+    with pytest.raises(ValueError, match=match):
+        train(net, instances, TrainConfig(n_epochs=2), held)
+    assert [p.tobytes() for p in sampler.network_parameters(net)] == before
+
+
 def test_divergence_is_reported():
     inst = make_tiny(0, n_isps=4)
     net = create_network(seed=2)

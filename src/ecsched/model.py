@@ -164,11 +164,17 @@ class Instance:
         return t, n, k
 
     def validate(self):
-        """ValueError unless the demands' (K, N) match the topology; returns
-        self.  The topology and the demands checked themselves when built."""
+        """ValueError unless the demands' (K, N) match the topology and the
+        id is a string without a line break; returns self.  The topology and
+        the demands checked themselves when built."""
         k, n, _ = self.demands.inbound.shape
         if (k, n) != (self.topology.n_types, self.topology.n_users):
             raise ValueError("demand tensor does not match topology (K, N)")
+        # the id ends up on one comment line of an LP file and a warm start
+        if not isinstance(self.instance_id, str) or self.instance_id.splitlines() not in (
+                [], [self.instance_id]):
+            raise ValueError(f"instance id must be a string without a line break, "
+                             f"not {self.instance_id!r}")
         return self
 
 

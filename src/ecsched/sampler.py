@@ -67,14 +67,15 @@ class NetworkInput:
     [option weight * inbound demand, option weight * outbound demand,
     basic cap, billable cap]; valid: (T*N*K, P) marking real options.
     Padded option rows keep the capacity columns (they describe links,
-    not options) and have zero traffic columns.  Only the descent step's
-    cached forward reads matrix; it runs every row because the benchmark
-    harness pins that forward's link row count at all of them.
+    not options) and have zero traffic columns.  Only the full-row
+    reference forward, ``forward_alpha`` with keep_cache=True, reads
+    matrix.
 
     A link row whose option weight is 0 equals the capacity-only row of
     its (user, link), and every padded option of a user reads that
-    user's EL capacity-only rows, so the inference forward runs its link
-    and program encoders on distinct rows only:
+    user's EL capacity-only rows, so the inference forward and the
+    descent step run their link and program encoders on distinct rows
+    only:
 
     * link_rows: the N*EL capacity-only rows (user major, traffic columns
       +0.0), then the rows of matrix whose option weight is nonzero, in
@@ -87,10 +88,6 @@ class NetworkInput:
     Each row gives the same bytes in the distinct-row forward as in the
     full one, since ``nn.mlp_forward`` rounds a row alike wherever it
     sits in a call.
-
-    The descent step's backward also runs on these rows.  For each of
-    them ``backward_rows`` names a cache row of the full forward that
-    reads it, by inverting program_index and program_links.
     """
 
     valid: np.ndarray
@@ -109,24 +106,6 @@ class NetworkInput:
         # np.take, as fancy indexing gathers these rows about 6x slower
         links = np.take(self.program_links, self.program_index, axis=0)
         return np.take(self.link_rows, links.reshape(-1), axis=0)
-
-    @cached_property
-    def backward_rows(self):
-        """(program, link): for each row of program_links one option
-        position that reads it, and for each row of link_rows one row of
-        matrix that reads it; the inverse of program_index and
-        program_links.  A row that nothing reads (a user's capacity-only rows
-        when none of its options is padded) keeps row 0; its gradient is 0."""
-        el = self.n_links
-        program = np.zeros(len(self.program_links), dtype=np.intp)
-        program[self.program_index] = np.arange(self.program_index.size)
-        # an unread row's reader is 0, but row 0 reads other link rows
-        read = np.zeros(len(self.program_links), dtype=bool)
-        read[self.program_index] = True
-        # matrix row pos*EL + j holds link row program_links[program_index[pos], j]
-        link = np.zeros(len(self.link_rows), dtype=np.intp)
-        link[self.program_links[read]] = program[read, None] * el + np.arange(el)
-        return program, link
 
 
 @dataclass(frozen=True)
@@ -221,33 +200,48 @@ def preprocess(instance, table=None):
 def forward_alpha(network, inp, keep_cache=True):
     """Location parameters for every block; returns (AlphaMatrix, caches).
 
-    caches holds the link, program and ranking forward caches for
-    mlp_backward.  This forward runs every row of ``inp.matrix``, because
-    the benchmark harness pins its link row count at all of them; the
-    backward reads only the cache rows that ``inp.backward_rows`` names.
-    With keep_cache=False caches is None, the link and program encoders
-    run on the distinct rows of ``NetworkInput`` only, and their scores
-    are expanded back by index.  The alpha is the same, bit for bit, as
-    ``nn.mlp_forward`` gives a row the same bytes wherever it sits in a
-    call.  Each uncached encoder runs its rows through tile-sized buffers.
+    With keep_cache=False caches is None, and the link and program
+    encoders run on the distinct rows of ``NetworkInput`` only (see
+    ``_distinct_forward``).  With keep_cache=True they run every row of
+    ``inp.matrix`` and caches holds the link, program and ranking forward
+    caches of all those rows.  That full-row forward is the reference
+    that the tests compare the distinct-row descent step against, and
+    the benchmark harness pins its link row count at all of the rows.
+    The alpha is the same, bit for bit, either way, as ``nn.mlp_forward``
+    gives a row the same bytes wherever it sits in a call.
     """
+    if not keep_cache:
+        return _distinct_forward(network, inp, keep_cache=False)
+    _check_fit(network, inp)
+    s, link_cache = mlp_forward(network.link, inp.matrix, in_scale=np.asarray(network.input_scale))
+    v, program_cache = mlp_forward(network.program, s.reshape(-1, network.n_links))
+    a, ranking_cache = mlp_forward(network.ranking, v.reshape(-1, network.n_options))
+    alpha = AlphaMatrix(values=a, valid=inp.valid, dims=inp.dims)
+    return alpha, (link_cache, program_cache, ranking_cache)
+
+
+def _distinct_forward(network, inp, keep_cache):
+    """``forward_alpha`` with the link and program encoders on the
+    distinct rows of inp, their scores expanded back by index.  caches
+    holds the forward caches of those distinct rows and of every block's
+    ranking row, or is None without keep_cache.  Each uncached encoder
+    runs its rows through tile-sized buffers."""
+    _check_fit(network, inp)
+    s, link_cache = mlp_forward(network.link, inp.link_rows, keep_cache=keep_cache,
+                                in_scale=np.asarray(network.input_scale))
+    v, program_cache = mlp_forward(network.program, s[inp.program_links].reshape(-1, network.n_links),
+                                   keep_cache=keep_cache)
+    a, ranking_cache = mlp_forward(network.ranking, v[inp.program_index].reshape(-1, network.n_options),
+                                   keep_cache=keep_cache)
+    alpha = AlphaMatrix(values=a, valid=inp.valid, dims=inp.dims)
+    return alpha, ((link_cache, program_cache, ranking_cache) if keep_cache else None)
+
+
+def _check_fit(network, inp):
     if inp.n_links != network.n_links:
         raise ValueError(f"input has {inp.n_links} links per user, network expects {network.n_links}")
     if inp.n_options != network.n_options:
         raise ValueError(f"input has {inp.n_options} options per block, network expects {network.n_options}")
-    rows = inp.matrix if keep_cache else inp.link_rows
-    s, link_cache = mlp_forward(network.link, rows, keep_cache=keep_cache,
-                                in_scale=np.asarray(network.input_scale))
-    if not keep_cache:
-        s = s[inp.program_links]
-    v, program_cache = mlp_forward(network.program, s.reshape(-1, network.n_links),
-                                   keep_cache=keep_cache)
-    if not keep_cache:
-        v = v[inp.program_index]
-    a, ranking_cache = mlp_forward(network.ranking, v.reshape(-1, network.n_options),
-                                   keep_cache=keep_cache)
-    alpha = AlphaMatrix(values=a, valid=inp.valid, dims=inp.dims)
-    return alpha, ((link_cache, program_cache, ranking_cache) if keep_cache else None)
 
 
 def draw_soft(alpha, tau, rng):
@@ -276,32 +270,24 @@ def loss_grads_with_noise(network, instance, table, inp, tau, lam_g, gumbels):
     smooth function of the parameters.  Returns (loss, grads) with grads
     ordered link, program, ranking.
 
-    The link and program backward run on the distinct rows of ``inp``.
-    Once the activations are fixed a backward is linear in its output
-    gradient, and equal rows have equal activations, so each distinct row
-    backprops the sum of its positions' gradients through one position's
-    cache row.
+    The step runs the link and program encoders on the distinct rows of
+    ``inp``.  Once the activations are fixed a backward is linear in its
+    output gradient, and equal rows have equal activations, so each
+    distinct row backprops the sum of its positions' gradients.
     """
-    alpha, (c1, c2, c3) = forward_alpha(network, inp)
+    alpha, (c1, c2, c3) = _distinct_forward(network, inp, keep_cache=True)
     x_rows = gumbel.concrete_rows_given(alpha.values, alpha.valid, tau, gumbels)
     loss, dx = soft_loss_and_grad(instance, table, x_rows.reshape(*alpha.dims, -1), lam_g)
     dalpha = gumbel.concrete_rows_grad(alpha.values, alpha.valid, tau, x_rows,
                                        dx.reshape(x_rows.shape))
     dv_rows, g_rank = mlp_backward(network.ranking, c3, dalpha)
-    program_at, link_at = inp.backward_rows
     dv = np.bincount(inp.program_index, weights=dv_rows.reshape(-1),
                      minlength=len(inp.program_links))
-    ds, g_prog = mlp_backward(network.program, _cache_rows(c2, program_at), dv[:, None])
+    ds, g_prog = mlp_backward(network.program, c2, dv[:, None])
     dl = np.bincount(inp.program_links.reshape(-1), weights=ds.reshape(-1),
                      minlength=len(inp.link_rows))
-    _, g_link = mlp_backward(network.link, _cache_rows(c1, link_at), dl[:, None])
+    _, g_link = mlp_backward(network.link, c1, dl[:, None])
     return loss, g_link + g_prog + g_rank
-
-
-def _cache_rows(cache, rows):
-    """The given rows of an mlp_forward cache."""
-    inputs, z = cache
-    return [np.take(a, rows, axis=0) for a in inputs], np.take(z, rows, axis=0)
 
 
 @dataclass(frozen=True)
@@ -384,10 +370,6 @@ def train(network, instances, config, eval_instances=()):
             dataset.append((inst, table, preprocess(inst, table)))
     if not data:
         raise ValueError("training needs at least one instance")
-    # built with the dataset, so that these long-lived index arrays do not
-    # land between the first step's temporaries in the heap
-    for _, _, inp in data:
-        inp.backward_rows
 
     params = network_parameters(network)
     adam = AdamState.for_params(params, lr=config.learning_rate)

@@ -402,6 +402,21 @@ def test_export_bad_warmstart_scheme_is_exit_3(tmp_path, capsys, shape, fill, me
     assert not (tmp_path / "model.lp").exists()
 
 
+@pytest.mark.parametrize("instance_id", [[1, 2], 7, None, "inst\nminimize", "inst\r"])
+def test_instance_id_that_is_no_one_line_string_is_exit_3(tmp_path, capsys, instance_id):
+    # a line break in the id used to end the LP file's comment line
+    inst_path = tmp_path / "inst.json"
+    io.write_instance(make_tiny(5), inst_path)
+    doc = json.loads(inst_path.read_text())
+    doc["id"] = instance_id
+    inst_path.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "export-milp", "--instance", str(inst_path),
+                       "--out", str(tmp_path / "model.lp"))
+    assert code == 3
+    assert "instance id must be a string without a line break" in err
+    assert not (tmp_path / "model.lp").exists()
+
+
 def test_export_warmstart_out_without_warmstart_is_exit_3(tmp_path, capsys):
     inst_path = tmp_path / "inst.json"
     io.write_instance(make_tiny(5), inst_path)

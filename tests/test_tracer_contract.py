@@ -98,17 +98,14 @@ def test_traced_training_keeps_the_encoder_spans_and_rows():
     names = [name for _, _, name, _, _, _ in tracer.spans]
     for encoder in tracing.ENCODERS:
         assert names.count(f"nn.mlp_backward.{encoder}") == len(train)
-    t, n, k = train[0].dims
-    rows = t * n * k * network.n_options * network.n_links
-    assert rows > 2 * ROW_TILE
     link_rows, program_rows = ([attrs["rows"] for _, _, name, _, _, attrs in tracer.spans
                                 if name == f"nn.mlp_forward.{encoder}"]
                                for encoder in ("link", "program"))
-    # one forward per descent step, on every row, however it tiles them;
-    # then one per instance in the metric pass, on the distinct rows
-    distinct = [distinct_rows(inst, network) for inst in train + held]
-    assert link_rows == [rows] * len(train) + [d[0] for d in distinct]
-    assert program_rows == [rows // network.n_links] * len(train) + [d[1] for d in distinct]
+    # one forward per descent step, then one per instance in the metric
+    # pass, each on the distinct rows
+    distinct = [distinct_rows(inst, network) for inst in train + train + held]
+    assert link_rows == [d[0] for d in distinct]
+    assert program_rows == [d[1] for d in distinct]
     # the metric pass draws and prices each instance's samples in one call
     metric_instances = len(train) + len(held)
     assert names.count("model.soft_loss") == metric_instances

@@ -252,9 +252,10 @@ def brute_force_search(n_valid_flat, weights, d_in, d_out, topology, chunk=4096)
     """Exhaustive search over option combinations, priced in chunks.
 
     n_valid_flat: (S,) valid option counts, slots flattened t-major as
-    s = (t*N + n)*K + k.  Returns (best_cost, best_options (S,), found,
-    n_feasible); combos enumerated in odometer order (last slot fastest),
-    cost ties resolved toward the earlier combination.
+    s = (t*N + n)*K + k.  Returns (best_cost, best_options (S,)), with
+    best_cost inf when no combination is feasible; combos enumerated in
+    odometer order (last slot fastest), cost ties resolved toward the
+    earlier combination.
     """
     K, N = weights.shape[:2]
     T = d_in.shape[2]
@@ -262,22 +263,16 @@ def brute_force_search(n_valid_flat, weights, d_in, d_out, topology, chunk=4096)
 
     best_cost = np.inf
     best = np.zeros(n_valid_flat.shape[0], dtype=np.int64)
-    found = False
-    n_feasible = 0
 
     for start in range(0, total, chunk):
         ids = np.arange(start, min(start + chunk, total), dtype=np.int64)
         digits = _digits_for(ids, n_valid_flat)
         flows = price_flows(topology, *hard_edge_flows(
             digits.reshape(-1, T, N, K), weights, d_in, d_out))
-        ok = flows.feasible
-        cost = np.where(ok, flows.cost_total, np.inf)
-
-        n_feasible += int(ok.sum())
+        cost = np.where(flows.feasible, flows.cost_total, np.inf)
         j = int(np.argmin(cost))
         if cost[j] < best_cost:  # strict: keeps the earliest minimizer
             best_cost = float(cost[j])
             best = digits[j].copy()
-            found = True
 
-    return best_cost, best, found, n_feasible
+    return best_cost, best

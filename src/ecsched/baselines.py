@@ -17,21 +17,19 @@ class BudgetExceededError(RuntimeError):
     """The instance has more option combinations than the search budget."""
 
 
-def rsn_sample(instance, rng, table=None):
-    """One scheme with every block uniform over its valid options."""
-    if table is None:
-        table = build_option_table(instance.topology)
+def rsn_options(instance, table, n_samples, rng):
+    """n_samples uniform schemes as one (S, T, N, K) option block: every
+    block's option uniform over its valid options, drawn in one call."""
     # n_valid is (K, N); draws are block by block in slot-major order
-    return AllocationScheme(option=rng.integers(0, table.n_valid.T, size=instance.dims))
+    return rng.integers(0, table.n_valid.T, size=(n_samples, *instance.dims))
 
 
 def rsn_best_of_detailed(instance, n_samples, rng, table=None):
-    """n_samples uniform schemes, drawn in one call (the same stream as
-    n_samples ``rsn_sample`` calls); ``best_feasible`` of them."""
+    """``best_feasible`` of the n_samples schemes of ``rsn_options``."""
     if table is None:
         table = build_option_table(instance.topology)
-    options = rng.integers(0, table.n_valid.T, size=(n_samples, *instance.dims))
-    return best_feasible(options, [evaluate_hard(instance, table, o) for o in options])
+    options = rsn_options(instance, table, n_samples, rng)
+    return best_feasible(options, [evaluate_hard(instance, table, o)[0] for o in options])
 
 
 def combination_count(instance, table=None):
@@ -62,9 +60,9 @@ def brute_force(instance, max_combinations=1_000_000, table=None):
             f"{total} option combinations exceed the budget of {max_combinations}")
     t, n, k = instance.dims
     n_valid_flat = np.broadcast_to(table.n_valid.T[None], (t, n, k)).reshape(-1)
-    cost, best_flat, found, _ = _kernels.brute_force_search(
+    cost, best_flat = _kernels.brute_force_search(
         np.ascontiguousarray(n_valid_flat), table.weights,
         instance.demands.inbound, instance.demands.outbound, instance.topology)
-    if not found:
+    if cost == np.inf:
         return None
     return AllocationScheme(option=best_flat.reshape(t, n, k)), float(cost)

@@ -14,6 +14,7 @@ import math
 import sys
 import time
 from dataclasses import fields, replace
+from io import StringIO
 from pathlib import Path
 
 import numpy as np
@@ -97,10 +98,11 @@ def _check_isps(instances, where, n_links, model):
 
 def _write_csv(path, rows):
     """Rows of dicts as CSV, headed by the first row's keys."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
-        writer.writeheader()
-        writer.writerows(rows)
+    text = StringIO()
+    writer = csv.DictWriter(text, fieldnames=list(rows[0]))
+    writer.writeheader()
+    writer.writerows(rows)
+    io.write_text(path, text.getvalue())
 
 
 def cmd_gen(args):

@@ -148,8 +148,3 @@ def generate_instance(config, seed=None):
     topo = sample_static(config, rng)
     demands = sample_demands(topo, rng, config)
     return Instance(topology=topo, demands=demands, instance_id=f"inst-{seed:08d}", seed=seed)
-
-
-def generate_instances(config, count):
-    """Instances i = 0..count-1, instance i seeded with config.seed + i."""
-    return [generate_instance(config, seed=config.seed + i) for i in range(count)]

@@ -10,7 +10,7 @@ Every JSON input (instance, scheme, model and config file) is decoded
 by ``load_json`` and its grids converted by ``need_array``; failures
 raise FormatError naming the field, which the CLI maps to exit code 3.
 Every JSON output (instance, scheme and model file) is written by
-``write_json``, and the LP and warm-start text by ``write_text``.
+``write_json``, and the LP, warm-start and CSV text by ``write_text``.
 """
 
 import json
@@ -45,8 +45,9 @@ def read_text(path, kind):
 
 
 def write_text(path, text):
-    """Write text to path, replacing any file there."""
-    with open(path, "w") as fh:
+    """Write text to path, replacing any file there.  Line ends are
+    written as given, so the bytes do not depend on the platform."""
+    with open(path, "w", newline="") as fh:
         fh.write(text)
 
 

@@ -17,8 +17,9 @@ Conventions fixed here and relied on everywhere else:
 * option p of a pair whose admissible links are ``a_0 < a_1 < ...``
   (ascending global link position) selects ``{a_j : bit j of p+1 set}``,
   i.e. binary counting: p = 0, 1, 2 pick {a_0}, {a_1}, {a_0, a_1};
-* the percentile exempts ``m = floor(0.05 T)`` slots, so g95 is the
-  (m+1)-th largest value; on ties the lowest slot index is selected;
+* the percentile exempts ``m = floor(0.05 T)`` slots, so the billed
+  level of a per-slot series (``_kernels.billed_level``) is its (m+1)-th
+  largest value; on ties the lowest slot index is selected;
 * ``max(inbound, outbound)`` resolves ties toward inbound.
 
 ``Topology``, ``DemandTensor`` and ``Instance`` check themselves at
@@ -233,10 +234,6 @@ class AllocationScheme:
 
     option: np.ndarray
 
-    @property
-    def dims(self):
-        return self.option.shape
-
 
 @dataclass(frozen=True)
 class SoftAllocation:
@@ -244,11 +241,6 @@ class SoftAllocation:
     or a stack of S of them, x[s, t, n, k, p], priced in one call."""
 
     x: np.ndarray
-
-    @property
-    def dims(self):
-        """(T, N, K), without the draw axis of a stack."""
-        return self.x.shape[-4:-1]
 
 
 @dataclass
@@ -290,19 +282,6 @@ class FeasibilityReport:
 
     def counts(self):
         return {f.name: len(getattr(self, f.name)) for f in fields(self)}
-
-
-def g95(series):
-    """95th-percentile bandwidth of a per-slot series.
-
-    Sorted descending, the first floor(0.05 T) entries are exempt and the
-    next one is the billable value.  With T < 20 no slot is exempt and
-    this is the maximum.
-    """
-    arr = np.asarray(series, dtype=float)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValueError("series must be a nonempty 1-d array")
-    return float(_kernels.billed_level(arr))
 
 
 def check_scheme(instance, option, table):
@@ -363,7 +342,8 @@ def check_feasibility(instance, alloc, table=None):
 
 
 def evaluate_hard(instance, table, option):
-    """Fast path for samplers: (cost, feasible) of an option array."""
+    """Fast path for samplers: (cost, feasible) of an option array, the
+    cost inf when the scheme is infeasible."""
     edge_in, edge_out = _kernels.hard_edge_flows(
         np.ascontiguousarray(option), table.weights,
         instance.demands.inbound, instance.demands.outbound)
@@ -373,20 +353,22 @@ def evaluate_hard(instance, table, option):
     return flows.cost_total, True
 
 
-def best_feasible(options, priced):
+def best_feasible(options, costs):
     """The cheapest feasible draw of an (S, T, N, K) option block, given
-    priced[s] = (cost, feasible) for draw s: ((scheme, cost) or None,
-    feasible count).  Ties go to the earliest draw, and the scheme holds a
-    copy, not a view of the block.  Each sampler prices its draws with its
-    own module's ``evaluate_hard``: the benchmark's tracer counts draws per
-    policy there."""
-    if not priced:
+    costs[s], the cost of draw s or inf when it is infeasible (as
+    ``evaluate_hard`` prices it): ((scheme, cost) or None, feasible count).
+    Ties go to the earliest draw, and the scheme holds a copy, not a view
+    of the block.  Each sampler prices its draws with its own module's
+    ``evaluate_hard``: the benchmark's tracer counts draws per policy
+    there."""
+    costs = np.asarray(costs, dtype=float)
+    if costs.size == 0:
         raise ValueError("need at least one sample")
-    feasible = [i for i, (_, ok) in enumerate(priced) if ok]
-    if not feasible:
+    best = int(np.argmin(costs))
+    if costs[best] == np.inf:
         return None, 0
-    best = min(feasible, key=lambda i: priced[i][0])
-    return (AllocationScheme(option=options[best].copy()), priced[best][0]), len(feasible)
+    return ((AllocationScheme(option=options[best].copy()), float(costs[best])),
+            int(np.isfinite(costs).sum()))
 
 
 def soft_loss(instance, alloc, lam_g=1.0, table=None):

@@ -39,8 +39,8 @@ import numpy as np
 
 from . import gumbel
 from .io import FormatError, load_json, need_array, write_json
-from .model import (AllocationScheme, SoftAllocation, best_feasible,
-                    build_option_table, evaluate_hard, soft_loss, soft_loss_and_grad)
+from .model import (SoftAllocation, best_feasible, build_option_table, evaluate_hard,
+                    soft_loss, soft_loss_and_grad)
 from .nn import AdamState, Mlp, adam_step, init_mlp, mlp_backward, mlp_forward, parameters
 
 MODEL_FORMAT = "ecsched-model"
@@ -244,20 +244,6 @@ def _check_fit(network, inp):
         raise ValueError(f"input has {inp.n_options} options per block, network expects {network.n_options}")
 
 
-def draw_soft(alpha, tau, rng):
-    """One relaxed allocation; each valid row a concrete sample."""
-    x, _ = gumbel.concrete_rows(alpha.values, alpha.valid, tau, rng)
-    t, n, k = alpha.dims
-    return SoftAllocation(x=x.reshape(t, n, k, -1))
-
-
-def draw_hard(alpha, rng):
-    """One hard scheme; each block an exact categorical draw."""
-    idx = gumbel.categorical_rows(alpha.values, alpha.valid, rng)
-    t, n, k = alpha.dims
-    return AllocationScheme(option=idx.reshape(t, n, k))
-
-
 def network_parameters(network):
     """Flat live parameter list: link, then program, then ranking."""
     return parameters(network.link) + parameters(network.program) + parameters(network.ranking)
@@ -328,9 +314,9 @@ def anneal_tau(epoch, config):
 def _mean_sampled_loss(network, dataset, tau, config, rng):
     """Mean soft loss over metric_samples concrete draws per instance.
 
-    Per instance: one uncached forward, the draws in one block (the same
-    stream as metric_samples ``draw_soft`` calls) and one ``soft_loss``
-    call pricing the stack, whose losses equal those of single calls.
+    Per instance: one uncached forward, one ``gumbel.concrete_rows``
+    block of metric_samples draws and one ``soft_loss`` call pricing the
+    stack, whose losses equal those of single calls.
     """
     vals = []
     for inst, table, inp in dataset:
@@ -396,14 +382,14 @@ def train(network, instances, config, eval_instances=()):
 
 
 def best_of_detailed(network, instance, n_samples, rng, table=None):
-    """n_samples hard draws from one forward pass, drawn in one block (the
-    same stream as n_samples ``draw_hard`` calls); ``best_feasible`` of them."""
+    """n_samples hard draws from one forward pass, drawn as one
+    ``gumbel.categorical_rows`` block; ``best_feasible`` of them."""
     if table is None:
         table = build_option_table(instance.topology)
     alpha, _ = forward_alpha(network, preprocess(instance, table), keep_cache=False)
     options = gumbel.categorical_rows(alpha.values, alpha.valid, rng, n_samples)
     options = options.reshape(n_samples, *alpha.dims)
-    return best_feasible(options, [evaluate_hard(instance, table, o) for o in options])
+    return best_feasible(options, [evaluate_hard(instance, table, o)[0] for o in options])
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,10 @@ import time
 import numpy as np
 import pytest
 
-from ecsched import baselines, sampler
-from ecsched.generate import GenConfig, generate_instance, generate_instances
-from ecsched.model import DemandTensor, Instance, build_option_table, soft_loss
+from ecsched import baselines, gumbel, sampler
+from ecsched.generate import GenConfig, generate_instance
+from ecsched.model import (AllocationScheme, DemandTensor, Instance, SoftAllocation,
+                           Topology, build_option_table, soft_loss)
 from ecsched.sampler import TrainConfig
 
 DESK_CONFIG = GenConfig(n_users=4, n_slots=12, n_types=6, n_isps=4, seed=101)
@@ -17,6 +18,38 @@ DESK_TRAIN = TrainConfig(n_epochs=100, seed=7)
 DESK_NET_SEED = 3
 HELD_SEED0 = 9000
 UNTRAINED_STREAM = 80
+
+
+def desk_instances(count):
+    """The first count desk training instances, instance i seeded with
+    DESK_CONFIG.seed + i, as ``ecsched gen`` seeds them."""
+    return [generate_instance(DESK_CONFIG, seed=DESK_CONFIG.seed + i) for i in range(count)]
+
+
+def rsn_scheme(inst, rng, table=None):
+    """One uniform random scheme: a block of one ``rsn_options`` draw."""
+    if table is None:
+        table = build_option_table(inst.topology)
+    return AllocationScheme(option=baselines.rsn_options(inst, table, 1, rng)[0])
+
+
+def hopeless_instance():
+    """One user, two links and three slots whose demand no option fits:
+    90 Mbps overshoots a 30 Mbps physical cap alone or split in two."""
+    topo = Topology(
+        edge_cap_basic=np.full((1, 2), 10.0),
+        edge_cap_billable=np.full((1, 2), 20.0),
+        edge_cap_phys=np.full((1, 2), 30.0),
+        edge_rate=np.full((1, 2), 5.0),
+        isp_cap_basic=np.full(2, 8.0),
+        isp_cap_billable=np.full(2, 18.0),
+        isp_cap_phys=np.full(2, 28.0),
+        isp_rate=np.full(2, 5.0),
+        admissible=np.ones((1, 1, 2), dtype=bool))
+    return Instance(topology=topo,
+                    demands=DemandTensor(inbound=np.full((1, 1, 3), 90.0),
+                                         outbound=np.full((1, 1, 3), 90.0)),
+                    instance_id="hopeless")
 
 
 def make_tiny(seed, n_users=1, n_slots=3, n_types=2, n_isps=2,
@@ -43,13 +76,16 @@ def make_tiny(seed, n_users=1, n_slots=3, n_types=2, n_isps=2,
 
 def recorded_protocol_loss(network, instances, tau, config, rng):
     """Mean soft loss as train() records it: metric_samples concrete draws
-    per instance at temperature tau, one forward pass per instance."""
+    per instance at temperature tau, one forward pass per instance.  Each
+    draw is its own ``gumbel.concrete_rows`` call and is priced alone, an
+    independent reference for train's one block and one stacked price."""
     vals = []
     for inst in instances:
         table = build_option_table(inst.topology)
         alpha, _ = sampler.forward_alpha(network, sampler.preprocess(inst, table))
         for _ in range(config.metric_samples):
-            vals.append(soft_loss(inst, sampler.draw_soft(alpha, tau, rng),
+            x, _ = gumbel.concrete_rows(alpha.values, alpha.valid, tau, rng)
+            vals.append(soft_loss(inst, SoftAllocation(x=x.reshape(*alpha.dims, -1)),
                                   config.lam_g, table=table))
     return float(np.mean(vals))
 
@@ -58,7 +94,7 @@ def recorded_protocol_loss(network, instances, tau, config, rng):
 def desk_run():
     """One trained sampler plus its bench numbers, computed once per session."""
     t_start = time.perf_counter()
-    train_insts = generate_instances(DESK_CONFIG, 20)
+    train_insts = desk_instances(20)
     held = [generate_instance(DESK_CONFIG, seed=HELD_SEED0 + i) for i in range(20)]
     network = sampler.create_network(seed=DESK_NET_SEED)
     history = sampler.train(network, train_insts, DESK_TRAIN, eval_instances=held)

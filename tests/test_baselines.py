@@ -7,10 +7,10 @@ import pytest
 import scipy.stats
 
 import oracles
-from conftest import make_tiny
+from conftest import hopeless_instance, make_tiny
 from ecsched.baselines import (BudgetExceededError, brute_force,
                                combination_count, rsn_best_of_detailed,
-                               rsn_sample)
+                               rsn_options)
 from ecsched.generate import GenConfig, generate_instance
 from ecsched.model import (build_option_table, check_feasibility,
                            evaluate_hard, total_cost)
@@ -21,9 +21,7 @@ def test_uniform_over_three_options():
     table = build_option_table(inst.topology)
     assert table.n_valid[0, 0] == 3
     rng = np.random.default_rng(0)
-    counts = np.zeros(3)
-    for _ in range(100000):
-        counts[rsn_sample(inst, rng, table).option[0, 0, 0]] += 1
+    counts = np.bincount(rsn_options(inst, table, 100000, rng)[:, 0, 0, 0], minlength=3)
     np.testing.assert_allclose(counts / counts.sum(), [1 / 3] * 3, atol=0.01)
 
 
@@ -34,9 +32,9 @@ def test_draws_always_encoding_valid():
     rng = np.random.default_rng(1)
     t, n, k = inst.dims
     limit = np.broadcast_to(table.n_valid.T[None], (t, n, k))
-    for _ in range(2000):
-        opt = rsn_sample(inst, rng, table).option
-        assert (opt >= 0).all() and (opt < limit).all()
+    opt = rsn_options(inst, table, 2000, rng)
+    assert opt.shape == (2000, t, n, k)
+    assert (opt >= 0).all() and (opt < limit).all()
 
 
 def test_block_marginals_are_uniform():
@@ -45,8 +43,7 @@ def test_block_marginals_are_uniform():
     table = build_option_table(inst.topology)
     rng = np.random.default_rng(2)
     t, n, k = inst.dims
-    draws = np.stack([rsn_sample(inst, rng, table).option
-                      for _ in range(20000)])
+    draws = rsn_options(inst, table, 20000, rng)
     for ti in range(t):
         for ni in range(n):
             for ki in range(k):
@@ -63,8 +60,7 @@ def test_single_valid_option_forced():
     table = build_option_table(inst.topology)
     assert table.n_valid[0, 0] == 1
     rng = np.random.default_rng(3)
-    for _ in range(50):
-        assert (rsn_sample(inst, rng, table).option == 0).all()
+    assert (rsn_options(inst, table, 50, rng) == 0).all()
 
 
 def test_combination_count():
@@ -113,9 +109,8 @@ def test_brute_force_bounds_sampling():
     table = build_option_table(inst.topology)
     opt = brute_force(inst, table=table)
     assert opt is not None
-    for _ in range(200):
-        scheme = rsn_sample(inst, rng, table)
-        cost, feasible = evaluate_hard(inst, table, scheme.option)
+    for option in rsn_options(inst, table, 200, rng):
+        cost, feasible = evaluate_hard(inst, table, option)
         if feasible:
             assert cost >= opt[1] - 1e-9
 
@@ -125,11 +120,12 @@ def test_rsn_best_of_replay():
                      full_admissible=False, demand_scale=4.0)
     table = build_option_table(inst.topology)
     best, nf = rsn_best_of_detailed(inst, 60, np.random.default_rng(5), table)
+    # replay the stream one scheme at a time
     rng = np.random.default_rng(5)
     costs = []
     for _ in range(60):
-        scheme = rsn_sample(inst, rng, table)
-        cost, feasible = evaluate_hard(inst, table, scheme.option)
+        option = rng.integers(0, table.n_valid.T, size=inst.dims)
+        cost, feasible = evaluate_hard(inst, table, option)
         if feasible:
             costs.append(cost)
     assert nf == len(costs)
@@ -140,6 +136,12 @@ def test_rsn_best_of_replay():
     assert np.array_equal(again[0].option, best[0].option)
     with pytest.raises(ValueError):
         rsn_best_of_detailed(inst, 0, np.random.default_rng(5), table)
+
+
+def test_nothing_feasible_on_either_pick_path():
+    inst = hopeless_instance()
+    assert brute_force(inst) is None
+    assert rsn_best_of_detailed(inst, 30, np.random.default_rng(7)) == (None, 0)
 
 
 # sha256 over rsn_best_of_detailed's scheme bytes, cost repr and feasible

@@ -37,8 +37,8 @@ def digests():
     gradients, the cached and uncached alpha of a 47-slot instance, one
     stacked soft pricing and the 4-epoch desk history with its trained
     parameters."""
-    from conftest import DESK_CONFIG, DESK_NET_SEED, HELD_SEED0
-    from ecsched.generate import GenConfig, generate_instance, generate_instances
+    from conftest import DESK_CONFIG, DESK_NET_SEED, HELD_SEED0, desk_instances
+    from ecsched.generate import GenConfig, generate_instance
     from ecsched.model import (DemandTensor, Instance, SoftAllocation, build_option_table,
                                soft_loss, soft_loss_and_grad)
     from ecsched.gumbel import sample_gumbel
@@ -92,7 +92,7 @@ def digests():
 
     net = create_network(seed=DESK_NET_SEED)
     held = [generate_instance(DESK_CONFIG, seed=HELD_SEED0 + i) for i in range(20)]
-    history = train(net, generate_instances(DESK_CONFIG, 20), TrainConfig(n_epochs=4, seed=7),
+    history = train(net, desk_instances(20), TrainConfig(n_epochs=4, seed=7),
                     eval_instances=held)
     digest = hashlib.sha256(repr([(h.epoch, h.tau, h.train_loss, h.eval_loss)
                                   for h in history]).encode())

@@ -8,12 +8,11 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from conftest import make_tiny
+from conftest import hopeless_instance, make_tiny
 from ecsched import io, milp, sampler
 from ecsched.baselines import brute_force
 from ecsched.cli import main
-from ecsched.model import (AllocationScheme, DemandTensor, Instance, Topology,
-                           build_option_table, total_cost)
+from ecsched.model import AllocationScheme, total_cost
 
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 
@@ -29,23 +28,6 @@ def read_csv(path):
         return list(csv.DictReader(fh))
 
 
-def hopeless_instance():
-    topo = Topology(
-        edge_cap_basic=np.full((1, 2), 10.0),
-        edge_cap_billable=np.full((1, 2), 20.0),
-        edge_cap_phys=np.full((1, 2), 30.0),
-        edge_rate=np.full((1, 2), 5.0),
-        isp_cap_basic=np.full(2, 8.0),
-        isp_cap_billable=np.full(2, 18.0),
-        isp_cap_phys=np.full(2, 28.0),
-        isp_rate=np.full(2, 5.0),
-        admissible=np.ones((1, 1, 2), dtype=bool))
-    return Instance(topology=topo,
-                    demands=DemandTensor(inbound=np.full((1, 1, 3), 90.0),
-                                         outbound=np.full((1, 1, 3), 90.0)),
-                    instance_id="hopeless")
-
-
 # ---------------------------------------------------------------------------
 # gen
 # ---------------------------------------------------------------------------
@@ -59,6 +41,9 @@ def test_gen_writes_manifest_and_instances(tmp_path, capsys):
     rows = read_csv(out / "manifest.csv")
     assert [r["id"] for r in rows] == ["inst-00000050", "inst-00000051", "inst-00000052"]
     assert list(rows[0].keys()) == ["id", "seed", "n_users", "n_slots", "path"]
+    # every row ends in \r\n on every platform
+    raw = (out / "manifest.csv").read_bytes()
+    assert raw.count(b"\r\n") == raw.count(b"\n") == 4
     for row in rows:
         inst = io.read_instance(out / row["path"])
         assert inst.instance_id == row["id"]
@@ -333,6 +318,16 @@ def test_oracle_writes_exact_optimum(tmp_path, capsys):
     assert iid == inst.instance_id
     assert cost == pytest.approx(ref[1], rel=1e-12)
     assert np.array_equal(scheme.option, ref[0].option)
+
+
+def test_oracle_without_feasible_combination_is_exit_2(tmp_path, capsys):
+    inst_path = tmp_path / "inst.json"
+    io.write_instance(hopeless_instance(), inst_path)
+    out = tmp_path / "o.json"
+    code, _, err = run(capsys, "oracle", "--instance", str(inst_path), "--out", str(out))
+    assert code == 2
+    assert "no feasible option combination exists" in err
+    assert not out.exists()
 
 
 def test_oracle_budget_refusal_is_exit_2(tmp_path, capsys):

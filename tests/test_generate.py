@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import DESK_CONFIG
-from ecsched.generate import (GenConfig, generate_instance, generate_instances,
-                              sample_static)
+from conftest import DESK_CONFIG, desk_instances
+from ecsched.cli import main
+from ecsched.generate import GenConfig, generate_instance, sample_static
+from ecsched.io import read_instance
 
 
 def topology_arrays(topo):
@@ -93,9 +94,17 @@ def test_different_seeds_differ():
     assert not np.array_equal(a.topology.edge_cap_basic, b.topology.edge_cap_basic)
 
 
-def test_generate_instances_seed_ladder():
-    batch = generate_instances(DESK_CONFIG, 3)
+def test_generate_instances_seed_ladder(tmp_path):
+    # ecsched gen seeds instance i with the config's seed + i
+    c = DESK_CONFIG
+    assert main(["gen", "--count", "3", "--users", str(c.n_users), "--slots", str(c.n_slots),
+                 "--types", str(c.n_types), "--isps", str(c.n_isps), "--seed", str(c.seed),
+                 "--out", str(tmp_path)]) == 0
+    batch = [read_instance(p) for p in sorted(tmp_path.glob("inst-*.json"))]
     assert [inst.seed for inst in batch] == [101, 102, 103]
+    for got, want in zip(batch, desk_instances(3), strict=True):
+        assert got.instance_id == want.instance_id
+        assert np.array_equal(got.demands.inbound, want.demands.inbound)
     assert batch[0].instance_id != batch[1].instance_id
     again = generate_instance(DESK_CONFIG, seed=102)
     assert np.array_equal(batch[1].demands.inbound, again.demands.inbound)

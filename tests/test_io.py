@@ -6,8 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import DESK_CONFIG, HELD_SEED0, make_tiny
-from ecsched import baselines
+from conftest import DESK_CONFIG, HELD_SEED0, make_tiny, rsn_scheme
 from ecsched.cli import main
 from ecsched.generate import GenConfig, generate_instance
 from ecsched.io import (FormatError, load_json, need_array, read_instance,
@@ -33,7 +32,7 @@ def test_instance_round_trip_bit_exact(tmp_path):
 
     # bit-exact arrays imply bit-exact billing
     table = build_option_table(inst.topology)
-    scheme = baselines.rsn_sample(inst, np.random.default_rng(0), table)
+    scheme = rsn_scheme(inst, np.random.default_rng(0), table)
     assert total_cost(back, scheme) == total_cost(inst, scheme)
 
 
@@ -81,7 +80,7 @@ def test_write_instance_bytes_are_pinned(tmp_path, config, seed):
 def test_write_scheme_bytes_are_pinned(tmp_path):
     inst = generate_instance(DESK_CONFIG, seed=HELD_SEED0)
     table = build_option_table(inst.topology)
-    scheme = baselines.rsn_sample(inst, np.random.default_rng(3), table)
+    scheme = rsn_scheme(inst, np.random.default_rng(3), table)
     path = tmp_path / "scheme.json"
     write_scheme(scheme, path, instance_id=inst.instance_id, cost=total_cost(inst, scheme, table))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == WRITE_SCHEME_SHA256
@@ -116,7 +115,7 @@ def test_admissible_stored_as_bitmask(tmp_path):
 def test_scheme_round_trip(tmp_path):
     inst = make_tiny(3, n_users=2, n_slots=5, n_types=2)
     table = build_option_table(inst.topology)
-    scheme = baselines.rsn_sample(inst, np.random.default_rng(1), table)
+    scheme = rsn_scheme(inst, np.random.default_rng(1), table)
     cost = total_cost(inst, scheme, table)
     path = tmp_path / "scheme.json"
     write_scheme(scheme, path, instance_id=inst.instance_id, cost=cost)
@@ -130,7 +129,7 @@ def test_scheme_round_trip(tmp_path):
 def test_scheme_optional_fields_absent(tmp_path):
     inst = make_tiny(4)
     table = build_option_table(inst.topology)
-    scheme = baselines.rsn_sample(inst, np.random.default_rng(2), table)
+    scheme = rsn_scheme(inst, np.random.default_rng(2), table)
     path = tmp_path / "scheme.json"
     write_scheme(scheme, path)
     _, iid, cost = read_scheme(path)

@@ -3,9 +3,9 @@ change the result."""
 
 import numpy as np
 
-from conftest import make_tiny
+from conftest import hopeless_instance, make_tiny
 from ecsched import _kernels
-from ecsched.model import build_option_table
+from ecsched.model import DemandTensor, Instance, Topology, build_option_table
 
 
 def flat_valid_counts(inst, table):
@@ -14,12 +14,48 @@ def flat_valid_counts(inst, table):
         np.broadcast_to(table.n_valid.T[None], (t, n, k)).reshape(-1))
 
 
+def search(inst, chunk):
+    table = build_option_table(inst.topology)
+    return _kernels.brute_force_search(
+        flat_valid_counts(inst, table), table.weights, inst.demands.inbound,
+        inst.demands.outbound, inst.topology, chunk=chunk)
+
+
 def test_numpy_chunking_is_invisible():
     inst = make_tiny(4, demand_scale=8.0)
-    table = build_option_table(inst.topology)
-    nv = flat_valid_counts(inst, table)
-    args = (table.weights, inst.demands.inbound, inst.demands.outbound, inst.topology)
-    a = _kernels.brute_force_search(nv, *args, chunk=7)
-    b = _kernels.brute_force_search(nv, *args, chunk=4096)
-    assert a[0] == b[0] and a[2] == b[2] and a[3] == b[3]
+    a, b = search(inst, chunk=7), search(inst, chunk=4096)
+    assert len(a) == len(b) == 2
+    assert 0.0 < a[0] < np.inf and a[0] == b[0]
     assert np.array_equal(a[1], b[1])
+
+    # nothing feasible: both chunkings report cost inf
+    for chunk in (7, 4096):
+        assert search(hopeless_instance(), chunk)[0] == np.inf
+
+    # many equal-cost optima: both chunkings keep the first in odometer
+    # order, which lies inside a chunk of 7
+    for chunk in (7, 4096):
+        cost, best = search(first_optimum_at_243(), chunk)
+        assert cost == 0.0
+        assert np.array_equal(best, [1, 0, 0, 0, 0, 0])
+
+
+def first_optimum_at_243():
+    """Six blocks of three options, 729 combinations.  Only block 0
+    carries demand, and putting all of it on link 0 (option 0)
+    overshoots that link's physical cap; every other combination costs
+    0.  The first optimum, block 0 on option 1 and every later block on
+    option 0, is combination 3**5 = 243."""
+    topo = Topology(
+        edge_cap_basic=np.array([[10.0, 60.0]]),
+        edge_cap_billable=np.array([[20.0, 80.0]]),
+        edge_cap_phys=np.array([[30.0, 100.0]]),
+        edge_rate=np.full((1, 2), 5.0),
+        isp_cap_basic=np.full(2, 1000.0),
+        isp_cap_billable=np.full(2, 2000.0),
+        isp_cap_phys=np.full(2, 3000.0),
+        isp_rate=np.full(2, 1.0),
+        admissible=np.ones((2, 1, 2), dtype=bool))
+    d_in = np.zeros((2, 1, 3))
+    d_in[0, 0, 0] = 50.0
+    return Instance(topology=topo, demands=DemandTensor(inbound=d_in, outbound=np.zeros((2, 1, 3))))

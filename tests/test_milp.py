@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import make_tiny
-from ecsched.baselines import brute_force, rsn_sample
+from conftest import make_tiny, rsn_scheme
+from ecsched.baselines import brute_force
 from ecsched.generate import GenConfig, generate_instance
 from ecsched.io import FormatError
 from ecsched.milp import (linearize, objective_of, read_solution, write_lp,
@@ -89,12 +89,11 @@ def test_no_exemptions_never_beats_greedy():
     table = build_option_table(inst.topology)
     model = linearize(inst, table)
     assert model.meta["exempt"] == 1
-    from ecsched.baselines import rsn_sample
     from ecsched.model import check_feasibility
     rng = np.random.default_rng(0)
-    scheme = rsn_sample(inst, rng, table)
+    scheme = rsn_scheme(inst, rng, table)
     while not check_feasibility(inst, scheme, table).feasible:
-        scheme = rsn_sample(inst, rng, table)
+        scheme = rsn_scheme(inst, rng, table)
 
     ws = DATA.parent / "_ws_tmp2.txt"
     write_warmstart(model, scheme, ws)
@@ -140,7 +139,7 @@ def test_ragged_export_bytes_are_pinned(tmp_path):
     model = linearize(inst, table)
     assert table.n_valid.tolist() == [[3, 3], [1, 1]]
     assert model.meta["exempt"] == 1
-    scheme = rsn_sample(inst, np.random.default_rng(0), table)
+    scheme = rsn_scheme(inst, np.random.default_rng(0), table)
     write_lp(model, tmp_path / "model.lp")
     write_warmstart(model, scheme, tmp_path / "warm.mst")
     digest = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()

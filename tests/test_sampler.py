@@ -9,17 +9,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import DESK_CONFIG, DESK_NET_SEED, HELD_SEED0, make_tiny, recorded_protocol_loss
+from conftest import (DESK_CONFIG, DESK_NET_SEED, HELD_SEED0, desk_instances,
+                      hopeless_instance, make_tiny, recorded_protocol_loss)
 from ecsched import gumbel, sampler
 from ecsched.cli import main
-from ecsched.generate import GenConfig, generate_instance, generate_instances
+from ecsched.generate import GenConfig, generate_instance
 from ecsched.model import (DemandTensor, Instance, Topology,
                            build_option_table, evaluate_hard, soft_loss,
                            soft_loss_and_grad, total_cost)
 from ecsched.sampler import (IntegrityError, TrainConfig, TrainingDiverged,
                              anneal_tau, best_of_detailed,
-                             create_network, draw_hard, draw_soft,
-                             forward_alpha, load_model, preprocess,
+                             create_network, forward_alpha, load_model, preprocess,
                              save_model, train)
 from ecsched.io import FormatError, write_instance
 from ecsched.nn import ROW_ALIGN, ROW_TILE, mlp_backward, mlp_forward
@@ -255,10 +255,9 @@ def test_hard_draws_stay_valid():
     n_valid = table.n_valid.transpose(1, 0).reshape(-1)  # (n, k) order per block
     t, n, k = inst.dims
     nv_blocks = np.tile(table.n_valid.T.reshape(-1), t)
-    for _ in range(5000):
-        scheme = draw_hard(alpha, rng)
-        flat = scheme.option.reshape(-1)
-        assert (flat < nv_blocks).all() and (flat >= 0).all()
+    draws = gumbel.categorical_rows(alpha.values, alpha.valid, rng, 5000)
+    assert draws.shape == (5000, t * n * k)
+    assert (draws < nv_blocks).all() and (draws >= 0).all()
 
 
 def test_single_valid_option_is_forced():
@@ -281,11 +280,10 @@ def test_single_valid_option_is_forced():
     net, table = small_net(inst)
     alpha, _ = forward_alpha(net, preprocess(inst, table))
     rng = np.random.default_rng(1)
-    scheme = draw_hard(alpha, rng)
-    assert (scheme.option == 0).all()
-    soft = draw_soft(alpha, 0.7, rng)
-    np.testing.assert_array_equal(soft.x[..., 0], np.ones((4, 1, 2)))
-    assert soft.x[..., 1:].sum() == 0.0
+    assert (gumbel.categorical_rows(alpha.values, alpha.valid, rng, 20) == 0).all()
+    x, _ = gumbel.concrete_rows(alpha.values, alpha.valid, 0.7, rng, 20)
+    np.testing.assert_array_equal(x[..., 0], np.ones((20, 4 * 1 * 2)))
+    assert x[..., 1:].sum() == 0.0
 
 
 def test_hard_draw_frequencies_match_alpha():
@@ -376,7 +374,7 @@ DESK_TRAINING_SHA256 = "d0708622b6ead062f50137641f8c68a3c27272b9f93883a65f3cc4e2
 
 
 def test_desk_training_bytes_are_pinned():
-    train_insts = generate_instances(DESK_CONFIG, 20)
+    train_insts = desk_instances(20)
     held = [generate_instance(DESK_CONFIG, seed=HELD_SEED0 + i) for i in range(20)]
     net = create_network(seed=DESK_NET_SEED)
     history = train(net, train_insts, TrainConfig(n_epochs=4, seed=7), eval_instances=held)
@@ -482,20 +480,7 @@ def test_best_of_keeps_no_full_size_activations():
 
 
 def test_best_of_none_when_nothing_fits():
-    topo = Topology(
-        edge_cap_basic=np.full((1, 2), 10.0),
-        edge_cap_billable=np.full((1, 2), 20.0),
-        edge_cap_phys=np.full((1, 2), 30.0),
-        edge_rate=np.full((1, 2), 5.0),
-        isp_cap_basic=np.full(2, 8.0),
-        isp_cap_billable=np.full(2, 18.0),
-        isp_cap_phys=np.full(2, 28.0),
-        isp_rate=np.full(2, 5.0),
-        admissible=np.ones((1, 1, 2), dtype=bool))
-    inst = Instance(topology=topo,
-                    demands=DemandTensor(inbound=np.full((1, 1, 3), 90.0),
-                                         outbound=np.full((1, 1, 3), 90.0)),
-                    instance_id="hopeless")
+    inst = hopeless_instance()
     net, table = small_net(inst, seed=9)
     best, n_feasible = best_of_detailed(net, inst, 40, np.random.default_rng(6), table)
     assert best is None and n_feasible == 0

@@ -6,9 +6,9 @@ from pathlib import Path
 
 import numpy as np
 
-from conftest import DESK_CONFIG
+from conftest import DESK_CONFIG, desk_instances
 from ecsched import baselines, sampler
-from ecsched.generate import GenConfig, generate_instance, generate_instances
+from ecsched.generate import GenConfig, generate_instance
 from ecsched.model import build_option_table
 from ecsched.nn import ROW_TILE
 from ecsched.sampler import TrainConfig
@@ -87,7 +87,7 @@ def test_traced_default_size_best_of_keeps_one_span_per_encoder():
 
 def test_traced_training_keeps_the_encoder_spans_and_rows():
     tracing = load_tracer()
-    train = generate_instances(DESK_CONFIG, 3)
+    train = desk_instances(3)
     held = [generate_instance(DESK_CONFIG, seed=9000)]
     network = sampler.create_network(seed=3)
     tracer = tracing.Tracer()

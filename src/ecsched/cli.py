@@ -4,7 +4,8 @@ Subcommands cover the whole workflow: generate instances, train a
 sampler, sample and evaluate schemes, run the exact baselines, export
 the MILP, import a solver's solution, and benchmark policies.  Exit
 codes: 0 on success, 2 when no feasible result exists (or a search
-refuses its budget), 3 on malformed input files or out-of-range flags.
+refuses its budget), 3 on malformed input files, out-of-range flags or
+any other usage error.
 """
 
 import argparse
@@ -338,13 +339,21 @@ def cmd_generalize(args):
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser whose usage errors are FormatErrors (exit 3):
+    argparse's own exit code 2 means "no feasible result" here.  The
+    subcommand parsers are of this class too."""
+
+    def error(self, message):
+        raise FormatError(f"{self.prog}: {message}")
+
+
 def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=None, help="seed for all random streams")
     common.add_argument("--config", default=None, help="JSON file overriding config fields")
 
-    parser = argparse.ArgumentParser(prog="ecsched",
-                                     description="percentile-billed traffic scheduling toolkit")
+    parser = _Parser(prog="ecsched", description="percentile-billed traffic scheduling toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", parents=[common], help="generate synthetic instances")
@@ -417,9 +426,8 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         for flag, least in (("seed", 0), ("count", 1), ("samples", 1), ("budget", 1)):
             value = getattr(args, flag, None)
             if value is not None and value < least:

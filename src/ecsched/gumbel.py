@@ -77,20 +77,19 @@ def concrete_rows(alpha, valid, tau, rng, n_draws=None):
     return concrete_rows_given(alpha, valid, tau, g), g
 
 
-def categorical_rows(alpha, valid, rng, n_draws=None):
+def categorical_rows(alpha, valid, rng, n_draws):
     """Row-wise masked categorical draws; one uniform per row per draw.
 
-    With n_draws = S the (S, R) uniform block is drawn in one call
+    The (S, R) uniform block of S = n_draws draws is drawn in one call
     (draw-major, so it equals S single draws in a row) against one
-    masked cumsum, and the result is (S, R); without it, one draw of
-    shape (R,).  Never returns an excluded index: masked entries carry
-    zero mass and the rare boundary draw is snapped to the first valid
-    category.
+    masked cumsum, and the result is (S, R).  Never returns an excluded
+    index: masked entries carry zero mass and the rare boundary draw is
+    snapped to the first valid category.
     """
     if not valid.any(axis=1).all():
         raise ValueError("every row needs at least one valid category")
     n_rows, n_cats = alpha.shape
-    size = (n_rows,) if n_draws is None else (n_draws, n_rows)
+    size = (n_draws, n_rows)
     cum = np.cumsum(np.where(valid, alpha, 0.0), axis=1)
     r = rng.uniform(size=size) * cum[:, -1]
     # count cum < r one category at a time, with no (S, R, P) temporary,

@@ -99,6 +99,14 @@ def need_array(mapping, key, where, shape=None, integer=False):
     return arr
 
 
+def _optional_scalar(doc, key, where, integer=False):
+    """doc[key] as an int (integer set) or a float; None when it is null
+    or absent."""
+    if doc.get(key) is None:
+        return None
+    return (int if integer else float)(need_array(doc, key, where, shape=(), integer=integer))
+
+
 def write_instance(instance, path):
     topo = instance.topology
     k, n, el = topo.admissible.shape
@@ -142,10 +150,11 @@ def read_instance(path):
     demands = {name: need_array(demands_doc, name, f"demands of {path}", shape=(t, n, k))
                .transpose(2, 1, 0) for name in ("inbound", "outbound")}  # (K, N, T)
     instance_id = _need(doc, "id", path)
+    seed = _optional_scalar(doc, "seed", path, integer=True)
     try:
         return Instance(topology=Topology(**arrays, admissible=admissible),
                         demands=DemandTensor(**demands),
-                        instance_id=instance_id, seed=doc.get("seed"))
+                        instance_id=instance_id, seed=seed)
     except ValueError as exc:
         raise FormatError(f"{path}: {exc}") from exc
 
@@ -169,4 +178,4 @@ def read_scheme(path):
     option = need_array(doc, "option", path, shape=(None, None, None), integer=True)
     if (option < 0).any():
         raise FormatError(f"{path}: negative option index")
-    return AllocationScheme(option=option), doc.get("instance_id"), doc.get("cost")
+    return AllocationScheme(option=option), doc.get("instance_id"), _optional_scalar(doc, "cost", path)

@@ -17,9 +17,7 @@ layer's activation and the next layer's input.  With the backward cache,
 each tile writes into its layer's full activation array, and the cache
 keeps the layer inputs and the output layer's preactivation only.
 Without it, the tiles pass through reused tile-sized buffers and only
-the output array is allocated.  A per-column input scale is applied to
-each tile as it is read, so the scaled input exists in full only in the
-backward cache.
+the output array is allocated.
 
 A BLAS may round the last rows of a matmul (its row count modulo its
 kernel's row unroll; 4 in OpenBLAS 0.3.31) with another kernel, so a
@@ -93,17 +91,14 @@ def init_mlp(widths, rng, output="identity", eps=1e-6):
     return Mlp(weights=weights, biases=biases, output=output, eps=eps)
 
 
-def mlp_forward(mlp, x, keep_cache=True, in_scale=None):
+def mlp_forward(mlp, x, keep_cache=True):
     """Batched forward pass; x is (rows, widths[0]) and is not modified.
 
-    in_scale, if given, holds one factor per input column; each tile of x
-    is multiplied by it as it is read, so the network sees x * in_scale
-    without an array of all scaled rows.  Returns (y, cache) with cache =
-    (inputs, z): inputs[i] is layer i's input (the scaled x, then the
-    ReLU6 activations of the hidden layers) and z is the output layer's
-    preactivation.  With keep_cache=False the cache is None and no
-    per-layer array of all rows is allocated.  Every matmul takes a
-    multiple of ROW_ALIGN rows (see the module docstring).
+    Returns (y, cache) with cache = (inputs, z): inputs[i] is layer i's
+    input (x, then the ReLU6 activations of the hidden layers) and z is
+    the output layer's preactivation.  With keep_cache=False the cache is
+    None and no per-layer array of all rows is allocated.  Every matmul
+    takes a multiple of ROW_ALIGN rows (see the module docstring).
     """
     if mlp.output not in ("identity", "relu6_eps"):
         raise ValueError(f"unknown output transform '{mlp.output}'")
@@ -111,10 +106,6 @@ def mlp_forward(mlp, x, keep_cache=True, in_scale=None):
     padded = -(-rows // ROW_ALIGN) * ROW_ALIGN
     last = len(mlp.weights) - 1
     span = padded if keep_cache else min(padded, ROW_TILE)
-    # the scaled input comes first: allocated after the layer arrays, it
-    # made the cached desk-size link forward take 1.27x as long (glibc
-    # then hands out memory that faults in again on every call)
-    scaled = None if in_scale is None else np.empty((span, x.shape[1]))
     y = np.empty((padded, mlp.widths[-1]))
     # each layer's output: all rows when cached, else one reused tile; an
     # identity output layer writes straight into y
@@ -125,9 +116,6 @@ def mlp_forward(mlp, x, keep_cache=True, in_scale=None):
         a = x[start:stop]
         if len(a) < stop - start:
             a = np.concatenate([a, np.zeros((stop - start - len(a), x.shape[1]))])
-        if scaled is not None:
-            a = np.multiply(a, in_scale,
-                            out=scaled[start:stop] if keep_cache else scaled[:stop - start])
         for i, (w, b, out) in enumerate(zip(mlp.weights, mlp.biases, outs)):
             # an array of all rows is sliced at the tile, a tile buffer from 0
             z = out[start:stop] if len(out) == padded else out[:stop - start]
@@ -139,8 +127,7 @@ def mlp_forward(mlp, x, keep_cache=True, in_scale=None):
             np.add(relu6(z), mlp.eps, out=y[start:stop])
     if not keep_cache:
         return y[:rows], None
-    inputs = [x if scaled is None else scaled[:rows]] + [a[:rows] for a in outs[:last]]
-    return y[:rows], (inputs, outs[last][:rows])
+    return y[:rows], ([x] + [a[:rows] for a in outs[:last]], outs[last][:rows])
 
 
 def mlp_backward(mlp, cache, dy):

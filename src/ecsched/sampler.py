@@ -203,17 +203,18 @@ def forward_alpha(network, inp, keep_cache=True):
     With keep_cache=False caches is None, and the link and program
     encoders run on the distinct rows of ``NetworkInput`` only (see
     ``_distinct_forward``).  With keep_cache=True they run every row of
-    ``inp.matrix`` and caches holds the link, program and ranking forward
-    caches of all those rows.  That full-row forward is the reference
-    that the tests compare the distinct-row descent step against, and
-    the benchmark harness pins its link row count at all of the rows.
-    The alpha is the same, bit for bit, either way, as ``nn.mlp_forward``
-    gives a row the same bytes wherever it sits in a call.
+    ``inp.matrix``, scaled by input_scale as one array, and caches holds
+    the link, program and ranking forward caches of all those rows.
+    That full-row forward is the reference that the tests compare the
+    distinct-row descent step against, and the benchmark harness pins
+    its link row count at all of the rows.  The alpha is the same, bit
+    for bit, either way, as ``nn.mlp_forward`` gives a row the same bytes
+    wherever it sits in a call.
     """
     if not keep_cache:
         return _distinct_forward(network, inp, keep_cache=False)
     _check_fit(network, inp)
-    s, link_cache = mlp_forward(network.link, inp.matrix, in_scale=np.asarray(network.input_scale))
+    s, link_cache = mlp_forward(network.link, inp.matrix * np.asarray(network.input_scale))
     v, program_cache = mlp_forward(network.program, s.reshape(-1, network.n_links))
     a, ranking_cache = mlp_forward(network.ranking, v.reshape(-1, network.n_options))
     alpha = AlphaMatrix(values=a, valid=inp.valid, dims=inp.dims)
@@ -222,13 +223,15 @@ def forward_alpha(network, inp, keep_cache=True):
 
 def _distinct_forward(network, inp, keep_cache):
     """``forward_alpha`` with the link and program encoders on the
-    distinct rows of inp, their scores expanded back by index.  caches
-    holds the forward caches of those distinct rows and of every block's
-    ranking row, or is None without keep_cache.  Each uncached encoder
-    runs its rows through tile-sized buffers."""
+    distinct rows of inp, their scores expanded back by index.  The link
+    rows are scaled by the model's input_scale here, in one array of the
+    distinct rows only.  caches holds the forward caches of those
+    distinct rows and of every block's ranking row, or is None without
+    keep_cache.  Each uncached encoder runs its rows through tile-sized
+    buffers."""
     _check_fit(network, inp)
-    s, link_cache = mlp_forward(network.link, inp.link_rows, keep_cache=keep_cache,
-                                in_scale=np.asarray(network.input_scale))
+    s, link_cache = mlp_forward(network.link, inp.link_rows * np.asarray(network.input_scale),
+                                keep_cache=keep_cache)
     v, program_cache = mlp_forward(network.program, s[inp.program_links].reshape(-1, network.n_links),
                                    keep_cache=keep_cache)
     a, ranking_cache = mlp_forward(network.ranking, v[inp.program_index].reshape(-1, network.n_options),

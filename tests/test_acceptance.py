@@ -211,7 +211,7 @@ def test_criterion_10_sampling_throughput():
     rng = np.random.default_rng(0)
 
     def one_sample():
-        option = gumbel.categorical_rows(alpha.values, alpha.valid, rng).reshape(t, n, k)
+        option = gumbel.categorical_rows(alpha.values, alpha.valid, rng, 1).reshape(t, n, k)
         return evaluate_hard(inst, table, option)
 
     one_sample()  # warm caches before timing

@@ -149,6 +149,27 @@ def test_out_of_range_settings_are_exit_3(cli_workspace, tmp_path, capsys, argv,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["sample", "--instance", "i.json", "--samples", "abc", "--out", "s.json"],
+     "ecsched sample: argument --samples: invalid int value: 'abc'"),
+    (["sample", "--instance", "i.json", "--out", "s.json", "--bogus"],
+     "unrecognized arguments: --bogus"),
+    (["eval", "--scheme", "s.json"], "ecsched eval: the following arguments are required: --instance"),
+], ids=["not-an-integer", "unknown-flag", "missing-flag"])
+def test_usage_errors_are_exit_3(capsys, argv, message):
+    # argparse's own exit code, 2, means "no feasible result" here
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert message in err and out == ""
+
+
+def test_help_is_exit_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sample", "--help"])
+    assert exc.value.code == 0
+    assert "--samples" in capsys.readouterr().out
+
+
 # ---------------------------------------------------------------------------
 # train / sample / eval
 # ---------------------------------------------------------------------------

@@ -89,7 +89,7 @@ def test_categorical_rows_frequencies():
     alpha = np.array([1.0, 2.0, 3.0, 4.0])
     n = 200_000
     idx = gumbel.categorical_rows(np.tile(alpha, (n, 1)), np.ones((n, 4), dtype=bool),
-                                  np.random.default_rng(6))
+                                  np.random.default_rng(6), 1)[0]
     freq = np.bincount(idx, minlength=4) / n
     assert np.abs(freq - alpha / alpha.sum()).max() < 0.01
 
@@ -107,7 +107,7 @@ def test_categorical_block_equals_sequential_draws():
     u[2, 0] = u[4, 1] = 0.0
     block = gumbel.categorical_rows(alpha, valid, FixedUniform(u), 7)
     stream = FixedUniform(u)
-    single = [gumbel.categorical_rows(alpha, valid, stream) for _ in range(7)]
+    single = [gumbel.categorical_rows(alpha, valid, stream, 1)[0] for _ in range(7)]
     assert block.shape == (7, 40)
     assert np.array_equal(block, np.stack(single))
     assert block[2, 0] == 2 and block[4, 1] == 1
@@ -115,7 +115,7 @@ def test_categorical_block_equals_sequential_draws():
 
     block = gumbel.categorical_rows(alpha, valid, np.random.default_rng(17), 50)
     stream = np.random.default_rng(17)
-    single = [gumbel.categorical_rows(alpha, valid, stream) for _ in range(50)]
+    single = [gumbel.categorical_rows(alpha, valid, stream, 1)[0] for _ in range(50)]
     assert np.array_equal(block, np.stack(single))
 
 
@@ -144,7 +144,7 @@ def test_near_zero_temperature_matches_categorical():
                                 0.01, np.random.default_rng(7))
     hard = np.bincount(np.argmax(x, axis=1), minlength=4) / n
     idx = gumbel.categorical_rows(np.tile(alpha, (n, 1)), np.ones((n, 4), dtype=bool),
-                                  np.random.default_rng(8))
+                                  np.random.default_rng(8), 1)[0]
     cat = np.bincount(idx, minlength=4) / n
     assert 0.5 * np.abs(hard - cat).sum() <= 0.02
 
@@ -180,7 +180,7 @@ def test_masked_categorical_never_leaks():
     valid = np.array([True, False, True, False])
     n = 1_000_000
     idx = gumbel.categorical_rows(np.tile([1.0, 2.0, 3.0, 4.0], (n, 1)),
-                                  np.tile(valid, (n, 1)), np.random.default_rng(10))
+                                  np.tile(valid, (n, 1)), np.random.default_rng(10), 1)[0]
     assert set(np.unique(idx).tolist()) <= {0, 2}
 
 
@@ -253,6 +253,6 @@ def test_rejects_bad_inputs():
     with pytest.raises(ValueError):
         gumbel.concrete_rows(np.ones((2, 2)), bad_valid, 0.5, rng)
     with pytest.raises(ValueError):
-        gumbel.categorical_rows(np.ones((2, 2)), bad_valid, rng)
+        gumbel.categorical_rows(np.ones((2, 2)), bad_valid, rng, 1)
     with pytest.raises(ValueError):
         gumbel.concrete_rows_given(np.ones((2, 2)), bad_valid, 0.5, np.zeros((2, 2)))

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -283,6 +284,65 @@ def test_malformed_instance_values_are_exit_3(tmp_path, edit, message):
     scheme_path = tmp_path / "scheme.json"
     write_scheme(AllocationScheme(option=np.zeros(inst.dims, dtype=np.int64)), scheme_path)
     assert main(["eval", "--instance", str(path), "--scheme", str(scheme_path)]) == 3
+
+
+@pytest.mark.parametrize("seed, message", [
+    ("abc", "not a grid of finite integers"),
+    (1.5, "not a grid of finite integers"),
+    (3.0, "not a grid of finite integers"),
+    ([1, 2], "has shape \\(2,\\), expected \\(\\)"),
+    (True, "not a grid of finite integers"),
+    (float("nan"), "not a grid of finite integers"),
+    (None, None),
+    ("absent", None),
+    (7, None),
+], ids=["string", "fraction", "float", "list", "boolean", "nan", "null", "absent", "integer"])
+def test_instance_seed_is_an_integer_or_null(tmp_path, seed, message):
+    path = tmp_path / "inst.json"
+    write_instance(make_tiny(13), path)
+    doc = json.loads(path.read_text())
+    if seed == "absent":
+        del doc["seed"]
+    else:
+        doc["seed"] = seed
+    path.write_text(json.dumps(doc))
+    if message is not None:
+        with pytest.raises(FormatError, match=f"field 'seed' in {re.escape(str(path))}.*{message}"):
+            read_instance(path)
+        return
+    back = read_instance(path)
+    assert back.seed == (None if seed == "absent" else seed)
+    # a read instance writes its seed back as it was stored
+    write_instance(back, tmp_path / "back.json")
+    assert json.loads((tmp_path / "back.json").read_text()).get("seed") == back.seed
+
+
+@pytest.mark.parametrize("cost, message", [
+    ("abc", "not a grid of finite numbers"),
+    ([1.0], "has shape \\(1,\\), expected \\(\\)"),
+    (True, "not a grid of finite numbers"),
+    (float("nan"), "not a grid of finite numbers"),
+    (float("inf"), "not a grid of finite numbers"),
+    (None, None),
+    ("absent", None),
+    (5, None),
+    (12.25, None),
+], ids=["string", "list", "boolean", "nan", "infinity", "null", "absent", "integer", "float"])
+def test_scheme_cost_is_a_number_or_null(tmp_path, cost, message):
+    doc = {"format": "ecsched-scheme", "version": 1, "option": [[[0]]]}
+    if cost != "absent":
+        doc["cost"] = cost
+    path = tmp_path / "scheme.json"
+    path.write_text(json.dumps(doc))
+    if message is not None:
+        with pytest.raises(FormatError, match=f"field 'cost' in {re.escape(str(path))}.*{message}"):
+            read_scheme(path)
+        return
+    _, _, stored = read_scheme(path)
+    if cost in (None, "absent"):
+        assert stored is None
+    else:
+        assert type(stored) is float and stored == cost
 
 
 def test_fractional_option_is_rejected_not_truncated(tmp_path):

@@ -96,40 +96,18 @@ def test_forward_without_cache_is_bit_identical(rows, output):
 
 
 @pytest.mark.parametrize("keep_cache", [True, False])
-@pytest.mark.parametrize("rows", [1, ROW_TILE, 2 * ROW_TILE + 7])
-def test_input_scaled_per_tile_equals_the_scaled_matrix(rows, keep_cache):
-    rng = np.random.default_rng(rows + 1)
-    net = init_mlp([4, 8, 8, 1], rng)
-    x = rng.normal(scale=300.0, size=(rows, 4))
-    before = x.copy()
-    scale = np.array([0.01, 0.01, 0.002, 0.002])
-    y_ref, cache_ref = mlp_forward(net, x * scale)
-    y, cache = mlp_forward(net, x, keep_cache=keep_cache, in_scale=scale)
-    np.testing.assert_array_equal(y, y_ref)
-    np.testing.assert_array_equal(x, before)
-    if keep_cache:
-        # backward reads the scaled rows from the cache
-        for a, ref in zip(cache[0], cache_ref[0]):
-            np.testing.assert_array_equal(a, ref)
-    else:
-        assert cache is None
-
-
-@pytest.mark.parametrize("keep_cache", [True, False])
-@pytest.mark.parametrize("widths, scaled", [([4, 8, 8, 8, 1], True), ([3, 8, 8, 8, 1], False)],
-                         ids=["link", "program"])
-def test_a_row_gives_the_same_bytes_in_any_call(widths, scaled, keep_cache):
+@pytest.mark.parametrize("widths", [[4, 8, 8, 8, 1], [3, 8, 8, 8, 1]], ids=["link", "program"])
+def test_a_row_gives_the_same_bytes_in_any_call(widths, keep_cache):
     # a BLAS may round the last rows of a call with another kernel; the
     # distinct-row forwards rely on every call rounding a row alike
     rng = np.random.default_rng(widths[0])
     net = init_mlp(widths, rng)
     net.biases = [rng.normal(size=b.shape) for b in net.biases]
     x = rng.normal(scale=4.0, size=(ROW_TILE + 77, widths[0]))
-    scale = rng.uniform(0.5, 2.0, size=widths[0]) if scaled else None
-    y, cache = mlp_forward(net, x, keep_cache=keep_cache, in_scale=scale)
+    y, cache = mlp_forward(net, x, keep_cache=keep_cache)
     spans = [(rows * 13 % 97, rows * 13 % 97 + rows) for rows in range(1, 201)]
     for i, j in spans + [(5, ROW_TILE + 70)]:
-        part, part_cache = mlp_forward(net, x[i:j], keep_cache=keep_cache, in_scale=scale)
+        part, part_cache = mlp_forward(net, x[i:j], keep_cache=keep_cache)
         assert part.tobytes() == y[i:j].tobytes(), (i, j)
         if keep_cache:
             for a, full in zip(part_cache[0] + [part_cache[1]], cache[0] + [cache[1]]):

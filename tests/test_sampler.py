@@ -162,6 +162,26 @@ def test_forward_without_cache_gives_the_same_alpha(case):
     assert len(inp.link_rows) < len(inp.matrix)
 
 
+def test_input_scale_is_applied_by_the_sampler(tmp_path):
+    # nn knows nothing of features; the sampler scales the link rows it runs
+    inst = generate_instance(DESK_CONFIG, seed=HELD_SEED0)
+    inp = preprocess(inst)
+    plain = create_network(seed=4)
+    scale = (0.02, 0.005, 0.004, 0.001)
+    scaled = dataclasses.replace(plain, input_scale=scale)
+    s, _ = mlp_forward(scaled.link, reference_matrix(inst) * np.asarray(scale))
+    v, _ = mlp_forward(scaled.program, s.reshape(-1, scaled.n_links))
+    reference, _ = mlp_forward(scaled.ranking, v.reshape(-1, scaled.n_options))
+    for keep_cache in (True, False):
+        alpha, _ = forward_alpha(scaled, inp, keep_cache=keep_cache)
+        assert alpha.values.tobytes() == reference.tobytes()
+    assert not np.array_equal(forward_alpha(plain, inp)[0].values, reference)
+    save_model(scaled, tmp_path / "model.json")
+    loaded = load_model(tmp_path / "model.json")
+    assert loaded.input_scale == scale
+    assert forward_alpha(loaded, inp, keep_cache=False)[0].values.tobytes() == reference.tobytes()
+
+
 def traced_peak(call):
     """Peak bytes that tracemalloc sees while call() runs."""
     tracemalloc.start()
@@ -170,17 +190,6 @@ def traced_peak(call):
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-
-
-def test_uncached_forward_scales_its_input_per_tile():
-    # scaling the whole feature matrix first peaked at 9.6 MiB here
-    net = load_model(Path(__file__).resolve().parents[1] / "perfbench" / "desk_model.json")
-    inp = preprocess(generate_instance(GenConfig(), seed=HELD_SEED0))
-    matrix = inp.matrix
-    assert matrix.nbytes > 7 * 2 ** 20
-    peak = traced_peak(lambda: mlp_forward(net.link, matrix, keep_cache=False,
-                                           in_scale=np.asarray(net.input_scale)))
-    assert peak < matrix.nbytes / 2
 
 
 def test_uncached_forward_never_builds_the_feature_matrix():
@@ -294,7 +303,7 @@ def test_hard_draw_frequencies_match_alpha():
     rng = np.random.default_rng(2)
     draws = gumbel.categorical_rows(
         np.tile(alpha.values, (200000, 1)),
-        np.tile(alpha.valid, (200000, 1)), rng)
+        np.tile(alpha.valid, (200000, 1)), rng, 1)[0]
     freq = np.bincount(draws, minlength=3) / draws.size
     np.testing.assert_allclose(freq, probs, atol=0.01)
 
@@ -435,7 +444,7 @@ def test_best_of_is_min_over_feasible_draws():
     t, n, k = inst.dims
     costs = []
     for _ in range(50):
-        idx = gumbel.categorical_rows(alpha.values, alpha.valid, rng)
+        idx = gumbel.categorical_rows(alpha.values, alpha.valid, rng, 1)
         cost, feasible = evaluate_hard(inst, table, idx.reshape(t, n, k))
         if feasible:
             costs.append(cost)
@@ -497,7 +506,7 @@ def test_sampled_costs_behave(desk_run):
     t, n, k = inst.dims
     costs = []
     for _ in range(1000):
-        idx = gumbel.categorical_rows(alpha.values, alpha.valid, rng)
+        idx = gumbel.categorical_rows(alpha.values, alpha.valid, rng, 1)
         cost, feasible = evaluate_hard(inst, table, idx.reshape(t, n, k))
         if feasible:
             costs.append(cost)

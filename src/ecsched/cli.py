@@ -4,8 +4,8 @@ Subcommands cover the whole workflow: generate instances, train a
 sampler, sample and evaluate schemes, run the exact baselines, export
 the MILP, import a solver's solution, and benchmark policies.  Exit
 codes: 0 on success, 2 when no feasible result exists (or a search
-refuses its budget), 3 on malformed input files, out-of-range flags or
-any other usage error.
+refuses its budget), 3 on malformed input files, a file that cannot be
+opened, out-of-range flags or any other usage error.
 """
 
 import argparse
@@ -170,7 +170,7 @@ def _policy_best_of(policy, model_path, where):
 
 def cmd_sample(args):
     instance = io.read_instance(args.instance)
-    rng = np.random.default_rng(args.seed if args.seed is not None else 0)
+    rng = np.random.default_rng(args.seed)
     best, n_feasible = _policy_best_of(args.policy, args.model, args.instance)(instance, args.samples, rng)
     if best is None:
         raise NoResult(f"no feasible scheme in {args.samples} samples")
@@ -218,10 +218,10 @@ def cmd_oracle(args):
 
 
 def cmd_export_milp(args):
-    instance = io.read_instance(args.instance)
-    model = milp.linearize(instance)
     if args.warmstart_out and not args.warmstart:
         raise FormatError("--warmstart-out needs --warmstart, the scheme to start from")
+    instance = io.read_instance(args.instance)
+    model = milp.linearize(instance)
     if args.warmstart:
         # read and checked first, so a bad scheme leaves no LP file behind
         scheme, _, _ = io.read_scheme(args.warmstart)
@@ -280,9 +280,8 @@ def _aggregate(rows, n_samples):
 def cmd_bench(args):
     best_of = _policy_best_of(args.policy, args.model, args.instances)
     instances = _load_instances(args.instances)
-    seed = args.seed if args.seed is not None else 0
     rows = _bench_rows(best_of, instances, args.samples, args.policy,
-                       lambda idx: np.random.default_rng([seed, idx]))
+                       lambda idx: np.random.default_rng([args.seed, idx]))
     if args.out:
         _write_csv(args.out, rows)
     mean, std, ssfr, pfr = _aggregate(rows, args.samples)
@@ -303,29 +302,28 @@ def cmd_generalize(args):
         raise FormatError("--grid needs at least one value")
     axis_field = {"slots": "n_slots", "users": "n_users"}[args.axis]
     configs = [_replaced(base, "--grid", **{axis_field: value}) for value in grid]
-    seed0 = args.seed if args.seed is not None else 0
     # slot sweeps hold the static draw fixed per instance index and
     # resample only demands; user sweeps change the topology, so both
     # static and dynamic parts are redrawn per point
     statics = None
     if args.axis == "slots":
-        statics = [sample_static(base, np.random.default_rng(seed0 + i))
+        statics = [sample_static(base, np.random.default_rng(args.seed + i))
                    for i in range(args.count)]
     out_rows = []
     for point_idx, (value, config) in enumerate(zip(grid, configs)):
         if statics is not None:
-            instances = [Instance(topology=static, seed=seed0 + i,
+            instances = [Instance(topology=static, seed=args.seed + i,
                                   demands=sample_demands(
-                                      static, np.random.default_rng([seed0, value, i]), config),
+                                      static, np.random.default_rng([args.seed, value, i]), config),
                                   instance_id=f"sweep-t{value:04d}-{i:04d}")
                          for i, static in enumerate(statics)]
         else:
-            instances = [generate_instance(config, seed=seed0 + point_idx * args.count + i)
+            instances = [generate_instance(config, seed=args.seed + point_idx * args.count + i)
                          for i in range(args.count)]
         for policy, best_of in policies.items():
             rows = _bench_rows(
                 best_of, instances, args.samples, policy,
-                lambda idx: np.random.default_rng([seed0, point_idx, idx, policy == "gssn"]))
+                lambda idx: np.random.default_rng([args.seed, point_idx, idx, policy == "gssn"]))
             mean, std, ssfr, pfr = _aggregate(rows, args.samples)
             out_rows.append({
                 "axis": args.axis, "value": value, "policy": policy,
@@ -348,15 +346,21 @@ class _Parser(argparse.ArgumentParser):
         raise FormatError(f"{self.prog}: {message}")
 
 
-def build_parser():
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None, help="seed for all random streams")
-    common.add_argument("--config", default=None, help="JSON file overriding config fields")
+def _seed_flag(p, default=None):
+    p.add_argument("--seed", type=int, default=default, help="seed for all random streams")
 
+
+def _config_flag(p):
+    p.add_argument("--config", default=None, help="JSON file overriding config fields")
+
+
+def build_parser():
     parser = _Parser(prog="ecsched", description="percentile-billed traffic scheduling toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen", parents=[common], help="generate synthetic instances")
+    p = sub.add_parser("gen", help="generate synthetic instances")
+    _seed_flag(p)
+    _config_flag(p)
     p.add_argument("--count", type=int, default=20)
     p.add_argument("--users", type=int, default=None)
     p.add_argument("--slots", type=int, default=None)
@@ -365,14 +369,17 @@ def build_parser():
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("train", parents=[common], help="train a sampling network")
+    p = sub.add_parser("train", help="train a sampling network")
+    _seed_flag(p)
+    _config_flag(p)
     p.add_argument("--instances", required=True, help="directory of training instances")
     p.add_argument("--eval", default=None, help="directory of held-out instances")
     p.add_argument("--history", default=None, help="CSV of per-epoch losses")
     p.add_argument("--out", required=True, help="model file")
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("sample", parents=[common], help="draw schemes and keep the best")
+    p = sub.add_parser("sample", help="draw schemes and keep the best")
+    _seed_flag(p, default=0)
     p.add_argument("--instance", required=True)
     p.add_argument("--model", default=None)
     p.add_argument("--policy", choices=["gssn", "rsn"], default="gssn")
@@ -380,31 +387,32 @@ def build_parser():
     p.add_argument("--out", required=True, help="scheme file")
     p.set_defaults(func=cmd_sample)
 
-    p = sub.add_parser("eval", parents=[common], help="cost and feasibility of a scheme")
+    p = sub.add_parser("eval", help="cost and feasibility of a scheme")
     p.add_argument("--instance", required=True)
     p.add_argument("--scheme", required=True)
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("oracle", parents=[common], help="exact optimum by enumeration")
+    p = sub.add_parser("oracle", help="exact optimum by enumeration")
     p.add_argument("--instance", required=True)
     p.add_argument("--budget", type=int, default=1_000_000)
     p.add_argument("--out", required=True, help="scheme file")
     p.set_defaults(func=cmd_oracle)
 
-    p = sub.add_parser("export-milp", parents=[common], help="write the exact model as LP text")
+    p = sub.add_parser("export-milp", help="write the exact model as LP text")
     p.add_argument("--instance", required=True)
     p.add_argument("--out", required=True, help="LP file")
     p.add_argument("--warmstart", default=None, help="scheme file to convert to a starting point")
     p.add_argument("--warmstart-out", default=None, help="where to write the starting point")
     p.set_defaults(func=cmd_export_milp)
 
-    p = sub.add_parser("import-solution", parents=[common], help="read a solver solution file")
+    p = sub.add_parser("import-solution", help="read a solver solution file")
     p.add_argument("--instance", required=True)
     p.add_argument("--solution", required=True)
     p.add_argument("--out", required=True, help="scheme file")
     p.set_defaults(func=cmd_import_solution)
 
-    p = sub.add_parser("bench", parents=[common], help="benchmark a policy over instances")
+    p = sub.add_parser("bench", help="benchmark a policy over instances")
+    _seed_flag(p, default=0)
     p.add_argument("--instances", required=True)
     p.add_argument("--model", default=None)
     p.add_argument("--policy", choices=["gssn", "rsn"], default="gssn")
@@ -412,8 +420,9 @@ def build_parser():
     p.add_argument("--out", default=None, help="per-instance CSV")
     p.set_defaults(func=cmd_bench)
 
-    p = sub.add_parser("generalize", parents=[common],
-                       help="sweep an instance-size axis with fresh instances")
+    p = sub.add_parser("generalize", help="sweep an instance-size axis with fresh instances")
+    _seed_flag(p, default=0)
+    _config_flag(p)
     p.add_argument("--model", required=True)
     p.add_argument("--axis", choices=["slots", "users"], required=True)
     p.add_argument("--grid", required=True, help="comma-separated sizes")
@@ -433,7 +442,7 @@ def main(argv=None):
             if value is not None and value < least:
                 raise FormatError(f"--{flag} must be at least {least}")
         return args.func(args)
-    except (FormatError, FileNotFoundError, NoResult) as exc:
+    except (FormatError, OSError, NoResult) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_RESULT if isinstance(exc, NoResult) else EXIT_FORMAT
 

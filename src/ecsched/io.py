@@ -178,4 +178,7 @@ def read_scheme(path):
     option = need_array(doc, "option", path, shape=(None, None, None), integer=True)
     if (option < 0).any():
         raise FormatError(f"{path}: negative option index")
-    return AllocationScheme(option=option), doc.get("instance_id"), _optional_scalar(doc, "cost", path)
+    instance_id = doc.get("instance_id")
+    if instance_id is not None and not isinstance(instance_id, str):
+        raise FormatError(f"field 'instance_id' in {path} is not a string, got {json.dumps(instance_id)}")
+    return AllocationScheme(option=option), instance_id, _optional_scalar(doc, "cost", path)

@@ -9,27 +9,24 @@ training step is forward -> external loss gradient -> backward -> Adam.
 Subgradient convention: ReLU6 has derivative zero at both kinks (0 and
 6).
 
-The forward pass runs its rows in tiles of ROW_TILE rows and takes each
-tile through every layer while the tile is still in the CPU cache.  A
-layer step is one matmul into a preallocated array, an in-place bias add
-and, in hidden layers, one in-place clamp, so that array is both the
-layer's activation and the next layer's input.  With the backward cache,
-each tile writes into its layer's full activation array, and the cache
-keeps the layer inputs and the output layer's preactivation only.
-Without it, the tiles pass through reused tile-sized buffers and only
-the output array is allocated.
+A forward layer step is one matmul over all rows, an in-place bias add
+and, in hidden layers, one in-place clamp, so each layer allocates one
+array, which is both its activation and the next layer's input.  The
+backward cache keeps the layer inputs and the output layer's
+preactivation only; without it, the hidden activations are dropped as
+soon as the next layer has read them.
 
 A BLAS may round the last rows of a matmul (its row count modulo its
 kernel's row unroll; 4 in OpenBLAS 0.3.31) with another kernel, so a
 row's last bit could depend on where it sits in a call.  Every matmul
-here therefore takes a multiple of ROW_ALIGN rows: a short last tile is
-zero-padded up to one, the arrays of all rows get the padded row count,
-and the result and the cache are views of their first rows.  At the
-link and program encoders' widths (at most 8 inputs per layer) a row then
-gives the same bytes in any call, so callers may run only the rows that
-differ and expand the results by index.  Not at every width: OpenBLAS
-0.3.31 picks its kernel by matrix size, and rounds 32 inputs apart in
-calls of 64 or 128 rows; no caller deduplicates rows of such a layer.
+here therefore takes a multiple of ROW_ALIGN rows: the input is
+zero-padded up to one once, and the result and the cache are views of
+their first rows.  At the link and program encoders' widths (at most 8
+inputs per layer) a row then gives the same bytes in any call, so
+callers may run only the rows that differ and expand the results by
+index.  Not at every width: OpenBLAS 0.3.31 picks its kernel by matrix
+size, and rounds 32 inputs apart in calls of 64 or 128 rows; no caller
+deduplicates rows of such a layer.
 
 The backward pass reads each hidden ReLU6 mask from the activation
 relu6(z) instead of from z: relu6(z) lies strictly inside (0, 6) exactly
@@ -43,11 +40,8 @@ from dataclasses import dataclass
 import numpy as np
 
 
-# rows per forward tile: 4,096 rows of a width-8 layer are 256 KiB, so a
-# tile's layer arrays stay in L2 from one layer to the next
-ROW_TILE = 4096
-# every matmul takes a multiple of this many rows: a multiple of a BLAS
-# kernel's row unroll, and a divisor of ROW_TILE
+# every matmul takes a multiple of this many rows, a multiple of a BLAS
+# kernel's row unroll
 ROW_ALIGN = 64
 
 
@@ -97,37 +91,26 @@ def mlp_forward(mlp, x, keep_cache=True):
     Returns (y, cache) with cache = (inputs, z): inputs[i] is layer i's
     input (x, then the ReLU6 activations of the hidden layers) and z is
     the output layer's preactivation.  With keep_cache=False the cache is
-    None and no per-layer array of all rows is allocated.  Every matmul
-    takes a multiple of ROW_ALIGN rows (see the module docstring).
+    None.  Every matmul takes a multiple of ROW_ALIGN rows (see the
+    module docstring).
     """
     if mlp.output not in ("identity", "relu6_eps"):
         raise ValueError(f"unknown output transform '{mlp.output}'")
     rows = x.shape[0]
-    padded = -(-rows // ROW_ALIGN) * ROW_ALIGN
+    a = x
+    if rows % ROW_ALIGN:
+        a = np.concatenate([x, np.zeros((-rows % ROW_ALIGN, x.shape[1]))])
+    inputs = [x]
     last = len(mlp.weights) - 1
-    span = padded if keep_cache else min(padded, ROW_TILE)
-    y = np.empty((padded, mlp.widths[-1]))
-    # each layer's output: all rows when cached, else one reused tile; an
-    # identity output layer writes straight into y
-    outs = [np.empty((span, width)) for width in mlp.widths[1:-1]]
-    outs.append(y if mlp.output == "identity" else np.empty((span, y.shape[1])))
-    for start in range(0, padded, ROW_TILE):
-        stop = min(start + ROW_TILE, padded)
-        a = x[start:stop]
-        if len(a) < stop - start:
-            a = np.concatenate([a, np.zeros((stop - start - len(a), x.shape[1]))])
-        for i, (w, b, out) in enumerate(zip(mlp.weights, mlp.biases, outs)):
-            # an array of all rows is sliced at the tile, a tile buffer from 0
-            z = out[start:stop] if len(out) == padded else out[:stop - start]
-            np.matmul(a, w.T, out=z)
-            z += b
-            if i < last:
-                a = relu6(z, out=z)
-        if mlp.output == "relu6_eps":
-            np.add(relu6(z), mlp.eps, out=y[start:stop])
-    if not keep_cache:
-        return y[:rows], None
-    return y[:rows], ([x] + [a[:rows] for a in outs[:last]], outs[last][:rows])
+    for i, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
+        z = np.matmul(a, w.T)
+        z += b
+        if i < last:
+            a = relu6(z, out=z)
+            if keep_cache:
+                inputs.append(a[:rows])
+    y = z if mlp.output == "identity" else relu6(z) + mlp.eps
+    return y[:rows], ((inputs, z[:rows]) if keep_cache else None)
 
 
 def mlp_backward(mlp, cache, dy):

@@ -227,8 +227,7 @@ def _distinct_forward(network, inp, keep_cache):
     rows are scaled by the model's input_scale here, in one array of the
     distinct rows only.  caches holds the forward caches of those
     distinct rows and of every block's ranking row, or is None without
-    keep_cache.  Each uncached encoder runs its rows through tile-sized
-    buffers."""
+    keep_cache."""
     _check_fit(network, inp)
     s, link_cache = mlp_forward(network.link, inp.link_rows * np.asarray(network.input_scale),
                                 keep_cache=keep_cache)

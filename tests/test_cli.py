@@ -2,6 +2,9 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -119,6 +122,9 @@ def test_undecodable_config_is_exit_3(tmp_path, capsys):
     (["gen", {"n_isps": 0}], "n_users, n_slots, n_types and n_isps must be at least 1"),
     (["gen", "--users", "-1"], "command line: n_users, n_slots"),
     (["gen", "--seed", "-1"], "--seed must be at least 0"),
+    (["sample", "--policy", "rsn", "--seed", "-1"], "--seed must be at least 0"),
+    (["bench", "--policy", "rsn", "--seed", "-1"], "--seed must be at least 0"),
+    (["generalize", "--seed", "-1"], "--seed must be at least 0"),
     (["gen", "--count", "-1"], "--count must be at least 1"),
     (["train", {"seed": -1}], "seed at least 0"),
     (["sample", "--policy", "rsn", "--samples", "0"], "--samples must be at least 1"),
@@ -127,7 +133,7 @@ def test_undecodable_config_is_exit_3(tmp_path, capsys):
     (["generalize", "--grid", "0"], "--grid: n_users, n_slots"),
     (["generalize", "--grid", "a,b"], "--grid"),
 ], ids=["gen-config-users", "gen-config-cap-phys", "gen-config-rate-range", "gen-config-isps",
-        "gen-users", "gen-seed", "gen-count", "train-config-seed", "sample-samples",
+        "gen-users", "gen-seed", "sample-seed", "bench-seed", "generalize-seed", "gen-count", "train-config-seed", "sample-samples",
         "bench-samples", "generalize-count", "generalize-grid", "generalize-grid-not-integer"])
 def test_out_of_range_settings_are_exit_3(cli_workspace, tmp_path, capsys, argv, message):
     command, *rest = argv
@@ -161,6 +167,48 @@ def test_usage_errors_are_exit_3(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert code == 3
     assert message in err and out == ""
+
+
+# every flag that a subcommand used to accept and ignore
+UNREAD_FLAGS = [(command, flag) for command in ("eval", "oracle", "export-milp", "import-solution")
+                for flag in ("--seed", "--config")] + [("sample", "--config"), ("bench", "--config")]
+
+
+@pytest.mark.parametrize("command, flag", UNREAD_FLAGS, ids=[f"{c}{f}" for c, f in UNREAD_FLAGS])
+def test_flags_a_command_does_not_read_are_exit_3(tmp_path, capsys, command, flag):
+    inst = make_tiny(5, demand_scale=8.0)
+    (tmp_path / "insts").mkdir()
+    inst_path = tmp_path / "insts" / "inst.json"
+    io.write_instance(inst, inst_path)
+    scheme = brute_force(inst)[0]
+    io.write_scheme(scheme, tmp_path / "scheme.json")
+    milp.write_warmstart(milp.linearize(inst), scheme, tmp_path / "start.mst")
+    out = tmp_path / "out"
+    args = {"eval": ["--scheme", str(tmp_path / "scheme.json")],
+            "oracle": ["--out", str(out)],
+            "export-milp": ["--out", str(out)],
+            "import-solution": ["--solution", str(tmp_path / "start.mst"), "--out", str(out)],
+            "sample": ["--policy", "rsn", "--out", str(out)],
+            "bench": ["--policy", "rsn", "--out", str(out)]}[command]
+    args += ["--instances" if command == "bench" else "--instance",
+             str(inst_path.parent if command == "bench" else inst_path)]
+    value = "9" if flag == "--seed" else str(tmp_path / "nothere.json")
+    code, _, err = run(capsys, command, *args, flag, value)
+    assert code == 3
+    assert f"unrecognized arguments: {flag} {value}" in err
+    assert not out.exists()
+    # the same call without the flag succeeds
+    assert run(capsys, command, *args)[0] == 0
+
+
+def test_output_path_that_cannot_be_opened_is_exit_3(cli_workspace, tmp_path):
+    inst_path = next(cli_workspace["insts"].glob("inst-*.json"))
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run([sys.executable, "-m", "ecsched.cli", "sample", "--instance", str(inst_path),
+                           "--policy", "rsn", "--samples", "10", "--out", str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 3
+    assert "Traceback" not in done.stderr and str(tmp_path) in done.stderr
 
 
 def test_help_is_exit_0(capsys):

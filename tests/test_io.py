@@ -345,6 +345,29 @@ def test_scheme_cost_is_a_number_or_null(tmp_path, cost, message):
         assert type(stored) is float and stored == cost
 
 
+@pytest.mark.parametrize("instance_id, valid", [
+    (7, False), ([1, 2], False), (True, False), ("inst-1", True), (None, True), ("absent", True),
+], ids=["number", "list", "boolean", "string", "null", "absent"])
+def test_scheme_instance_id_is_a_string_or_null(tmp_path, capsys, instance_id, valid):
+    inst = make_tiny(5, demand_scale=8.0)
+    inst_path = tmp_path / "inst.json"
+    write_instance(inst, inst_path)
+    doc = {"format": "ecsched-scheme", "version": 1,
+           "option": np.zeros(inst.dims, dtype=int).tolist()}
+    if instance_id != "absent":
+        doc["instance_id"] = instance_id
+    path = tmp_path / "scheme.json"
+    path.write_text(json.dumps(doc))
+    if not valid:
+        with pytest.raises(FormatError, match=f"field 'instance_id' in {re.escape(str(path))}"):
+            read_scheme(path)
+        assert main(["eval", "--instance", str(inst_path), "--scheme", str(path)]) == 3
+        assert "is not a string" in capsys.readouterr().err
+        return
+    _, stored, _ = read_scheme(path)
+    assert stored == (None if instance_id == "absent" else instance_id)
+
+
 def test_fractional_option_is_rejected_not_truncated(tmp_path):
     inst = make_tiny(12)
     inst_path = tmp_path / "inst.json"

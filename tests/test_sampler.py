@@ -162,19 +162,15 @@ def test_forward_without_cache_gives_the_same_alpha(case):
     assert len(inp.link_rows) < len(inp.matrix)
 
 
-# sha256 of the uncached alpha bytes on seed 100001 with the stored
-# benchmark network, where every encoder runs more than 4,096 rows
-LARGE_ALPHA_SHA256 = {
-    "96-slots": ("d032d1da858c48319c1391bd4076c624523ab2d3f428c40d956dbd2d5805711d",
-                 GenConfig(n_slots=96), (7680, 71464)),
-    "30-users": ("cda2e42f21a04ae08f28863924b62935bff07cacae5690684800e784c27c9171",
-                 GenConfig(n_users=30), (11520, 108312)),
-}
-
-
-@pytest.mark.parametrize("case", sorted(LARGE_ALPHA_SHA256))
-def test_large_instance_alpha_bytes_are_pinned(case):
-    want, config, (blocks, link_rows) = LARGE_ALPHA_SHA256[case]
+# want: sha256 of the uncached alpha bytes on seed 100001 with the stored
+# benchmark network, where each encoder runs more than 4,096 rows
+@pytest.mark.parametrize("config, blocks, link_rows, want", [
+    (GenConfig(n_slots=96), 7680, 71464,
+     "d032d1da858c48319c1391bd4076c624523ab2d3f428c40d956dbd2d5805711d"),
+    (GenConfig(n_users=30), 11520, 108312,
+     "cda2e42f21a04ae08f28863924b62935bff07cacae5690684800e784c27c9171"),
+], ids=["96-slots", "30-users"])
+def test_large_instance_alpha_bytes_are_pinned(config, blocks, link_rows, want):
     net = load_model(Path(__file__).resolve().parents[1] / "perfbench" / "desk_model.json")
     inp = preprocess(generate_instance(config, seed=100001))
     bare, _ = forward_alpha(net, inp, keep_cache=False)

@@ -1,6 +1,8 @@
 """Exhaustive-search kernel: pricing combinations in chunks must not
 change the result."""
 
+import hashlib
+
 import numpy as np
 
 from conftest import hopeless_instance, make_tiny
@@ -59,3 +61,30 @@ def first_optimum_at_243():
     d_in = np.zeros((2, 1, 3))
     d_in[0, 0, 0] = 50.0
     return Instance(topology=topo, demands=DemandTensor(inbound=d_in, outbound=np.zeros((2, 1, 3))))
+
+
+def pinned_instances():
+    """Priced instances of every shape the search's slot runs take: tiny
+    ones, one slot (a run as long as the chunk), two users of one type,
+    three types; then nothing feasible and a late first optimum."""
+    return ([make_tiny(seed, demand_scale=8.0) for seed in (1, 2, 3)]
+            + [make_tiny(2, n_slots=1, n_types=3, n_isps=3, demand_scale=8.0),
+               make_tiny(3, n_users=2, n_slots=2, n_types=1, n_isps=3, demand_scale=15.0),
+               make_tiny(4, n_slots=2, n_types=3, demand_scale=8.0),
+               hopeless_instance(), first_optimum_at_243()])
+
+
+# sha256 over brute_force_search's cost repr and option dtype and bytes,
+# at chunks 7 and 4096, on every pinned instance in order
+BRUTE_FORCE_SHA256 = "84705cd0d257c846888ecae29ab2027c5cac8eeb97341d4ada257281fbf2245e"
+
+
+def test_brute_force_bytes_are_pinned():
+    digest = hashlib.sha256()
+    for inst in pinned_instances():
+        for chunk in (7, 4096):
+            cost, options = search(inst, chunk)
+            digest.update(repr(cost).encode())
+            digest.update(str(options.dtype).encode())
+            digest.update(options.tobytes())
+    assert digest.hexdigest() == BRUTE_FORCE_SHA256

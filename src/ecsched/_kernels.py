@@ -9,10 +9,13 @@ checks are written once; the soft loss's subgradient of that rule,
 ``price_flows_grad``, is likewise one routine for both tiers, and
 ``soft_edge_flows_grad`` carries it back to the relaxed allocation.
 Hard and soft flows and pricing take leading batch axes, which lets
-exhaustive search build and price a chunk of combinations in one call
-and training price an instance's metric draws in one call.  A stack's
+exhaustive search price a chunk of combinations in one call and
+training price an instance's metric draws in one call.  A stack's
 totals equal the totals of its allocations priced one at a time, bit
-for bit.
+for bit.  Exhaustive search gathers a chunk's flows from per-slot
+flows: a slot's flows depend only on that slot's options, so one
+hard-flow call per chunk covers the few slot combinations that the
+chunk's combinations share.
 
 Array conventions match the rest of the package: demand tensors are
 ``[type, user, slot]``, per-slot link flows are ``[user, link, slot]``
@@ -238,13 +241,13 @@ def soft_edge_flows_grad(g_in, g_out, weights, d_in, d_out):
 
 
 def _digits_for(combo_ids, radices):
-    # mixed-radix decode, last slot fastest (odometer order)
-    S = radices.shape[0]
-    digits = np.empty((combo_ids.shape[0], S), dtype=np.int64)
+    # mixed-radix decode along radices' last axis, last digit fastest
+    # (odometer order); radices[..., 0] broadcasts against combo_ids
+    digits = np.empty((*combo_ids.shape, radices.shape[-1]), dtype=np.int64)
     rem = combo_ids.copy()
-    for s in range(S - 1, -1, -1):
-        digits[:, s] = rem % radices[s]
-        rem //= radices[s]
+    for b in range(radices.shape[-1] - 1, -1, -1):
+        digits[..., b] = rem % radices[..., b]
+        rem //= radices[..., b]
     return digits
 
 
@@ -256,23 +259,51 @@ def brute_force_search(n_valid_flat, weights, d_in, d_out, topology, chunk=4096)
     best_cost inf when no combination is feasible; combos enumerated in
     odometer order (last slot fastest), cost ties resolved toward the
     earlier combination.
+
+    A slot's flows depend only on that slot's N*K options, its slot
+    combination.  Slot t has C_t of them, the product of its valid
+    counts, and moves on every place_t combinations, the product of the
+    later slots' C.  So the chunk [start, stop) visits in slot t a
+    cyclic run of min(C_t, (stop-1)//place_t - start//place_t + 1)
+    consecutive slot combinations.  Each chunk prices the flows of only
+    those runs, in one ``hard_edge_flows`` call, and gathers every
+    combination's flows from them.  A flow is the same sum over types
+    either way, so the costs are bit-equal to pricing each combination's
+    own flows, and memory stays bounded by the chunk.
     """
     K, N = weights.shape[:2]
     T = d_in.shape[2]
-    total = math.prod(int(c) for c in n_valid_flat)
+    radices = n_valid_flat.reshape(T, N * K)
+    counts = [math.prod(int(c) for c in row) for row in radices]
+    total = math.prod(counts)
+    count = np.array(counts, dtype=np.int64)
+    place = np.array([math.prod(counts[t + 1:]) for t in range(T)], dtype=np.int64)
+    slots = np.arange(T)
 
     best_cost = np.inf
     best = np.zeros(n_valid_flat.shape[0], dtype=np.int64)
 
     for start in range(0, total, chunk):
-        ids = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        digits = _digits_for(ids, n_valid_flat)
-        flows = price_flows(topology, *hard_edge_flows(
-            digits.reshape(-1, T, N, K), weights, d_in, d_out))
+        stop = min(start + chunk, total)
+        first = start // place
+        run = np.minimum(count, (stop - 1) // place - first + 1)
+        # row r holds slot combination (first + r) mod C_t of every slot t
+        options = _digits_for((first + np.arange(run.max())[:, None]) % count, radices)
+        run_in, run_out = hard_edge_flows(options.reshape(-1, T, N, K), weights, d_in, d_out)
+        # each combination's row in every slot's run, (T, ids); slot-major,
+        # so every integer op runs along the chunk
+        ids = np.arange(start, stop, dtype=np.int64)
+        rows = (ids // place[:, None] - first[:, None]) % count[:, None]
+        # flat positions in the run flows, (ids, N*EL, T)
+        step = run_in[0].size
+        flat = (rows * step + slots[:, None]).T[:, None, :] + np.arange(0, step, T)[:, None]
+        shape = (ids.size, *run_in.shape[1:])
+        flows = price_flows(topology, np.take(run_in, flat).reshape(shape),
+                            np.take(run_out, flat).reshape(shape))
         cost = np.where(flows.feasible, flows.cost_total, np.inf)
         j = int(np.argmin(cost))
         if cost[j] < best_cost:  # strict: keeps the earliest minimizer
             best_cost = float(cost[j])
-            best = digits[j].copy()
+            best = options[rows[:, j], slots].reshape(-1)
 
     return best_cost, best

@@ -50,11 +50,15 @@ def brute_force(instance, max_combinations=1_000_000, table=None):
     Combinations are scanned in odometer order over blocks laid out
     slot-major, so equal-cost optima resolve deterministically to the
     earliest combination.  Raises BudgetExceededError when the instance
-    has more than max_combinations.
+    has more than max_combinations, or at least 2**63, which int64
+    combination ids cannot number, whatever the budget.
     """
     if table is None:
         table = build_option_table(instance.topology)
     total = combination_count(instance, table)
+    if total >= 2 ** 63:  # the search numbers combinations with int64 ids
+        raise BudgetExceededError(
+            f"{total} option combinations exceed the 2**63 that int64 combination ids can number")
     if total > max_combinations:
         raise BudgetExceededError(
             f"{total} option combinations exceed the budget of {max_combinations}")

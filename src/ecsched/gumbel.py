@@ -91,14 +91,19 @@ def categorical_rows(alpha, valid, rng, n_draws):
     n_rows, n_cats = alpha.shape
     size = (n_draws, n_rows)
     cum = np.cumsum(np.where(valid, alpha, 0.0), axis=1)
-    r = rng.uniform(size=size) * cum[:, -1]
+    r = rng.uniform(size=size)
+    r *= cum[:, -1]
     # count cum < r one category at a time, with no (S, R, P) temporary,
     # in the narrowest unsigned dtype that holds the count n_cats
     count = np.zeros(size, dtype=np.min_scalar_type(n_cats))
     for column in np.ascontiguousarray(cum.T):
         count += column < r
     idx = np.minimum(count, n_cats - 1, out=count).astype(int)
-    bad = ~valid[np.arange(n_rows), idx]
+    # idx is the first category with cum >= r.  A masked column adds
+    # exactly 0 to the cumsum, so it repeats its left neighbour's cum and
+    # is never the first unless it is column 0 and r == 0; a NaN row
+    # compares false everywhere and also ends at index 0
+    bad = (idx == 0) & ~valid[:, 0]
     if bad.any():
         idx[bad] = np.argmax(valid, axis=1)[np.nonzero(bad)[-1]]
     return idx

@@ -1,6 +1,7 @@
 """Uniform sampling policy and exhaustive search."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import scipy.stats
 
 import oracles
 from conftest import hopeless_instance, make_tiny
+from ecsched import _kernels
 from ecsched.baselines import (BudgetExceededError, brute_force,
                                combination_count, rsn_best_of_detailed,
                                rsn_options)
@@ -78,6 +80,36 @@ def test_budget_refusal_is_explicit():
     assert combination_count(inst) > 10000
     with pytest.raises(BudgetExceededError, match="exceed"):
         brute_force(inst, max_combinations=10000)
+
+
+def test_counts_int64_cannot_number_are_refused_before_searching(monkeypatch):
+    # 3**40 combinations, about 1.2e19, past the 2**63 that int64 ids number
+    inst = make_tiny(2, n_users=1, n_slots=40, n_types=1, n_isps=2)
+    assert combination_count(inst) == 3 ** 40 > 2 ** 63
+
+    def search(*args, **kwargs):
+        raise AssertionError("the search started")
+
+    monkeypatch.setattr(_kernels, "brute_force_search", search)
+    with pytest.raises(BudgetExceededError, match=r"2\*\*63"):
+        brute_force(inst, max_combinations=10 ** 30)
+
+
+def test_search_memory_is_bounded_by_the_chunk():
+    # one slot of three links: 7**5 and 7**6 combinations, all of them
+    # slot combinations of that slot
+    peaks = []
+    for n_types in (5, 6):
+        inst = make_tiny(2, n_slots=1, n_types=n_types, n_isps=3, demand_scale=8.0)
+        table = build_option_table(inst.topology)
+        assert combination_count(inst, table) == 7 ** n_types
+        tracemalloc.start()
+        try:
+            brute_force(inst, table=table)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert max(peaks) < 1.5 * min(peaks)
 
 
 def test_brute_force_matches_oracle():

@@ -409,6 +409,20 @@ def test_oracle_budget_refusal_is_exit_2(tmp_path, capsys):
     assert "exceed" in err
 
 
+def test_oracle_past_int64_combination_ids_is_exit_2(tmp_path):
+    # 3**40 combinations, about 1.2e19: refused whatever the budget
+    inst_path = tmp_path / "inst.json"
+    io.write_instance(make_tiny(2, n_users=1, n_slots=40, n_types=1, n_isps=2), inst_path)
+    out = tmp_path / "o.json"
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run([sys.executable, "-m", "ecsched.cli", "oracle", "--instance", str(inst_path),
+                           "--budget", str(10 ** 30), "--out", str(out)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 2
+    assert "2**63" in done.stderr and "Traceback" not in done.stderr
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("budget", ["0", "-1"])
 def test_oracle_budget_below_one_is_exit_3(tmp_path, capsys, budget):
     inst_path = tmp_path / "inst.json"

@@ -9,7 +9,8 @@ from ecsched import gumbel
 
 
 class FixedUniform:
-    """Stands in for a Generator and hands out pre-chosen uniform draws in order."""
+    """Stands in for a Generator and hands out pre-chosen uniform draws in
+    order, each block a fresh array the caller owns, as a Generator's."""
 
     def __init__(self, values):
         self._values = np.asarray(values, dtype=float).ravel()
@@ -19,7 +20,7 @@ class FixedUniform:
         n = 1 if size is None else int(np.prod(size))
         out = self._values[self._used:self._used + n]
         self._used += n
-        return float(out[0]) if size is None else out.reshape(size)
+        return float(out[0]) if size is None else out.reshape(size).copy()
 
 
 def concrete_row(alpha, tau, rng):
@@ -117,6 +118,37 @@ def test_categorical_block_equals_sequential_draws():
     stream = np.random.default_rng(17)
     single = [gumbel.categorical_rows(alpha, valid, stream, 1)[0] for _ in range(50)]
     assert np.array_equal(block, np.stack(single))
+
+
+def gathered_snap(alpha, valid, u):
+    """categorical_rows' draws with the snap found by reading every drawn
+    index's valid flag."""
+    cum = np.cumsum(np.where(valid, alpha, 0.0), axis=1)
+    r = u * cum[:, -1]
+    idx = np.minimum((cum < r[..., None]).sum(axis=-1), alpha.shape[1] - 1)
+    bad = ~valid[np.arange(alpha.shape[0]), idx]
+    idx[bad] = np.argmax(valid, axis=1)[np.nonzero(bad)[-1]]
+    return idx
+
+
+def test_column_zero_snap_equals_the_gathered_check():
+    rng = np.random.default_rng(21)
+    alpha = rng.uniform(0.5, 2.0, size=(30, 5))
+    valid = rng.random((30, 5)) > 0.4
+    valid[:, 3] = True
+    valid[:12, :2] = False   # masked leading columns
+    valid[12:18, 4] = False  # masked last column
+    alpha[18] = np.nan       # a NaN row, masked at column 0
+    valid[18, 0] = False
+    u = rng.uniform(size=(6, 30))
+    u[0] = 0.0
+    u[1:, :16:3] = 0.0
+    got = gumbel.categorical_rows(alpha, valid, FixedUniform(u), 6)
+    assert np.array_equal(got, gathered_snap(alpha, valid, u))
+    assert valid[np.arange(30), got].all()
+    # zero uniforms and the NaN row land on the first valid option
+    first_valid = np.argmax(valid, axis=1)
+    assert np.array_equal(got[0], first_valid) and (got[:, 18] == first_valid[18]).all()
 
 
 @pytest.mark.parametrize("n_cats", [4, 255, 256, 1023])

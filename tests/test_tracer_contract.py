@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 
-from conftest import DESK_CONFIG, desk_instances
+from conftest import DESK_CONFIG, desk_instances, make_tiny
 from ecsched import baselines, sampler
 from ecsched.generate import GenConfig, generate_instance
 from ecsched.model import build_option_table
@@ -107,3 +107,18 @@ def test_traced_training_keeps_the_encoder_spans_and_rows():
     metric_instances = len(train) + len(held)
     assert names.count("model.soft_loss") == metric_instances
     assert names.count("gumbel.sample_gumbel") == len(train) + metric_instances
+
+
+def test_traced_brute_force_reads_the_combination_count():
+    tracing = load_tracer()
+    inst = make_tiny(4, demand_scale=8.0)
+    tracer = tracing.Tracer()
+    with tracing.installed(tracer), tracer.recording():
+        assert baselines.brute_force(inst) is not None
+
+    names = [name for _, _, name, _, _, _ in tracer.spans]
+    assert names.count("baselines.brute_force") == 1
+    assert names.count("kernels.brute_force_search") == 1
+    metrics = tracing.layer_metrics(tracer.spans)
+    assert metrics["kernels.brute_force_search.combinations"] == (
+        baselines.combination_count(inst), "count")

@@ -262,7 +262,7 @@ def brute_force_search(n_valid_flat, weights, d_in, d_out, topology, chunk=4096)
 
     A slot's flows depend only on that slot's N*K options, its slot
     combination.  Slot t has C_t of them, the product of its valid
-    counts, and moves on every place_t combinations, the product of the
+    counts, and it advances every place_t combinations, the product of the
     later slots' C.  So the chunk [start, stop) visits in slot t a
     cyclic run of min(C_t, (stop-1)//place_t - start//place_t + 1)
     consecutive slot combinations.  Each chunk prices the flows of only

@@ -5,7 +5,12 @@ Every route that prices an allocation (the cost model, the soft loss and
 its gradient, the samplers, exhaustive search and the MILP objective)
 goes through ``price_flows``.  It bills the edge links and the ISP links
 with one routine, so the percentile rule, the overage cost and the cap
-checks are written once; the soft loss's subgradient of that rule,
+checks are written once.  One sort per link and direction gives both the
+billed level z and the link's largest slot flow, its peak: a link keeps
+its physical cap in every slot exactly when its peak does, so
+feasibility reads the peaks and z, and the per-slot cap overshoot arrays
+are built only when the penalty, the subgradient or a feasibility report
+first reads them.  The soft loss's subgradient of that rule,
 ``price_flows_grad``, is likewise one routine for both tiers, and
 ``soft_edge_flows_grad`` carries it back to the relaxed allocation.
 Hard and soft flows and pricing take leading batch axes, which lets
@@ -25,6 +30,7 @@ Array conventions match the rest of the package: demand tensors are
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -38,10 +44,17 @@ def percentile_exempt_count(n_slots):
     return int(0.05 * n_slots)
 
 
+def _billed_and_peak(flows):
+    """The billed level and the largest value along the last (slot) axis,
+    both from one sort.  NaN sorts last, so a NaN slot makes the peak NaN."""
+    t = flows.shape[-1]
+    ordered = np.sort(flows, axis=-1)
+    return ordered[..., t - 1 - percentile_exempt_count(t)], ordered[..., -1]
+
+
 def billed_level(flows):
     """(m+1)-th largest value along the last (slot) axis, m exempt slots."""
-    t = flows.shape[-1]
-    return np.sort(flows, axis=-1)[..., t - 1 - percentile_exempt_count(t)]
+    return _billed_and_peak(flows)[0]
 
 
 def descending_slots(flows):
@@ -57,16 +70,21 @@ def _per_allocation(value):
 
 @dataclass(frozen=True)
 class FlowSummary:
-    """Per-slot flows, billable bandwidths, cost and cap overshoots.
+    """Per-slot flows, billable bandwidths, cost and cap checks.
 
     Shapes are those of one allocation below; any leading batch axes of
     the edge flows are carried through, and the totals then become
-    arrays over them.  ``overshoot`` holds, in this order, the per-slot
-    excess of edge inbound, edge outbound, ISP inbound and ISP outbound
-    flow over the physical caps, then the excess of z_edge and z_isp over
-    the billable caps; entries are zero where a cap holds.
+    arrays over them.  ``peaks`` holds each link's largest slot flow, in
+    this order: edge inbound, edge outbound, ISP inbound, ISP outbound.
+    ``feasible`` compares the peaks with the physical caps and z with the
+    billable caps.  ``overshoot`` is built from the flows and the
+    topology's caps on first read, and kept: it holds, in the order of
+    ``peaks``, the per-slot excess of each flow over its physical cap,
+    then the excess of z_edge and z_isp over the billable caps; entries
+    are zero where a cap holds.
     """
 
+    topology: object
     edge_in: np.ndarray       # (N, EL, T)
     edge_out: np.ndarray      # (N, EL, T)
     isp_in: np.ndarray        # (EL, T)
@@ -75,20 +93,35 @@ class FlowSummary:
     z_isp: np.ndarray         # (EL,)
     inbound_edge: np.ndarray  # (N, EL) True where inbound sets z (ties inbound)
     inbound_isp: np.ndarray   # (EL,)
+    peaks: tuple              # (N, EL), (N, EL), (EL,), (EL,)
     cost_total: float
-    overshoot: tuple
 
     def _per_allocation_axes(self, arr):
         return tuple(range(self.z_isp.ndim - 1, arr.ndim))
 
+    def _caps(self):
+        # the cap of each overshoot array, in its order
+        (_, _, bill_e, phys_e), (_, _, bill_l, phys_l) = _link_tiers(self.topology)
+        return phys_e, phys_e, phys_l, phys_l, bill_e, bill_l
+
     @property
     def feasible(self):
-        """No cap is overshot (overshoots are never negative, so any
-        nonzero entry is an overshoot)."""
+        """No cap is overshot: every peak is within its physical cap and
+        every z within its billable cap.  A NaN peak or z fails its
+        check, as its NaN overshoot is nonzero."""
         ok = True
-        for o in self.overshoot:
-            ok = ok & ~o.any(axis=self._per_allocation_axes(o))
+        for level, cap in zip((*self.peaks, self.z_edge, self.z_isp), self._caps()):
+            ok = ok & (level <= cap).all(axis=self._per_allocation_axes(level))
         return ok
+
+    @cached_property
+    def overshoot(self):
+        """The six cap overshoot arrays (see the class docstring)."""
+        caps = self._caps()
+        phys = (np.maximum(f - cap[..., None], 0.0) for f, cap in
+                zip((self.edge_in, self.edge_out, self.isp_in, self.isp_out), caps))
+        bill = (np.maximum(z - cap, 0.0) for z, cap in zip((self.z_edge, self.z_isp), caps[4:]))
+        return (*phys, *bill)
 
     @property
     def penalty(self):
@@ -115,20 +148,16 @@ def _link_tiers(topology):
              topology.isp_cap_billable, topology.isp_cap_phys))
 
 
-def _bill_links(flow_in, flow_out, rate, cap_basic, cap_billable, cap_phys):
+def _bill_links(flow_in, flow_out, rate, cap_basic):
     """Percentile billing of one tier of links, flows (..., L, T).
 
-    Returns (z, inbound sets z, cost per link, the in and out per-slot
-    overshoots of the physical cap, the overshoot of z over the billable
-    cap).
+    Returns (z, inbound sets z, cost per link, the largest inbound and
+    outbound slot flow per link), from one sort per direction.
     """
-    z_in, z_out = billed_level(flow_in), billed_level(flow_out)
+    (z_in, peak_in), (z_out, peak_out) = _billed_and_peak(flow_in), _billed_and_peak(flow_out)
     inbound = z_in >= z_out
     z = np.where(inbound, z_in, z_out)
-    phys = cap_phys[..., None]
-    return (z, inbound, rate * np.maximum(z - cap_basic, 0.0),
-            np.maximum(flow_in - phys, 0.0), np.maximum(flow_out - phys, 0.0),
-            np.maximum(z - cap_billable, 0.0))
+    return z, inbound, rate * np.maximum(z - cap_basic, 0.0), peak_in, peak_out
 
 
 def price_flows(topology, edge_in, edge_out):
@@ -140,14 +169,13 @@ def price_flows(topology, edge_in, edge_out):
     Edge and ISP links are billed by the same routine.
     """
     isp_in, isp_out = edge_in.sum(axis=-3), edge_out.sum(axis=-3)
-    (z_e, in_e, cost_e, *over_e), (z_l, in_l, cost_l, *over_l) = (
-        _bill_links(f_in, f_out, *caps) for (f_in, f_out), caps
+    (z_e, in_e, cost_e, *peak_e), (z_l, in_l, cost_l, *peak_l) = (
+        _bill_links(f_in, f_out, rate, cap_basic) for (f_in, f_out), (rate, cap_basic, _, _)
         in zip(((edge_in, edge_out), (isp_in, isp_out)), _link_tiers(topology)))
     return FlowSummary(
-        edge_in=edge_in, edge_out=edge_out, isp_in=isp_in, isp_out=isp_out,
-        z_edge=z_e, z_isp=z_l, inbound_edge=in_e, inbound_isp=in_l,
-        cost_total=_per_allocation(cost_e.sum(axis=(-2, -1)) + cost_l.sum(axis=-1)),
-        overshoot=(*over_e[:2], *over_l[:2], over_e[2], over_l[2]))
+        topology=topology, edge_in=edge_in, edge_out=edge_out, isp_in=isp_in, isp_out=isp_out,
+        z_edge=z_e, z_isp=z_l, inbound_edge=in_e, inbound_isp=in_l, peaks=(*peak_e, *peak_l),
+        cost_total=_per_allocation(cost_e.sum(axis=(-2, -1)) + cost_l.sum(axis=-1)))
 
 
 def price_flows_grad(topology, flows, lam_g):

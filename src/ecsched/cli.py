@@ -189,6 +189,18 @@ def _check_scheme(scheme, instance, table):
         raise FormatError(str(exc)) from exc
 
 
+def _worst_violations(report, n=5):
+    """The n largest violations of a report, largest overshoot first and
+    ties in report order, as JSON objects."""
+    entries = []
+    for f in fields(report):
+        phys = f.name.endswith("_phys")  # physical locations end in the direction
+        entries += [{"family": f.name, "location": list(loc[:-1] if phys else loc),
+                     "direction": loc[-1] if phys else None, "overshoot_mbps": over}
+                    for loc, over in getattr(report, f.name)]
+    return sorted(entries, key=lambda e: -e["overshoot_mbps"])[:n]
+
+
 def cmd_eval(args):
     instance = io.read_instance(args.instance)
     scheme, scheme_for, _ = io.read_scheme(args.scheme)
@@ -199,7 +211,8 @@ def cmd_eval(args):
     flows = compute_flows(instance, scheme, table)
     report = FeasibilityReport.from_flows(flows)
     print(json.dumps({"cost": flows.cost_total, "feasible": report.feasible,
-                      "violations": report.counts()}))
+                      "violations": report.counts(),
+                      "worst_violations": _worst_violations(report)}))
     return EXIT_OK if report.feasible else EXIT_NO_RESULT
 
 

@@ -297,6 +297,7 @@ def test_sample_then_eval(cli_workspace, tmp_path, capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["feasible"] is True
+    assert doc["worst_violations"] == []
     scheme, _, stored = io.read_scheme(scheme_path)
     inst = io.read_instance(inst_path)
     assert doc["cost"] == pytest.approx(total_cost(inst, scheme), rel=1e-12)
@@ -333,6 +334,16 @@ def test_eval_infeasible_scheme_is_exit_2(tmp_path, capsys):
                        "--scheme", str(scheme_path))
     assert code == 2
     assert json.loads(out)["feasible"] is False
+    # the keys before worst_violations keep their bytes
+    assert out.startswith('{"cost": 810.0, "feasible": false, "violations": {"edge_phys": 6, '
+                          '"isp_phys": 6, "edge_billable": 1, "isp_billable": 1}, ')
+    # option 0 routes all 90 Mbps over link 0: z overshoots the billable
+    # caps by 90 - 18 and 90 - 20, each ISP slot its physical cap by 90 - 28
+    worst = [(v["family"], v["location"], v["direction"], v["overshoot_mbps"])
+             for v in json.loads(out)["worst_violations"]]
+    assert worst == [("isp_billable", [0], None, 72.0), ("edge_billable", [0, 0], None, 70.0),
+                     ("isp_phys", [0, 0], "in", 62.0), ("isp_phys", [0, 1], "in", 62.0),
+                     ("isp_phys", [0, 2], "in", 62.0)]
 
 
 def test_eval_malformed_instance_is_exit_3(tmp_path, capsys):

@@ -490,6 +490,126 @@ def test_stacked_pricing_equals_single_pricing(n_users, n_isps, n_slots, n_types
         assert batch.feasible[s] == one.feasible
 
 
+def no_overshoot_entry(flows):
+    """The reference feasibility rule: per allocation, no entry of any
+    overshoot array is nonzero (NaN counts as nonzero)."""
+    ok = True
+    for o in flows.overshoot:
+        ok = ok & ~o.any(axis=tuple(range(flows.z_isp.ndim - 1, o.ndim)))
+    return ok
+
+
+# ``feasible`` reads each link's sorted peak and z; it must say what the
+# overshoot arrays say.  With the finite caps that Topology (and so io)
+# admits, the two rules agree on every flow, NaN and +inf included:
+#   - a NaN slot sorts last, so the peak is NaN and ``peak <= cap`` is
+#     False, while its overshoot max(NaN - cap, 0) is NaN, nonzero;
+#   - a flow exactly at a cap has a peak equal to the cap and an overshoot
+#     of exactly 0, since finite floats subtract to 0 only when equal;
+#   - a +inf flow has peak +inf > cap and overshoot +inf;
+#   - a NaN z fails ``z <= cap`` and has a NaN overshoot.
+# Only a non-finite cap could part them (+inf - +inf is NaN, while
+# +inf <= +inf holds), and no Topology holds one.
+@settings(derandomize=True, database=None, deadline=None, max_examples=80)
+@given(n_users=st.integers(1, 3), n_isps=st.integers(1, 3), n_slots=st.integers(1, 25),
+       n_types=st.integers(1, 3), seed=st.integers(0, 2 ** 16), n_draws=st.integers(1, 5),
+       hard=st.booleans(),
+       special=st.sampled_from(("none", "nan", "inf", "phys cap", "billable cap")),
+       n_special=st.integers(1, 4))
+@example(n_users=1, n_isps=2, n_slots=20, n_types=1, seed=3, n_draws=3, hard=True,
+         special="phys cap", n_special=2)
+def test_feasible_is_no_overshoot_entry(n_users, n_isps, n_slots, n_types, seed, n_draws,
+                                        hard, special, n_special):
+    inst = make_tiny(seed, n_users=n_users, n_slots=n_slots, n_types=n_types, n_isps=n_isps,
+                     full_admissible=False, demand_scale=8.0)
+    topo, table = inst.topology, build_option_table(inst.topology)
+    rng = np.random.default_rng(seed)
+    args = (table.weights, inst.demands.inbound, inst.demands.outbound)
+    if hard:
+        edge_in, edge_out = _kernels.hard_edge_flows(
+            rng.integers(0, table.n_valid.T, size=(n_draws, *inst.dims)), *args)
+    else:
+        edge_in, edge_out = _kernels.soft_edge_flows(
+            np.stack([random_soft(inst, table, rng).x for _ in range(n_draws)]), *args)
+    for _ in range(n_special if special != "none" else 0):
+        flow = (edge_in, edge_out)[rng.integers(2)]
+        s, n, j, t = (rng.integers(d) for d in flow.shape)
+        if special == "billable cap":
+            # every slot at the billable cap puts z exactly on it
+            flow[s, n, j] = topo.edge_cap_billable[n, j]
+        else:
+            flow[s, n, j, t] = {"nan": np.nan, "inf": np.inf,
+                                "phys cap": topo.edge_cap_phys[n, j]}[special]
+    batch = _kernels.price_flows(topo, edge_in, edge_out)
+    assert np.array_equal(batch.feasible, no_overshoot_entry(batch))
+    for s in range(n_draws):
+        one = _kernels.price_flows(topo, edge_in[s], edge_out[s])
+        assert one.feasible == no_overshoot_entry(one) == batch.feasible[s]
+
+
+def test_feasibility_edge_cases():
+    # one user, one link, 20 slots (one exempt); the ISP link carries the
+    # same flows as the edge link and has the same caps
+    caps = dict(cap_basic=np.full((1, 1), 10.0), cap_billable=np.full((1, 1), 20.0),
+                cap_phys=np.full((1, 1), 30.0), rate=np.full((1, 1), 1.0))
+    topo = Topology(**{f"edge_{k}": v for k, v in caps.items()},
+                    **{f"isp_{k}": v[0] for k, v in caps.items()},
+                    admissible=np.ones((1, 1, 1), dtype=bool))
+    base = np.full(20, 10.0)
+
+    def series(*slots):
+        out = base.copy()
+        for t, v in slots:
+            out[t] = v
+        return out
+
+    above = np.nextafter(30.0, np.inf)
+    cases = [  # (inbound, outbound, feasible)
+        (base, base, True),
+        (series((4, 30.0)), base, True),                  # a slot at the physical cap
+        (np.full(20, 20.0), base, True),                  # z at the billable cap
+        (series((4, 30.0)), np.full(20, 20.0), True),     # both at once
+        (series((4, -np.inf)), base, True),
+        (series((4, above)), base, False),
+        (series((4, np.nextafter(20.0, np.inf)), (5, 20.5)), base, False),  # z over
+        (series((4, np.nan)), base, False),               # NaN peak, z finite
+        (series((4, np.inf)), base, False),               # +inf peak, z finite
+        (base, series((4, np.nan), (5, np.nan)), False),  # NaN z
+    ]
+    stack_in = np.stack([c[0] for c in cases])[:, None, None, :]
+    stack_out = np.stack([c[1] for c in cases])[:, None, None, :]
+    batch = _kernels.price_flows(topo, stack_in, stack_out)
+    assert np.isnan(batch.z_edge[-1, 0, 0]) and np.isnan(batch.peaks[0][7, 0, 0])
+    want = [c[2] for c in cases]
+    assert batch.feasible.tolist() == no_overshoot_entry(batch).tolist() == want
+    for s, feasible in enumerate(want):
+        one = _kernels.price_flows(topo, stack_in[s], stack_out[s])
+        assert one.feasible == no_overshoot_entry(one) == feasible
+
+
+def test_cheap_routes_never_build_the_overshoot_arrays(monkeypatch):
+    inst = make_tiny(3, n_users=2, n_types=2, demand_scale=8.0)
+    table = build_option_table(inst.topology)
+    stack = np.random.default_rng(3).integers(0, table.n_valid.T, size=(4, *inst.dims))
+    flows = _kernels.price_flows(inst.topology, *_kernels.hard_edge_flows(
+        stack, table.weights, inst.demands.inbound, inst.demands.outbound))
+    flows.feasible, flows.cost_total
+    assert "overshoot" not in vars(flows)
+    flows.penalty
+    built = vars(flows)["overshoot"]
+    flows.tiers
+    assert flows.overshoot is flows.overshoot is built
+    assert flows.tiers[0][4] is built[0]
+
+    # exhaustive search and the samplers' pricing never read them
+    def refuse(self):
+        raise AssertionError("overshoot arrays built")
+    monkeypatch.setattr(_kernels.FlowSummary, "overshoot", property(refuse))
+    evaluate_hard(inst, table, stack[0])
+    baselines.rsn_best_of_detailed(inst, 5, np.random.default_rng(0), table)
+    assert baselines.brute_force(make_tiny(4, demand_scale=8.0)) is not None
+
+
 def test_soft_loss_two_paths_agree():
     rng = np.random.default_rng(12)
     inst = make_tiny(2, n_users=2, n_slots=4, n_types=3, n_isps=4, demand_scale=9.0)

@@ -1,6 +1,16 @@
-"""The package's public names."""
+"""The package's public names, and the packaging the tests need."""
+
+import ast
+import re
+import sys
+from importlib.metadata import packages_distributions
+from pathlib import Path
+
+import pytest
 
 import ecsched
+
+ROOT = Path(__file__).resolve().parent.parent
 
 # the public API; adding or dropping an export changes this list
 PUBLIC_NAMES = [
@@ -26,3 +36,28 @@ def test_every_export_resolves_once():
 
 def test_public_names_are_pinned():
     assert sorted(ecsched.__all__) == PUBLIC_NAMES
+
+
+def normalized(name):
+    return re.sub(r"[-_.]+", "-", name).lower()
+
+
+def test_every_third_party_test_import_is_a_declared_dependency():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    declared = {normalized(re.match(r"[A-Za-z0-9._-]+", req).group())
+                for req in project["dependencies"] + project["optional-dependencies"]["test"]}
+    local = {path.stem for path in (ROOT / "tests").glob("*.py")} | {"ecsched"}
+    imported = set()
+    for path in (ROOT / "tests").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported |= {alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    third_party = imported - local - set(sys.stdlib_module_names)
+    assert {"hypothesis", "numpy", "pytest", "scipy"} <= third_party
+    distributions = packages_distributions()
+    undeclared = {module: distributions.get(module) for module in third_party
+                  if not {normalized(d) for d in distributions.get(module, [])} & declared}
+    assert undeclared == {}

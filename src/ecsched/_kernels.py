@@ -75,13 +75,14 @@ class FlowSummary:
     Shapes are those of one allocation below; any leading batch axes of
     the edge flows are carried through, and the totals then become
     arrays over them.  ``peaks`` holds each link's largest slot flow, in
-    this order: edge inbound, edge outbound, ISP inbound, ISP outbound.
-    ``feasible`` compares the peaks with the physical caps and z with the
-    billable caps.  ``overshoot`` is built from the flows and the
-    topology's caps on first read, and kept: it holds, in the order of
-    ``peaks``, the per-slot excess of each flow over its physical cap,
-    then the excess of z_edge and z_isp over the billable caps; entries
-    are zero where a cap holds.
+    this order: edge inbound, edge outbound, ISP inbound, ISP outbound;
+    they are views of the sorts that billed the links.  ``feasible``
+    compares the peaks with the physical caps and z with the billable
+    caps.  ``overshoot`` is built from the flows and the topology's caps
+    on first read, and kept: it holds, in the order of ``peaks``, the
+    per-slot excess of each flow over its physical cap, then the excess
+    of z_edge and z_isp over the billable caps; entries are zero where a
+    cap holds.
     """
 
     topology: object
@@ -99,29 +100,31 @@ class FlowSummary:
     def _per_allocation_axes(self, arr):
         return tuple(range(self.z_isp.ndim - 1, arr.ndim))
 
-    def _caps(self):
-        # the cap of each overshoot array, in its order
-        (_, _, bill_e, phys_e), (_, _, bill_l, phys_l) = _link_tiers(self.topology)
-        return phys_e, phys_e, phys_l, phys_l, bill_e, bill_l
-
     @property
     def feasible(self):
         """No cap is overshot: every peak is within its physical cap and
         every z within its billable cap.  A NaN peak or z fails its
         check, as its NaN overshoot is nonzero."""
+        lead = self.z_isp.shape[:-1]
         ok = True
-        for level, cap in zip((*self.peaks, self.z_edge, self.z_isp), self._caps()):
-            ok = ok & (level <= cap).all(axis=self._per_allocation_axes(level))
+        for (peak_in, peak_out), z, (_, _, cap_billable, cap_phys) in zip(
+                (self.peaks[:2], self.peaks[2:]), (self.z_edge, self.z_isp),
+                _link_tiers(self.topology)):
+            within = (peak_in <= cap_phys) & (peak_out <= cap_phys) & (z <= cap_billable)
+            # copied with the stack axes innermost, so that the reduction
+            # runs along the stack and not along each allocation's few links
+            by_link = np.moveaxis(within, range(len(lead)), range(-len(lead), 0)).copy()
+            ok = ok & by_link.reshape(-1, *lead).all(axis=0)
         return ok
 
     @cached_property
     def overshoot(self):
         """The six cap overshoot arrays (see the class docstring)."""
-        caps = self._caps()
+        (_, _, bill_e, phys_e), (_, _, bill_l, phys_l) = _link_tiers(self.topology)
         phys = (np.maximum(f - cap[..., None], 0.0) for f, cap in
-                zip((self.edge_in, self.edge_out, self.isp_in, self.isp_out), caps))
-        bill = (np.maximum(z - cap, 0.0) for z, cap in zip((self.z_edge, self.z_isp), caps[4:]))
-        return (*phys, *bill)
+                ((self.edge_in, phys_e), (self.edge_out, phys_e),
+                 (self.isp_in, phys_l), (self.isp_out, phys_l)))
+        return (*phys, np.maximum(self.z_edge - bill_e, 0.0), np.maximum(self.z_isp - bill_l, 0.0))
 
     @property
     def penalty(self):
@@ -178,10 +181,10 @@ def price_flows(topology, edge_in, edge_out):
         cost_total=_per_allocation(cost_e.sum(axis=(-2, -1)) + cost_l.sum(axis=-1)))
 
 
-def price_flows_grad(topology, flows, lam_g):
+def price_flows_grad(flows, lam_g):
     """Subgradient of cost + lam_g * penalty in the edge flows, from their
-    ``price_flows`` summary: (d/d edge_in, d/d edge_out), each shaped
-    like edge_in.
+    ``price_flows`` summary and its topology: (d/d edge_in, d/d edge_out),
+    each shaped like edge_in.
 
     Conventions at the kinks: ReLU'(0) = 0, the in/out max routes to
     inbound on ties, and the percentile routes to the stable (m+1)-th
@@ -190,7 +193,7 @@ def price_flows_grad(topology, flows, lam_g):
     slots = np.arange(flows.edge_in.shape[-1])
     m = percentile_exempt_count(slots.size)
     grads = []
-    for tier, (rate, cap_basic, _, _) in zip(flows.tiers, _link_tiers(topology)):
+    for tier, (rate, cap_basic, _, _) in zip(flows.tiers, _link_tiers(flows.topology)):
         flow_in, flow_out, z, inbound, over_in, over_out, over_z = tier
         # the billable terms enter through the billed slot of the
         # direction that sets z

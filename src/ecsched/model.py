@@ -259,7 +259,9 @@ class FeasibilityReport:
 
     @classmethod
     def from_flows(cls, flows):
-        """Every positive overshoot of a FlowSummary, by constraint family.
+        """Every nonzero overshoot of a FlowSummary, by constraint family:
+        the positive ones, and the NaN ones of NaN flows, which
+        ``FlowSummary.feasible`` also counts as violations.
 
         The locations index one allocation, so the flows of a stack are
         refused."""
@@ -271,7 +273,7 @@ class FeasibilityReport:
                     (report.isp_phys, ("in",)), (report.isp_phys, ("out",)),
                     (report.edge_billable, ()), (report.isp_billable, ()))
         for (family, direction), over in zip(families, flows.overshoot):
-            for idx in np.argwhere(over > 0):
+            for idx in np.argwhere(over != 0):
                 loc = tuple(int(i) for i in idx)
                 family.append((loc + direction, float(over[loc])))
         return report
@@ -397,5 +399,5 @@ def soft_loss_and_grad(instance, table, x, lam_g=1.0):
     flows = _kernels.price_flows(instance.topology, *_kernels.soft_edge_flows(
         np.ascontiguousarray(x), table.weights, d_in, d_out))
     dx = _kernels.soft_edge_flows_grad(
-        *_kernels.price_flows_grad(instance.topology, flows, lam_g), table.weights, d_in, d_out)
+        *_kernels.price_flows_grad(flows, lam_g), table.weights, d_in, d_out)
     return flows.cost_total + lam_g * flows.penalty, dx

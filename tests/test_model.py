@@ -585,6 +585,7 @@ def test_feasibility_edge_cases():
     for s, feasible in enumerate(want):
         one = _kernels.price_flows(topo, stack_in[s], stack_out[s])
         assert one.feasible == no_overshoot_entry(one) == feasible
+        assert FeasibilityReport.from_flows(one).feasible == feasible
 
 
 def test_cheap_routes_never_build_the_overshoot_arrays(monkeypatch):

@@ -85,7 +85,7 @@ class FlowSummary:
     cap holds.
     """
 
-    topology: object
+    topology: object          # the caps and rates the flows were priced against
     edge_in: np.ndarray       # (N, EL, T)
     edge_out: np.ndarray      # (N, EL, T)
     isp_in: np.ndarray        # (EL, T)

@@ -594,7 +594,7 @@ def test_cheap_routes_never_build_the_overshoot_arrays(monkeypatch):
     stack = np.random.default_rng(3).integers(0, table.n_valid.T, size=(4, *inst.dims))
     flows = _kernels.price_flows(inst.topology, *_kernels.hard_edge_flows(
         stack, table.weights, inst.demands.inbound, inst.demands.outbound))
-    flows.feasible, flows.cost_total
+    assert flows.feasible.shape == flows.cost_total.shape == (4,)
     assert "overshoot" not in vars(flows)
     flows.penalty
     built = vars(flows)["overshoot"]

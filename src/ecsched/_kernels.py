@@ -5,14 +5,17 @@ Every route that prices an allocation (the cost model, the soft loss and
 its gradient, the samplers, exhaustive search and the MILP objective)
 goes through ``price_flows``.  It bills the edge links and the ISP links
 with one routine, so the percentile rule, the overage cost and the cap
-checks are written once.  One sort per link and direction gives both the
-billed level z and the link's largest slot flow, its peak: a link keeps
-its physical cap in every slot exactly when its peak does, so
-feasibility reads the peaks and z, and the per-slot cap overshoot arrays
-are built only when the penalty, the subgradient or a feasibility report
-first reads them.  The soft loss's subgradient of that rule,
-``price_flows_grad``, is likewise one routine for both tiers, and
-``soft_edge_flows_grad`` carries it back to the relaxed allocation.
+checks are written once, and returns a ``FlowSummary`` of one
+``LinkTier`` record per tier, whose fields every reader (feasibility,
+penalty, subgradient, feasibility report) reads by name.  One sort per
+link and direction gives both the billed level z and the link's largest
+slot flow, its peak: a link keeps its physical cap in every slot exactly
+when its peak does, so feasibility reads the peak and z, and each tier's
+per-slot cap overshoot arrays are built only when the penalty, the
+subgradient or a feasibility report first reads them.  The soft loss's
+subgradient of that rule, ``price_flows_grad``, is likewise one loop
+over both tiers, and ``soft_edge_flows_grad`` carries it back to the
+relaxed allocation.
 Hard and soft flows and pricing take leading batch axes, which lets
 exhaustive search price a chunk of combinations in one call and
 training price an instance's metric draws in one call.  A stack's
@@ -69,98 +72,89 @@ def _per_allocation(value):
 
 
 @dataclass(frozen=True)
+class LinkTier:
+    """One tier of links, the edge links or the ISP links, as billed.
+
+    The tier's links are (N, EL) for the edge tier and (EL,) for the ISP
+    tier, and so are its rate and caps.  The per-slot flows add a slot
+    axis after the links, and they, z, inbound and the peak flows keep
+    any leading batch axes of the edge flows.  inbound is True where the
+    inbound billed level sets z (ties inbound); peak_in and peak_out are
+    each link's largest slot flow, views of the sorts that billed it.
+    """
+
+    flow_in: np.ndarray
+    flow_out: np.ndarray
+    z: np.ndarray
+    inbound: np.ndarray
+    peak_in: np.ndarray
+    peak_out: np.ndarray
+    rate: np.ndarray
+    cap_basic: np.ndarray
+    cap_billable: np.ndarray
+    cap_phys: np.ndarray
+
+    @property
+    def cost(self):
+        """Each link's rate times the overage of z over its basic cap."""
+        return self.rate * np.maximum(self.z - self.cap_basic, 0.0)
+
+    @cached_property
+    def overshoot(self):
+        """(in, out, z): the per-slot excess of the inbound and the
+        outbound flow over the physical cap, then the excess of z over
+        the billable cap; zero where a cap holds.  Built on first read,
+        and kept."""
+        return (np.maximum(self.flow_in - self.cap_phys[..., None], 0.0),
+                np.maximum(self.flow_out - self.cap_phys[..., None], 0.0),
+                np.maximum(self.z - self.cap_billable, 0.0))
+
+
+@dataclass(frozen=True)
 class FlowSummary:
-    """Per-slot flows, billable bandwidths, cost and cap checks.
+    """The two billed tiers of links, and the total cost.
 
     Shapes are those of one allocation below; any leading batch axes of
     the edge flows are carried through, and the totals then become
-    arrays over them.  ``peaks`` holds each link's largest slot flow, in
-    this order: edge inbound, edge outbound, ISP inbound, ISP outbound;
-    they are views of the sorts that billed the links.  ``feasible``
-    compares the peaks with the physical caps and z with the billable
-    caps.  ``overshoot`` is built from the flows and the topology's caps
-    on first read, and kept: it holds, in the order of ``peaks``, the
-    per-slot excess of each flow over its physical cap, then the excess
-    of z_edge and z_isp over the billable caps; entries are zero where a
-    cap holds.
+    arrays over them.
     """
 
-    topology: object          # the caps and rates the flows were priced against
-    edge_in: np.ndarray       # (N, EL, T)
-    edge_out: np.ndarray      # (N, EL, T)
-    isp_in: np.ndarray        # (EL, T)
-    isp_out: np.ndarray       # (EL, T)
-    z_edge: np.ndarray        # (N, EL)
-    z_isp: np.ndarray         # (EL,)
-    inbound_edge: np.ndarray  # (N, EL) True where inbound sets z (ties inbound)
-    inbound_isp: np.ndarray   # (EL,)
-    peaks: tuple              # (N, EL), (N, EL), (EL,), (EL,)
+    edge: LinkTier    # flows (N, EL, T)
+    isp: LinkTier     # flows (EL, T), the edge flows summed over users
     cost_total: float
-
-    def _per_allocation_axes(self, arr):
-        return tuple(range(self.z_isp.ndim - 1, arr.ndim))
 
     @property
     def feasible(self):
-        """No cap is overshot: every peak is within its physical cap and
-        every z within its billable cap.  A NaN peak or z fails its
-        check, as its NaN overshoot is nonzero."""
-        lead = self.z_isp.shape[:-1]
+        """No cap is overshot: every peak flow is within its physical cap
+        and every z within its billable cap.  A NaN peak flow or z fails
+        its check, as its NaN overshoot is nonzero."""
+        lead = self.isp.z.shape[:-1]
         ok = True
-        for (peak_in, peak_out), z, (_, _, cap_billable, cap_phys) in zip(
-                (self.peaks[:2], self.peaks[2:]), (self.z_edge, self.z_isp),
-                _link_tiers(self.topology)):
-            within = (peak_in <= cap_phys) & (peak_out <= cap_phys) & (z <= cap_billable)
+        for tier in (self.edge, self.isp):
+            within = ((tier.peak_in <= tier.cap_phys) & (tier.peak_out <= tier.cap_phys)
+                      & (tier.z <= tier.cap_billable))
             # copied with the stack axes innermost, so that the reduction
             # runs along the stack and not along each allocation's few links
             by_link = np.moveaxis(within, range(len(lead)), range(-len(lead), 0)).copy()
             ok = ok & by_link.reshape(-1, *lead).all(axis=0)
         return ok
 
-    @cached_property
-    def overshoot(self):
-        """The six cap overshoot arrays (see the class docstring)."""
-        (_, _, bill_e, phys_e), (_, _, bill_l, phys_l) = _link_tiers(self.topology)
-        phys = (np.maximum(f - cap[..., None], 0.0) for f, cap in
-                ((self.edge_in, phys_e), (self.edge_out, phys_e),
-                 (self.isp_in, phys_l), (self.isp_out, phys_l)))
-        return (*phys, np.maximum(self.z_edge - bill_e, 0.0), np.maximum(self.z_isp - bill_l, 0.0))
-
     @property
     def penalty(self):
-        """Sum of squared cap overshoots."""
-        return _per_allocation(sum((o ** 2).sum(axis=self._per_allocation_axes(o))
-                                   for o in self.overshoot))
-
-    @property
-    def tiers(self):
-        """The edge links, then the ISP links, each as (inbound flows,
-        outbound flows, z, inbound sets z, the in and out overshoots of
-        the physical cap, the overshoot of z over the billable cap)."""
-        o = self.overshoot
-        return ((self.edge_in, self.edge_out, self.z_edge, self.inbound_edge, *o[0:2], o[4]),
-                (self.isp_in, self.isp_out, self.z_isp, self.inbound_isp, *o[2:4], o[5]))
+        """Sum of squared cap overshoots, totalled per array in this order:
+        edge in, edge out, ISP in, ISP out, edge z, ISP z."""
+        (e_in, e_out, e_z), (l_in, l_out, l_z) = self.edge.overshoot, self.isp.overshoot
+        return _per_allocation(sum((o ** 2).sum(axis=tuple(range(self.isp.z.ndim - 1, o.ndim)))
+                                   for o in (e_in, e_out, l_in, l_out, e_z, l_z)))
 
 
-def _link_tiers(topology):
-    """(rate, basic, billable and physical cap) of the edge links, then
-    of the ISP links."""
-    return ((topology.edge_rate, topology.edge_cap_basic,
-             topology.edge_cap_billable, topology.edge_cap_phys),
-            (topology.isp_rate, topology.isp_cap_basic,
-             topology.isp_cap_billable, topology.isp_cap_phys))
-
-
-def _bill_links(flow_in, flow_out, rate, cap_basic):
-    """Percentile billing of one tier of links, flows (..., L, T).
-
-    Returns (z, inbound sets z, cost per link, the largest inbound and
-    outbound slot flow per link), from one sort per direction.
-    """
+def _bill_links(flow_in, flow_out, rate, cap_basic, cap_billable, cap_phys):
+    """Percentile billing of one tier of links, flows (..., L, T), from
+    one sort per direction."""
     (z_in, peak_in), (z_out, peak_out) = _billed_and_peak(flow_in), _billed_and_peak(flow_out)
     inbound = z_in >= z_out
-    z = np.where(inbound, z_in, z_out)
-    return z, inbound, rate * np.maximum(z - cap_basic, 0.0), peak_in, peak_out
+    return LinkTier(flow_in, flow_out, np.where(inbound, z_in, z_out), inbound, peak_in, peak_out,
+                    rate, cap_basic, cap_billable, cap_phys)
 
 
 def price_flows(topology, edge_in, edge_out):
@@ -171,34 +165,33 @@ def price_flows(topology, edge_in, edge_out):
     overage of z over the basic cap, and ISP flows are sums over users.
     Edge and ISP links are billed by the same routine.
     """
-    isp_in, isp_out = edge_in.sum(axis=-3), edge_out.sum(axis=-3)
-    (z_e, in_e, cost_e, *peak_e), (z_l, in_l, cost_l, *peak_l) = (
-        _bill_links(f_in, f_out, rate, cap_basic) for (f_in, f_out), (rate, cap_basic, _, _)
-        in zip(((edge_in, edge_out), (isp_in, isp_out)), _link_tiers(topology)))
-    return FlowSummary(
-        topology=topology, edge_in=edge_in, edge_out=edge_out, isp_in=isp_in, isp_out=isp_out,
-        z_edge=z_e, z_isp=z_l, inbound_edge=in_e, inbound_isp=in_l, peaks=(*peak_e, *peak_l),
-        cost_total=_per_allocation(cost_e.sum(axis=(-2, -1)) + cost_l.sum(axis=-1)))
+    edge = _bill_links(edge_in, edge_out, topology.edge_rate, topology.edge_cap_basic,
+                       topology.edge_cap_billable, topology.edge_cap_phys)
+    isp = _bill_links(edge_in.sum(axis=-3), edge_out.sum(axis=-3), topology.isp_rate,
+                      topology.isp_cap_basic, topology.isp_cap_billable, topology.isp_cap_phys)
+    return FlowSummary(edge=edge, isp=isp, cost_total=_per_allocation(
+        edge.cost.sum(axis=(-2, -1)) + isp.cost.sum(axis=-1)))
 
 
 def price_flows_grad(flows, lam_g):
     """Subgradient of cost + lam_g * penalty in the edge flows, from their
-    ``price_flows`` summary and its topology: (d/d edge_in, d/d edge_out),
-    each shaped like edge_in.
+    ``price_flows`` summary: (d/d edge_in, d/d edge_out), each shaped
+    like the edge flows.
 
     Conventions at the kinks: ReLU'(0) = 0, the in/out max routes to
     inbound on ties, and the percentile routes to the stable (m+1)-th
     largest slot.
     """
-    slots = np.arange(flows.edge_in.shape[-1])
+    slots = np.arange(flows.edge.flow_in.shape[-1])
     m = percentile_exempt_count(slots.size)
     grads = []
-    for tier, (rate, cap_basic, _, _) in zip(flows.tiers, _link_tiers(flows.topology)):
-        flow_in, flow_out, z, inbound, over_in, over_out, over_z = tier
+    for tier in (flows.edge, flows.isp):
+        over_in, over_out, over_z = tier.overshoot
         # the billable terms enter through the billed slot of the
         # direction that sets z
-        coef = rate * (z > cap_basic) + 2.0 * lam_g * over_z
-        for flow, over, sets_z in ((flow_in, over_in, inbound), (flow_out, over_out, ~inbound)):
+        coef = tier.rate * (tier.z > tier.cap_basic) + 2.0 * lam_g * over_z
+        for flow, over, sets_z in ((tier.flow_in, over_in, tier.inbound),
+                                   (tier.flow_out, over_out, ~tier.inbound)):
             # built in place: the einsum of soft_edge_flows_grad sums in
             # an order that depends on the memory layout of this array,
             # and an out-of-place sum lays it out differently

@@ -265,17 +265,18 @@ class FeasibilityReport:
 
         The locations index one allocation, so the flows of a stack are
         refused."""
-        if flows.z_isp.ndim != 1:
+        if flows.isp.z.ndim != 1:
             raise ValueError(f"a feasibility report covers one allocation, got flows of "
-                             f"shape {flows.edge_in.shape}")
+                             f"shape {flows.edge.flow_in.shape}")
         report = cls()
-        families = ((report.edge_phys, ("in",)), (report.edge_phys, ("out",)),
-                    (report.isp_phys, ("in",)), (report.isp_phys, ("out",)),
-                    (report.edge_billable, ()), (report.isp_billable, ()))
-        for (family, direction), over in zip(families, flows.overshoot):
-            for idx in np.argwhere(over != 0):
-                loc = tuple(int(i) for i in idx)
-                family.append((loc + direction, float(over[loc])))
+        for tier, phys, billable in ((flows.edge, report.edge_phys, report.edge_billable),
+                                     (flows.isp, report.isp_phys, report.isp_billable)):
+            over_in, over_out, over_z = tier.overshoot
+            for family, direction, over in ((phys, ("in",), over_in), (phys, ("out",), over_out),
+                                            (billable, (), over_z)):
+                for idx in np.argwhere(over != 0):
+                    loc = tuple(int(i) for i in idx)
+                    family.append((loc + direction, float(over[loc])))
         return report
 
     @property

@@ -32,7 +32,7 @@ temperature; see ``train``.
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -67,9 +67,9 @@ class NetworkInput:
     [option weight * inbound demand, option weight * outbound demand,
     basic cap, billable cap]; valid: (T*N*K, P) marking real options.
     Padded option rows keep the capacity columns (they describe links,
-    not options) and have zero traffic columns.  Only the full-row
-    reference forward, ``forward_alpha`` with keep_cache=True, reads
-    matrix.
+    not options) and have zero traffic columns.  Only ``every_row``, the
+    input of the full-row reference forward (``forward_alpha`` with
+    keep_cache=True), reads matrix.
 
     A link row whose option weight is 0 equals the capacity-only row of
     its (user, link), and every padded option of a user reads that
@@ -106,6 +106,14 @@ class NetworkInput:
         # np.take, as fancy indexing gathers these rows about 6x slower
         links = np.take(self.program_links, self.program_index, axis=0)
         return np.take(self.link_rows, links.reshape(-1), axis=0)
+
+    def every_row(self):
+        """The same input with every row of ``matrix`` distinct: link_rows
+        is the matrix and both indexes count up, so a forward over it
+        runs every row."""
+        options = len(self.valid) * self.n_options
+        return replace(self, link_rows=self.matrix, program_index=np.arange(options),
+                       program_links=np.arange(options * self.n_links).reshape(-1, self.n_links))
 
 
 @dataclass(frozen=True)
@@ -200,25 +208,18 @@ def preprocess(instance, table=None):
 def forward_alpha(network, inp, keep_cache=True):
     """Location parameters for every block; returns (AlphaMatrix, caches).
 
-    With keep_cache=False caches is None, and the link and program
-    encoders run on the distinct rows of ``NetworkInput`` only (see
-    ``_distinct_forward``).  With keep_cache=True they run every row of
-    ``inp.matrix``, scaled by input_scale as one array, and caches holds
-    the link, program and ranking forward caches of all those rows.
-    That full-row forward is the reference that the tests compare the
-    distinct-row descent step against, and the benchmark harness pins
-    its link row count at all of the rows.  The alpha is the same, bit
-    for bit, either way, as ``nn.mlp_forward`` gives a row the same bytes
-    wherever it sits in a call.
+    The link and program encoders run the distinct rows of inp (see
+    ``_distinct_forward``), and with keep_cache=False caches is None.
+    With keep_cache=True they run every row, as the distinct rows of
+    ``inp.every_row()``, and caches holds the link, program and ranking
+    forward caches of all those rows.  That full-row forward is the
+    reference that the tests compare the distinct-row descent step
+    against, and the benchmark harness pins its link row count at all
+    of the rows.  The alpha is the same, bit for bit, either way, as
+    ``nn.mlp_forward`` gives a row the same bytes wherever it sits in a
+    call.
     """
-    if not keep_cache:
-        return _distinct_forward(network, inp, keep_cache=False)
-    _check_fit(network, inp)
-    s, link_cache = mlp_forward(network.link, inp.matrix * np.asarray(network.input_scale))
-    v, program_cache = mlp_forward(network.program, s.reshape(-1, network.n_links))
-    a, ranking_cache = mlp_forward(network.ranking, v.reshape(-1, network.n_options))
-    alpha = AlphaMatrix(values=a, valid=inp.valid, dims=inp.dims)
-    return alpha, (link_cache, program_cache, ranking_cache)
+    return _distinct_forward(network, inp.every_row() if keep_cache else inp, keep_cache)
 
 
 def _distinct_forward(network, inp, keep_cache):
@@ -231,10 +232,11 @@ def _distinct_forward(network, inp, keep_cache):
     _check_fit(network, inp)
     s, link_cache = mlp_forward(network.link, inp.link_rows * np.asarray(network.input_scale),
                                 keep_cache=keep_cache)
-    v, program_cache = mlp_forward(network.program, s[inp.program_links].reshape(-1, network.n_links),
+    # np.take, as fancy indexing gathers these scores about 3x slower
+    v, program_cache = mlp_forward(network.program, np.take(s.reshape(-1), inp.program_links),
                                    keep_cache=keep_cache)
-    a, ranking_cache = mlp_forward(network.ranking, v[inp.program_index].reshape(-1, network.n_options),
-                                   keep_cache=keep_cache)
+    blocks = np.take(v.reshape(-1), inp.program_index).reshape(-1, network.n_options)
+    a, ranking_cache = mlp_forward(network.ranking, blocks, keep_cache=keep_cache)
     alpha = AlphaMatrix(values=a, valid=inp.valid, dims=inp.dims)
     return alpha, ((link_cache, program_cache, ranking_cache) if keep_cache else None)
 

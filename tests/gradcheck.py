@@ -27,13 +27,13 @@ def billing_signature(instance, table, x):
     m = _kernels.percentile_exempt_count(instance.demands.inbound.shape[2])
     tin_e, tout_e, tin_l, tout_l = (
         _kernels.descending_slots(arr)[..., m]
-        for arr in (flows.edge_in, flows.edge_out, flows.isp_in, flows.isp_out))
+        for arr in (flows.edge.flow_in, flows.edge.flow_out, flows.isp.flow_in, flows.isp.flow_out))
     return (
-        tin_e.tobytes(), tout_e.tobytes(), flows.inbound_edge.tobytes(),
-        tin_l.tobytes(), tout_l.tobytes(), flows.inbound_isp.tobytes(),
-        *((over > 0).tobytes() for over in flows.overshoot),
-        (flows.z_edge > topo.edge_cap_basic).tobytes(),
-        (flows.z_isp > topo.isp_cap_basic).tobytes(),
+        tin_e.tobytes(), tout_e.tobytes(), flows.edge.inbound.tobytes(),
+        tin_l.tobytes(), tout_l.tobytes(), flows.isp.inbound.tobytes(),
+        *((over > 0).tobytes() for over in (*flows.edge.overshoot, *flows.isp.overshoot)),
+        (flows.edge.z > topo.edge_cap_basic).tobytes(),
+        (flows.isp.z > topo.isp_cap_basic).tobytes(),
     )
 
 

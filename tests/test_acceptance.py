@@ -188,10 +188,10 @@ def test_criterion_09_conservation_and_percentile():
         for _ in range(10):
             scheme = rsn_scheme(inst, rng, table)
             fl = compute_flows(inst, scheme, table)
-            for flows, totals in ((fl.edge_in, din), (fl.edge_out, dout)):
+            for flows, totals in ((fl.edge.flow_in, din), (fl.edge.flow_out, dout)):
                 rel = np.abs(flows.sum(axis=1) - totals) / totals
                 worst_rel = max(worst_rel, float(rel.max()))
-            series = fl.edge_in[0, int(rng.integers(fl.edge_in.shape[1]))].copy()
+            series = fl.edge.flow_in[0, int(rng.integers(fl.edge.flow_in.shape[1]))].copy()
             before = _kernels.billed_level(series)
             series[int(np.argmax(series))] += float(rng.uniform(1.0, 50.0))
             assert _kernels.billed_level(series) == before

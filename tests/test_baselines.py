@@ -98,7 +98,7 @@ def test_counts_int64_cannot_number_are_refused_before_searching(monkeypatch):
 def test_search_memory_is_bounded_by_the_chunk():
     # one slot of three links: 7**5 and 7**6 combinations, all of them
     # slot combinations of that slot
-    peaks = []
+    peak_bytes = []
     for n_types in (5, 6):
         inst = make_tiny(2, n_slots=1, n_types=n_types, n_isps=3, demand_scale=8.0)
         table = build_option_table(inst.topology)
@@ -106,10 +106,10 @@ def test_search_memory_is_bounded_by_the_chunk():
         tracemalloc.start()
         try:
             brute_force(inst, table=table)
-            peaks.append(tracemalloc.get_traced_memory()[1])
+            peak_bytes.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    assert max(peaks) < 1.5 * min(peaks)
+    assert max(peak_bytes) < 1.5 * min(peak_bytes)
 
 
 def test_brute_force_matches_oracle():

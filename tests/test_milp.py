@@ -326,6 +326,31 @@ def test_solver_reaches_brute_force_optimum():
     assert hits >= 1
 
 
+
+def highs_objective(lp_path):
+    """The optimal objective HiGHS reaches from an LP file, read with the
+    private binding scipy ships; the test skips when it cannot be loaded."""
+    try:
+        from scipy.optimize._highspy._core import HighsModelStatus, HighsStatus, _Highs
+    except ImportError:
+        pytest.skip("scipy ships no loadable HiGHS binding")
+    highs = _Highs()
+    highs.setOptionValue("output_flag", False)
+    assert highs.readModel(str(lp_path)) == HighsStatus.kOk
+    highs.run()
+    assert highs.getModelStatus() == HighsModelStatus.kOptimal
+    return highs.getInfo().objective_function_value
+
+
+def test_highs_reads_the_lp_text_and_reaches_the_optimum(tmp_path):
+    assert highs_objective(DATA / "tiny.lp") == pytest.approx(871.6126461560564, abs=1e-6)
+    for seed in (0, 2, 5):
+        inst = make_tiny(seed, demand_scale=8.0)
+        table = build_option_table(inst.topology)
+        write_lp(linearize(inst, table), tmp_path / f"tiny-{seed}.lp")
+        ref = brute_force(inst, table=table)
+        assert highs_objective(tmp_path / f"tiny-{seed}.lp") == pytest.approx(ref[1], abs=1e-6)
+
 def test_zero_demand_model_is_free():
     import dataclasses
     inst = make_tiny(7)

@@ -244,8 +244,8 @@ def test_proportional_split_flow_values():
     inst = instance_of(topo, [[[40.0, 40.0, 40.0]]], [[[40.0, 40.0, 40.0]]])
     both = AllocationScheme(option=np.full((3, 1, 1), 2, dtype=np.int64))
     flows = compute_flows(inst, both)
-    np.testing.assert_allclose(flows.edge_in[0, 0], [10.0, 10.0, 10.0])
-    np.testing.assert_allclose(flows.edge_in[0, 1], [30.0, 30.0, 30.0])
+    np.testing.assert_allclose(flows.edge.flow_in[0, 0], [10.0, 10.0, 10.0])
+    np.testing.assert_allclose(flows.edge.flow_in[0, 1], [30.0, 30.0, 30.0])
 
 
 def test_zero_demands_zero_everything():
@@ -253,7 +253,7 @@ def test_zero_demands_zero_everything():
     inst = instance_of(topo, np.zeros((2, 1, 4)), np.zeros((2, 1, 4)))
     scheme = AllocationScheme(option=np.zeros((4, 1, 2), dtype=np.int64))
     flows = compute_flows(inst, scheme)
-    assert flows.edge_in.sum() == 0.0 and flows.edge_out.sum() == 0.0
+    assert flows.edge.flow_in.sum() == 0.0 and flows.edge.flow_out.sum() == 0.0
     assert flows.cost_total == 0.0
     assert check_feasibility(inst, scheme).feasible
 
@@ -263,8 +263,8 @@ def test_isp_flows_sum_users():
     table = build_option_table(inst.topology)
     scheme = rsn_scheme(inst, np.random.default_rng(0), table)
     flows = compute_flows(inst, scheme, table)
-    np.testing.assert_allclose(flows.isp_in, flows.edge_in.sum(axis=0), rtol=1e-12)
-    np.testing.assert_allclose(flows.isp_out, flows.edge_out.sum(axis=0), rtol=1e-12)
+    np.testing.assert_allclose(flows.isp.flow_in, flows.edge.flow_in.sum(axis=0), rtol=1e-12)
+    np.testing.assert_allclose(flows.isp.flow_out, flows.edge.flow_out.sum(axis=0), rtol=1e-12)
 
 
 def test_overage_cost_value():
@@ -494,8 +494,8 @@ def no_overshoot_entry(flows):
     """The reference feasibility rule: per allocation, no entry of any
     overshoot array is nonzero (NaN counts as nonzero)."""
     ok = True
-    for o in flows.overshoot:
-        ok = ok & ~o.any(axis=tuple(range(flows.z_isp.ndim - 1, o.ndim)))
+    for o in (*flows.edge.overshoot, *flows.isp.overshoot):
+        ok = ok & ~o.any(axis=tuple(range(flows.isp.z.ndim - 1, o.ndim)))
     return ok
 
 
@@ -579,7 +579,7 @@ def test_feasibility_edge_cases():
     stack_in = np.stack([c[0] for c in cases])[:, None, None, :]
     stack_out = np.stack([c[1] for c in cases])[:, None, None, :]
     batch = _kernels.price_flows(topo, stack_in, stack_out)
-    assert np.isnan(batch.z_edge[-1, 0, 0]) and np.isnan(batch.peaks[0][7, 0, 0])
+    assert np.isnan(batch.edge.z[-1, 0, 0]) and np.isnan(batch.edge.peak_in[7, 0, 0])
     want = [c[2] for c in cases]
     assert batch.feasible.tolist() == no_overshoot_entry(batch).tolist() == want
     for s, feasible in enumerate(want):
@@ -595,17 +595,16 @@ def test_cheap_routes_never_build_the_overshoot_arrays(monkeypatch):
     flows = _kernels.price_flows(inst.topology, *_kernels.hard_edge_flows(
         stack, table.weights, inst.demands.inbound, inst.demands.outbound))
     assert flows.feasible.shape == flows.cost_total.shape == (4,)
-    assert "overshoot" not in vars(flows)
+    assert "overshoot" not in vars(flows.edge) and "overshoot" not in vars(flows.isp)
     flows.penalty
-    built = vars(flows)["overshoot"]
-    flows.tiers
-    assert flows.overshoot is flows.overshoot is built
-    assert flows.tiers[0][4] is built[0]
+    built = vars(flows.edge)["overshoot"], vars(flows.isp)["overshoot"]
+    assert flows.edge.overshoot is flows.edge.overshoot is built[0]
+    assert flows.isp.overshoot is built[1]
 
     # exhaustive search and the samplers' pricing never read them
     def refuse(self):
         raise AssertionError("overshoot arrays built")
-    monkeypatch.setattr(_kernels.FlowSummary, "overshoot", property(refuse))
+    monkeypatch.setattr(_kernels.LinkTier, "overshoot", property(refuse))
     evaluate_hard(inst, table, stack[0])
     baselines.rsn_best_of_detailed(inst, 5, np.random.default_rng(0), table)
     assert baselines.brute_force(make_tiny(4, demand_scale=8.0)) is not None
@@ -690,9 +689,9 @@ def test_flow_conservation():
         alloc = (rsn_scheme(inst, rng, table) if seed % 2
                  else random_soft(inst, table, rng))
         flows = compute_flows(inst, alloc, table)
-        np.testing.assert_allclose(flows.edge_in.sum(axis=1),
+        np.testing.assert_allclose(flows.edge.flow_in.sum(axis=1),
                                    inst.demands.inbound.sum(axis=0), rtol=1e-9)
-        np.testing.assert_allclose(flows.edge_out.sum(axis=1),
+        np.testing.assert_allclose(flows.edge.flow_out.sum(axis=1),
                                    inst.demands.outbound.sum(axis=0), rtol=1e-9)
 
 

@@ -3,12 +3,14 @@
 import ast
 import re
 import sys
+from dataclasses import fields
 from importlib.metadata import packages_distributions
 from pathlib import Path
 
 import pytest
 
 import ecsched
+from ecsched import _kernels
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -28,6 +30,13 @@ PUBLIC_NAMES = [
 ]
 
 
+# the billing record's fields; adding a flat or positional field is a
+# change of this list
+FLOW_SUMMARY_FIELDS = ["edge", "isp", "cost_total"]
+LINK_TIER_FIELDS = ["flow_in", "flow_out", "z", "inbound", "peak_in", "peak_out",
+                    "rate", "cap_basic", "cap_billable", "cap_phys"]
+
+
 def test_every_export_resolves_once():
     names = ecsched.__all__
     assert len(names) == len(set(names)), "a name is exported twice"
@@ -36,6 +45,11 @@ def test_every_export_resolves_once():
 
 def test_public_names_are_pinned():
     assert sorted(ecsched.__all__) == PUBLIC_NAMES
+
+
+def test_billing_record_fields_are_pinned():
+    assert [f.name for f in fields(ecsched.FlowSummary)] == FLOW_SUMMARY_FIELDS
+    assert [f.name for f in fields(_kernels.LinkTier)] == LINK_TIER_FIELDS
 
 
 def normalized(name):

@@ -162,6 +162,22 @@ def test_forward_without_cache_gives_the_same_alpha(case):
     assert len(inp.link_rows) < len(inp.matrix)
 
 
+
+@pytest.mark.parametrize("config", [DESK_CONFIG, GenConfig()], ids=["desk", "default"])
+def test_full_row_forward_equals_the_chained_encoders(config):
+    # forward_alpha runs every row through the distinct-row routine; the
+    # reference chains the three encoders on the feature matrix itself
+    net = load_model(Path(__file__).resolve().parents[1] / "perfbench" / "desk_model.json")
+    inst = generate_instance(config, seed=HELD_SEED0)
+    s, link_cache = mlp_forward(net.link, reference_matrix(inst) * np.asarray(net.input_scale))
+    v, program_cache = mlp_forward(net.program, s.reshape(-1, net.n_links))
+    a, ranking_cache = mlp_forward(net.ranking, v.reshape(-1, net.n_options))
+    alpha, caches = forward_alpha(net, preprocess(inst))
+    assert alpha.values.tobytes() == a.tobytes()
+    for got, want in zip(caches, (link_cache, program_cache, ranking_cache), strict=True):
+        for x, y in zip((*got[0], got[1]), (*want[0], want[1]), strict=True):
+            assert x.shape == y.shape and x.tobytes() == y.tobytes()
+
 # want: sha256 of the uncached alpha bytes on seed 100001 with the stored
 # benchmark network, where each encoder runs more than 4,096 rows
 @pytest.mark.parametrize("config, blocks, link_rows, want", [

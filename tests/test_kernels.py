@@ -2,12 +2,13 @@
 change the result."""
 
 import hashlib
+import itertools
 
 import numpy as np
 
 from conftest import hopeless_instance, make_tiny
 from ecsched import _kernels
-from ecsched.model import DemandTensor, Instance, Topology, build_option_table
+from ecsched.model import DemandTensor, Instance, Topology, build_option_table, evaluate_hard
 
 
 def flat_valid_counts(inst, table):
@@ -16,10 +17,12 @@ def flat_valid_counts(inst, table):
         np.broadcast_to(table.n_valid.T[None], (t, n, k)).reshape(-1))
 
 
-def search(inst, chunk):
+def search(inst, chunk, n_valid_flat=None):
     table = build_option_table(inst.topology)
+    if n_valid_flat is None:
+        n_valid_flat = flat_valid_counts(inst, table)
     return _kernels.brute_force_search(
-        flat_valid_counts(inst, table), table.weights, inst.demands.inbound,
+        n_valid_flat, table.weights, inst.demands.inbound,
         inst.demands.outbound, inst.topology, chunk=chunk)
 
 
@@ -88,3 +91,60 @@ def test_brute_force_bytes_are_pinned():
             digest.update(str(options.dtype).encode())
             digest.update(options.tobytes())
     assert digest.hexdigest() == BRUTE_FORCE_SHA256
+
+
+def exempting_instances():
+    """Priced instances with exempt slots (m = 1, 1 and 3 at T = 20, 24
+    and 60), one with two types and one with two users, each with the
+    valid options of a few busy slots and the last one: (instance, slots,
+    types), every other block keeping only option 0."""
+    return [(make_tiny(1, n_slots=20, demand_scale=4.0), [3, 15, 19], 2),
+            (make_tiny(7, n_users=2, n_slots=24, n_types=1, demand_scale=4.0), [10, 15, 23], 1),
+            (make_tiny(2, n_slots=60, n_types=3, demand_scale=4.0), [7, 9, 19, 23, 40, 59], 1)]
+
+
+def reduced_valid_counts(inst, slots, types):
+    full = flat_valid_counts(inst, build_option_table(inst.topology)).reshape(inst.dims)
+    counts = np.ones(inst.dims, dtype=np.int64)
+    counts[slots, :, :types] = full[slots, :, :types]
+    return counts.reshape(-1)
+
+
+def odometer_search(inst, n_valid_flat):
+    """Every combination in odometer order, each priced alone by
+    ``evaluate_hard``; the earliest cheapest wins."""
+    table = build_option_table(inst.topology)
+    best_cost, best = np.inf, None
+    for combo in itertools.product(*(range(int(c)) for c in n_valid_flat)):
+        cost = evaluate_hard(inst, table, np.array(combo).reshape(inst.dims))[0]
+        if cost < best_cost:
+            best_cost, best = cost, np.array(combo)
+    return best_cost, best
+
+
+def test_exempting_search_matches_odometer_enumeration():
+    for inst, slots, types in exempting_instances():
+        counts = reduced_valid_counts(inst, slots, types)
+        ref_cost, ref_best = odometer_search(inst, counts)
+        assert 0.0 < ref_cost < np.inf and ref_best.any()
+        for chunk in (7, 512, 4096):
+            cost, best = search(inst, chunk, counts)
+            assert cost == ref_cost
+            assert np.array_equal(best, ref_best)
+
+
+# sha256 over brute_force_search's cost repr and option dtype and bytes,
+# at chunks 7, 512 and 4096, on every exempting instance in order
+EXEMPTING_BRUTE_FORCE_SHA256 = "c85ae15e38b56f29306b74917bdcf2225989212aaed18b110e2f4f3043c55d99"
+
+
+def test_exempting_brute_force_bytes_are_pinned():
+    digest = hashlib.sha256()
+    for inst, slots, types in exempting_instances():
+        counts = reduced_valid_counts(inst, slots, types)
+        for chunk in (7, 512, 4096):
+            cost, options = search(inst, chunk, counts)
+            digest.update(repr(cost).encode())
+            digest.update(str(options.dtype).encode())
+            digest.update(options.tobytes())
+    assert digest.hexdigest() == EXEMPTING_BRUTE_FORCE_SHA256

@@ -2,28 +2,30 @@
 the adjoints of both.
 
 Every route that prices an allocation (the cost model, the soft loss and
-its gradient, the samplers, exhaustive search and the MILP objective)
-goes through ``price_flows``.  It bills the edge links and the ISP links
-with one routine, so the percentile rule, the overage cost and the cap
-checks are written once, and returns a ``FlowSummary`` of one
-``LinkTier`` record per tier, whose fields every reader (feasibility,
-penalty, subgradient, feasibility report) reads by name.  One sort per
-link and direction gives both the billed level z and the link's largest
-slot flow, its peak: a link keeps its physical cap in every slot exactly
-when its peak does, so feasibility reads the peak and z, and each tier's
-per-slot cap overshoot arrays are built only when the penalty, the
-subgradient or a feasibility report first reads them.  The soft loss's
-subgradient of that rule, ``price_flows_grad``, is likewise one loop
-over both tiers, and ``soft_edge_flows_grad`` carries it back to the
-relaxed allocation.
+its gradient, the samplers and the MILP objective) goes through
+``price_flows``, and exhaustive search through the same billing code.
+``_bill_links`` bills a tier of links, the edge links or the ISP links,
+from each direction's billed level and peak, so the inbound tie rule,
+the overage cost and the cap checks are written once, and
+``_summary`` returns a ``FlowSummary`` of one ``LinkTier`` record per
+tier and the total cost; every reader (feasibility, penalty,
+subgradient, feasibility report) reads the records by name.
+``price_flows`` takes the billed level z and the link's largest slot
+flow, its peak, from one sort per link and direction: a link keeps its
+physical cap in every slot exactly when its peak does, so feasibility
+reads the peak and z, and each tier's per-slot cap overshoot arrays are
+built only when the penalty, the subgradient or a feasibility report
+first reads them.  The soft loss's subgradient of that rule,
+``price_flows_grad``, is likewise one loop over both tiers, and
+``soft_edge_flows_grad`` carries it back to the relaxed allocation.
 Hard and soft flows and pricing take leading batch axes, which lets
-exhaustive search price a chunk of combinations in one call and
 training price an instance's metric draws in one call.  A stack's
 totals equal the totals of its allocations priced one at a time, bit
-for bit.  Exhaustive search gathers a chunk's flows from per-slot
-flows: a slot's flows depend only on that slot's options, so one
-hard-flow call per chunk covers the few slot combinations that the
-chunk's combinations share.
+for bit.  Exhaustive search builds no per-combination flows: it splits
+the slots in two parts, keeps each part's k = m + 1 largest slot flows
+per link and direction, and merges a combination's two parts into its
+billed levels and peaks (``_merged_billed_and_peak``), which equal those
+of the sort.
 
 Array conventions match the rest of the package: demand tensors are
 ``[type, user, slot]``, per-slot link flows are ``[user, link, slot]``
@@ -55,6 +57,31 @@ def _billed_and_peak(flows):
     return ordered[..., t - 1 - percentile_exempt_count(t)], ordered[..., -1]
 
 
+def _top_slots(flows, k):
+    """The k largest values along the last (slot) axis, largest first, as
+    (k, ...), -inf past the axis's length; [0] is the peak."""
+    top = np.full((k, *flows.shape[:-1]), -np.inf)
+    n = min(k, flows.shape[-1])
+    top[:n] = np.moveaxis(np.sort(flows, axis=-1)[..., ::-1][..., :n], -1, 0)
+    return top
+
+
+def _merged_billed_and_peak(a, b):
+    """``_billed_and_peak`` of slots split into two parts, from each part's
+    ``_top_slots`` with k = m + 1 of all the slots (broadcast against each
+    other).  With a_i the i-th largest of a (1-based, a_0 = +inf) and b_j
+    likewise, the k-th largest of the union is the largest min(a_i,
+    b_(k-i)) over i = 0..k, and the peak is the larger peak.  Both are
+    values of the union, those its sort gives, so equal to them bit for
+    bit (NaN aside, and the sign of a zero)."""
+    k = a.shape[0]
+    peak = np.maximum(a[0], b[0])
+    level = peak if k == 1 else np.maximum(a[k - 1], b[k - 1])  # i = k and i = 0
+    for i in range(1, k):
+        level = np.maximum(level, np.minimum(a[i - 1], b[k - 1 - i]))
+    return level, peak
+
+
 def billed_level(flows):
     """(m+1)-th largest value along the last (slot) axis, m exempt slots."""
     return _billed_and_peak(flows)[0]
@@ -80,7 +107,9 @@ class LinkTier:
     axis after the links, and they, z, inbound and the peak flows keep
     any leading batch axes of the edge flows.  inbound is True where the
     inbound billed level sets z (ties inbound); peak_in and peak_out are
-    each link's largest slot flow, views of the sorts that billed it.
+    each link's largest slot flow.  Only ``overshoot`` reads the per-slot
+    flows, and exhaustive search, which never reads it, bills from order
+    statistics and leaves them None.
     """
 
     flow_in: np.ndarray
@@ -148,13 +177,26 @@ class FlowSummary:
                                    for o in (e_in, e_out, l_in, l_out, e_z, l_z)))
 
 
-def _bill_links(flow_in, flow_out, rate, cap_basic, cap_billable, cap_phys):
-    """Percentile billing of one tier of links, flows (..., L, T), from
-    one sort per direction."""
-    (z_in, peak_in), (z_out, peak_out) = _billed_and_peak(flow_in), _billed_and_peak(flow_out)
+def _bill_links(billed_in, billed_out, flow_in, flow_out, rate, cap_basic, cap_billable, cap_phys):
+    """Percentile billing of one tier of links (..., L) from each
+    direction's (billed level, peak)."""
+    (z_in, peak_in), (z_out, peak_out) = billed_in, billed_out
     inbound = z_in >= z_out
     return LinkTier(flow_in, flow_out, np.where(inbound, z_in, z_out), inbound, peak_in, peak_out,
                     rate, cap_basic, cap_billable, cap_phys)
+
+
+def _summary(topology, edge_in, edge_out, isp_in, isp_out, flows=(None,) * 4):
+    """Both tiers billed, and the total cost, from each tier and
+    direction's (billed level, peak).  flows are the per-slot (edge in,
+    edge out, ISP in, ISP out) flows that only ``LinkTier.overshoot``
+    reads; exhaustive search builds none, so its records hold None."""
+    edge = _bill_links(edge_in, edge_out, *flows[:2], topology.edge_rate, topology.edge_cap_basic,
+                       topology.edge_cap_billable, topology.edge_cap_phys)
+    isp = _bill_links(isp_in, isp_out, *flows[2:], topology.isp_rate, topology.isp_cap_basic,
+                      topology.isp_cap_billable, topology.isp_cap_phys)
+    return FlowSummary(edge=edge, isp=isp, cost_total=_per_allocation(
+        edge.cost.sum(axis=(-2, -1)) + isp.cost.sum(axis=-1)))
 
 
 def price_flows(topology, edge_in, edge_out):
@@ -163,14 +205,11 @@ def price_flows(topology, edge_in, edge_out):
     A link's billable bandwidth z is the larger of its inbound and
     outbound (m+1)-th largest slot flows, its cost is rate times the
     overage of z over the basic cap, and ISP flows are sums over users.
-    Edge and ISP links are billed by the same routine.
+    Edge and ISP links are billed by the same routine, from one sort per
+    link and direction.
     """
-    edge = _bill_links(edge_in, edge_out, topology.edge_rate, topology.edge_cap_basic,
-                       topology.edge_cap_billable, topology.edge_cap_phys)
-    isp = _bill_links(edge_in.sum(axis=-3), edge_out.sum(axis=-3), topology.isp_rate,
-                      topology.isp_cap_basic, topology.isp_cap_billable, topology.isp_cap_phys)
-    return FlowSummary(edge=edge, isp=isp, cost_total=_per_allocation(
-        edge.cost.sum(axis=(-2, -1)) + isp.cost.sum(axis=-1)))
+    flows = (edge_in, edge_out, edge_in.sum(axis=-3), edge_out.sum(axis=-3))
+    return _summary(topology, *map(_billed_and_peak, flows), flows)
 
 
 def price_flows_grad(flows, lam_g):
@@ -265,13 +304,13 @@ def soft_edge_flows_grad(g_in, g_out, weights, d_in, d_out):
 
 
 def _digits_for(combo_ids, radices):
-    # mixed-radix decode along radices' last axis, last digit fastest
-    # (odometer order); radices[..., 0] broadcasts against combo_ids
-    digits = np.empty((*combo_ids.shape, radices.shape[-1]), dtype=np.int64)
+    # mixed-radix decode, (ids,) -> (ids, radices.size), last digit
+    # fastest (odometer order)
+    digits = np.empty((combo_ids.size, radices.size), dtype=np.int64)
     rem = combo_ids.copy()
-    for b in range(radices.shape[-1] - 1, -1, -1):
-        digits[..., b] = rem % radices[..., b]
-        rem //= radices[..., b]
+    for b in range(radices.size - 1, -1, -1):
+        digits[:, b] = rem % radices[b]
+        rem //= radices[b]
     return digits
 
 
@@ -284,50 +323,54 @@ def brute_force_search(n_valid_flat, weights, d_in, d_out, topology, chunk=4096)
     odometer order (last slot fastest), cost ties resolved toward the
     earlier combination.
 
-    A slot's flows depend only on that slot's N*K options, its slot
-    combination.  Slot t has C_t of them, the product of its valid
-    counts, and it advances every place_t combinations, the product of the
-    later slots' C.  So the chunk [start, stop) visits in slot t a
-    cyclic run of min(C_t, (stop-1)//place_t - start//place_t + 1)
-    consecutive slot combinations.  Each chunk prices the flows of only
-    those runs, in one ``hard_edge_flows`` call, and gathers every
-    combination's flows from them.  A flow is the same sum over types
-    either way, so the costs are bit-equal to pricing each combination's
-    own flows, and memory stays bounded by the chunk.
+    Each combination splits at one slot boundary into a suffix, its
+    options in the longest run of trailing slots that has at most chunk
+    combinations (possibly no slot), and a prefix, its options in the
+    slots before.  A part's flows depend only on its own options, so each
+    suffix's flows are priced once per search, and each prefix's once per
+    batch of chunk // (suffix count) prefixes (at least one), into their
+    k = m + 1 largest slot flows per link and direction.  A combination's
+    billed levels and peaks merge its two parts' (``_merged_billed_and_peak``)
+    with no per-combination flows or sort; they equal the sort of its own
+    flows bit for bit, so its cost does too, and memory stays bounded by
+    the chunk.
     """
     K, N = weights.shape[:2]
     T = d_in.shape[2]
     radices = n_valid_flat.reshape(T, N * K)
     counts = [math.prod(int(c) for c in row) for row in radices]
-    total = math.prod(counts)
-    count = np.array(counts, dtype=np.int64)
-    place = np.array([math.prod(counts[t + 1:]) for t in range(T)], dtype=np.int64)
-    slots = np.arange(T)
+    split = T
+    while split > 0 and math.prod(counts[split - 1:]) <= chunk:
+        split -= 1
+    n_prefix, n_suffix = math.prod(counts[:split]), math.prod(counts[split:])
+    k = percentile_exempt_count(T) + 1
 
+    def part(ids, lo, hi):
+        # the options of slots [lo, hi) of each part id, and the k largest
+        # (edge in, edge out, ISP in, ISP out) flows there
+        digits = _digits_for(ids, radices[lo:hi].reshape(-1))
+        edge_in, edge_out = hard_edge_flows(digits.reshape(ids.size, hi - lo, N, K), weights,
+                                            d_in[..., lo:hi], d_out[..., lo:hi])
+        flows = (edge_in, edge_out, edge_in.sum(axis=-3), edge_out.sum(axis=-3))
+        return digits, [_top_slots(f, k) for f in flows]
+
+    suffixes, suffix_top = part(np.arange(n_suffix, dtype=np.int64), split, T)
+    per_batch = max(1, chunk // n_suffix)
     best_cost = np.inf
     best = np.zeros(n_valid_flat.shape[0], dtype=np.int64)
 
-    for start in range(0, total, chunk):
-        stop = min(start + chunk, total)
-        first = start // place
-        run = np.minimum(count, (stop - 1) // place - first + 1)
-        # row r holds slot combination (first + r) mod C_t of every slot t
-        options = _digits_for((first + np.arange(run.max())[:, None]) % count, radices)
-        run_in, run_out = hard_edge_flows(options.reshape(-1, T, N, K), weights, d_in, d_out)
-        # each combination's row in every slot's run, (T, ids); slot-major,
-        # so every integer op runs along the chunk
-        ids = np.arange(start, stop, dtype=np.int64)
-        rows = (ids // place[:, None] - first[:, None]) % count[:, None]
-        # flat positions in the run flows, (ids, N*EL, T)
-        step = run_in[0].size
-        flat = (rows * step + slots[:, None]).T[:, None, :] + np.arange(0, step, T)[:, None]
-        shape = (ids.size, *run_in.shape[1:])
-        flows = price_flows(topology, np.take(run_in, flat).reshape(shape),
-                            np.take(run_out, flat).reshape(shape))
+    for start in range(0, n_prefix, per_batch):
+        prefixes, prefix_top = part(
+            np.arange(start, min(start + per_batch, n_prefix), dtype=np.int64), 0, split)
+        # (prefixes, suffixes, ...) flattened: combinations in odometer order
+        billed = [[x.reshape(-1, *x.shape[2:])
+                   for x in _merged_billed_and_peak(a[:, :, None], b[:, None])]
+                  for a, b in zip(prefix_top, suffix_top)]
+        flows = _summary(topology, *billed)
         cost = np.where(flows.feasible, flows.cost_total, np.inf)
         j = int(np.argmin(cost))
         if cost[j] < best_cost:  # strict: keeps the earliest minimizer
             best_cost = float(cost[j])
-            best = options[rows[:, j], slots].reshape(-1)
+            best = np.concatenate([prefixes[j // n_suffix], suffixes[j % n_suffix]])
 
     return best_cost, best

@@ -3,8 +3,10 @@ change the result."""
 
 import hashlib
 import itertools
+import tracemalloc
 
 import numpy as np
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import hopeless_instance, make_tiny
 from ecsched import _kernels
@@ -148,3 +150,53 @@ def test_exempting_brute_force_bytes_are_pinned():
             digest.update(str(options.dtype).encode())
             digest.update(options.tobytes())
     assert digest.hexdigest() == EXEMPTING_BRUTE_FORCE_SHA256
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(n_slots=st.integers(1, 60), cut=st.integers(0, 60), n_values=st.integers(1, 60),
+       seed=st.integers(0, 2 ** 16))
+@example(n_slots=60, cut=2, n_values=3, seed=1)  # a part shorter than k = 4
+def test_merged_order_statistics_equal_the_sort(n_slots, cut, n_values, seed):
+    rng = np.random.default_rng(seed)
+    # few distinct values, zero among them, give ties, and negative ones
+    # tell the -inf padding of a short part from a zero; flows (links, slots)
+    pool = np.concatenate([[0.0], rng.uniform(-50.0, 100.0, n_values - 1)])
+    flows = rng.choice(pool, size=(3, n_slots))
+    cut = min(cut, n_slots)
+    k = _kernels.percentile_exempt_count(n_slots) + 1
+    merged = _kernels._merged_billed_and_peak(_kernels._top_slots(flows[:, :cut], k),
+                                              _kernels._top_slots(flows[:, cut:], k))
+    for got, want in zip(merged, _kernels._billed_and_peak(flows)):
+        assert got.tobytes() == want.tobytes()
+
+
+def test_search_runs_with_an_empty_part(monkeypatch):
+    """The pinned one-slot instance has 343 combinations, all in its one
+    slot: at chunk 7 the suffix holds no slot and each batch is 7
+    prefixes, and at chunk 4096 the prefix holds none."""
+    inst = pinned_instances()[3]
+    parts = []
+    hard_edge_flows = _kernels.hard_edge_flows
+
+    def spy(options, *args):
+        parts.append(options.shape[:2])  # (part combinations, part slots)
+        return hard_edge_flows(options, *args)
+
+    monkeypatch.setattr(_kernels, "hard_edge_flows", spy)
+    small, large = search(inst, 7), search(inst, 4096)
+    assert parts == [(1, 0)] + [(7, 1)] * 49 + [(343, 1), (1, 0)]
+    assert 0.0 < small[0] == large[0] < np.inf
+    assert np.array_equal(small[1], large[1])
+
+
+def test_search_memory_stays_small_at_the_default_chunk():
+    # 9**6 = 531,441 combinations; 1.08-1.17 MB measured on seeds 1-4
+    inst = make_tiny(1, n_slots=6, demand_scale=8.0)
+    assert np.prod(flat_valid_counts(inst, build_option_table(inst.topology))) == 531441
+    tracemalloc.start()
+    try:
+        assert search(inst, 4096)[0] < np.inf
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2 ** 20

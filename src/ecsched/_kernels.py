@@ -82,11 +82,6 @@ def _merged_billed_and_peak(a, b):
     return level, peak
 
 
-def billed_level(flows):
-    """(m+1)-th largest value along the last (slot) axis, m exempt slots."""
-    return _billed_and_peak(flows)[0]
-
-
 def descending_slots(flows):
     """Slot indices by descending flow along the last axis, ties to the
     lowest slot: ``[..., :m]`` are the exempt slots, ``[..., m]`` the

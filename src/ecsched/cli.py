@@ -112,6 +112,10 @@ def cmd_gen(args):
     config = _replaced(_config_overrides(args.config, GenConfig()), "command line",
                        **{name: getattr(args, flag) for flag, name in flags.items()
                           if getattr(args, flag) is not None})
+    last = config.seed + args.count - 1
+    if last >= 2 ** 63:
+        raise FormatError(f"seeds {config.seed} to {last} run past 2**63 - 1, "
+                          f"the largest seed an instance file holds")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     rows = []
@@ -238,9 +242,9 @@ def cmd_export_milp(args):
     if args.warmstart:
         # read and checked first, so a bad scheme leaves no LP file behind
         scheme, _, _ = io.read_scheme(args.warmstart)
-        _check_scheme(scheme, instance, model.meta["table"])
+        _check_scheme(scheme, instance, model.table)
     milp.write_lp(model, args.out)
-    print(f"{len(model.variables)} variables ({model.n_binaries()} binary), "
+    print(f"{len(model.variables)} variables ({int(model.binary.sum())} binary), "
           f"{len(model.constraints)} rows; LP written to {args.out}")
     if args.warmstart:
         start_path = args.warmstart_out or str(Path(args.out).with_suffix(".mst"))
@@ -261,7 +265,9 @@ def cmd_import_solution(args):
 
 
 def _bench_rows(best_of, instances, n_samples, label, rng_for):
-    """One row per instance; rng_for(idx) seeds instance idx's draws."""
+    """One row per instance; rng_for(idx) seeds instance idx's draws.
+    best_cost is a float, or None when no draw is feasible (an empty CSV
+    field), and n_feasible an int."""
     rows = []
     for idx, instance in enumerate(instances):
         rng = rng_for(idx)
@@ -274,17 +280,17 @@ def _bench_rows(best_of, instances, n_samples, label, rng_for):
             "policy": label,
             "n_samples": n_samples,
             "n_feasible": n_feasible,
-            "best_cost": "" if best is None else repr(best[1]),
+            "best_cost": None if best is None else best[1],
             "wall_time_s": f"{elapsed:.6f}",
         })
     return rows
 
 
 def _aggregate(rows, n_samples):
-    costs = [float(r["best_cost"]) for r in rows if r["best_cost"] != ""]
-    total = sum(int(r["n_feasible"]) for r in rows)
+    costs = [r["best_cost"] for r in rows if r["best_cost"] is not None]
+    total = sum(r["n_feasible"] for r in rows)
     ssfr = total / (n_samples * len(rows))
-    pfr = sum(1 for r in rows if int(r["n_feasible"]) > 0) / len(rows)
+    pfr = sum(1 for r in rows if r["n_feasible"] > 0) / len(rows)
     mean = float(np.mean(costs)) if costs else float("nan")
     std = float(np.std(costs)) if costs else float("nan")
     return mean, std, ssfr, pfr

@@ -108,6 +108,10 @@ def _optional_scalar(doc, key, where, integer=False):
 
 
 def write_instance(instance, path):
+    """Write an instance file; ValueError, before anything is written, for
+    a seed outside int64, which ``read_instance`` would refuse."""
+    if instance.seed is not None and not -2 ** 63 <= instance.seed < 2 ** 63:
+        raise ValueError(f"instance seed {instance.seed} is outside the int64 range")
     topo = instance.topology
     k, n, el = topo.admissible.shape
     arrays = {f.name: getattr(topo, f.name).tolist()

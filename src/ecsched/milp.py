@@ -30,8 +30,8 @@ import numpy as np
 
 from . import _kernels
 from .io import FormatError, read_text, write_text
-from .model import (AllocationScheme, build_option_table, check_scheme, evaluate_hard,
-                    percentile_exempt_count)
+from .model import (AllocationScheme, Instance, OptionTable, build_option_table, compute_flows,
+                    evaluate_hard, percentile_exempt_count)
 
 @dataclass
 class MilpModel:
@@ -46,7 +46,9 @@ class MilpModel:
     ``cols[indptr[r]:indptr[r + 1]]`` with ``coeffs`` in written order,
     ``sense[r]`` is "<=", ">=" or "=", ``rhs[r]`` its bound and
     ``constraints[r]`` its name.  ``objective`` lists (column,
-    coefficient) pairs.
+    coefficient) pairs.  ``instance`` and ``table`` are the instance and
+    option table the model was built from, and ``exempt`` is m, the
+    exempt slots per link and direction.
     """
 
     variables: list
@@ -59,11 +61,9 @@ class MilpModel:
     sense: np.ndarray
     rhs: np.ndarray
     objective: list
-    index: dict
-    meta: dict
-
-    def n_binaries(self):
-        return int(self.binary.sum())
+    instance: Instance
+    table: OptionTable
+    exempt: int
 
 
 def linearize(instance, table=None):
@@ -161,14 +161,12 @@ def linearize(instance, table=None):
     objective = list(zip(w_e.ravel().tolist(), topo.edge_rate.ravel().tolist()))
     objective += list(zip(w_l.tolist(), topo.isp_rate.tolist()))
 
-    meta = {"instance": instance, "table": table, "dims": (t_n, n_n, k_n), "exempt": m}
     return MilpModel(variables=variables, binary=np.array(binary, dtype=bool), blocks=blocks,
                      constraints=names,
                      indptr=np.concatenate([[0], np.cumsum(np.concatenate(counts))]),
                      cols=np.concatenate(cols), coeffs=np.concatenate(coeffs),
                      sense=np.concatenate(senses), rhs=np.concatenate(bounds),
-                     objective=objective,
-                     index={name: col for col, name in enumerate(variables)}, meta=meta)
+                     objective=objective, instance=instance, table=table, exempt=m)
 
 
 # ---------------------------------------------------------------------------
@@ -200,12 +198,12 @@ def _wrap(prefix, tokens):
 
 def write_lp(model, path):
     """CPLEX-style LP text; byte-stable for a given model."""
-    t_n, n_n, k_n = model.meta["dims"]
+    t_n, n_n, k_n = model.instance.dims
     names = model.variables
     lines = [
         "\\ percentile billing schedule",
-        f"\\ instance: {model.meta['instance'].instance_id}",
-        f"\\ dims: T={t_n} N={n_n} K={k_n} exempt={model.meta['exempt']}",
+        f"\\ instance: {model.instance.instance_id}",
+        f"\\ dims: T={t_n} N={n_n} K={k_n} exempt={model.exempt}",
         "Minimize",
     ]
     lines += _wrap(" obj: ", _term_tokens(names, model.objective))
@@ -237,19 +235,16 @@ def write_warmstart(model, scheme, path):
     link and direction's m largest flow slots (lowest slot on ties),
     which is the optimal exemption pattern for that scheme.
     """
-    instance, table = model.meta["instance"], model.meta["table"]
-    option = scheme.option
-    # checked before the lam lookup: a padded -1 entry would index the last column
-    check_scheme(instance, option, table)
-    edge = np.stack(_kernels.hard_edge_flows(option, table.weights, instance.demands.inbound,
-                                             instance.demands.outbound))  # (2, N, EL, T)
-    m = model.meta["exempt"]
+    # pricing checks the scheme before the lam lookup: a padded -1 entry
+    # would index the last column
+    flows = compute_flows(model.instance, scheme, model.table)
     x = np.zeros(len(model.variables), dtype=np.int64)
-    x[np.take_along_axis(model.blocks["lam"], option[..., None], axis=-1)] = 1
-    x[model.blocks["u_e"][_exempt_mask(edge, m)]] = 1
-    x[model.blocks["u_l"][_exempt_mask(edge.sum(axis=1), m)]] = 1
+    x[np.take_along_axis(model.blocks["lam"], scheme.option[..., None], axis=-1)] = 1
+    for block, tier in (("u_e", flows.edge), ("u_l", flows.isp)):
+        x[model.blocks[block][_exempt_mask(np.stack([tier.flow_in, tier.flow_out]),
+                                           model.exempt)]] = 1
     binaries = np.flatnonzero(model.binary).tolist()
-    lines = [f"# warm start for instance {instance.instance_id}"]
+    lines = [f"# warm start for instance {model.instance.instance_id}"]
     lines += [f"{model.variables[c]} {v}" for c, v in zip(binaries, x[binaries].tolist())]
     write_text(path, "\n".join(lines) + "\n")
 
@@ -277,6 +272,7 @@ def read_solution(path, model):
     infeasible assignment is inf, whatever the file declares.
     """
     declared = None
+    index = {name: col for col, name in enumerate(model.variables)}
     values = np.zeros(len(model.variables))
     for line_no, raw in enumerate(read_text(path, "solution text").split("\n"), start=1):
         line = raw.strip()
@@ -295,9 +291,9 @@ def read_solution(path, model):
         if name.lower() == "objective":
             declared = _finite(text, f"{path}:{line_no}: bad objective value")
             continue
-        if name not in model.index:
+        if name not in index:
             raise FormatError(f"{path}:{line_no}: unknown variable '{name}'")
-        values[model.index[name]] = _finite(text, f"{path}:{line_no}: bad value for '{name}'")
+        values[index[name]] = _finite(text, f"{path}:{line_no}: bad value for '{name}'")
 
     lam = model.blocks["lam"]
     exists = lam >= 0
@@ -324,6 +320,5 @@ def read_solution(path, model):
 
 def objective_of(model, option):
     """Objective of an option array; infeasible assignments are inf."""
-    cost, _ = evaluate_hard(model.meta["instance"], model.meta["table"],
-                            np.asarray(option, dtype=np.int64))
+    cost, _ = evaluate_hard(model.instance, model.table, np.asarray(option, dtype=np.int64))
     return float(cost)

@@ -43,9 +43,9 @@ def solve_with_scipy(model):
 
 def _flows_from_options(model, option):
     """Per-slot flows implied by an option array, from the stored shares."""
-    t_n, n_n, k_n = model.meta["dims"]
-    w_tab = model.meta["table"].weights
-    demands = model.meta["instance"].demands
+    t_n, n_n, k_n = model.instance.dims
+    w_tab = model.table.weights
+    demands = model.instance.demands
     flows = {}
     for direction, dem in (("in", demands.inbound), ("out", demands.outbound)):
         kk = np.arange(k_n)[None, None, :]
@@ -63,9 +63,9 @@ def _exempt_slots(series, m):
 
 def _evaluate_options(model, option):
     """(objective, feasible) of an option array under exemption semantics."""
-    topo = model.meta["instance"].topology
+    topo = model.instance.topology
     el = topo.n_isps
-    m = model.meta["exempt"]
+    m = model.exempt
     flows = _flows_from_options(model, option)
     cost = 0.0
     z_edge = {}
@@ -109,8 +109,8 @@ def exhaustive_optimum(model, max_combinations=1_000_000):
     combination is feasible.  An independent route from the order-statistic
     evaluation: it uses only the model's stored coefficients.
     """
-    t_n, n_n, k_n = model.meta["dims"]
-    n_valid = model.meta["table"].n_valid
+    t_n, n_n, k_n = model.instance.dims
+    n_valid = model.table.n_valid
     radices = np.broadcast_to(n_valid.T[None], (t_n, n_n, k_n)).reshape(-1)
     total = 1
     for r in radices:
@@ -139,9 +139,10 @@ def complete_assignment(model, binaries):
     Flows come from the definitional rows, z is the smallest value the
     non-exempt slots allow, w the smallest value the overage rows allow.
     """
+    index = {name: col for col, name in enumerate(model.variables)}
     x = np.zeros(len(model.variables))
     for name, value in binaries.items():
-        x[model.index[name]] = value
+        x[index[name]] = value
     blocks = model.blocks
     lam = blocks["lam"]
     chosen = (lam >= 0) & (x[lam] > 0.5)
@@ -153,7 +154,7 @@ def complete_assignment(model, binaries):
     edge = np.stack([flows["in"], flows["out"]])  # (2, N, EL, T)
     x[blocks["f_e"]] = edge
     x[blocks["x_l"]] = edge.sum(axis=1)
-    topo = model.meta["instance"].topology
+    topo = model.instance.topology
     for u, level, overage, flow, basic in (
             ("u_e", "z_e", "w_e", edge, topo.edge_cap_basic),
             ("u_l", "z_l", "w_l", x[blocks["x_l"]], topo.isp_cap_basic)):

@@ -192,9 +192,9 @@ def test_criterion_09_conservation_and_percentile():
                 rel = np.abs(flows.sum(axis=1) - totals) / totals
                 worst_rel = max(worst_rel, float(rel.max()))
             series = fl.edge.flow_in[0, int(rng.integers(fl.edge.flow_in.shape[1]))].copy()
-            before = _kernels.billed_level(series)
+            before = _kernels._billed_and_peak(series)[0]
             series[int(np.argmax(series))] += float(rng.uniform(1.0, 50.0))
-            assert _kernels.billed_level(series) == before
+            assert _kernels._billed_and_peak(series)[0] == before
             pairs += 1
     report(9, worst_rel <= 1e-9 and pairs == 1000,
            f"{pairs} pairs conserve flow (worst rel {worst_rel:.1e} <=1e-9); "

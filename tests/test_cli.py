@@ -67,6 +67,25 @@ def test_gen_config_json_overrides(tmp_path, capsys):
     assert inst.dims == (4, 2, 2)
 
 
+def test_gen_refuses_seeds_past_int64(tmp_path, capsys):
+    # an instance file's seed lies in int64, so a run's last seed may be
+    # 2**63 - 1 and no more, and a refused run writes nothing
+    out = tmp_path / "insts"
+    size = ("--users", "1", "--slots", "3", "--types", "1", "--isps", "2")
+    code, _, err = run(capsys, "gen", "--seed", str(2 ** 63 - 1), "--count", "2", *size,
+                       "--out", str(out))
+    assert code == 3
+    assert "2**63 - 1" in err
+    assert not out.exists()
+    code, _, _ = run(capsys, "gen", "--seed", str(2 ** 63 - 2), "--count", "2", *size,
+                     "--out", str(out))
+    assert code == 0
+    assert io.read_instance(out / f"inst-{2 ** 63 - 1}.json").seed == 2 ** 63 - 1
+    code, _, _ = run(capsys, "bench", "--instances", str(out), "--policy", "rsn",
+                     "--samples", "2")
+    assert code == 0
+
+
 def test_unknown_config_key_is_exit_3(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"n_userz": 2}))

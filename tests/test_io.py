@@ -3,6 +3,7 @@
 import hashlib
 import json
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -144,6 +145,18 @@ def test_non_finite_numbers_are_never_written(tmp_path, cost):
     with pytest.raises(ValueError, match="JSON compliant"):
         write_scheme(scheme, path, cost=cost)
     assert not path.exists()
+
+
+@pytest.mark.parametrize("seed", [2 ** 63, -2 ** 63 - 1])
+def test_seed_outside_int64_is_never_written(tmp_path, seed):
+    path = tmp_path / "inst.json"
+    with pytest.raises(ValueError, match="int64"):
+        write_instance(replace(make_tiny(4), seed=seed), path)
+    assert not path.exists()
+    # the int64 ends themselves round trip
+    for edge in (2 ** 63 - 1, -2 ** 63):
+        write_instance(replace(make_tiny(4), seed=edge), path)
+        assert read_instance(path).seed == edge
 
 
 def test_missing_field_is_named(tmp_path):

@@ -39,7 +39,7 @@ def test_exemption_budget_rows():
     cfg = GenConfig(n_users=1, n_slots=48, n_types=1, n_isps=2)
     inst = generate_instance(cfg, seed=3)
     model = linearize(inst)
-    assert model.meta["exempt"] == 2
+    assert model.exempt == 2
     budgets = [r for r, name in enumerate(model.constraints) if name.startswith("bud_")]
     # one row per link and direction, edge plus aggregated
     assert len(budgets) == 2 * (1 * 2 + 2)
@@ -59,7 +59,7 @@ def test_binary_count():
     el = inst.topology.n_isps
     lam = int(table.n_valid.sum()) * t
     exemptions = 2 * (n * el + el) * t
-    assert model.n_binaries() == lam + exemptions
+    assert int(model.binary.sum()) == lam + exemptions
     names = set(model.variables)
     assert len(names) == len(model.variables)
 
@@ -88,7 +88,7 @@ def test_no_exemptions_never_beats_greedy():
     inst = make_tiny(4, n_slots=20, demand_scale=8.0)
     table = build_option_table(inst.topology)
     model = linearize(inst, table)
-    assert model.meta["exempt"] == 1
+    assert model.exempt == 1
     from ecsched.model import check_feasibility
     rng = np.random.default_rng(0)
     scheme = rsn_scheme(inst, rng, table)
@@ -138,7 +138,7 @@ def test_ragged_export_bytes_are_pinned(tmp_path):
     table = build_option_table(inst.topology)
     model = linearize(inst, table)
     assert table.n_valid.tolist() == [[3, 3], [1, 1]]
-    assert model.meta["exempt"] == 1
+    assert model.exempt == 1
     scheme = rsn_scheme(inst, np.random.default_rng(0), table)
     write_lp(model, tmp_path / "model.lp")
     write_warmstart(model, scheme, tmp_path / "warm.mst")
@@ -165,7 +165,7 @@ def test_lp_text_reparses(tmp_path):
 
     binaries_block = text[text.index("Binaries"):text.index("End")]
     listed = binaries_block.split()[1:]
-    assert len(listed) == model.n_binaries()
+    assert len(listed) == int(model.binary.sum())
     assert text.endswith("End\n")
 
 

@@ -75,3 +75,29 @@ def test_every_third_party_test_import_is_a_declared_dependency():
     undeclared = {module: distributions.get(module) for module in third_party
                   if not {normalized(d) for d in distributions.get(module, [])} & declared}
     assert undeclared == {}
+
+
+def test_every_package_function_has_a_caller_in_the_package():
+    # code only the tests call belongs in tests/: every module-level
+    # function or class, and every non-dunder method, defined in the
+    # package is named somewhere in it, as a Name, an Attribute or an
+    # import alias (which covers every __all__ export)
+    defined, referenced = set(), set()
+    for path in sorted((ROOT / "src" / "ecsched").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add((path.name, node.name))
+            if isinstance(node, ast.ClassDef):
+                defined |= {(path.name, f"{node.name}.{item.name}") for item in node.body
+                            if isinstance(item, ast.FunctionDef)
+                            and not (item.name.startswith("__") and item.name.endswith("__"))}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.alias):
+                referenced.add(node.name)
+    assert sorted(f"{module}:{name}" for module, name in defined
+                  if name.rpartition(".")[2] not in referenced) == []

@@ -10,22 +10,23 @@ the overage cost and the cap checks are written once, and
 ``_summary`` returns a ``FlowSummary`` of one ``LinkTier`` record per
 tier and the total cost; every reader (feasibility, penalty,
 subgradient, feasibility report) reads the records by name.
-``price_flows`` takes the billed level z and the link's largest slot
-flow, its peak, from one sort per link and direction: a link keeps its
-physical cap in every slot exactly when its peak does, so feasibility
-reads the peak and z, and each tier's per-slot cap overshoot arrays are
-built only when the penalty, the subgradient or a feasibility report
-first reads them.  The soft loss's subgradient of that rule,
-``price_flows_grad``, is likewise one loop over both tiers, and
-``soft_edge_flows_grad`` carries it back to the relaxed allocation.
+One order statistic, ``_top_slots``, the k = m + 1 largest slot flows
+of a link and direction from one sort, gives every billed level z
+(its [..., m]) and every peak, the largest slot flow (its [..., 0]):
+a link keeps its physical cap in every slot exactly when its peak
+does, so feasibility reads the peak and z, and each tier's per-slot cap
+overshoot arrays are built only when the penalty, the subgradient or a
+feasibility report first reads them.  The soft loss's subgradient of
+that rule, ``price_flows_grad``, is likewise one loop over both tiers,
+and ``soft_edge_flows_grad`` carries it back to the relaxed allocation.
 Hard and soft flows and pricing take leading batch axes, which lets
 training price an instance's metric draws in one call.  A stack's
 totals equal the totals of its allocations priced one at a time, bit
 for bit.  Exhaustive search builds no per-combination flows: it splits
-the slots in two parts, keeps each part's k = m + 1 largest slot flows
-per link and direction, and merges a combination's two parts into its
-billed levels and peaks (``_merged_billed_and_peak``), which equal those
-of the sort.
+the slots in two parts, keeps each part's ``_top_slots`` with k of all
+the slots, and merges a combination's two parts into its billed levels
+and peaks (``_merged_level_and_peak``), which equal those
+``price_flows`` reads from the statistic of the whole.
 
 Array conventions match the rest of the package: demand tensors are
 ``[type, user, slot]``, per-slot link flows are ``[user, link, slot]``
@@ -49,36 +50,31 @@ def percentile_exempt_count(n_slots):
     return int(0.05 * n_slots)
 
 
-def _billed_and_peak(flows):
-    """The billed level and the largest value along the last (slot) axis,
-    both from one sort.  NaN sorts last, so a NaN slot makes the peak NaN."""
-    t = flows.shape[-1]
-    ordered = np.sort(flows, axis=-1)
-    return ordered[..., t - 1 - percentile_exempt_count(t)], ordered[..., -1]
-
-
 def _top_slots(flows, k):
-    """The k largest values along the last (slot) axis, largest first, as
-    (k, ...), -inf past the axis's length; [0] is the peak."""
-    top = np.full((k, *flows.shape[:-1]), -np.inf)
-    n = min(k, flows.shape[-1])
-    top[:n] = np.moveaxis(np.sort(flows, axis=-1)[..., ::-1][..., :n], -1, 0)
-    return top
+    """The k largest values along the last (slot) axis, largest first, on
+    a trailing axis of length k: [..., 0] is the peak, and with k = m + 1
+    [..., m] is the billed level.  A basic-slice view of one sort; only a
+    series shorter than k is padded with -inf, into a copy.  NaN sorts
+    last, so a NaN slot makes the peak NaN."""
+    top = np.sort(flows, axis=-1)[..., :-k - 1:-1]
+    short = k - top.shape[-1]
+    return top if short == 0 else np.concatenate(
+        [top, np.full((*top.shape[:-1], short), -np.inf)], axis=-1)
 
 
-def _merged_billed_and_peak(a, b):
-    """``_billed_and_peak`` of slots split into two parts, from each part's
-    ``_top_slots`` with k = m + 1 of all the slots (broadcast against each
-    other).  With a_i the i-th largest of a (1-based, a_0 = +inf) and b_j
-    likewise, the k-th largest of the union is the largest min(a_i,
-    b_(k-i)) over i = 0..k, and the peak is the larger peak.  Both are
-    values of the union, those its sort gives, so equal to them bit for
-    bit (NaN aside, and the sign of a zero)."""
-    k = a.shape[0]
-    peak = np.maximum(a[0], b[0])
-    level = peak if k == 1 else np.maximum(a[k - 1], b[k - 1])  # i = k and i = 0
+def _merged_level_and_peak(a, b):
+    """The billed level and the peak of slots split into two parts, from
+    each part's ``_top_slots`` with k = m + 1 of all the slots (broadcast
+    against each other).  With a_i the i-th largest of a (1-based, a_0 =
+    +inf) and b_j likewise, the k-th largest of the union is the largest
+    min(a_i, b_(k-i)) over i = 0..k, and the peak is the larger peak.
+    Both are values of the union, those its sort gives, so equal to them
+    bit for bit (NaN aside, and the sign of a zero)."""
+    k = a.shape[-1]
+    peak = np.maximum(a[..., 0], b[..., 0])
+    level = peak if k == 1 else np.maximum(a[..., k - 1], b[..., k - 1])  # i = k and i = 0
     for i in range(1, k):
-        level = np.maximum(level, np.minimum(a[i - 1], b[k - 1 - i]))
+        level = np.maximum(level, np.minimum(a[..., i - 1], b[..., k - 1 - i]))
     return level, peak
 
 
@@ -200,11 +196,13 @@ def price_flows(topology, edge_in, edge_out):
     A link's billable bandwidth z is the larger of its inbound and
     outbound (m+1)-th largest slot flows, its cost is rate times the
     overage of z over the basic cap, and ISP flows are sums over users.
-    Edge and ISP links are billed by the same routine, from one sort per
-    link and direction.
+    Edge and ISP links are billed by the same routine, from the k = m + 1
+    largest slot flows per link and direction (``_top_slots``).
     """
     flows = (edge_in, edge_out, edge_in.sum(axis=-3), edge_out.sum(axis=-3))
-    return _summary(topology, *map(_billed_and_peak, flows), flows)
+    k = percentile_exempt_count(edge_in.shape[-1]) + 1
+    tops = [_top_slots(f, k) for f in flows]
+    return _summary(topology, *((top[..., k - 1], top[..., 0]) for top in tops), flows)
 
 
 def price_flows_grad(flows, lam_g):
@@ -324,11 +322,11 @@ def brute_force_search(n_valid_flat, weights, d_in, d_out, topology, chunk=4096)
     slots before.  A part's flows depend only on its own options, so each
     suffix's flows are priced once per search, and each prefix's once per
     batch of chunk // (suffix count) prefixes (at least one), into their
-    k = m + 1 largest slot flows per link and direction.  A combination's
-    billed levels and peaks merge its two parts' (``_merged_billed_and_peak``)
-    with no per-combination flows or sort; they equal the sort of its own
-    flows bit for bit, so its cost does too, and memory stays bounded by
-    the chunk.
+    ``_top_slots`` per link and direction, k = m + 1.  A combination's
+    billed levels and peaks merge its two parts' (``_merged_level_and_peak``)
+    with no per-combination flows or sort; they equal those ``price_flows``
+    reads from its own flows bit for bit, so its cost does too, and memory
+    stays bounded by the chunk.
     """
     K, N = weights.shape[:2]
     T = d_in.shape[2]
@@ -359,7 +357,7 @@ def brute_force_search(n_valid_flat, weights, d_in, d_out, topology, chunk=4096)
             np.arange(start, min(start + per_batch, n_prefix), dtype=np.int64), 0, split)
         # (prefixes, suffixes, ...) flattened: combinations in odometer order
         billed = [[x.reshape(-1, *x.shape[2:])
-                   for x in _merged_billed_and_peak(a[:, :, None], b[:, None])]
+                   for x in _merged_level_and_peak(a[:, None], b[None])]
                   for a, b in zip(prefix_top, suffix_top)]
         flows = _summary(topology, *billed)
         cost = np.where(flows.feasible, flows.cost_total, np.inf)

@@ -31,7 +31,7 @@ import numpy as np
 from . import _kernels
 from .io import FormatError, read_text, write_text
 from .model import (AllocationScheme, Instance, OptionTable, build_option_table, compute_flows,
-                    evaluate_hard, percentile_exempt_count)
+                    percentile_exempt_count)
 
 @dataclass
 class MilpModel:
@@ -319,6 +319,8 @@ def read_solution(path, model):
 
 
 def objective_of(model, option):
-    """Objective of an option array; infeasible assignments are inf."""
-    cost, _ = evaluate_hard(model.instance, model.table, np.asarray(option, dtype=np.int64))
-    return float(cost)
+    """Objective of an option array; infeasible assignments are inf.  An
+    array that is not (T, N, K) of the instance's options is a ValueError."""
+    flows = compute_flows(model.instance, AllocationScheme(np.asarray(option, dtype=np.int64)),
+                          model.table)
+    return flows.cost_total if flows.feasible else math.inf

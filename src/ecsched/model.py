@@ -18,9 +18,9 @@ Conventions fixed here and relied on everywhere else:
   (ascending global link position) selects ``{a_j : bit j of p+1 set}``,
   i.e. binary counting: p = 0, 1, 2 pick {a_0}, {a_1}, {a_0, a_1};
 * the percentile exempts ``m = floor(0.05 T)`` slots, so the billed
-  level of a per-slot series (``_kernels._billed_and_peak``, which
-  ``price_flows`` bills from) is its (m+1)-th largest value; on ties the
-  lowest slot index is selected;
+  level of a per-slot series (``_kernels._top_slots(series, m + 1)[...,
+  m]``, the order statistic ``price_flows`` bills from) is its (m+1)-th
+  largest value; on ties the lowest slot index is selected;
 * ``max(inbound, outbound)`` resolves ties toward inbound.
 
 ``Topology``, ``DemandTensor`` and ``Instance`` check themselves at

@@ -18,7 +18,7 @@ from ecsched.baselines import (brute_force, combination_count,
                                rsn_best_of_detailed)
 from ecsched.generate import GenConfig, generate_instance
 from ecsched.model import (AllocationScheme, build_option_table, compute_flows,
-                           evaluate_hard, total_cost)
+                           evaluate_hard, percentile_exempt_count, total_cost)
 from gradcheck import gssn_grad_check
 from milp_utils import exhaustive_optimum
 
@@ -192,9 +192,10 @@ def test_criterion_09_conservation_and_percentile():
                 rel = np.abs(flows.sum(axis=1) - totals) / totals
                 worst_rel = max(worst_rel, float(rel.max()))
             series = fl.edge.flow_in[0, int(rng.integers(fl.edge.flow_in.shape[1]))].copy()
-            before = _kernels._billed_and_peak(series)[0]
+            m = percentile_exempt_count(series.size)
+            before = _kernels._top_slots(series, m + 1)[..., m]
             series[int(np.argmax(series))] += float(rng.uniform(1.0, 50.0))
-            assert _kernels._billed_and_peak(series)[0] == before
+            assert _kernels._top_slots(series, m + 1)[..., m] == before
             pairs += 1
     report(9, worst_rel <= 1e-9 and pairs == 1000,
            f"{pairs} pairs conserve flow (worst rel {worst_rel:.1e} <=1e-9); "

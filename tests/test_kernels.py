@@ -163,11 +163,16 @@ def test_merged_order_statistics_equal_the_sort(n_slots, cut, n_values, seed):
     pool = np.concatenate([[0.0], rng.uniform(-50.0, 100.0, n_values - 1)])
     flows = rng.choice(pool, size=(3, n_slots))
     cut = min(cut, n_slots)
-    k = _kernels.percentile_exempt_count(n_slots) + 1
-    merged = _kernels._merged_billed_and_peak(_kernels._top_slots(flows[:, :cut], k),
-                                              _kernels._top_slots(flows[:, cut:], k))
-    for got, want in zip(merged, _kernels._billed_and_peak(flows)):
-        assert got.tobytes() == want.tobytes()
+    m = _kernels.percentile_exempt_count(n_slots)
+    k = m + 1
+    # the reference: the (m+1)-th largest and the largest of one sort
+    ordered = np.sort(flows, axis=-1)
+    want = ordered[..., n_slots - 1 - m], ordered[..., -1]
+    merged = _kernels._merged_level_and_peak(_kernels._top_slots(flows[:, :cut], k),
+                                             _kernels._top_slots(flows[:, cut:], k))
+    whole = _kernels._top_slots(flows, k)
+    for got in (merged, (whole[..., k - 1], whole[..., 0])):
+        assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
 
 
 def test_search_runs_with_an_empty_part(monkeypatch):

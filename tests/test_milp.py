@@ -209,6 +209,26 @@ def test_warmstart_rejects_bad_scheme(tmp_path):
         write_warmstart(model, worse, tmp_path / "w.txt")
 
 
+def test_objective_of_rejects_options_outside_the_instance():
+    # n_valid is [[3, 3], [1, 1]] of P = 7: a padded or negative option
+    # would price as if its block's traffic vanished, and one >= P would
+    # read another block's row
+    inst = make_tiny(3, n_users=2, n_slots=4, n_types=2, n_isps=3, full_admissible=False,
+                     demand_scale=8.0)
+    model = linearize(inst)
+    assert model.table.n_options == 7
+    assert model.table.n_valid.tolist() == [[3, 3], [1, 1]]
+    option = np.zeros(inst.dims, dtype=np.int64)
+    assert objective_of(model, option) == pytest.approx(7334.354, abs=1e-3)
+    for value in (3, -1, 7):
+        bad = option.copy()
+        bad[0, 0, 0] = value
+        with pytest.raises(ValueError, match=f"option {value} out of range at slot 0, user 0"):
+            objective_of(model, bad)
+    with pytest.raises(ValueError, match="shape"):
+        objective_of(model, option[:, :, :1])
+
+
 def test_solution_fractional_binary_rejected(tmp_path):
     inst = make_tiny(6)
     model = linearize(inst)

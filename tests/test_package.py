@@ -101,3 +101,26 @@ def test_every_package_function_has_a_caller_in_the_package():
                 referenced.add(node.name)
     assert sorted(f"{module}:{name}" for module, name in defined
                   if name.rpartition(".")[2] not in referenced) == []
+
+
+def test_slot_flows_are_ordered_in_one_place():
+    # every billed level and peak is read from _top_slots' one sort, and
+    # the gradient's and the warm start's billed slots from one argsort;
+    # read_solution's str.partition splits a text line, not slot flows
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = f"{where.partition('.')[0]}.{node.name}"
+        elif isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name in {"sort", "argsort", "partition", "argpartition"}:
+                found.append(f"{where}:{name}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    for path in sorted((ROOT / "src" / "ecsched").glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem)
+    assert sorted(found) == ["_kernels._top_slots:sort", "_kernels.descending_slots:argsort",
+                             "milp.read_solution:partition"]

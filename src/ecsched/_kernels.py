@@ -13,9 +13,10 @@ subgradient, feasibility report) reads the records by name.
 One order statistic, ``_top_slots``, the k = m + 1 largest slot flows
 of a link and direction from one sort, gives every billed level z
 (its [..., m]) and every peak, the largest slot flow (its [..., 0]):
-a link keeps its physical cap in every slot exactly when its peak
-does, so feasibility reads the peak and z, and each tier's per-slot cap
-overshoot arrays are built only when the penalty, the subgradient or a
+a link keeps its physical cap in every slot and direction exactly when
+the larger of its two peaks does, so each link keeps that one peak,
+feasibility reads it and z, and each tier's per-slot cap overshoot
+arrays are built only when the penalty, the subgradient or a
 feasibility report first reads them.  The soft loss's subgradient of
 that rule, ``price_flows_grad``, is likewise one loop over both tiers,
 and ``soft_edge_flows_grad`` carries it back to the relaxed allocation.
@@ -95,10 +96,11 @@ class LinkTier:
 
     The tier's links are (N, EL) for the edge tier and (EL,) for the ISP
     tier, and so are its rate and caps.  The per-slot flows add a slot
-    axis after the links, and they, z, inbound and the peak flows keep
-    any leading batch axes of the edge flows.  inbound is True where the
-    inbound billed level sets z (ties inbound); peak_in and peak_out are
-    each link's largest slot flow.  Only ``overshoot`` reads the per-slot
+    axis after the links, and they, z, inbound and peak keep any leading
+    batch axes of the edge flows.  inbound is True where the inbound
+    billed level sets z (ties inbound); peak is each link's largest slot
+    flow in either direction, the larger of the two directions' peaks
+    (NaN when either is NaN).  Only ``overshoot`` reads the per-slot
     flows, and exhaustive search, which never reads it, bills from order
     statistics and leaves them None.
     """
@@ -107,8 +109,7 @@ class LinkTier:
     flow_out: np.ndarray
     z: np.ndarray
     inbound: np.ndarray
-    peak_in: np.ndarray
-    peak_out: np.ndarray
+    peak: np.ndarray
     rate: np.ndarray
     cap_basic: np.ndarray
     cap_billable: np.ndarray
@@ -145,14 +146,13 @@ class FlowSummary:
 
     @property
     def feasible(self):
-        """No cap is overshot: every peak flow is within its physical cap
-        and every z within its billable cap.  A NaN peak flow or z fails
-        its check, as its NaN overshoot is nonzero."""
+        """No cap is overshot: every link's peak is within its physical cap
+        and its z within its billable cap.  A NaN peak or z fails its
+        check, as its NaN overshoot is nonzero."""
         lead = self.isp.z.shape[:-1]
         ok = True
         for tier in (self.edge, self.isp):
-            within = ((tier.peak_in <= tier.cap_phys) & (tier.peak_out <= tier.cap_phys)
-                      & (tier.z <= tier.cap_billable))
+            within = (tier.peak <= tier.cap_phys) & (tier.z <= tier.cap_billable)
             # copied with the stack axes innermost, so that the reduction
             # runs along the stack and not along each allocation's few links
             by_link = np.moveaxis(within, range(len(lead)), range(-len(lead), 0)).copy()
@@ -173,8 +173,8 @@ def _bill_links(billed_in, billed_out, flow_in, flow_out, rate, cap_basic, cap_b
     direction's (billed level, peak)."""
     (z_in, peak_in), (z_out, peak_out) = billed_in, billed_out
     inbound = z_in >= z_out
-    return LinkTier(flow_in, flow_out, np.where(inbound, z_in, z_out), inbound, peak_in, peak_out,
-                    rate, cap_basic, cap_billable, cap_phys)
+    return LinkTier(flow_in, flow_out, np.where(inbound, z_in, z_out), inbound,
+                    np.maximum(peak_in, peak_out), rate, cap_basic, cap_billable, cap_phys)
 
 
 def _summary(topology, edge_in, edge_out, isp_in, isp_out, flows=(None,) * 4):

@@ -196,12 +196,8 @@ def _check_scheme(scheme, instance, table):
 def _worst_violations(report, n=5):
     """The n largest violations of a report, largest overshoot first and
     ties in report order, as JSON objects."""
-    entries = []
-    for f in fields(report):
-        phys = f.name.endswith("_phys")  # physical locations end in the direction
-        entries += [{"family": f.name, "location": list(loc[:-1] if phys else loc),
-                     "direction": loc[-1] if phys else None, "overshoot_mbps": over}
-                    for loc, over in getattr(report, f.name)]
+    entries = [{"family": f.name, "location": list(loc), "direction": d, "overshoot_mbps": over}
+               for f in fields(report) for loc, d, over in getattr(report, f.name)]
     return sorted(entries, key=lambda e: -e["overshoot_mbps"])[:n]
 
 
@@ -237,6 +233,9 @@ def cmd_oracle(args):
 def cmd_export_milp(args):
     if args.warmstart_out and not args.warmstart:
         raise FormatError("--warmstart-out needs --warmstart, the scheme to start from")
+    start_path = args.warmstart and (args.warmstart_out or str(Path(args.out).with_suffix(".mst")))
+    if start_path and Path(start_path).resolve() == Path(args.out).resolve():
+        raise FormatError(f"the warm start would overwrite the LP file {args.out}")
     instance = io.read_instance(args.instance)
     model = milp.linearize(instance)
     if args.warmstart:
@@ -246,8 +245,7 @@ def cmd_export_milp(args):
     milp.write_lp(model, args.out)
     print(f"{len(model.variables)} variables ({int(model.binary.sum())} binary), "
           f"{len(model.constraints)} rows; LP written to {args.out}")
-    if args.warmstart:
-        start_path = args.warmstart_out or str(Path(args.out).with_suffix(".mst"))
+    if start_path:
         milp.write_warmstart(model, scheme, start_path)
         print(f"warm start written to {start_path}")
     return EXIT_OK

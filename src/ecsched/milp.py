@@ -320,7 +320,7 @@ def read_solution(path, model):
 
 def objective_of(model, option):
     """Objective of an option array; infeasible assignments are inf.  An
-    array that is not (T, N, K) of the instance's options is a ValueError."""
-    flows = compute_flows(model.instance, AllocationScheme(np.asarray(option, dtype=np.int64)),
-                          model.table)
+    array that is not (T, N, K) signed integers, each an option of the
+    instance, is a ValueError (``model.check_scheme``)."""
+    flows = compute_flows(model.instance, AllocationScheme(np.asarray(option)), model.table)
     return flows.cost_total if flows.feasible else math.inf

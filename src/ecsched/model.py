@@ -59,9 +59,9 @@ def _store_read_only(obj):
 class Topology:
     """Static network description.
 
-    Edge arrays are (N, EL), ISP arrays are (EL,).  ``admissible`` is a
-    boolean (K, N, EL) tensor; every (k, n) row must have at least one
-    True entry.  Caps and rates are finite.
+    Edge arrays are (N, EL) with N >= 1, ISP arrays are (EL,).
+    ``admissible`` is a boolean (K, N, EL) tensor; every (k, n) row must
+    have at least one True entry.  Caps and rates are finite.
     """
 
     edge_cap_basic: np.ndarray
@@ -92,6 +92,8 @@ class Topology:
 
     def validate(self):
         n, el = self.edge_cap_basic.shape
+        if n == 0:
+            raise InvalidTopologyError("a topology needs at least one user")
         for name in ("edge_cap_basic", "edge_cap_billable", "edge_cap_phys", "edge_rate"):
             if getattr(self, name).shape != (n, el):
                 raise InvalidTopologyError(f"{name} must have shape ({n}, {el})")
@@ -120,7 +122,7 @@ class Topology:
 
 @dataclass(frozen=True)
 class DemandTensor:
-    """Inbound/outbound demand, each (K, N, T), nonnegative.
+    """Inbound/outbound demand, each (K, N, T) with T >= 1, nonnegative.
 
     The generator only ever produces strictly positive demands; zeros are
     legal here so degenerate instances can be expressed directly.
@@ -138,8 +140,9 @@ class DemandTensor:
         return self.inbound.shape[2]
 
     def validate(self):
-        if self.inbound.shape != self.outbound.shape or self.inbound.ndim != 3:
-            raise ValueError("demand tensors must share one (K, N, T) shape")
+        if (self.inbound.shape != self.outbound.shape or self.inbound.ndim != 3
+                or self.inbound.shape[2] == 0):
+            raise ValueError("demand tensors must share one (K, N, T) shape with T >= 1")
         if (self.inbound < 0).any() or (self.outbound < 0).any():
             raise ValueError("demands must be nonnegative")
         if not (np.isfinite(self.inbound).all() and np.isfinite(self.outbound).all()):
@@ -246,11 +249,13 @@ class SoftAllocation:
 
 @dataclass
 class FeasibilityReport:
-    """Violations per constraint family, as (location, overshoot Mbps).
+    """Violations per constraint family, as (location, direction,
+    overshoot Mbps).
 
-    Edge physical locations are (user, link, slot, direction), ISP
-    physical are (link, slot, direction), billable locations drop slot
-    and direction.  ``feasible`` is True exactly when all lists are empty.
+    Edge physical locations are (user, link, slot) and ISP physical are
+    (link, slot), with direction "in" or "out"; billable locations drop
+    the slot, and their direction is None.  ``feasible`` is True exactly
+    when all lists are empty.
     """
 
     edge_phys: list = field(default_factory=list)
@@ -272,12 +277,11 @@ class FeasibilityReport:
         report = cls()
         for tier, phys, billable in ((flows.edge, report.edge_phys, report.edge_billable),
                                      (flows.isp, report.isp_phys, report.isp_billable)):
-            over_in, over_out, over_z = tier.overshoot
-            for family, direction, over in ((phys, ("in",), over_in), (phys, ("out",), over_out),
-                                            (billable, (), over_z)):
+            for family, direction, over in zip((phys, phys, billable), ("in", "out", None),
+                                               tier.overshoot):
                 for idx in np.argwhere(over != 0):
                     loc = tuple(int(i) for i in idx)
-                    family.append((loc + direction, float(over[loc])))
+                    family.append((loc, direction, float(over[loc])))
         return report
 
     @property
@@ -291,9 +295,13 @@ class FeasibilityReport:
 def check_scheme(instance, option, table):
     """ValueError unless option is a (T, N, K) array of the instance's options.
 
-    The shape is checked first; the first block (slot-major) holding an
-    option outside ``[0, n_valid)`` is named.
+    The dtype is checked first (signed integers only: a fractional option
+    names no option, and an unsigned one does not index with the table's
+    int64 offsets), then the shape; the first block (slot-major) holding
+    an option outside ``[0, n_valid)`` is named.
     """
+    if option.dtype.kind != "i":
+        raise ValueError(f"options must be signed integers, got dtype {option.dtype}")
     if option.shape != instance.dims:
         raise ValueError(f"scheme shape {option.shape} does not match instance dims {instance.dims}")
     bad = np.argwhere((option < 0) | (option >= table.n_valid.T))

@@ -15,7 +15,7 @@ from conftest import hopeless_instance, make_tiny
 from ecsched import io, milp, sampler
 from ecsched.baselines import brute_force
 from ecsched.cli import main
-from ecsched.model import AllocationScheme, total_cost
+from ecsched.model import AllocationScheme, DemandTensor, Instance, total_cost
 
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 
@@ -365,6 +365,28 @@ def test_eval_infeasible_scheme_is_exit_2(tmp_path, capsys):
                      ("isp_phys", [0, 2], "in", 62.0)]
 
 
+def test_eval_names_an_outbound_violation(tmp_path, capsys):
+    # hopeless_instance's links with 40 Mbps inbound in every slot and a
+    # 95 Mbps outbound burst in slot 1, all on link 0 under option 0
+    inst = Instance(topology=hopeless_instance().topology,
+                    demands=DemandTensor(inbound=np.full((1, 1, 3), 40.0),
+                                         outbound=np.array([[[10.0, 95.0, 10.0]]])),
+                    instance_id="burst")
+    path, scheme_path = tmp_path / "inst.json", tmp_path / "scheme.json"
+    io.write_instance(inst, path)
+    io.write_scheme(AllocationScheme(option=np.zeros((3, 1, 1), dtype=np.int64)), scheme_path)
+    code, out, _ = run(capsys, "eval", "--instance", str(path), "--scheme", str(scheme_path))
+    assert code == 2
+    doc = json.loads(out)
+    assert doc["violations"] == {"edge_phys": 4, "isp_phys": 4, "edge_billable": 1,
+                                 "isp_billable": 1}
+    worst = [(v["family"], v["location"], v["direction"], v["overshoot_mbps"])
+             for v in doc["worst_violations"]]
+    assert worst == [("isp_billable", [0], None, 77.0), ("edge_billable", [0, 0], None, 75.0),
+                     ("isp_phys", [0, 1], "out", 67.0), ("edge_phys", [0, 0, 1], "out", 65.0),
+                     ("isp_phys", [0, 0], "in", 12.0)]
+
+
 def test_eval_malformed_instance_is_exit_3(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{ not json")
@@ -534,6 +556,26 @@ def test_export_warmstart_out_without_warmstart_is_exit_3(tmp_path, capsys):
     assert code == 3
     assert "--warmstart-out needs --warmstart" in err
     assert not (tmp_path / "model.lp").exists() and not (tmp_path / "start.mst").exists()
+
+
+@pytest.mark.parametrize("out, start_out", [
+    ("model.mst", None),              # the default warm start, <out>.mst, is the LP file
+    ("a.lp", "a.lp"),
+    ("a.lp", "sub/../a.lp"),
+], ids=["default", "named", "spelled-apart"])
+def test_export_warmstart_onto_the_lp_file_is_exit_3(tmp_path, capsys, out, start_out):
+    inst = make_tiny(5)
+    inst_path = tmp_path / "inst.json"
+    io.write_instance(inst, inst_path)
+    scheme_path = tmp_path / "scheme.json"
+    io.write_scheme(AllocationScheme(option=np.zeros(inst.dims, dtype=np.int64)), scheme_path)
+    (tmp_path / "sub").mkdir()
+    extra = [] if start_out is None else ["--warmstart-out", str(tmp_path / start_out)]
+    code, printed, err = run(capsys, "export-milp", "--instance", str(inst_path),
+                             "--out", str(tmp_path / out), "--warmstart", str(scheme_path), *extra)
+    assert code == 3
+    assert "would overwrite the LP file" in err and printed == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["inst.json", "scheme.json", "sub"]
 
 
 @pytest.mark.parametrize("objective", ["", "# Objective value = 1234.5\n"],

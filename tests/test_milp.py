@@ -227,6 +227,9 @@ def test_objective_of_rejects_options_outside_the_instance():
             objective_of(model, bad)
     with pytest.raises(ValueError, match="shape"):
         objective_of(model, option[:, :, :1])
+    # 0.9 used to be cast to option 0 and priced as the all-zero scheme
+    with pytest.raises(ValueError, match="must be signed integers, got dtype float64"):
+        objective_of(model, np.zeros(inst.dims) + 0.9)
 
 
 def test_solution_fractional_binary_rejected(tmp_path):

@@ -173,6 +173,19 @@ def test_demands_reject_negative_but_allow_zero():
         DemandTensor(inbound=z + np.nan, outbound=z)
 
 
+def test_topology_rejects_zero_users():
+    # with no user, exhaustive search and the MILP could not shape their arrays
+    with pytest.raises(InvalidTopologyError, match="at least one user"):
+        plain_topology(np.zeros((0, 2)), 1e4, 5.0, np.ones((1, 0, 2), dtype=bool))
+
+
+def test_demands_reject_zero_slots():
+    # with no slot, there is no billed level to price
+    z = np.zeros((2, 1, 0))
+    with pytest.raises(ValueError, match="T >= 1"):
+        DemandTensor(inbound=z, outbound=z)
+
+
 def test_instance_rejects_demands_of_other_types():
     topo = plain_topology([[100.0, 300.0]], 1e4, 5.0, np.ones((2, 1, 2), dtype=bool))
     z = np.zeros((1, 1, 3))
@@ -349,8 +362,7 @@ def test_physical_violation_reported():
     scheme = AllocationScheme(option=np.zeros((3, 1, 1), dtype=np.int64))
     report = check_feasibility(inst, scheme)
     assert not report.feasible
-    assert ((0, 0, 0, "in"), pytest.approx(10.0)) in [
-        (loc, mag) for loc, mag in report.edge_phys]
+    assert ((0, 0, 0), "in", pytest.approx(10.0)) in report.edge_phys
     # z = 150 also clears the billable cap by the same 10 Mbps
     assert report.counts()["edge_billable"] == 1
     assert report.edge_billable[0][0] == (0, 0)
@@ -584,7 +596,7 @@ def test_feasibility_edge_cases():
     stack_in = np.stack([c[0] for c in cases])[:, None, None, :]
     stack_out = np.stack([c[1] for c in cases])[:, None, None, :]
     batch = _kernels.price_flows(topo, stack_in, stack_out)
-    assert np.isnan(batch.edge.z[-1, 0, 0]) and np.isnan(batch.edge.peak_in[7, 0, 0])
+    assert np.isnan(batch.edge.z[-1, 0, 0]) and np.isnan(batch.edge.peak[7, 0, 0])
     want = [c[2] for c in cases]
     assert batch.feasible.tolist() == no_overshoot_entry(batch).tolist() == want
     for s, feasible in enumerate(want):

@@ -5,19 +5,19 @@ Every route that prices an allocation (the cost model, the soft loss and
 its gradient, the samplers and the MILP objective) goes through
 ``price_flows``, and exhaustive search through the same billing code.
 ``_bill_links`` bills a tier of links, the edge links or the ISP links,
-from each direction's billed level and peak, so the inbound tie rule,
+from its billed levels and peaks, so the inbound tie rule,
 the overage cost and the cap checks are written once, and
 ``_summary`` returns a ``FlowSummary`` of one ``LinkTier`` record per
 tier and the total cost; every reader (feasibility, penalty,
 subgradient, feasibility report) reads the records by name.
 One order statistic, ``_top_slots``, the k = m + 1 largest slot flows
-of a link and direction from one sort, gives every billed level z
-(its [..., m]) and every peak, the largest slot flow (its [..., 0]):
-a link keeps its physical cap in every slot and direction exactly when
-the larger of its two peaks does, so each link keeps that one peak,
-feasibility reads it and z, and each tier's per-slot cap overshoot
-arrays are built only when the penalty, the subgradient or a
-feasibility report first reads them.  The soft loss's subgradient of
+of each link and direction from one sort per tier, gives every billed
+level z (its [..., m]) and every peak, the largest slot flow (its
+[..., 0]): a link keeps its physical cap in every slot and direction
+exactly when the larger of its two peaks does, so each link keeps that
+one peak, feasibility reads it and z, and each tier's per-slot cap
+overshoot array is built only when the penalty, the subgradient or a
+feasibility report first reads it.  The soft loss's subgradient of
 that rule, ``price_flows_grad``, is likewise one loop over both tiers,
 and ``soft_edge_flows_grad`` carries it back to the relaxed allocation.
 Hard and soft flows and pricing take leading batch axes, which lets
@@ -30,9 +30,11 @@ and peaks (``_merged_level_and_peak``), which equal those
 ``price_flows`` reads from the statistic of the whole.
 
 Array conventions match the rest of the package: demand tensors are
-``[type, user, slot]``, per-slot link flows are ``[user, link, slot]``
-(edge) and ``[link, slot]`` (ISP), split weights are
-``[type, user, option, link]``.
+``[type, user, slot]``, per-slot link flows are ``[direction, user,
+link, slot]`` (edge) and ``[direction, link, slot]`` (ISP), inbound
+then outbound as in the MILP's flow blocks, so every billing step runs
+once per tier with the direction as an index (any stack axes follow
+the direction), and split weights are ``[type, user, option, link]``.
 """
 
 import math
@@ -95,18 +97,18 @@ class LinkTier:
     """One tier of links, the edge links or the ISP links, as billed.
 
     The tier's links are (N, EL) for the edge tier and (EL,) for the ISP
-    tier, and so are its rate and caps.  The per-slot flows add a slot
-    axis after the links, and they, z, inbound and peak keep any leading
-    batch axes of the edge flows.  inbound is True where the inbound
-    billed level sets z (ties inbound); peak is each link's largest slot
-    flow in either direction, the larger of the two directions' peaks
-    (NaN when either is NaN).  Only ``overshoot`` reads the per-slot
-    flows, and exhaustive search, which never reads it, bills from order
-    statistics and leaves them None.
+    tier, and so are its rate and caps.  flows are the per-slot flows,
+    (2, ..., links, T): the direction (inbound, then outbound), any batch
+    axes of the edge flows, the links and the slots; z, inbound and peak
+    keep the batch axes.  inbound is True where the inbound billed level
+    sets z (ties inbound); peak is each link's largest slot flow in
+    either direction, the larger of the two directions' peaks (NaN when
+    either is NaN).  Only ``overshoot`` reads flows, and exhaustive
+    search, which never reads it, bills from order statistics and leaves
+    them None.
     """
 
-    flow_in: np.ndarray
-    flow_out: np.ndarray
+    flows: np.ndarray
     z: np.ndarray
     inbound: np.ndarray
     peak: np.ndarray
@@ -122,12 +124,11 @@ class LinkTier:
 
     @cached_property
     def overshoot(self):
-        """(in, out, z): the per-slot excess of the inbound and the
-        outbound flow over the physical cap, then the excess of z over
-        the billable cap; zero where a cap holds.  Built on first read,
-        and kept."""
-        return (np.maximum(self.flow_in - self.cap_phys[..., None], 0.0),
-                np.maximum(self.flow_out - self.cap_phys[..., None], 0.0),
+        """(flows, z): the per-slot excess of each direction's flow over
+        the physical cap, shaped like flows, then the excess of z over the
+        billable cap; zero where a cap holds.  Built on first read, and
+        kept."""
+        return (np.maximum(self.flows - self.cap_phys[..., None], 0.0),
                 np.maximum(self.z - self.cap_billable, 0.0))
 
 
@@ -163,35 +164,35 @@ class FlowSummary:
     def penalty(self):
         """Sum of squared cap overshoots, totalled per array in this order:
         edge in, edge out, ISP in, ISP out, edge z, ISP z."""
-        (e_in, e_out, e_z), (l_in, l_out, l_z) = self.edge.overshoot, self.isp.overshoot
+        (edge, edge_z), (isp, isp_z) = self.edge.overshoot, self.isp.overshoot
         return _per_allocation(sum((o ** 2).sum(axis=tuple(range(self.isp.z.ndim - 1, o.ndim)))
-                                   for o in (e_in, e_out, l_in, l_out, e_z, l_z)))
+                                   for o in (*edge, *isp, edge_z, isp_z)))
 
 
-def _bill_links(billed_in, billed_out, flow_in, flow_out, rate, cap_basic, cap_billable, cap_phys):
-    """Percentile billing of one tier of links (..., L) from each
-    direction's (billed level, peak)."""
-    (z_in, peak_in), (z_out, peak_out) = billed_in, billed_out
+def _bill_links(billed, flows, rate, cap_basic, cap_billable, cap_phys):
+    """Percentile billing of one tier of links (..., L) from its (billed
+    level, peak), each (2, ..., L) with the direction leading."""
+    (z_in, z_out), (peak_in, peak_out) = billed
     inbound = z_in >= z_out
-    return LinkTier(flow_in, flow_out, np.where(inbound, z_in, z_out), inbound,
+    return LinkTier(flows, np.where(inbound, z_in, z_out), inbound,
                     np.maximum(peak_in, peak_out), rate, cap_basic, cap_billable, cap_phys)
 
 
-def _summary(topology, edge_in, edge_out, isp_in, isp_out, flows=(None,) * 4):
-    """Both tiers billed, and the total cost, from each tier and
-    direction's (billed level, peak).  flows are the per-slot (edge in,
-    edge out, ISP in, ISP out) flows that only ``LinkTier.overshoot``
-    reads; exhaustive search builds none, so its records hold None."""
-    edge = _bill_links(edge_in, edge_out, *flows[:2], topology.edge_rate, topology.edge_cap_basic,
+def _summary(topology, edge, isp, flows=(None, None)):
+    """Both tiers billed, and the total cost, from each tier's (billed
+    level, peak).  flows are the per-slot (edge, ISP) flows that only
+    ``LinkTier.overshoot`` reads; exhaustive search builds none, so its
+    records hold None."""
+    edge = _bill_links(edge, flows[0], topology.edge_rate, topology.edge_cap_basic,
                        topology.edge_cap_billable, topology.edge_cap_phys)
-    isp = _bill_links(isp_in, isp_out, *flows[2:], topology.isp_rate, topology.isp_cap_basic,
+    isp = _bill_links(isp, flows[1], topology.isp_rate, topology.isp_cap_basic,
                       topology.isp_cap_billable, topology.isp_cap_phys)
     return FlowSummary(edge=edge, isp=isp, cost_total=_per_allocation(
         edge.cost.sum(axis=(-2, -1)) + isp.cost.sum(axis=-1)))
 
 
-def price_flows(topology, edge_in, edge_out):
-    """Percentile billing of per-slot edge flows (..., N, EL, T).
+def price_flows(topology, edge):
+    """Percentile billing of per-slot edge flows (2, ..., N, EL, T), in then out.
 
     A link's billable bandwidth z is the larger of its inbound and
     outbound (m+1)-th largest slot flows, its cost is rate times the
@@ -199,40 +200,39 @@ def price_flows(topology, edge_in, edge_out):
     Edge and ISP links are billed by the same routine, from the k = m + 1
     largest slot flows per link and direction (``_top_slots``).
     """
-    flows = (edge_in, edge_out, edge_in.sum(axis=-3), edge_out.sum(axis=-3))
-    k = percentile_exempt_count(edge_in.shape[-1]) + 1
+    flows = (edge, edge.sum(axis=-3))
+    k = percentile_exempt_count(edge.shape[-1]) + 1
     tops = [_top_slots(f, k) for f in flows]
     return _summary(topology, *((top[..., k - 1], top[..., 0]) for top in tops), flows)
 
 
 def price_flows_grad(flows, lam_g):
     """Subgradient of cost + lam_g * penalty in the edge flows, from their
-    ``price_flows`` summary: (d/d edge_in, d/d edge_out), each shaped
-    like the edge flows.
+    ``price_flows`` summary, shaped like the edge flows (2, ..., N, EL,
+    T), inbound then outbound.
 
     Conventions at the kinks: ReLU'(0) = 0, the in/out max routes to
     inbound on ties, and the percentile routes to the stable (m+1)-th
     largest slot.
     """
-    slots = np.arange(flows.edge.flow_in.shape[-1])
+    slots = np.arange(flows.edge.flows.shape[-1])
     m = percentile_exempt_count(slots.size)
     grads = []
     for tier in (flows.edge, flows.isp):
-        over_in, over_out, over_z = tier.overshoot
+        over, over_z = tier.overshoot
         # the billable terms enter through the billed slot of the
         # direction that sets z
         coef = tier.rate * (tier.z > tier.cap_basic) + 2.0 * lam_g * over_z
-        for flow, over, sets_z in ((tier.flow_in, over_in, tier.inbound),
-                                   (tier.flow_out, over_out, ~tier.inbound)):
-            # built in place: the einsum of soft_edge_flows_grad sums in
-            # an order that depends on the memory layout of this array,
-            # and an out-of-place sum lays it out differently
-            d = 2.0 * lam_g * over
-            d += np.where(sets_z, coef, 0.0)[..., None] * (slots == descending_slots(flow)[..., m, None])
-            grads.append(d)
-    e_in, e_out, l_in, l_out = grads
+        sets_z = np.stack([tier.inbound, ~tier.inbound])
+        # built in place: the einsum of soft_edge_flows_grad sums in an
+        # order that depends on the memory layout of this array, and an
+        # out-of-place sum lays it out differently
+        d = 2.0 * lam_g * over
+        d += np.where(sets_z, coef, 0.0)[..., None] * (slots == descending_slots(tier.flows)[..., m, None])
+        grads.append(d)
+    edge, isp = grads
     # ISP flows are sums over users, so their sensitivities broadcast
-    return e_in + l_in[..., None, :, :], e_out + l_out[..., None, :, :]
+    return edge + isp[..., None, :, :]
 
 
 def _selected_weights(weights, options):
@@ -248,15 +248,17 @@ def hard_edge_flows(options, weights, d_in, d_out):
     """Per-slot edge link flows of hard schemes.
 
     options: (..., T, N, K) int64 option indices, weights: (K, N, P, EL),
-    d_in/d_out: (K, N, T).  Returns (edge_in, edge_out), each
-    (..., N, EL, T).  The flows are written in C order: einsum's default
-    output layout here is several times slower, for the einsum and for
-    the sorts after it.
+    d_in/d_out: (K, N, T).  Returns the flows (2, ..., N, EL, T),
+    inbound then outbound.  They are written in C order: einsum's
+    default output layout here is several times slower, for the einsum
+    and for the sorts after it.
     """
     w_sel = _selected_weights(weights, options)  # (..., T, N, K, EL)
-    edge_in = np.einsum("...tnkj,knt->...njt", w_sel, d_in, order="C")
-    edge_out = np.einsum("...tnkj,knt->...njt", w_sel, d_out, order="C")
-    return edge_in, edge_out
+    *lead, T, N, _, EL = w_sel.shape
+    edge = np.empty((2, *lead, N, EL, T))
+    for d, demand in enumerate((d_in, d_out)):
+        np.einsum("...tnkj,knt->...njt", w_sel, demand, out=edge[d])
+    return edge
 
 
 def soft_edge_flows(x, weights, d_in, d_out):
@@ -267,8 +269,8 @@ def soft_edge_flows(x, weights, d_in, d_out):
     axes of x as pure batch axes, so each allocation of a stack goes
     through the same BLAS calls, and gets a block of the same memory
     layout, as it does alone: its flows and every per-allocation sum of
-    them are bit-equal to its own.  The flows lie (..., N, T, EL) in
-    memory, viewed as (..., N, EL, T).
+    them are bit-equal to its own.  Each direction's flows lie
+    (..., N, T, EL) in memory, viewed as (..., N, EL, T).
     """
     K, N, P, EL = weights.shape
     *lead, T = x.shape[:-3]
@@ -279,20 +281,19 @@ def soft_edge_flows(x, weights, d_in, d_out):
     # per (n, t), each link's flow summed over types: (EL, K) @ (K, 1)
     share = np.moveaxis(share, -4, -1).swapaxes(-3, -2).reshape(*lead, N * T, EL, K)
 
-    def flows(d):
-        f = np.matmul(share, d.transpose(1, 2, 0).reshape(N * T, K, 1))
-        return f.reshape(*lead, N, T, EL).swapaxes(-1, -2)
+    edge = np.empty((2, *lead, N * T, EL, 1))
+    for d, demand in enumerate((d_in, d_out)):
+        np.matmul(share, demand.transpose(1, 2, 0).reshape(N * T, K, 1), out=edge[d])
+    return edge.reshape(2, *lead, N, T, EL).swapaxes(-1, -2)
 
-    return flows(d_in), flows(d_out)
 
-
-def soft_edge_flows_grad(g_in, g_out, weights, d_in, d_out):
+def soft_edge_flows_grad(g, weights, d_in, d_out):
     """Adjoint of soft_edge_flows for one allocation: d loss / d x, (T, N,
-    K, P), from the loss's sensitivities g_in and g_out to the edge flows,
-    each (N, EL, T), as ``price_flows_grad`` returns them."""
+    K, P), from the loss's sensitivity g to the edge flows (2, N, EL, T),
+    inbound then outbound, as ``price_flows_grad`` returns it."""
     # d flow[n,j,t] / d x[t,n,k,p] = W[k,n,p,j] * d[k,n,t], per direction
-    a = (g_in.transpose(2, 0, 1)[:, :, None, :] * d_in.transpose(2, 1, 0)[:, :, :, None]
-         + g_out.transpose(2, 0, 1)[:, :, None, :] * d_out.transpose(2, 1, 0)[:, :, :, None])
+    a = (g[0].transpose(2, 0, 1)[:, :, None, :] * d_in.transpose(2, 1, 0)[:, :, :, None]
+         + g[1].transpose(2, 0, 1)[:, :, None, :] * d_out.transpose(2, 1, 0)[:, :, :, None])
     return np.einsum("tnkj,knpj->tnkp", a, weights)
 
 
@@ -322,11 +323,11 @@ def brute_force_search(n_valid_flat, weights, d_in, d_out, topology, chunk=4096)
     slots before.  A part's flows depend only on its own options, so each
     suffix's flows are priced once per search, and each prefix's once per
     batch of chunk // (suffix count) prefixes (at least one), into their
-    ``_top_slots`` per link and direction, k = m + 1.  A combination's
-    billed levels and peaks merge its two parts' (``_merged_level_and_peak``)
-    with no per-combination flows or sort; they equal those ``price_flows``
-    reads from its own flows bit for bit, so its cost does too, and memory
-    stays bounded by the chunk.
+    ``_top_slots`` per tier, k = m + 1.  A combination's billed levels
+    and peaks merge its two parts' (``_merged_level_and_peak``, once per
+    tier) with no per-combination flows or sort; they equal those
+    ``price_flows`` reads from its own flows bit for bit, so its cost does
+    too, and memory stays bounded by the chunk.
     """
     K, N = weights.shape[:2]
     T = d_in.shape[2]
@@ -340,12 +341,11 @@ def brute_force_search(n_valid_flat, weights, d_in, d_out, topology, chunk=4096)
 
     def part(ids, lo, hi):
         # the options of slots [lo, hi) of each part id, and the k largest
-        # (edge in, edge out, ISP in, ISP out) flows there
+        # edge and ISP flows there, (2, ids, ..., k)
         digits = _digits_for(ids, radices[lo:hi].reshape(-1))
-        edge_in, edge_out = hard_edge_flows(digits.reshape(ids.size, hi - lo, N, K), weights,
-                                            d_in[..., lo:hi], d_out[..., lo:hi])
-        flows = (edge_in, edge_out, edge_in.sum(axis=-3), edge_out.sum(axis=-3))
-        return digits, [_top_slots(f, k) for f in flows]
+        edge = hard_edge_flows(digits.reshape(ids.size, hi - lo, N, K), weights,
+                               d_in[..., lo:hi], d_out[..., lo:hi])
+        return digits, [_top_slots(f, k) for f in (edge, edge.sum(axis=-3))]
 
     suffixes, suffix_top = part(np.arange(n_suffix, dtype=np.int64), split, T)
     per_batch = max(1, chunk // n_suffix)
@@ -355,9 +355,9 @@ def brute_force_search(n_valid_flat, weights, d_in, d_out, topology, chunk=4096)
     for start in range(0, n_prefix, per_batch):
         prefixes, prefix_top = part(
             np.arange(start, min(start + per_batch, n_prefix), dtype=np.int64), 0, split)
-        # (prefixes, suffixes, ...) flattened: combinations in odometer order
-        billed = [[x.reshape(-1, *x.shape[2:])
-                   for x in _merged_level_and_peak(a[:, None], b[None])]
+        # (2, prefixes, suffixes, ...) flattened: combinations in odometer order
+        billed = [[x.reshape(2, -1, *x.shape[3:])
+                   for x in _merged_level_and_peak(a[:, :, None], b[:, None])]
                   for a, b in zip(prefix_top, suffix_top)]
         flows = _summary(topology, *billed)
         cost = np.where(flows.feasible, flows.cost_total, np.inf)

@@ -229,11 +229,13 @@ def _exempt_mask(flows, m):
 
 
 def write_warmstart(model, scheme, path):
-    """Feasible starting point for a scheme: every binary gets a value.
+    """Starting point for a scheme: every binary gets a value.
 
     Options set their one-hot lambda block; exemption binaries mark each
     link and direction's m largest flow slots (lowest slot on ties),
-    which is the optimal exemption pattern for that scheme.
+    which is the optimal exemption pattern for that scheme.  The start
+    is feasible for the MILP only when the scheme is: a flow over its
+    physical cap breaks a ``cap_*`` row whatever the exemptions say.
     """
     # pricing checks the scheme before the lam lookup: a padded -1 entry
     # would index the last column
@@ -241,8 +243,7 @@ def write_warmstart(model, scheme, path):
     x = np.zeros(len(model.variables), dtype=np.int64)
     x[np.take_along_axis(model.blocks["lam"], scheme.option[..., None], axis=-1)] = 1
     for block, tier in (("u_e", flows.edge), ("u_l", flows.isp)):
-        x[model.blocks[block][_exempt_mask(np.stack([tier.flow_in, tier.flow_out]),
-                                           model.exempt)]] = 1
+        x[model.blocks[block][_exempt_mask(tier.flows, model.exempt)]] = 1
     binaries = np.flatnonzero(model.binary).tolist()
     lines = [f"# warm start for instance {model.instance.instance_id}"]
     lines += [f"{model.variables[c]} {v}" for c, v in zip(binaries, x[binaries].tolist())]
@@ -265,14 +266,16 @@ def read_solution(path, model):
 
     Accepts comment lines starting with '#' or '\\'; an objective may be
     declared either as "# Objective value = X" or a plain "objective X"
-    line.  Errors: unknown variable names, non-finite values, fractional
-    binaries (beyond 1e-6), blocks without exactly one chosen option, and
-    a declared objective that disagrees with the recomputed cost by more
-    than 1e-4 relative.  Returns (scheme, objective); the objective of an
-    infeasible assignment is inf, whatever the file declares.
+    line.  Errors: unknown variable names, a variable listed twice,
+    non-finite values, fractional binaries (beyond 1e-6), blocks without
+    exactly one chosen option, and a declared objective that disagrees
+    with the recomputed cost by more than 1e-4 relative.  Returns
+    (scheme, objective); the objective of an infeasible assignment is
+    inf, whatever the file declares.
     """
     declared = None
     index = {name: col for col, name in enumerate(model.variables)}
+    seen = {}  # variable name -> line number
     values = np.zeros(len(model.variables))
     for line_no, raw in enumerate(read_text(path, "solution text").split("\n"), start=1):
         line = raw.strip()
@@ -293,6 +296,8 @@ def read_solution(path, model):
             continue
         if name not in index:
             raise FormatError(f"{path}:{line_no}: unknown variable '{name}'")
+        if seen.setdefault(name, line_no) != line_no:
+            raise FormatError(f"{path}:{line_no}: variable '{name}' repeats line {seen[name]}")
         values[index[name]] = _finite(text, f"{path}:{line_no}: bad value for '{name}'")
 
     lam = model.blocks["lam"]

@@ -273,12 +273,12 @@ class FeasibilityReport:
         refused."""
         if flows.isp.z.ndim != 1:
             raise ValueError(f"a feasibility report covers one allocation, got flows of "
-                             f"shape {flows.edge.flow_in.shape}")
+                             f"shape {flows.edge.flows.shape[1:]}")
         report = cls()
         for tier, phys, billable in ((flows.edge, report.edge_phys, report.edge_billable),
                                      (flows.isp, report.isp_phys, report.isp_billable)):
             for family, direction, over in zip((phys, phys, billable), ("in", "out", None),
-                                               tier.overshoot):
+                                               (*tier.overshoot[0], tier.overshoot[1])):
                 for idx in np.argwhere(over != 0):
                     loc = tuple(int(i) for i in idx)
                     family.append((loc, direction, float(over[loc])))
@@ -334,12 +334,11 @@ def compute_flows(instance, alloc, table=None):
     d_in = instance.demands.inbound
     d_out = instance.demands.outbound
     if isinstance(alloc, AllocationScheme):
-        edge_in, edge_out = _kernels.hard_edge_flows(
-            np.ascontiguousarray(alloc.option), table.weights, d_in, d_out)
+        edge = _kernels.hard_edge_flows(np.ascontiguousarray(alloc.option), table.weights,
+                                        d_in, d_out)
     else:
-        edge_in, edge_out = _kernels.soft_edge_flows(
-            np.ascontiguousarray(alloc.x), table.weights, d_in, d_out)
-    return _kernels.price_flows(instance.topology, edge_in, edge_out)
+        edge = _kernels.soft_edge_flows(np.ascontiguousarray(alloc.x), table.weights, d_in, d_out)
+    return _kernels.price_flows(instance.topology, edge)
 
 
 def total_cost(instance, alloc, table=None):
@@ -356,10 +355,9 @@ def check_feasibility(instance, alloc, table=None):
 def evaluate_hard(instance, table, option):
     """Fast path for samplers: (cost, feasible) of an option array, the
     cost inf when the scheme is infeasible."""
-    edge_in, edge_out = _kernels.hard_edge_flows(
+    flows = _kernels.price_flows(instance.topology, _kernels.hard_edge_flows(
         np.ascontiguousarray(option), table.weights,
-        instance.demands.inbound, instance.demands.outbound)
-    flows = _kernels.price_flows(instance.topology, edge_in, edge_out)
+        instance.demands.inbound, instance.demands.outbound))
     if not flows.feasible:
         return np.inf, False
     return flows.cost_total, True
@@ -406,8 +404,8 @@ def soft_loss_and_grad(instance, table, x, lam_g=1.0):
     the flow adjoint carries it back to x.
     """
     d_in, d_out = instance.demands.inbound, instance.demands.outbound
-    flows = _kernels.price_flows(instance.topology, *_kernels.soft_edge_flows(
+    flows = _kernels.price_flows(instance.topology, _kernels.soft_edge_flows(
         np.ascontiguousarray(x), table.weights, d_in, d_out))
     dx = _kernels.soft_edge_flows_grad(
-        *_kernels.price_flows_grad(flows, lam_g), table.weights, d_in, d_out)
+        _kernels.price_flows_grad(flows, lam_g), table.weights, d_in, d_out)
     return flows.cost_total + lam_g * flows.penalty, dx

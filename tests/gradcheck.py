@@ -21,13 +21,13 @@ from ecsched.model import build_option_table
 def billing_signature(instance, table, x):
     """Every discrete selection the soft loss of x (T, N, K, P) commits to."""
     topo = instance.topology
-    flows = _kernels.price_flows(topo, *_kernels.soft_edge_flows(
+    flows = _kernels.price_flows(topo, _kernels.soft_edge_flows(
         np.ascontiguousarray(x), table.weights,
         instance.demands.inbound, instance.demands.outbound))
     m = _kernels.percentile_exempt_count(instance.demands.inbound.shape[2])
     tin_e, tout_e, tin_l, tout_l = (
         _kernels.descending_slots(arr)[..., m]
-        for arr in (flows.edge.flow_in, flows.edge.flow_out, flows.isp.flow_in, flows.isp.flow_out))
+        for arr in (*flows.edge.flows, *flows.isp.flows))
     return (
         tin_e.tobytes(), tout_e.tobytes(), flows.edge.inbound.tobytes(),
         tin_l.tobytes(), tout_l.tobytes(), flows.isp.inbound.tobytes(),

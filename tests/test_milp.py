@@ -14,7 +14,7 @@ from ecsched.generate import GenConfig, generate_instance
 from ecsched.io import FormatError
 from ecsched.milp import (linearize, objective_of, read_solution, write_lp,
                           write_warmstart)
-from ecsched.model import build_option_table, total_cost
+from ecsched.model import AllocationScheme, build_option_table, total_cost
 from milp_utils import (complete_assignment, exhaustive_optimum, solve_with_scipy,
                         verify_assignment)
 
@@ -256,6 +256,26 @@ def test_solution_missing_block_rejected(tmp_path):
     path = tmp_path / "sol.txt"
     path.write_text("# nothing chosen\n")
     with pytest.raises(FormatError, match="0 chosen options"):
+        read_solution(path, model)
+
+
+# a repeated line used to overwrite the first: a lambda set and then
+# cleared failed as "0 chosen options", while the reverse order and a
+# repeated exemption binary imported silently
+@pytest.mark.parametrize("name, first, last", [("lam_t0_n0_k0_p0", 1, 0),
+                                               ("lam_t0_n0_k0_p0", 0, 1),
+                                               ("u_in_e_n0_i0_t0", 1, 0)])
+def test_solution_repeated_variable_rejected(tmp_path, name, first, last):
+    inst = make_tiny(3, n_users=2, n_slots=4, n_types=2, n_isps=3, full_admissible=False,
+                     demand_scale=8.0)
+    model = linearize(inst)
+    path = tmp_path / "sol.txt"
+    write_warmstart(model, AllocationScheme(np.zeros(inst.dims, dtype=np.int64)), path)
+    lines = [l for l in path.read_text().splitlines() if l.split()[0] != name]
+    lines = [lines[0], f"{name} {first}", *lines[1:], f"{name} {last}"]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(FormatError, match=rf"sol\.txt:{len(lines)}: variable '{name}' repeats "
+                                          rf"line 2$"):
         read_solution(path, model)
 
 

@@ -257,8 +257,8 @@ def test_proportional_split_flow_values():
     inst = instance_of(topo, [[[40.0, 40.0, 40.0]]], [[[40.0, 40.0, 40.0]]])
     both = AllocationScheme(option=np.full((3, 1, 1), 2, dtype=np.int64))
     flows = compute_flows(inst, both)
-    np.testing.assert_allclose(flows.edge.flow_in[0, 0], [10.0, 10.0, 10.0])
-    np.testing.assert_allclose(flows.edge.flow_in[0, 1], [30.0, 30.0, 30.0])
+    np.testing.assert_allclose(flows.edge.flows[0, 0, 0], [10.0, 10.0, 10.0])
+    np.testing.assert_allclose(flows.edge.flows[0, 0, 1], [30.0, 30.0, 30.0])
 
 
 def test_zero_demands_zero_everything():
@@ -266,7 +266,7 @@ def test_zero_demands_zero_everything():
     inst = instance_of(topo, np.zeros((2, 1, 4)), np.zeros((2, 1, 4)))
     scheme = AllocationScheme(option=np.zeros((4, 1, 2), dtype=np.int64))
     flows = compute_flows(inst, scheme)
-    assert flows.edge.flow_in.sum() == 0.0 and flows.edge.flow_out.sum() == 0.0
+    assert flows.edge.flows[0].sum() == 0.0 and flows.edge.flows[1].sum() == 0.0
     assert flows.cost_total == 0.0
     assert check_feasibility(inst, scheme).feasible
 
@@ -276,8 +276,8 @@ def test_isp_flows_sum_users():
     table = build_option_table(inst.topology)
     scheme = rsn_scheme(inst, np.random.default_rng(0), table)
     flows = compute_flows(inst, scheme, table)
-    np.testing.assert_allclose(flows.isp.flow_in, flows.edge.flow_in.sum(axis=0), rtol=1e-12)
-    np.testing.assert_allclose(flows.isp.flow_out, flows.edge.flow_out.sum(axis=0), rtol=1e-12)
+    np.testing.assert_allclose(flows.isp.flows[0], flows.edge.flows[0].sum(axis=0), rtol=1e-12)
+    np.testing.assert_allclose(flows.isp.flows[1], flows.edge.flows[1].sum(axis=0), rtol=1e-12)
 
 
 def test_overage_cost_value():
@@ -478,6 +478,28 @@ def test_soft_loss_of_a_stack_is_each_draws_loss():
     assert losses.tolist() == [soft_loss(inst, a, 1.3, table) for a in allocs]
 
 
+# the soft kernel sums a one-hot row's zero terms too, and in another
+# order, so the two kernels agree to rounding, not bit for bit
+def test_one_hot_soft_flows_are_the_hard_flows():
+    inst = generate_instance(DESK_CONFIG, seed=HELD_SEED0)
+    table = build_option_table(inst.topology)
+    args = (table.weights, inst.demands.inbound, inst.demands.outbound)
+    stack = np.random.default_rng(0).integers(0, table.n_valid.T, size=(4, *inst.dims))
+    for option in (stack, stack[0]):
+        x = np.zeros((*option.shape, table.n_options))
+        np.put_along_axis(x, option[..., None], 1.0, axis=-1)
+        hard = _kernels.hard_edge_flows(option, *args)
+        soft = _kernels.soft_edge_flows(x, *args)
+        assert soft.shape == hard.shape == (2, *option.shape[:-3], *inst.topology.edge_rate.shape,
+                                            inst.dims[0])
+        for d in range(2):
+            np.testing.assert_allclose(soft[d], hard[d], rtol=1e-12, atol=0)
+        soft_cost = _kernels.price_flows(inst.topology, soft).cost_total
+        hard_cost = _kernels.price_flows(inst.topology, hard).cost_total
+        assert np.all(hard_cost > 0)
+        np.testing.assert_allclose(soft_cost, hard_cost, rtol=1e-12, atol=0)
+
+
 # N*EL >= 8 edge costs go through numpy's pairwise summation, whose order
 # follows the memory layout of the summed array
 @settings(derandomize=True, database=None, deadline=None, max_examples=60)
@@ -499,9 +521,9 @@ def test_stacked_pricing_equals_single_pricing(n_users, n_isps, n_slots, n_types
     else:
         stack = np.stack([random_soft(inst, table, rng).x for _ in range(n_draws)])
         flows_of = _kernels.soft_edge_flows
-    batch = _kernels.price_flows(inst.topology, *flows_of(stack, *args))
+    batch = _kernels.price_flows(inst.topology, flows_of(stack, *args))
     for s in range(n_draws):
-        one = _kernels.price_flows(inst.topology, *flows_of(stack[s], *args))
+        one = _kernels.price_flows(inst.topology, flows_of(stack[s], *args))
         assert batch.cost_total[s] == one.cost_total
         assert batch.penalty[s] == one.penalty
         assert batch.feasible[s] == one.feasible
@@ -511,7 +533,8 @@ def no_overshoot_entry(flows):
     """The reference feasibility rule: per allocation, no entry of any
     overshoot array is nonzero (NaN counts as nonzero)."""
     ok = True
-    for o in (*flows.edge.overshoot, *flows.isp.overshoot):
+    for o in (*flows.edge.overshoot[0], *flows.isp.overshoot[0],
+              flows.edge.overshoot[1], flows.isp.overshoot[1]):
         ok = ok & ~o.any(axis=tuple(range(flows.isp.z.ndim - 1, o.ndim)))
     return ok
 
@@ -543,13 +566,13 @@ def test_feasible_is_no_overshoot_entry(n_users, n_isps, n_slots, n_types, seed,
     rng = np.random.default_rng(seed)
     args = (table.weights, inst.demands.inbound, inst.demands.outbound)
     if hard:
-        edge_in, edge_out = _kernels.hard_edge_flows(
+        edge = _kernels.hard_edge_flows(
             rng.integers(0, table.n_valid.T, size=(n_draws, *inst.dims)), *args)
     else:
-        edge_in, edge_out = _kernels.soft_edge_flows(
+        edge = _kernels.soft_edge_flows(
             np.stack([random_soft(inst, table, rng).x for _ in range(n_draws)]), *args)
     for _ in range(n_special if special != "none" else 0):
-        flow = (edge_in, edge_out)[rng.integers(2)]
+        flow = edge[rng.integers(2)]
         s, n, j, t = (rng.integers(d) for d in flow.shape)
         if special == "billable cap":
             # every slot at the billable cap puts z exactly on it
@@ -557,10 +580,10 @@ def test_feasible_is_no_overshoot_entry(n_users, n_isps, n_slots, n_types, seed,
         else:
             flow[s, n, j, t] = {"nan": np.nan, "inf": np.inf,
                                 "phys cap": topo.edge_cap_phys[n, j]}[special]
-    batch = _kernels.price_flows(topo, edge_in, edge_out)
+    batch = _kernels.price_flows(topo, edge)
     assert np.array_equal(batch.feasible, no_overshoot_entry(batch))
     for s in range(n_draws):
-        one = _kernels.price_flows(topo, edge_in[s], edge_out[s])
+        one = _kernels.price_flows(topo, edge[:, s])
         assert one.feasible == no_overshoot_entry(one) == batch.feasible[s]
 
 
@@ -593,14 +616,13 @@ def test_feasibility_edge_cases():
         (series((4, np.inf)), base, False),               # +inf peak, z finite
         (base, series((4, np.nan), (5, np.nan)), False),  # NaN z
     ]
-    stack_in = np.stack([c[0] for c in cases])[:, None, None, :]
-    stack_out = np.stack([c[1] for c in cases])[:, None, None, :]
-    batch = _kernels.price_flows(topo, stack_in, stack_out)
+    stack = np.stack([[c[0] for c in cases], [c[1] for c in cases]])[:, :, None, None, :]
+    batch = _kernels.price_flows(topo, stack)
     assert np.isnan(batch.edge.z[-1, 0, 0]) and np.isnan(batch.edge.peak[7, 0, 0])
     want = [c[2] for c in cases]
     assert batch.feasible.tolist() == no_overshoot_entry(batch).tolist() == want
     for s, feasible in enumerate(want):
-        one = _kernels.price_flows(topo, stack_in[s], stack_out[s])
+        one = _kernels.price_flows(topo, stack[:, s])
         assert one.feasible == no_overshoot_entry(one) == feasible
         assert FeasibilityReport.from_flows(one).feasible == feasible
 
@@ -609,7 +631,7 @@ def test_cheap_routes_never_build_the_overshoot_arrays(monkeypatch):
     inst = make_tiny(3, n_users=2, n_types=2, demand_scale=8.0)
     table = build_option_table(inst.topology)
     stack = np.random.default_rng(3).integers(0, table.n_valid.T, size=(4, *inst.dims))
-    flows = _kernels.price_flows(inst.topology, *_kernels.hard_edge_flows(
+    flows = _kernels.price_flows(inst.topology, _kernels.hard_edge_flows(
         stack, table.weights, inst.demands.inbound, inst.demands.outbound))
     assert flows.feasible.shape == flows.cost_total.shape == (4,)
     assert "overshoot" not in vars(flows.edge) and "overshoot" not in vars(flows.isp)
@@ -706,9 +728,9 @@ def test_flow_conservation():
         alloc = (rsn_scheme(inst, rng, table) if seed % 2
                  else random_soft(inst, table, rng))
         flows = compute_flows(inst, alloc, table)
-        np.testing.assert_allclose(flows.edge.flow_in.sum(axis=1),
+        np.testing.assert_allclose(flows.edge.flows[0].sum(axis=1),
                                    inst.demands.inbound.sum(axis=0), rtol=1e-9)
-        np.testing.assert_allclose(flows.edge.flow_out.sum(axis=1),
+        np.testing.assert_allclose(flows.edge.flows[1].sum(axis=1),
                                    inst.demands.outbound.sum(axis=0), rtol=1e-9)
 
 

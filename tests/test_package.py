@@ -33,7 +33,7 @@ PUBLIC_NAMES = [
 # the billing record's fields; adding a flat or positional field is a
 # change of this list
 FLOW_SUMMARY_FIELDS = ["edge", "isp", "cost_total"]
-LINK_TIER_FIELDS = ["flow_in", "flow_out", "z", "inbound", "peak",
+LINK_TIER_FIELDS = ["flows", "z", "inbound", "peak",
                     "rate", "cap_basic", "cap_billable", "cap_phys"]
 
 

@@ -29,7 +29,7 @@ def rsn_best_of_detailed(instance, n_samples, rng, table=None):
     if table is None:
         table = build_option_table(instance.topology)
     options = rsn_options(instance, table, n_samples, rng)
-    return best_feasible(options, [evaluate_hard(instance, table, o)[0] for o in options])
+    return best_feasible(options, evaluate_hard(instance, table, options))
 
 
 def combination_count(instance, table=None):

@@ -352,33 +352,44 @@ def check_feasibility(instance, alloc, table=None):
     return FeasibilityReport.from_flows(compute_flows(instance, alloc, table))
 
 
-def evaluate_hard(instance, table, option):
-    """Fast path for samplers: (cost, feasible) of an option array, the
-    cost inf when the scheme is infeasible."""
-    flows = _kernels.price_flows(instance.topology, _kernels.hard_edge_flows(
-        np.ascontiguousarray(option), table.weights,
-        instance.demands.inbound, instance.demands.outbound))
-    if not flows.feasible:
-        return np.inf, False
-    return flows.cost_total, True
+# draws per hard_edge_flows/price_flows call: at the default size a
+# chunk of 25 peaks at about a third of the memory that one stack of 100
+# takes, at the same speed
+PRICING_CHUNK = 25
 
 
-def best_feasible(options, costs):
+def evaluate_hard(instance, table, options):
+    """Price a stack of hard schemes, (S, T, N, K) option indices, in
+    chunks of PRICING_CHUNK draws: (costs, n_feasible), costs[s] the cost
+    of draw s or inf when it is infeasible, and n_feasible the count of
+    feasible draws.  Each cost equals that scheme's ``compute_flows``
+    total bit for bit.  The samplers price every draw of a best-of here,
+    in one call."""
+    costs = np.empty(len(options))
+    n_feasible = 0
+    for lo in range(0, len(options), PRICING_CHUNK):
+        flows = _kernels.price_flows(instance.topology, _kernels.hard_edge_flows(
+            options[lo:lo + PRICING_CHUNK], table.weights,
+            instance.demands.inbound, instance.demands.outbound))
+        feasible = flows.feasible
+        costs[lo:lo + PRICING_CHUNK] = np.where(feasible, flows.cost_total, np.inf)
+        n_feasible += int(feasible.sum())
+    return costs, n_feasible
+
+
+def best_feasible(options, priced):
     """The cheapest feasible draw of an (S, T, N, K) option block, given
-    costs[s], the cost of draw s or inf when it is infeasible (as
-    ``evaluate_hard`` prices it): ((scheme, cost) or None, feasible count).
-    Ties go to the earliest draw, and the scheme holds a copy, not a view
-    of the block.  Each sampler prices its draws with its own module's
-    ``evaluate_hard``: the benchmark's tracer counts draws per policy
-    there."""
-    costs = np.asarray(costs, dtype=float)
+    its ``evaluate_hard`` pricing (costs, n_feasible): ((scheme, cost) or
+    None, n_feasible).  Ties go to the earliest draw, and the scheme holds
+    a copy, not a view of the block.  The feasible count is the
+    pricing's own, passed through rather than counted a second time."""
+    costs, n_feasible = priced
     if costs.size == 0:
         raise ValueError("need at least one sample")
     best = int(np.argmin(costs))
     if costs[best] == np.inf:
-        return None, 0
-    return ((AllocationScheme(option=options[best].copy()), float(costs[best])),
-            int(np.isfinite(costs).sum()))
+        return None, n_feasible
+    return (AllocationScheme(option=options[best].copy()), float(costs[best])), n_feasible
 
 
 def soft_loss(instance, alloc, lam_g=1.0, table=None):

@@ -393,7 +393,7 @@ def best_of_detailed(network, instance, n_samples, rng, table=None):
     alpha, _ = forward_alpha(network, preprocess(instance, table), keep_cache=False)
     options = gumbel.categorical_rows(alpha.values, alpha.valid, rng, n_samples)
     options = options.reshape(n_samples, *alpha.dims)
-    return best_feasible(options, [evaluate_hard(instance, table, o)[0] for o in options])
+    return best_feasible(options, evaluate_hard(instance, table, options))
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ import pytest
 from ecsched import baselines, gumbel, sampler
 from ecsched.generate import GenConfig, generate_instance
 from ecsched.model import (AllocationScheme, DemandTensor, Instance, SoftAllocation,
-                           Topology, build_option_table, soft_loss)
+                           Topology, build_option_table, compute_flows, soft_loss)
 from ecsched.sampler import TrainConfig
 
 DESK_CONFIG = GenConfig(n_users=4, n_slots=12, n_types=6, n_isps=4, seed=101)
@@ -31,6 +31,14 @@ def rsn_scheme(inst, rng, table=None):
     if table is None:
         table = build_option_table(inst.topology)
     return AllocationScheme(option=baselines.rsn_options(inst, table, 1, rng)[0])
+
+
+def priced_alone(inst, table, option):
+    """One (T, N, K) scheme priced on its own through ``compute_flows``:
+    its cost, or inf when it is infeasible.  The per-draw reference that
+    the samplers' stacked ``evaluate_hard`` is checked against."""
+    flows = compute_flows(inst, AllocationScheme(option=option), table)
+    return flows.cost_total if flows.feasible else np.inf
 
 
 def hopeless_instance():

@@ -8,9 +8,9 @@ import tracemalloc
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import hopeless_instance, make_tiny
+from conftest import hopeless_instance, make_tiny, priced_alone
 from ecsched import _kernels
-from ecsched.model import DemandTensor, Instance, Topology, build_option_table, evaluate_hard
+from ecsched.model import DemandTensor, Instance, Topology, build_option_table
 
 
 def flat_valid_counts(inst, table):
@@ -113,12 +113,12 @@ def reduced_valid_counts(inst, slots, types):
 
 
 def odometer_search(inst, n_valid_flat):
-    """Every combination in odometer order, each priced alone by
-    ``evaluate_hard``; the earliest cheapest wins."""
+    """Every combination in odometer order, each priced alone
+    (``priced_alone``); the earliest cheapest wins."""
     table = build_option_table(inst.topology)
     best_cost, best = np.inf, None
     for combo in itertools.product(*(range(int(c)) for c in n_valid_flat)):
-        cost = evaluate_hard(inst, table, np.array(combo).reshape(inst.dims))[0]
+        cost = priced_alone(inst, table, np.array(combo).reshape(inst.dims))
         if cost < best_cost:
             best_cost, best = cost, np.array(combo)
     return best_cost, best

@@ -12,13 +12,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
-from conftest import DESK_CONFIG, HELD_SEED0, make_tiny, rsn_scheme
+from conftest import DESK_CONFIG, HELD_SEED0, hopeless_instance, make_tiny, priced_alone, rsn_scheme
 from ecsched import _kernels, baselines, milp, sampler
 from ecsched.generate import GenConfig, generate_instance
-from ecsched.model import (AllocationScheme, DemandTensor, FeasibilityReport, Instance,
-                           InvalidTopologyError, SoftAllocation, Topology,
-                           build_option_table, check_feasibility, compute_flows,
-                           evaluate_hard, percentile_exempt_count, soft_loss,
+from ecsched.model import (PRICING_CHUNK, AllocationScheme, DemandTensor, FeasibilityReport,
+                           Instance, InvalidTopologyError, SoftAllocation, Topology,
+                           best_feasible, build_option_table, check_feasibility,
+                           compute_flows, evaluate_hard, percentile_exempt_count, soft_loss,
                            soft_loss_and_grad, total_cost)
 from gradcheck import billing_signature
 
@@ -402,14 +402,70 @@ def test_evaluate_hard_matches_slow_path():
         inst = make_tiny(seed, n_users=2, n_slots=4, n_types=3, n_isps=3,
                          full_admissible=False, demand_scale=4.0)
         table = build_option_table(inst.topology)
-        for _ in range(4):
-            scheme = rsn_scheme(inst, rng, table)
-            cost, feasible = evaluate_hard(inst, table, scheme.option)
-            assert feasible == check_feasibility(inst, scheme, table).feasible
+        schemes = [rsn_scheme(inst, rng, table) for _ in range(4)]
+        costs, n_feasible = evaluate_hard(inst, table, np.stack([s.option for s in schemes]))
+        verdicts = [check_feasibility(inst, scheme, table).feasible for scheme in schemes]
+        assert n_feasible == sum(verdicts)
+        for scheme, cost, feasible in zip(schemes, costs, verdicts):
             if feasible:
                 assert cost == pytest.approx(total_cost(inst, scheme, table), rel=1e-12)
             else:
                 assert cost == np.inf
+
+
+@pytest.fixture(scope="module")
+def chunk_edge_instances():
+    """A desk instance, a default-size one, a tiny one where some uniform
+    draws are infeasible, and one where every draw is."""
+    return {"desk": generate_instance(DESK_CONFIG, seed=HELD_SEED0),
+            "default": generate_instance(GenConfig(), seed=100001),
+            "tiny": make_tiny(5, n_users=2, n_slots=4, n_types=3, n_isps=3,
+                              full_admissible=False, demand_scale=4.0),
+            "hopeless": hopeless_instance()}
+
+
+@pytest.mark.parametrize("n_draws", [1, 24, 25, 26, 51, 100])
+def test_stacked_hard_pricing_equals_per_draw_pricing_at_chunk_edges(chunk_edge_instances,
+                                                                    n_draws):
+    assert PRICING_CHUNK == 25  # the stack sizes sit on either side of its multiples
+    rng = np.random.default_rng(n_draws)
+    counts = {}
+    for name, inst in chunk_edge_instances.items():
+        table = build_option_table(inst.topology)
+        stack = baselines.rsn_options(inst, table, n_draws, rng)
+        costs, n_feasible = evaluate_hard(inst, table, stack)
+        want = np.array([priced_alone(inst, table, option) for option in stack])
+        assert costs.tobytes() == want.tobytes()  # bit for bit, inf included
+        assert n_feasible == np.isfinite(want).sum()
+        counts[name] = n_feasible
+    assert counts["hopeless"] == 0
+    if n_draws >= 24:
+        assert 0 < counts["tiny"] < n_draws
+
+
+def test_best_feasible_keeps_the_earliest_of_tied_draws():
+    inst = make_tiny(5, n_users=2, n_slots=4, n_types=3, n_isps=3,
+                     full_admissible=False, demand_scale=4.0)
+    table = build_option_table(inst.topology)
+    draws = baselines.rsn_options(inst, table, 40, np.random.default_rng(3))
+    # the block twice over: each draw's copy prices in another chunk, and
+    # ties with it
+    stack = np.concatenate([draws, draws])
+    priced = evaluate_hard(inst, table, stack)
+    costs, n_feasible = priced
+    assert costs[:40].tobytes() == costs[40:].tobytes()
+    first = int(np.argmin(costs[:40]))
+    assert costs[first] < np.inf
+    # positions in place of schemes show which copy is kept
+    (position, cost), count = best_feasible(np.arange(80), priced)
+    assert position.option == first and cost == costs[first] and count == n_feasible
+    (scheme, _), _ = best_feasible(stack, priced)
+    assert np.array_equal(scheme.option, draws[first])
+    assert not np.shares_memory(scheme.option, stack)
+
+    empty = np.empty((0, *inst.dims), dtype=np.int64)
+    with pytest.raises(ValueError):
+        best_feasible(empty, evaluate_hard(inst, table, empty))
 
 
 # ---------------------------------------------------------------------------
@@ -453,7 +509,7 @@ def test_pricing_routes_agree_with_oracle_on_tied_slots(seed, n_slots):
         priced = want if feasible else np.inf
         assert check_feasibility(inst, scheme, table).feasible == feasible
         assert total_cost(inst, scheme, table) == pytest.approx(want, rel=1e-12)
-        assert evaluate_hard(inst, table, option)[0] == pytest.approx(priced, rel=1e-12)
+        assert evaluate_hard(inst, table, option[None])[0][0] == pytest.approx(priced, rel=1e-12)
         assert milp.objective_of(model, option) == pytest.approx(priced, rel=1e-12)
 
 
@@ -644,7 +700,7 @@ def test_cheap_routes_never_build_the_overshoot_arrays(monkeypatch):
     def refuse(self):
         raise AssertionError("overshoot arrays built")
     monkeypatch.setattr(_kernels.LinkTier, "overshoot", property(refuse))
-    evaluate_hard(inst, table, stack[0])
+    evaluate_hard(inst, table, stack)
     baselines.rsn_best_of_detailed(inst, 5, np.random.default_rng(0), table)
     assert baselines.brute_force(make_tiny(4, demand_scale=8.0)) is not None
 

@@ -124,3 +124,28 @@ def test_slot_flows_are_ordered_in_one_place():
         visit(ast.parse(path.read_text()), path.stem)
     assert sorted(found) == ["_kernels._top_slots:sort", "_kernels.descending_slots:argsort",
                              "milp.read_solution:partition"]
+
+
+def test_hard_pricing_is_one_call_per_best_of():
+    # each sampler prices its whole draw block in one evaluate_hard call;
+    # a call inside a loop or a comprehension would price draw by draw
+    loops = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
+             ast.GeneratorExp)
+    calls = []
+
+    def visit(node, where, looped):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = f"{where.partition('.')[0]}.{node.name}"
+        elif isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name == "evaluate_hard":
+                calls.append((where, looped))
+        looped = looped or isinstance(node, loops)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where, looped)
+
+    for path in sorted((ROOT / "src" / "ecsched").glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem, False)
+    assert sorted(calls) == [("baselines.rsn_best_of_detailed", False),
+                             ("sampler.best_of_detailed", False)]

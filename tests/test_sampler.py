@@ -10,12 +10,12 @@ import numpy as np
 import pytest
 
 from conftest import (DESK_CONFIG, DESK_NET_SEED, HELD_SEED0, desk_instances,
-                      hopeless_instance, make_tiny, recorded_protocol_loss)
+                      hopeless_instance, make_tiny, priced_alone, recorded_protocol_loss)
 from ecsched import gumbel, sampler
 from ecsched.cli import main
 from ecsched.generate import GenConfig, generate_instance
 from ecsched.model import (DemandTensor, Instance, Topology,
-                           build_option_table, evaluate_hard, soft_loss,
+                           build_option_table, soft_loss,
                            soft_loss_and_grad, total_cost)
 from ecsched.sampler import (IntegrityError, TrainConfig, TrainingDiverged,
                              anneal_tau, best_of_detailed,
@@ -479,15 +479,14 @@ def test_best_of_is_min_over_feasible_draws():
     costs = []
     for _ in range(50):
         idx = gumbel.categorical_rows(alpha.values, alpha.valid, rng, 1)
-        cost, feasible = evaluate_hard(inst, table, idx.reshape(t, n, k))
-        if feasible:
+        cost = priced_alone(inst, table, idx.reshape(t, n, k))
+        if cost != np.inf:
             costs.append(cost)
     assert n_feasible == len(costs)
     assert 0 < n_feasible < 50
     assert best is not None
     assert best[1] == min(costs)
-    got_cost, got_feasible = evaluate_hard(inst, table, best[0].option)
-    assert got_feasible and got_cost == best[1]
+    assert priced_alone(inst, table, best[0].option) == best[1]
 
 
 # sha256 over best_of_detailed's scheme bytes, cost repr and feasible count
@@ -541,8 +540,8 @@ def test_sampled_costs_behave(desk_run):
     costs = []
     for _ in range(1000):
         idx = gumbel.categorical_rows(alpha.values, alpha.valid, rng, 1)
-        cost, feasible = evaluate_hard(inst, table, idx.reshape(t, n, k))
-        if feasible:
+        cost = priced_alone(inst, table, idx.reshape(t, n, k))
+        if cost != np.inf:
             costs.append(cost)
     costs = np.array(costs)
     assert costs.size > 900

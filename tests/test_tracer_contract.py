@@ -9,7 +9,7 @@ import numpy as np
 from conftest import DESK_CONFIG, desk_instances, make_tiny
 from ecsched import baselines, sampler
 from ecsched.generate import GenConfig, generate_instance
-from ecsched.model import build_option_table
+from ecsched.model import PRICING_CHUNK, build_option_table
 from ecsched.sampler import TrainConfig
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -42,14 +42,20 @@ def test_traced_best_of_runs_keep_the_tracer_contract():
     tracer = tracing.Tracer()
     tracer.label_network(network)
     with tracing.installed(tracer), tracer.recording():
-        sampler.best_of_detailed(network, inst, 20, np.random.default_rng(0))
-        baselines.rsn_best_of_detailed(inst, 20, np.random.default_rng(1))
+        sampler.best_of_detailed(network, inst, 30, np.random.default_rng(0))
+        baselines.rsn_best_of_detailed(inst, 30, np.random.default_rng(1))
 
-    priced = [attrs for _, _, name, _, _, attrs in tracer.spans
+    # one pricing call per best-of, whose chunks are its flow kernel calls
+    priced = [(sid, attrs) for sid, _, name, _, _, attrs in tracer.spans
               if name == "model.evaluate_hard"]
-    assert len(priced) == 40
-    assert all("policy" in attrs for attrs in priced)
-    assert [attrs["policy"] for attrs in priced] == ["gssn"] * 20 + ["rsn"] * 20
+    assert len(priced) == 2
+    assert all("policy" in attrs for _, attrs in priced)
+    assert [attrs["policy"] for _, attrs in priced] == ["gssn", "rsn"]
+    kernel_parents = [parent for _, parent, name, _, _, _ in tracer.spans
+                      if name == "kernels.hard_edge_flows"]
+    chunks = -(-30 // PRICING_CHUNK)
+    assert chunks > 1
+    assert kernel_parents == [sid for sid, _ in priced for _ in range(chunks)]
     metrics = tracing.layer_metrics(tracer.spans)
     assert metrics["gumbel.categorical_rows.calls"] == (1, "count")
     assert metrics["sampler.best_of_detailed.calls"] == (1, "count")

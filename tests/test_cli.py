@@ -301,6 +301,19 @@ def test_train_moves_the_parameters_on_desk_instances(tmp_path, capsys):
     assert all(moved), moved
 
 
+def test_train_seed_flag_overrides_the_config(cli_workspace, tmp_path, capsys):
+    cfg = tmp_path / "seed9.json"
+    cfg.write_text(json.dumps({**json.loads(cli_workspace["config"].read_text()), "seed": 9}))
+    models = [tmp_path / "config_seed.json", tmp_path / "flag_seed.json"]
+    for config, seed_flag, model in ((cfg, [], models[0]),
+                                     (cli_workspace["config"], ["--seed", "9"], models[1])):
+        code, _, _ = run(capsys, "train", "--instances", str(cli_workspace["insts"]),
+                         "--config", str(config), *seed_flag, "--out", str(model))
+        assert code == 0
+    assert models[1].read_bytes() == models[0].read_bytes()
+    assert models[1].read_bytes() != cli_workspace["model"].read_bytes()
+
+
 def test_sample_then_eval(cli_workspace, tmp_path, capsys):
     inst_path = next(cli_workspace["insts"].glob("inst-*.json"))
     scheme_path = tmp_path / "scheme.json"
@@ -321,6 +334,18 @@ def test_sample_then_eval(cli_workspace, tmp_path, capsys):
     inst = io.read_instance(inst_path)
     assert doc["cost"] == pytest.approx(total_cost(inst, scheme), rel=1e-12)
     assert stored == pytest.approx(doc["cost"], rel=1e-12)
+
+
+def test_eval_notes_a_scheme_made_for_another_instance(cli_workspace, tmp_path, capsys):
+    # option 0 is valid in every block of every instance
+    first, second = sorted(cli_workspace["insts"].glob("inst-*.json"))[:2]
+    scheme_path = tmp_path / "scheme.json"
+    io.write_scheme(AllocationScheme(option=np.zeros((3, 1, 2), dtype=np.int64)), scheme_path,
+                    instance_id=first.stem)
+    code, out, err = run(capsys, "eval", "--instance", str(second), "--scheme", str(scheme_path))
+    assert code in (0, 2)
+    assert json.loads(out)["cost"] >= 0.0
+    assert err == f"note: scheme was produced for '{first.stem}'\n"
 
 
 def test_sample_rsn_policy_needs_no_model(cli_workspace, tmp_path, capsys):
@@ -709,6 +734,15 @@ def test_malformed_manifest_is_exit_3(tmp_path, capsys, manifest, message):
                        "--samples", "2")
     assert code == 3
     assert str(insts) in err and message in err
+
+
+def test_instance_directory_without_instances_is_exit_3(tmp_path, capsys):
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    code, _, err = run(capsys, "bench", "--instances", str(empty), "--policy", "rsn",
+                       "--samples", "2")
+    assert code == 3
+    assert f"{empty}: no instances found" in err
 
 
 def test_bench_gssn_without_model_is_exit_3(tmp_path, capsys):

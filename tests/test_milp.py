@@ -250,6 +250,15 @@ def test_solution_unknown_variable_rejected(tmp_path):
         read_solution(path, model)
 
 
+def test_solution_non_numeric_value_rejected(tmp_path):
+    inst = make_tiny(6)
+    model = linearize(inst)
+    path = tmp_path / "sol.txt"
+    path.write_text("lam_t0_n0_k0_p0 one\n")
+    with pytest.raises(FormatError, match=r"sol.txt:1: bad value for 'lam_t0_n0_k0_p0'$"):
+        read_solution(path, model)
+
+
 def test_solution_missing_block_rejected(tmp_path):
     inst = make_tiny(6)
     model = linearize(inst)

@@ -164,6 +164,21 @@ def test_topology_rejects_non_finite_caps_and_rates(kwargs):
         plain_topology(**args)
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("edge_rate", np.full((1, 3), 5.0), r"edge_rate must have shape \(1, 2\)"),
+    ("isp_cap_phys", np.full(3, 1e8), r"isp_cap_phys must have shape \(2,\)"),
+    ("admissible", np.ones((1, 2, 2), dtype=bool), r"admissible must have shape \(K, 1, 2\)"),
+    ("admissible", np.ones((1, 1, 2), dtype=np.int64), "admissible must be boolean"),
+    ("edge_rate", np.full((1, 2), -5.0), "billing rates must be nonnegative"),
+    ("isp_rate", np.full(2, -1.0), "billing rates must be nonnegative"),
+], ids=["edge-shape", "isp-shape", "admissible-shape", "admissible-dtype",
+        "negative-edge-rate", "negative-isp-rate"])
+def test_topology_rejects_bad_shapes_dtypes_and_rates(field, value, message):
+    topo = plain_topology([[100.0, 300.0]], 1e4, 5.0, np.ones((1, 1, 2), dtype=bool))
+    with pytest.raises(InvalidTopologyError, match=message):
+        dataclasses.replace(topo, **{field: value})
+
+
 def test_demands_reject_negative_but_allow_zero():
     z = np.zeros((1, 1, 3))
     DemandTensor(inbound=z, outbound=z)

@@ -3,7 +3,7 @@ the adjoints of both.
 
 Every route that prices an allocation (the cost model, the soft loss and
 its gradient, the samplers and the MILP objective) goes through
-``price_flows``, and exact search through the same billing code.
+``price_flows``, and exhaustive search through the same billing code.
 ``_bill_links`` bills a tier of links, the edge links or the ISP links,
 from its billed levels and peaks, so the inbound tie rule,
 the overage cost and the cap checks are written once, and
@@ -23,10 +23,11 @@ and ``soft_edge_flows_grad`` carries it back to the relaxed allocation.
 Hard and soft flows and pricing take leading batch axes, which lets
 training price an instance's metric draws in one call.  A stack's
 totals equal the totals of its allocations priced one at a time, bit
-for bit.  Exact search goes depth-first over slots and bills each
-partial assignment from ``_top_slots`` of its parent's k values and its
-new slot's flows: a lower bound on every completion's cost, and at a
-leaf the values ``price_flows`` reads from the whole series.
+for bit.  Exhaustive search builds no per-combination flows: it splits
+the slots in two parts, keeps each part's ``_top_slots`` with k of all
+the slots, and merges a combination's two parts into its billed levels
+and peaks (``_merged_level_and_peak``), which equal those
+``price_flows`` reads from the statistic of the whole.
 
 Array conventions match the rest of the package: demand tensors are
 ``[type, user, slot]``, per-slot link flows are ``[direction, user,
@@ -36,6 +37,7 @@ once per tier with the direction as an index (any stack axes follow
 the direction), and split weights are ``[type, user, option, link]``.
 """
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -54,10 +56,29 @@ def percentile_exempt_count(n_slots):
 def _top_slots(flows, k):
     """The k largest values along the last (slot) axis, largest first, on
     a trailing axis of length k: [..., 0] is the peak, and with k = m + 1
-    [..., m] is the billed level.  A basic-slice view of one sort of a
-    series of at least k slots.  NaN sorts last, so a NaN slot makes the
-    peak NaN."""
-    return np.sort(flows, axis=-1)[..., :-k - 1:-1]
+    [..., m] is the billed level.  A basic-slice view of one sort; only a
+    series shorter than k is padded with -inf, into a copy.  NaN sorts
+    last, so a NaN slot makes the peak NaN."""
+    top = np.sort(flows, axis=-1)[..., :-k - 1:-1]
+    short = k - top.shape[-1]
+    return top if short == 0 else np.concatenate(
+        [top, np.full((*top.shape[:-1], short), -np.inf)], axis=-1)
+
+
+def _merged_level_and_peak(a, b):
+    """The billed level and the peak of slots split into two parts, from
+    each part's ``_top_slots`` with k = m + 1 of all the slots (broadcast
+    against each other).  With a_i the i-th largest of a (1-based, a_0 =
+    +inf) and b_j likewise, the k-th largest of the union is the largest
+    min(a_i, b_(k-i)) over i = 0..k, and the peak is the larger peak.
+    Both are values of the union, those its sort gives, so equal to them
+    bit for bit (NaN aside, and the sign of a zero)."""
+    k = a.shape[-1]
+    peak = np.maximum(a[..., 0], b[..., 0])
+    level = peak if k == 1 else np.maximum(a[..., k - 1], b[..., k - 1])  # i = k and i = 0
+    for i in range(1, k):
+        level = np.maximum(level, np.minimum(a[..., i - 1], b[..., k - 1 - i]))
+    return level, peak
 
 
 def descending_slots(flows):
@@ -82,9 +103,9 @@ class LinkTier:
     keep the batch axes.  inbound is True where the inbound billed level
     sets z (ties inbound); peak is each link's largest slot flow in
     either direction, the larger of the two directions' peaks (NaN when
-    either is NaN).  Only ``overshoot`` reads flows, and exact search,
-    which never reads it, bills from order statistics and leaves them
-    None.
+    either is NaN).  Only ``overshoot`` reads flows, and exhaustive
+    search, which never reads it, bills from order statistics and leaves
+    them None.
     """
 
     flows: np.ndarray
@@ -160,7 +181,7 @@ def _bill_links(billed, flows, rate, cap_basic, cap_billable, cap_phys):
 def _summary(topology, edge, isp, flows=(None, None)):
     """Both tiers billed, and the total cost, from each tier's (billed
     level, peak).  flows are the per-slot (edge, ISP) flows that only
-    ``LinkTier.overshoot`` reads; exact search passes none, so its
+    ``LinkTier.overshoot`` reads; exhaustive search builds none, so its
     records hold None."""
     edge = _bill_links(edge, flows[0], topology.edge_rate, topology.edge_cap_basic,
                        topology.edge_cap_billable, topology.edge_cap_phys)
@@ -288,68 +309,61 @@ def _digits_for(combo_ids, radices):
 
 
 def brute_force_search(n_valid_flat, weights, d_in, d_out, topology, chunk=4096):
-    """Exact search over option combinations, depth-first over slots.
+    """Exhaustive search over option combinations, priced in chunks.
 
     n_valid_flat: (S,) valid option counts, slots flattened t-major as
     s = (t*N + n)*K + k.  Returns (best_cost, best_options (S,)), with
-    best_cost inf when no combination is feasible: the result of an
-    enumeration in odometer order (last slot fastest), cost ties
-    resolved toward the earlier combination.
+    best_cost inf when no combination is feasible; combos enumerated in
+    odometer order (last slot fastest), cost ties resolved toward the
+    earlier combination.
 
-    Slots with one combination hold option 0 and are placed first, in
-    one ``hard_edge_flows`` call; that keeps the odometer order and
-    bounds the depth by the number of free slots, those with more (the
-    last slot is free when no slot has more).  A node prices up to chunk
-    of its free slot's combinations per call and bills each child from
-    its k = m + 1 largest placed slot flows per link and direction, -inf
-    while fewer than k slots are placed: ``_top_slots`` of the parent's
-    k values and the child's flows.  Demands and split weights are
-    nonnegative, so placing a slot never lowers these values; a partial
-    assignment's cost bounds every completion's from below, and an
-    overshot cap stays overshot.  A child is dropped when it is
-    infeasible or its bound is not below the best cost found so far,
-    which keeps the earliest minimizer.  At a leaf the values are those
-    ``price_flows`` reads from the whole series, so the bound is the
-    price, bit for bit.
+    Each combination splits at one slot boundary into a suffix, its
+    options in the longest run of trailing slots that has at most chunk
+    combinations (possibly no slot), and a prefix, its options in the
+    slots before.  A part's flows depend only on its own options, so each
+    suffix's flows are priced once per search, and each prefix's once per
+    batch of chunk // (suffix count) prefixes (at least one), into their
+    ``_top_slots`` per tier, k = m + 1.  A combination's billed levels
+    and peaks merge its two parts' (``_merged_level_and_peak``, once per
+    tier) with no per-combination flows or sort; they equal those
+    ``price_flows`` reads from its own flows bit for bit, so its cost does
+    too, and memory stays bounded by the chunk.
     """
-    K, N, _, EL = weights.shape
+    K, N = weights.shape[:2]
     T = d_in.shape[2]
     radices = n_valid_flat.reshape(T, N * K)
-    counts = radices.prod(axis=1)
-    free = np.flatnonzero(counts > 1).tolist() or [T - 1]
-    fixed = np.setdiff1d(np.arange(T), free)
+    counts = [math.prod(int(c) for c in row) for row in radices]
+    split = T
+    while split > 0 and math.prod(counts[split - 1:]) <= chunk:
+        split -= 1
+    n_prefix, n_suffix = math.prod(counts[:split]), math.prod(counts[split:])
     k = percentile_exempt_count(T) + 1
-    options = np.zeros((T, N, K), dtype=np.int64)
-    best_cost, best = np.inf, options.flatten()
 
-    def placed(tops, slots, slot_options):
-        # each tier's k largest flows, (2, children, ..., k), once the
-        # slot_options (children, slots, N, K) join the parent's (2, 1, ..., k)
-        edge = hard_edge_flows(slot_options, weights, d_in[..., slots], d_out[..., slots])
-        return [_top_slots(np.concatenate([np.broadcast_to(top, (*f.shape[:-1], k)), f], axis=-1), k)
-                for top, f in zip(tops, (edge, edge.sum(axis=-3)))]
+    def part(ids, lo, hi):
+        # the options of slots [lo, hi) of each part id, and the k largest
+        # edge and ISP flows there, (2, ids, ..., k)
+        digits = _digits_for(ids, radices[lo:hi].reshape(-1))
+        edge = hard_edge_flows(digits.reshape(ids.size, hi - lo, N, K), weights,
+                               d_in[..., lo:hi], d_out[..., lo:hi])
+        return digits, [_top_slots(f, k) for f in (edge, edge.sum(axis=-3))]
 
-    def descend(depth, tops):
-        nonlocal best_cost, best
-        t, last = free[depth], depth == len(free) - 1
-        for start in range(0, counts[t], chunk):
-            digits = _digits_for(np.arange(start, min(start + chunk, counts[t])), radices[t])
-            children = placed(tops, [t], digits.reshape(-1, 1, N, K))
-            flows = _summary(topology, *((top[..., k - 1], top[..., 0]) for top in children))
-            bound = np.where(flows.feasible, flows.cost_total, np.inf)
-            for j in [np.argmin(bound)] if last else np.flatnonzero(bound < best_cost):
-                if bound[j] < best_cost:  # strict: keeps the earliest minimizer
-                    options[t] = digits[j].reshape(N, K)
-                    if last:
-                        best_cost, best = float(bound[j]), options.flatten()
-                    else:
-                        descend(depth + 1, [top[:, j:j + 1] for top in children])
+    suffixes, suffix_top = part(np.arange(n_suffix, dtype=np.int64), split, T)
+    per_batch = max(1, chunk // n_suffix)
+    best_cost = np.inf
+    best = np.zeros(n_valid_flat.shape[0], dtype=np.int64)
 
-    tops = [np.full((2, 1, N, EL, k), -np.inf), np.full((2, 1, EL, k), -np.inf)]
-    if fixed.size:
-        tops = placed(tops, fixed, options[None, fixed])
-    descend(0, tops)
-    # a recursive closure is a reference cycle; freed here, its cells do
-    # not wait on the heap for the cyclic collector
-    del descend
+    for start in range(0, n_prefix, per_batch):
+        prefixes, prefix_top = part(
+            np.arange(start, min(start + per_batch, n_prefix), dtype=np.int64), 0, split)
+        # (2, prefixes, suffixes, ...) flattened: combinations in odometer order
+        billed = [[x.reshape(2, -1, *x.shape[3:])
+                   for x in _merged_level_and_peak(a[:, :, None], b[:, None])]
+                  for a, b in zip(prefix_top, suffix_top)]
+        flows = _summary(topology, *billed)
+        cost = np.where(flows.feasible, flows.cost_total, np.inf)
+        j = int(np.argmin(cost))
+        if cost[j] < best_cost:  # strict: keeps the earliest minimizer
+            best_cost = float(cost[j])
+            best = np.concatenate([prefixes[j // n_suffix], suffixes[j % n_suffix]])
+
     return best_cost, best

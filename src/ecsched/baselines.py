@@ -1,11 +1,10 @@
-"""Reference policies: uniform random sampling and exact search.
+"""Reference policies: uniform random sampling and exhaustive search.
 
 The random policy draws every block's option uniformly over that block's
 valid options; it is the yardstick the learned sampler has to beat.  The
-exact search covers every option combination, pricing only those that a
-bound does not rule out, so its cost is a true optimum; it refuses
-instances whose combination count exceeds an explicit budget instead of
-silently running for hours.
+exhaustive search enumerates all option combinations, so its cost is a
+true optimum; it refuses instances whose combination count exceeds an
+explicit budget instead of silently running for hours.
 """
 
 import numpy as np
@@ -45,21 +44,19 @@ def combination_count(instance, table=None):
 
 
 def brute_force(instance, max_combinations=1_000_000, table=None):
-    """Exact optimum by a bounded depth-first search over slots:
-    (scheme, cost), or None if nothing is feasible.
+    """Exact optimum by enumeration: (scheme, cost), or None if nothing
+    is feasible.
 
-    The result is that of a scan in odometer order over blocks laid out
+    Combinations are scanned in odometer order over blocks laid out
     slot-major, so equal-cost optima resolve deterministically to the
-    earliest combination (``_kernels.brute_force_search``).  Raises
-    BudgetExceededError when the instance has more than
-    max_combinations, or at least 2**63, which int64 combination ids
-    cannot number, whatever the budget; the budget counts every
-    combination, priced or pruned.
+    earliest combination.  Raises BudgetExceededError when the instance
+    has more than max_combinations, or at least 2**63, which int64
+    combination ids cannot number, whatever the budget.
     """
     if table is None:
         table = build_option_table(instance.topology)
     total = combination_count(instance, table)
-    if total >= 2 ** 63:  # the search numbers each slot's combinations with int64 ids
+    if total >= 2 ** 63:  # the search numbers combinations with int64 ids
         raise BudgetExceededError(
             f"{total} option combinations exceed the 2**63 that int64 combination ids can number")
     if total > max_combinations:

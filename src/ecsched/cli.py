@@ -409,7 +409,7 @@ def build_parser():
     p.add_argument("--scheme", required=True)
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("oracle", help="exact optimum by bounded depth-first search")
+    p = sub.add_parser("oracle", help="exact optimum by enumeration")
     p.add_argument("--instance", required=True)
     p.add_argument("--budget", type=int, default=1_000_000)
     p.add_argument("--out", required=True, help="scheme file")

@@ -1,5 +1,5 @@
-"""Exact-search kernel: its bound, its pruning and pricing combinations
-in chunks must not change the result of an odometer enumeration."""
+"""Exhaustive-search kernel: pricing combinations in chunks must not
+change the result, which is that of an odometer enumeration."""
 
 import hashlib
 import itertools
@@ -152,40 +152,15 @@ def test_exempting_brute_force_bytes_are_pinned():
     assert digest.hexdigest() == EXEMPTING_BRUTE_FORCE_SHA256
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=300)
-@given(n_slots=st.integers(1, 60), cut=st.integers(0, 60), n_values=st.integers(1, 60),
-       seed=st.integers(0, 2 ** 16))
-@example(n_slots=60, cut=2, n_values=3, seed=1)  # fewer than k = 4 slots placed at once
-def test_placed_order_statistics_equal_the_sort(n_slots, cut, n_values, seed):
-    rng = np.random.default_rng(seed)
-    # few distinct values, zero among them, give ties, and negative ones
-    # tell the -inf of an unfilled place from a zero; flows (links, slots)
-    pool = np.concatenate([[0.0], rng.uniform(-50.0, 100.0, n_values - 1)])
-    flows = rng.choice(pool, size=(3, n_slots))
-    cut = min(cut, n_slots)
-    m = _kernels.percentile_exempt_count(n_slots)
-    k = m + 1
-    # the reference: the (m+1)-th largest and the largest of one sort
-    ordered = np.sort(flows, axis=-1)
-    want = ordered[..., n_slots - 1 - m], ordered[..., -1]
-    # as the search places them: the first cut slots at once on k values
-    # of -inf, then the others one at a time on the k values before
-    top = _kernels._top_slots(np.concatenate([np.full((3, k), -np.inf), flows[:, :cut]], axis=-1), k)
-    for s in range(cut, n_slots):
-        top = _kernels._top_slots(np.concatenate([top, flows[:, s:s + 1]], axis=-1), k)
-    whole = _kernels._top_slots(flows, k)
-    for got in (top, whole):
-        assert [got[..., k - 1].tobytes(), got[..., 0].tobytes()] == [x.tobytes() for x in want]
-
-
 @settings(derandomize=True, database=None, deadline=None, max_examples=100)
 @given(n_slots=st.integers(1, 24), n_users=st.integers(1, 2), n_isps=st.integers(2, 3),
        demand_scale=st.sampled_from([4.0, 8.0, 15.0, 30.0]), seed=st.integers(0, 2 ** 16))
 @example(n_slots=24, n_users=2, n_isps=2, demand_scale=8.0, seed=1)  # m = 1
 def test_a_partial_assignment_bounds_every_completion(n_slots, n_users, n_isps, demand_scale,
                                                       seed):
-    # the search's bound: billing a partial assignment from its placed
-    # slots' k largest flows, -inf while fewer than k slots are placed
+    # the bound a branch-and-bound search would prune with: billing a
+    # partial assignment from its placed slots' k largest flows, -inf
+    # while fewer than k slots are placed
     inst = make_tiny(seed, n_users=n_users, n_slots=n_slots, n_isps=n_isps,
                      demand_scale=demand_scale)
     table = build_option_table(inst.topology)
@@ -213,7 +188,7 @@ def test_a_partial_assignment_bounds_every_completion(n_slots, n_users, n_isps, 
        demand_scale=st.sampled_from([2.0, 4.0, 8.0]), n_open=st.integers(1, 5),
        chunk=st.sampled_from([1, 7, 4096]), seed=st.integers(0, 2 ** 16))
 @example(n_slots=24, n_users=2, demand_scale=4.0, n_open=5, chunk=7, seed=1)  # m = 1
-@example(n_slots=5, n_users=1, demand_scale=2.0, n_open=0, chunk=7, seed=1)  # no free slot
+@example(n_slots=5, n_users=1, demand_scale=2.0, n_open=0, chunk=7, seed=1)  # one combination
 def test_search_equals_the_odometer_enumeration(n_slots, n_users, demand_scale, n_open, chunk,
                                                 seed):
     inst = make_tiny(seed, n_users=n_users, n_slots=n_slots, demand_scale=demand_scale)
@@ -230,47 +205,51 @@ def test_search_equals_the_odometer_enumeration(n_slots, n_users, demand_scale, 
         assert (best.dtype, best.tobytes()) == (ref_best.dtype, ref_best.tobytes())
 
 
-def spy_on_pricing(monkeypatch):
-    """The option arrays the search passes to ``hard_edge_flows``, in
-    call order: (slot combinations, slots, N, K)."""
-    calls = []
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(n_slots=st.integers(1, 60), cut=st.integers(0, 60), n_values=st.integers(1, 60),
+       seed=st.integers(0, 2 ** 16))
+@example(n_slots=60, cut=2, n_values=3, seed=1)  # a part shorter than k = 4
+def test_merged_order_statistics_equal_the_sort(n_slots, cut, n_values, seed):
+    rng = np.random.default_rng(seed)
+    # few distinct values, zero among them, give ties, and negative ones
+    # tell the -inf padding of a short part from a zero; flows (links, slots)
+    pool = np.concatenate([[0.0], rng.uniform(-50.0, 100.0, n_values - 1)])
+    flows = rng.choice(pool, size=(3, n_slots))
+    cut = min(cut, n_slots)
+    m = _kernels.percentile_exempt_count(n_slots)
+    k = m + 1
+    # the reference: the (m+1)-th largest and the largest of one sort
+    ordered = np.sort(flows, axis=-1)
+    want = ordered[..., n_slots - 1 - m], ordered[..., -1]
+    merged = _kernels._merged_level_and_peak(_kernels._top_slots(flows[:, :cut], k),
+                                             _kernels._top_slots(flows[:, cut:], k))
+    whole = _kernels._top_slots(flows, k)
+    for got in (merged, (whole[..., k - 1], whole[..., 0])):
+        assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
+
+
+def test_search_runs_with_an_empty_part(monkeypatch):
+    """The pinned one-slot instance has 343 combinations, all in its one
+    slot: at chunk 7 the suffix holds no slot and each batch is 7
+    prefixes, and at chunk 4096 the prefix holds none."""
+    inst = pinned_instances()[3]
+    parts = []
     hard_edge_flows = _kernels.hard_edge_flows
 
     def spy(options, *args):
-        calls.append(options.shape)
+        parts.append(options.shape[:2])  # (part combinations, part slots)
         return hard_edge_flows(options, *args)
 
     monkeypatch.setattr(_kernels, "hard_edge_flows", spy)
-    return calls
-
-
-def test_each_call_prices_at_most_chunk_combinations_of_one_slot(monkeypatch):
-    """The pinned one-slot instance has 343 combinations, all in its one
-    slot, and no single-combination slot to place first."""
-    inst = pinned_instances()[3]
-    calls = spy_on_pricing(monkeypatch)
-    small = search(inst, 7)
-    assert [shape[:2] for shape in calls] == [(7, 1)] * 49
-    del calls[:]
-    large = search(inst, 4096)
-    assert [shape[:2] for shape in calls] == [(343, 1)]
+    small, large = search(inst, 7), search(inst, 4096)
+    assert parts == [(1, 0)] + [(7, 1)] * 49 + [(343, 1), (1, 0)]
     assert 0.0 < small[0] == large[0] < np.inf
     assert np.array_equal(small[1], large[1])
 
 
-def test_search_prunes_nearly_every_combination(monkeypatch):
-    # 9**6 = 531,441 combinations, of which the search priced 117 in 13
-    # calls when this test was written; enumeration would price them all
-    inst = make_tiny(1, n_slots=6, demand_scale=8.0)
-    calls = spy_on_pricing(monkeypatch)
-    cost, _ = search(inst, 4096)
-    assert 0.0 < cost < np.inf
-    assert sum(shape[0] for shape in calls) < 0.01 * 531441
-
-
-def test_search_depth_is_the_free_slot_count():
+def test_search_solves_thousands_of_single_combination_slots():
     # one ISP: every block has one option, so 3,000 slots hold one
-    # combination, and the search places them without recursing per slot
+    # combination; a search that recursed once per slot would overflow
     inst = make_tiny(1, n_slots=3000, n_isps=1)
     table = build_option_table(inst.topology)
     assert baselines.combination_count(inst, table) == 1

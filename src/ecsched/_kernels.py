@@ -29,6 +29,15 @@ the slots, and merges a combination's two parts into its billed levels
 and peaks (``_merged_level_and_peak``), which equal those
 ``price_flows`` reads from the statistic of the whole.
 
+Billed levels and peaks may arrive in any memory order.  The
+element-wise billing steps follow it, and each allocation's cost, and
+the penalty's per-link terms, are totalled from a C-ordered copy, so
+the bytes do not depend on it (the penalty's per-slot terms follow the
+flows' own layout, which the flow kernels fix).  Exhaustive search
+keeps its combinations innermost in memory, so every billing step runs
+along thousands of combinations, not along one combination's few
+links.
+
 Array conventions match the rest of the package: demand tensors are
 ``[type, user, slot]``, per-slot link flows are ``[direction, user,
 link, slot]`` (edge) and ``[direction, link, slot]`` (ISP), inbound
@@ -154,19 +163,24 @@ class FlowSummary:
         ok = True
         for tier in (self.edge, self.isp):
             within = (tier.peak <= tier.cap_phys) & (tier.z <= tier.cap_billable)
-            # copied with the stack axes innermost, so that the reduction
-            # runs along the stack and not along each allocation's few links
-            by_link = np.moveaxis(within, range(len(lead)), range(-len(lead), 0)).copy()
+            # the stack axes innermost (copied unless they already are
+            # there, as in exhaustive search), so that the reduction runs
+            # along the stack and not along each allocation's few links
+            by_link = np.ascontiguousarray(within.transpose(*range(len(lead), within.ndim),
+                                                            *range(len(lead))))
             ok = ok & by_link.reshape(-1, *lead).all(axis=0)
         return ok
 
     @property
     def penalty(self):
         """Sum of squared cap overshoots, totalled per array in this order:
-        edge in, edge out, ISP in, ISP out, edge z, ISP z."""
+        edge in, edge out, ISP in, ISP out, edge z, ISP z.  The per-slot
+        totals follow the flows' memory layout, which the flow kernels set,
+        and the per-link ones read a C-ordered copy, like ``cost_total``."""
         (edge, edge_z), (isp, isp_z) = self.edge.overshoot, self.isp.overshoot
+        per_link = [np.ascontiguousarray(o) for o in (edge_z, isp_z)]
         return _per_allocation(sum((o ** 2).sum(axis=tuple(range(self.isp.z.ndim - 1, o.ndim)))
-                                   for o in (*edge, *isp, edge_z, isp_z)))
+                                   for o in (*edge, *isp, *per_link)))
 
 
 def _bill_links(billed, flows, rate, cap_basic, cap_billable, cap_phys):
@@ -188,7 +202,8 @@ def _summary(topology, edge, isp, flows=(None, None)):
     isp = _bill_links(isp, flows[1], topology.isp_rate, topology.isp_cap_basic,
                       topology.isp_cap_billable, topology.isp_cap_phys)
     return FlowSummary(edge=edge, isp=isp, cost_total=_per_allocation(
-        edge.cost.sum(axis=(-2, -1)) + isp.cost.sum(axis=-1)))
+        np.ascontiguousarray(edge.cost).sum(axis=(-2, -1))
+        + np.ascontiguousarray(isp.cost).sum(axis=-1)))
 
 
 def price_flows(topology, edge):
@@ -323,11 +338,15 @@ def brute_force_search(n_valid_flat, weights, d_in, d_out, topology, chunk=4096)
     slots before.  A part's flows depend only on its own options, so each
     suffix's flows are priced once per search, and each prefix's once per
     batch of chunk // (suffix count) prefixes (at least one), into their
-    ``_top_slots`` per tier, k = m + 1.  A combination's billed levels
-    and peaks merge its two parts' (``_merged_level_and_peak``, once per
-    tier) with no per-combination flows or sort; they equal those
-    ``price_flows`` reads from its own flows bit for bit, so its cost does
-    too, and memory stays bounded by the chunk.
+    ``_top_slots`` per tier, k = m + 1, laid out (2, links..., ids, k)
+    with the ids innermost in memory.  A combination's billed levels and
+    peaks merge its two parts' (``_merged_level_and_peak``, once per
+    tier, into (2, links..., prefixes, suffixes)) with no per-combination
+    flows or sort; they equal those ``price_flows`` reads from its own
+    flows bit for bit, so its cost does too, and memory stays bounded by
+    the chunk.  ``_summary`` bills them as (2, combinations, links...)
+    views, so every element-wise billing step runs along the batch's
+    combinations, which lie innermost in memory.
     """
     K, N = weights.shape[:2]
     T = d_in.shape[2]
@@ -341,11 +360,13 @@ def brute_force_search(n_valid_flat, weights, d_in, d_out, topology, chunk=4096)
 
     def part(ids, lo, hi):
         # the options of slots [lo, hi) of each part id, and the k largest
-        # edge and ISP flows there, (2, ids, ..., k)
+        # edge and ISP flows there, (2, links..., ids, k) with the ids
+        # innermost in memory
         digits = _digits_for(ids, radices[lo:hi].reshape(-1))
         edge = hard_edge_flows(digits.reshape(ids.size, hi - lo, N, K), weights,
                                d_in[..., lo:hi], d_out[..., lo:hi])
-        return digits, [_top_slots(f, k) for f in (edge, edge.sum(axis=-3))]
+        tops = [_top_slots(f, k) for f in (edge, edge.sum(axis=-3))]
+        return digits, [t.transpose(0, *range(2, t.ndim), 1).copy().swapaxes(-1, -2) for t in tops]
 
     suffixes, suffix_top = part(np.arange(n_suffix, dtype=np.int64), split, T)
     per_batch = max(1, chunk // n_suffix)
@@ -355,9 +376,11 @@ def brute_force_search(n_valid_flat, weights, d_in, d_out, topology, chunk=4096)
     for start in range(0, n_prefix, per_batch):
         prefixes, prefix_top = part(
             np.arange(start, min(start + per_batch, n_prefix), dtype=np.int64), 0, split)
-        # (2, prefixes, suffixes, ...) flattened: combinations in odometer order
-        billed = [[x.reshape(2, -1, *x.shape[3:])
-                   for x in _merged_level_and_peak(a[:, :, None], b[:, None])]
+        # (2, links..., prefixes, suffixes) flattened: combinations in
+        # odometer order, innermost in memory, billed as (2, combinations,
+        # links...) views
+        billed = [[x.reshape(*x.shape[:-2], -1).transpose(0, -1, *range(1, x.ndim - 2))
+                   for x in _merged_level_and_peak(a[..., :, None, :], b[..., None, :, :])]
                   for a, b in zip(prefix_top, suffix_top)]
         flows = _summary(topology, *billed)
         cost = np.where(flows.feasible, flows.cost_total, np.inf)

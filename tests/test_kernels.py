@@ -184,18 +184,24 @@ def test_a_partial_assignment_bounds_every_completion(n_slots, n_users, n_isps, 
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=40)
-@given(n_slots=st.integers(1, 24), n_users=st.integers(1, 2),
+@given(n_slots=st.integers(1, 24), n_users=st.integers(1, 3), n_isps=st.integers(2, 3),
        demand_scale=st.sampled_from([2.0, 4.0, 8.0]), n_open=st.integers(1, 5),
        chunk=st.sampled_from([1, 7, 4096]), seed=st.integers(0, 2 ** 16))
-@example(n_slots=24, n_users=2, demand_scale=4.0, n_open=5, chunk=7, seed=1)  # m = 1
-@example(n_slots=5, n_users=1, demand_scale=2.0, n_open=0, chunk=7, seed=1)  # one combination
-def test_search_equals_the_odometer_enumeration(n_slots, n_users, demand_scale, n_open, chunk,
-                                                seed):
-    inst = make_tiny(seed, n_users=n_users, n_slots=n_slots, demand_scale=demand_scale)
+@example(n_slots=24, n_users=2, n_isps=2, demand_scale=4.0, n_open=5, chunk=7, seed=1)  # m = 1
+@example(n_slots=5, n_users=1, n_isps=2, demand_scale=2.0, n_open=0, chunk=7,
+         seed=1)  # one combination
+# nine edge links: each allocation's link sum takes numpy's 8-accumulator path
+@example(n_slots=20, n_users=3, n_isps=3, demand_scale=8.0, n_open=4, chunk=7, seed=1)
+def test_search_equals_the_odometer_enumeration(n_slots, n_users, n_isps, demand_scale, n_open,
+                                                chunk, seed):
+    inst = make_tiny(seed, n_users=n_users, n_slots=n_slots, n_isps=n_isps,
+                     demand_scale=demand_scale)
     rng = np.random.default_rng(seed)
     full = flat_valid_counts(inst, build_option_table(inst.topology))
-    # a few blocks keep their valid options, every other one only option 0
+    # a few blocks keep their valid options, every other one only option
+    # 0; with 3 ISPs (7 options a block) at most 4, 2,401 combinations
     counts = np.ones_like(full)
+    n_open = min(n_open, 4 if n_isps == 3 else 5)
     blocks = rng.choice(full.size, size=min(n_open, full.size), replace=False)
     counts[blocks] = full[blocks]
     ref_cost, ref_best = odometer_search(inst, counts)
@@ -203,6 +209,63 @@ def test_search_equals_the_odometer_enumeration(n_slots, n_users, demand_scale, 
     assert repr(cost) == repr(ref_cost)
     if ref_best is not None:
         assert (best.dtype, best.tobytes()) == (ref_best.dtype, ref_best.tobytes())
+
+
+def stack_innermost(x):
+    """x with the same values and shape, and its axis 1 (the stack)
+    innermost in memory."""
+    return np.moveaxis(np.ascontiguousarray(np.moveaxis(x, 1, -1)), -1, 1)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=30)
+@given(n_slots=st.integers(20, 48), n_users=st.integers(1, 3), n_isps=st.integers(2, 3),
+       demand_scale=st.sampled_from([4.0, 8.0, 30.0, 120.0]), seed=st.integers(0, 2 ** 16))
+@example(n_slots=20, n_users=3, n_isps=3, demand_scale=8.0, seed=1)  # nine edge links, m = 1
+@example(n_slots=20, n_users=3, n_isps=3, demand_scale=120.0, seed=1)  # billable caps overshot
+def test_billing_bytes_do_not_depend_on_memory_order(n_slots, n_users, n_isps, demand_scale,
+                                                     seed):
+    # exhaustive search bills with its combinations innermost in memory,
+    # price_flows with each allocation's links innermost: both must give
+    # the same bytes (the per-slot flows, which only the penalty reads,
+    # keep the layout the flow kernels give them)
+    inst = make_tiny(seed, n_users=n_users, n_slots=n_slots, n_types=2, n_isps=n_isps,
+                     demand_scale=demand_scale)
+    table = build_option_table(inst.topology)
+    options = baselines.rsn_options(inst, table, 50, np.random.default_rng(seed))
+    edge = _kernels.hard_edge_flows(options, table.weights, inst.demands.inbound,
+                                    inst.demands.outbound)
+    flows = (edge, edge.sum(axis=-3))  # (2, draws, links..., T)
+    k = _kernels.percentile_exempt_count(n_slots) + 1
+    billed = [(top[..., k - 1], top[..., 0]) for top in (_kernels._top_slots(f, k) for f in flows)]
+    summaries = []
+    for layout in (np.ascontiguousarray, stack_innermost):
+        laid = [[layout(x) for x in tier] for tier in billed]
+        assert all(np.moveaxis(x, 1, -1).flags.c_contiguous == (layout is stack_innermost)
+                   for tier in laid for x in tier)
+        summaries.append(_kernels._summary(inst.topology, *laid, flows))
+
+    def record(s):
+        return [np.asarray(x).tobytes() for x in (s.cost_total, s.penalty, s.feasible)] + [
+            getattr(tier, name).tobytes() for tier in (s.edge, s.isp)
+            for name in ("z", "peak", "inbound")]
+
+    assert record(summaries[0]) == record(summaries[1])
+
+
+def test_search_bills_with_the_combinations_innermost(monkeypatch):
+    # every element-wise billing step runs along the combinations, not
+    # along each combination's few links
+    billed = []
+    summary = _kernels._summary
+
+    def spy(topology, edge, isp, *args):
+        billed.extend([*edge, *isp])
+        return summary(topology, edge, isp, *args)
+
+    monkeypatch.setattr(_kernels, "_summary", spy)
+    assert baselines.brute_force(make_tiny(1, demand_scale=8.0)) is not None
+    assert billed and all(x.shape[1] > 1 for x in billed)
+    assert all(np.moveaxis(x, 1, -1).flags.c_contiguous for x in billed)
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=300)

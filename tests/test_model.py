@@ -828,6 +828,31 @@ def test_soft_loss_and_grad_bytes_are_pinned():
     assert digest.hexdigest() == SOFT_LOSS_AND_GRAD_SHA256
 
 
+# sha256 over soft_loss's repr (lam_g 1) on the same two instances with
+# demands x40 and x100, three relaxed allocations each: their flows
+# overshoot the per-slot physical caps on 9 to 1,874 edge link-slots
+SOFT_PENALTY_SHA256 = "01b70623c2339490e57438b0762c5d54b2be4465ba5faa220a90e47ae929fd28"
+
+
+def test_soft_penalty_bytes_are_pinned_under_slot_overshoots():
+    # the per-slot overshoot totals follow the soft flows' memory layout;
+    # totalling them from a C-ordered copy moves these bytes
+    digest = hashlib.sha256()
+    for base in (generate_instance(DESK_CONFIG, seed=9000),
+                 generate_instance(GenConfig(), seed=100000)):
+        for factor in (40.0, 100.0):
+            inst = Instance(topology=base.topology,
+                            demands=DemandTensor(inbound=base.demands.inbound * factor,
+                                                 outbound=base.demands.outbound * factor))
+            table = build_option_table(inst.topology)
+            rng = np.random.default_rng(0)
+            for _ in range(3):
+                alloc = random_soft(inst, table, rng)
+                assert compute_flows(inst, alloc, table).edge.overshoot[0].any()
+                digest.update(repr(soft_loss(inst, alloc, 1.0, table)).encode())
+    assert digest.hexdigest() == SOFT_PENALTY_SHA256
+
+
 def test_soft_gradient_matches_central_differences():
     inst = make_tiny(3, n_users=2, n_slots=4, n_types=2, n_isps=3, demand_scale=6.0)
     table = build_option_table(inst.topology)

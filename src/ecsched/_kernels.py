@@ -17,9 +17,15 @@ level z (its [..., m]) and every peak, the largest slot flow (its
 exactly when the larger of its two peaks does, so each link keeps that
 one peak, feasibility reads it and z, and each tier's per-slot cap
 overshoot array is built only when the penalty, the subgradient or a
-feasibility report first reads it.  The soft loss's subgradient of
-that rule, ``price_flows_grad``, is likewise one loop over both tiers,
-and ``soft_edge_flows_grad`` carries it back to the relaxed allocation.
+feasibility report first reads it.  Which slots a billed level exempts
+and which one it bills is read from the level itself (``ranked_slots``:
+ties go to the lowest slot, and NaN ranks above every number, as
+``_top_slots`` orders it), so that one sort is the package's only sort
+of slot values.  The soft loss's subgradient of that rule,
+``price_flows_grad``, routes each billed term to the slot so ranked, and
+is likewise one loop over both tiers; ``soft_edge_flows_grad`` carries
+it back to the relaxed allocation.  The MILP warm start marks the
+exempt slots so ranked.
 Hard and soft flows and pricing take leading batch axes, which lets
 training price an instance's metric draws in one call.  A stack's
 totals equal the totals of its allocations priced one at a time, bit
@@ -90,11 +96,18 @@ def _merged_level_and_peak(a, b):
     return level, peak
 
 
-def descending_slots(flows):
-    """Slot indices by descending flow along the last axis, ties to the
-    lowest slot: ``[..., :m]`` are the exempt slots, ``[..., m]`` the
-    billed one."""
-    return np.argsort(-flows, axis=-1, kind="stable")
+def ranked_slots(flows, level, m):
+    """(exempt, billed) masks shaped like flows: a series' m largest slots
+    and its (m+1)-th, read from its billed level (``_top_slots(flows, m +
+    1)[..., m]``) with no second sort.  Ties go to the lowest slot, and
+    NaN ranks above every number, as ``_top_slots`` orders it: with g
+    slots above the level, the exempt slots are those g and the first m -
+    g slots equal to it, and the billed slot is the (m+1-g)-th equal."""
+    level = level[..., None]
+    above = ~(flows <= level) & ~np.isnan(level)
+    tied = (flows == level) | np.isnan(level) & np.isnan(flows)
+    rank = above.sum(axis=-1, keepdims=True) + np.cumsum(tied, axis=-1)
+    return above | tied & (rank <= m), tied & (rank == m + 1)
 
 
 def _per_allocation(value):
@@ -227,11 +240,12 @@ def price_flows_grad(flows, lam_g):
     T), inbound then outbound.
 
     Conventions at the kinks: ReLU'(0) = 0, the in/out max routes to
-    inbound on ties, and the percentile routes to the stable (m+1)-th
-    largest slot.
+    inbound on ties, and the percentile routes to the slot ``price_flows``
+    bills, the (m+1)-th largest with ties to the lowest slot and NaN above
+    every number (``ranked_slots``): with one NaN slot and a numeric
+    level, the billed slot is the m-th largest number's.
     """
-    slots = np.arange(flows.edge.flows.shape[-1])
-    m = percentile_exempt_count(slots.size)
+    m = percentile_exempt_count(flows.edge.flows.shape[-1])
     grads = []
     for tier in (flows.edge, flows.isp):
         over, over_z = tier.overshoot
@@ -243,7 +257,9 @@ def price_flows_grad(flows, lam_g):
         # order that depends on the memory layout of this array, and an
         # out-of-place sum lays it out differently
         d = 2.0 * lam_g * over
-        d += np.where(sets_z, coef, 0.0)[..., None] * (slots == descending_slots(tier.flows)[..., m, None])
+        # each direction's slots are ranked against z, which only the
+        # direction that sets z bills; the other's coefficient is zero
+        d += np.where(sets_z, coef, 0.0)[..., None] * ranked_slots(tier.flows, tier.z, m)[1]
         grads.append(d)
     edge, isp = grads
     # ISP flows are sums over users, so their sensitivities broadcast

@@ -7,6 +7,8 @@ true optimum; it refuses instances whose combination count exceeds an
 explicit budget instead of silently running for hours.
 """
 
+import math
+
 import numpy as np
 
 from . import _kernels
@@ -37,10 +39,7 @@ def combination_count(instance, table=None):
     if table is None:
         table = build_option_table(instance.topology)
     t, _, _ = instance.dims
-    total = 1
-    for c in table.n_valid.flat:
-        total *= int(c) ** t
-    return total
+    return math.prod(int(c) ** t for c in table.n_valid.flat)
 
 
 def brute_force(instance, max_combinations=1_000_000, table=None):

@@ -146,8 +146,7 @@ def cmd_train(args):
         _write_csv(args.history, [{"epoch": h.epoch, "tau": f"{h.tau:.6f}",
                                    "train_loss": repr(h.train_loss),
                                    "eval_loss": repr(h.eval_loss)} for h in history])
-    first = history[0]
-    last = history[-1]
+    first, last = history[0], history[-1]
     print(f"trained {config.n_epochs} epochs on {len(instances)} instances")
     print(f"train loss {first.train_loss:.4f} -> {last.train_loss:.4f}")
     if eval_instances:

@@ -148,7 +148,13 @@ def read_instance(path):
     arrays = {f.name: need_array(topo_doc, f.name, where,
                                  shape=(el,) if f.name.startswith("isp_") else (n, el))
               for f in fields(Topology) if f.name != "admissible"}
-    # the link arrays have now shown el to be the real link count
+    # the link arrays have now shown el to be the real link count; a mask
+    # with a bit at or above el, or a negative one, names no set of them
+    bad = np.argwhere(masks >> el != 0)
+    if bad.size:
+        q, u = bad[0]
+        raise FormatError(f"{where}: admissible mask {masks[q, u]} of (type, user) ({q}, {u}) "
+                          f"is outside 1..{2 ** el - 1}")
     admissible = (masks[:, :, None] >> np.arange(el) & 1).astype(bool)
     demands_doc = _need(doc, "demands", path)
     demands = {name: need_array(demands_doc, name, f"demands of {path}", shape=(t, n, k))

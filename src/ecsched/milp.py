@@ -221,13 +221,6 @@ def write_lp(model, path):
     write_text(path, "\n".join(lines) + "\n")
 
 
-def _exempt_mask(flows, m):
-    # True at each series' m largest slots, ties to the lowest slot
-    mask = np.zeros(flows.shape, dtype=bool)
-    np.put_along_axis(mask, _kernels.descending_slots(flows)[..., :m], True, axis=-1)
-    return mask
-
-
 def write_warmstart(model, scheme, path):
     """Starting point for a scheme: every binary gets a value.
 
@@ -243,7 +236,8 @@ def write_warmstart(model, scheme, path):
     x = np.zeros(len(model.variables), dtype=np.int64)
     x[np.take_along_axis(model.blocks["lam"], scheme.option[..., None], axis=-1)] = 1
     for block, tier in (("u_e", flows.edge), ("u_l", flows.isp)):
-        x[model.blocks[block][_exempt_mask(tier.flows, model.exempt)]] = 1
+        level = _kernels._top_slots(tier.flows, model.exempt + 1)[..., model.exempt]
+        x[model.blocks[block][_kernels.ranked_slots(tier.flows, level, model.exempt)[0]]] = 1
     binaries = np.flatnonzero(model.binary).tolist()
     lines = [f"# warm start for instance {model.instance.instance_id}"]
     lines += [f"{model.variables[c]} {v}" for c, v in zip(binaries, x[binaries].tolist())]

@@ -331,11 +331,9 @@ def compute_flows(instance, alloc, table=None):
     if table is None:
         table = build_option_table(instance.topology)
     _check_alloc(instance, alloc, table)
-    d_in = instance.demands.inbound
-    d_out = instance.demands.outbound
+    d_in, d_out = instance.demands.inbound, instance.demands.outbound
     if isinstance(alloc, AllocationScheme):
-        edge = _kernels.hard_edge_flows(np.ascontiguousarray(alloc.option), table.weights,
-                                        d_in, d_out)
+        edge = _kernels.hard_edge_flows(np.ascontiguousarray(alloc.option), table.weights, d_in, d_out)
     else:
         edge = _kernels.soft_edge_flows(np.ascontiguousarray(alloc.x), table.weights, d_in, d_out)
     return _kernels.price_flows(instance.topology, edge)

@@ -25,8 +25,10 @@ def billing_signature(instance, table, x):
         np.ascontiguousarray(x), table.weights,
         instance.demands.inbound, instance.demands.outbound))
     m = _kernels.percentile_exempt_count(instance.demands.inbound.shape[2])
+    # the billed slot of each series from a stable sort of its own, so the
+    # signature does not lean on the ranking it audits
     tin_e, tout_e, tin_l, tout_l = (
-        _kernels.descending_slots(arr)[..., m]
+        np.argsort(-arr, axis=-1, kind="stable")[..., m]
         for arr in (*flows.edge.flows, *flows.isp.flows))
     return (
         tin_e.tobytes(), tout_e.tobytes(), flows.edge.inbound.tobytes(),

@@ -269,6 +269,14 @@ def nan_in_topology(name):
     return edit
 
 
+def set_mask(value):
+    # type 1 of the one user: with two links, 7 sets a third link's bit and
+    # -1 every bit, so neither names a set of the links that round-trips
+    def edit(doc):
+        doc["topology"]["admissible"][1][0] = value
+    return edit
+
+
 def ragged_demands(doc):
     doc["demands"]["inbound"][0][0] = doc["demands"]["inbound"][0][0][:1]
 
@@ -283,8 +291,13 @@ def ragged_demands(doc):
     (nan_in_topology("edge_rate"), "edge_rate.*finite"),
     (nan_in_topology("edge_cap_basic"), "edge_cap_basic.*finite"),
     (nan_in_topology("isp_cap_phys"), "isp_cap_phys.*finite"),
+    (set_mask(7), r"admissible mask 7 of \(type, user\) \(1, 0\) is outside 1\.\.3"),
+    (set_mask(4), r"admissible mask 4 of \(type, user\) \(1, 0\) is outside 1\.\.3"),
+    (set_mask(-1), r"admissible mask -1 of \(type, user\) \(1, 0\) is outside 1\.\.3"),
+    (set_mask(0), "at least one admissible link"),
 ], ids=["string-grid", "boolean-grid", "ragged-grid", "ragged-demands", "string-n_users",
-        "float-admissible", "nan-edge-rate", "nan-edge-cap-basic", "nan-isp-cap-phys"])
+        "float-admissible", "nan-edge-rate", "nan-edge-cap-basic", "nan-isp-cap-phys",
+        "mask-with-a-third-link", "mask-of-a-third-link", "negative-mask", "zero-mask"])
 def test_malformed_instance_values_are_exit_3(tmp_path, edit, message):
     inst = make_tiny(11)
     path = tmp_path / "inst.json"

@@ -1,5 +1,7 @@
 """Exhaustive-search kernel: pricing combinations in chunks must not
-change the result, which is that of an odometer enumeration."""
+change the result, which is that of an odometer enumeration.  And the
+slot ranking read from a billed level, which must be that of a stable
+sort."""
 
 import hashlib
 import itertools
@@ -289,6 +291,60 @@ def test_merged_order_statistics_equal_the_sort(n_slots, cut, n_values, seed):
     whole = _kernels._top_slots(flows, k)
     for got in (merged, (whole[..., k - 1], whole[..., 0])):
         assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
+
+
+# m = 0, 0, 0, 0, 1, 1, 2, 3 exempt slots
+SLOT_COUNTS = [1, 6, 12, 19, 20, 24, 48, 60]
+
+
+def ranked(flows):
+    """m and ``ranked_slots`` of flows at their own billed level."""
+    m = _kernels.percentile_exempt_count(flows.shape[-1])
+    return m, _kernels.ranked_slots(flows, _kernels._top_slots(flows, m + 1)[..., m], m)
+
+
+def masks_of(order, m):
+    """(exempt, billed) masks of a slot order: its first m slots and its
+    (m+1)-th."""
+    exempt, billed = np.zeros(order.shape, dtype=bool), np.zeros(order.shape, dtype=bool)
+    np.put_along_axis(exempt, order[..., :m], True, axis=-1)
+    np.put_along_axis(billed, order[..., m:m + 1], True, axis=-1)
+    return exempt, billed
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(n_slots=st.sampled_from(SLOT_COUNTS), lead=st.lists(st.integers(1, 3), max_size=2),
+       pool=st.lists(st.sampled_from([0.0, -0.0, 1.0, 2.0, 3.0, 4.0]), min_size=1, max_size=6),
+       seed=st.integers(0, 2 ** 16))
+@example(n_slots=20, lead=[], pool=[2.0], seed=0)  # one value: every slot ties
+@example(n_slots=60, lead=[2, 3], pool=[0.0, -0.0], seed=1)  # zeros of both signs tie
+def test_ranked_slots_equal_a_stable_sort(n_slots, lead, pool, seed):
+    # few integer values give ties at the exemption boundary; flows carry
+    # any stack axes ahead of the slots
+    flows = np.random.default_rng(seed).choice(np.array(pool), size=(*lead, n_slots))
+    m, got = ranked(flows)
+    want = masks_of(np.argsort(-flows, axis=-1, kind="stable"), m)
+    assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(n_slots=st.sampled_from(SLOT_COUNTS), lead=st.lists(st.integers(1, 3), max_size=2),
+       pool=st.lists(st.sampled_from([np.nan, np.inf, -np.inf, 0.0, 1.0, 2.0]),
+                     min_size=1, max_size=6),
+       seed=st.integers(0, 2 ** 16))
+@example(n_slots=20, lead=[], pool=[np.nan], seed=0)  # a NaN level
+def test_ranked_slots_put_nan_above_every_number(n_slots, lead, pool, seed):
+    flows = np.random.default_rng(seed).choice(np.array(pool), size=(*lead, n_slots))
+    m, (exempt, billed) = ranked(flows)
+    # NaN first, then numbers largest first, ties to the lowest slot: the
+    # order _top_slots reads the billed level from
+    nan = np.isnan(flows)
+    order = np.lexsort((np.where(nan, 0.0, -flows), ~nan), axis=-1)
+    want = masks_of(order, m)
+    assert [exempt.tobytes(), billed.tobytes()] == [w.tobytes() for w in want]
+    # so the billed slot holds the level that pricing bills
+    level = _kernels._top_slots(flows, m + 1)[..., m]
+    assert flows[billed].tobytes() == level.reshape(-1).tobytes()
 
 
 def test_search_runs_with_an_empty_part(monkeypatch):

@@ -21,6 +21,7 @@ from ecsched.model import (PRICING_CHUNK, AllocationScheme, DemandTensor, Feasib
                            compute_flows, evaluate_hard, percentile_exempt_count, soft_loss,
                            soft_loss_and_grad, total_cost)
 from gradcheck import billing_signature
+from milp_utils import _exempt_slots
 
 
 def plain_topology(cb_e, cm_e, r_e, admissible, cmax_e=1e6,
@@ -498,11 +499,10 @@ def test_hard_cost_matches_oracle():
             oracles.cost(inst, scheme.option), rel=1e-10)
 
 
-@pytest.mark.parametrize("n_slots", [20, 40, 48])
-@pytest.mark.parametrize("seed", range(6))
-def test_pricing_routes_agree_with_oracle_on_tied_slots(seed, n_slots):
-    # m >= 1 exempt slots, and slots 1-3 repeat slot 0's demands and
-    # options, so equal flows meet at the exemption boundary
+def tied_slots_instance(seed, n_slots):
+    """An instance with m >= 1 exempt slots whose slots 1-3 repeat slot
+    0's demands; a scheme from ``tied_slots_scheme`` repeats its options
+    there too, so equal flows meet at the exemption boundary."""
     base = make_tiny(seed, n_users=2, n_slots=n_slots, n_types=2, n_isps=3,
                      full_admissible=False, demand_scale=6.0)
     assert percentile_exempt_count(n_slots) >= 1
@@ -510,15 +510,26 @@ def test_pricing_routes_agree_with_oracle_on_tied_slots(seed, n_slots):
     d_out = base.demands.outbound.copy()
     d_in[:, :, 1:4] = d_in[:, :, :1]
     d_out[:, :, 1:4] = d_out[:, :, :1]
-    inst = Instance(topology=base.topology, demands=DemandTensor(inbound=d_in, outbound=d_out),
+    return Instance(topology=base.topology, demands=DemandTensor(inbound=d_in, outbound=d_out),
                     instance_id=base.instance_id)
+
+
+def tied_slots_scheme(inst, rng, table):
+    option = rsn_scheme(inst, rng, table).option
+    option[1:4] = option[0]
+    return AllocationScheme(option=option)
+
+
+@pytest.mark.parametrize("n_slots", [20, 40, 48])
+@pytest.mark.parametrize("seed", range(6))
+def test_pricing_routes_agree_with_oracle_on_tied_slots(seed, n_slots):
+    inst = tied_slots_instance(seed, n_slots)
     table = build_option_table(inst.topology)
     model = milp.linearize(inst, table)
     rng = np.random.default_rng(seed)
     for _ in range(5):
-        option = rsn_scheme(inst, rng, table).option
-        option[1:4] = option[0]
-        scheme = AllocationScheme(option=option)
+        scheme = tied_slots_scheme(inst, rng, table)
+        option = scheme.option
         want = oracles.cost(inst, option)
         feasible = oracles.feasible(inst, option)
         priced = want if feasible else np.inf
@@ -851,6 +862,69 @@ def test_soft_penalty_bytes_are_pinned_under_slot_overshoots():
                 assert compute_flows(inst, alloc, table).edge.overshoot[0].any()
                 digest.update(repr(soft_loss(inst, alloc, 1.0, table)).encode())
     assert digest.hexdigest() == SOFT_PENALTY_SHA256
+
+
+def stable_slots_on_tied_slots(path, inst, table, model, scheme):
+    """Check that the warm start's exemptions and the subgradient's billed
+    slots, both from ranked_slots, are the stable sort's; returns how many
+    series a tie decides, (exempt, billed)."""
+    m, n_slots = model.exempt, inst.dims[0]
+    flows = compute_flows(inst, scheme, table)
+    milp.write_warmstart(model, scheme, path)
+    start = dict(line.split() for line in path.read_text().splitlines()[1:])
+    want, ties = [], np.zeros(2, dtype=np.int64)
+    for block, tier in (("u_e", flows.edge), ("u_l", flows.isp)):
+        cols = model.blocks[block]
+        for pos in np.ndindex(tier.flows.shape[:-1]):
+            exempt = [t for t in range(n_slots) if start[model.variables[cols[pos + (t,)]]] == "1"]
+            assert exempt == sorted(_exempt_slots(tier.flows[pos], m))
+        # without a penalty the subgradient is each link's billing
+        # coefficient at the stable (m+1)-th slot of the direction that
+        # sets z
+        order = np.argsort(-tier.flows, axis=-1, kind="stable")
+        sets_z = np.stack([tier.inbound, ~tier.inbound])
+        coef = np.where(sets_z, tier.rate * (tier.z > tier.cap_basic), 0.0)
+        want.append(coef[..., None] * (np.arange(n_slots) == order[..., m, None]))
+        # a tie decides the exempt slots where the level's slots are split
+        # between exempt and billed, and the billed slot wherever more than
+        # one slot holds a level that bills
+        level = np.take_along_axis(tier.flows, order[..., m, None], axis=-1)
+        tied = (tier.flows == level).sum(axis=-1) > 1
+        ties += [np.count_nonzero(tied & ((tier.flows > level).sum(axis=-1) < m)),
+                 np.count_nonzero(tied & (coef > 0))]
+    grad = _kernels.price_flows_grad(flows, 0.0)
+    assert grad.tobytes() == (want[0] + want[1][..., None, :, :]).tobytes()
+    return ties
+
+
+@pytest.mark.parametrize("n_slots", [20, 40])
+def test_exempt_and_billed_slots_are_the_stable_ones_on_tied_slots(tmp_path, n_slots):
+    ties = 0
+    for seed in range(6):
+        inst = tied_slots_instance(seed, n_slots)
+        table = build_option_table(inst.topology)
+        model = milp.linearize(inst, table)
+        rng = np.random.default_rng(seed)
+        for _ in range(5):
+            ties += stable_slots_on_tied_slots(tmp_path / "warm.mst", inst, table, model,
+                                               tied_slots_scheme(inst, rng, table))
+    assert (ties > 0).all()
+
+
+def test_nan_flow_routes_the_billed_term_to_the_slot_pricing_bills():
+    # one NaN slot ranks first, so with m = 1 the price bills the largest
+    # number, 19.0 at slot 19, and the subgradient routes there; the NaN
+    # slot's own term is NaN, from its NaN cap overshoot
+    topo = plain_topology([[1.0]], 1e6, 1.0, [[[True]]])
+    edge = np.zeros((2, 1, 1, 20))
+    edge[0, 0, 0] = np.arange(20.0)
+    edge[0, 0, 0, 5] = np.nan
+    flows = _kernels.price_flows(topo, edge)
+    assert flows.edge.z.tolist() == [[19.0]] and flows.edge.inbound.all()
+    want = np.zeros_like(edge)
+    want[0, 0, 0, 19] = 1.0  # the edge rate; the ISP link bills no overage
+    want[0, 0, 0, 5] = np.nan
+    assert np.array_equal(_kernels.price_flows_grad(flows, 1.0), want, equal_nan=True)
 
 
 def test_soft_gradient_matches_central_differences():

@@ -105,7 +105,8 @@ def test_every_package_function_has_a_caller_in_the_package():
 
 def test_slot_flows_are_ordered_in_one_place():
     # every billed level and peak is read from _top_slots' one sort, and
-    # the gradient's and the warm start's billed slots from one argsort;
+    # the gradient's billed slot and the warm start's exempt slots are
+    # ranked against a level it gives (ranked_slots), with no second sort;
     # read_solution's str.partition splits a text line, not slot flows
     found = []
 
@@ -122,8 +123,7 @@ def test_slot_flows_are_ordered_in_one_place():
 
     for path in sorted((ROOT / "src" / "ecsched").glob("*.py")):
         visit(ast.parse(path.read_text()), path.stem)
-    assert sorted(found) == ["_kernels._top_slots:sort", "_kernels.descending_slots:argsort",
-                             "milp.read_solution:partition"]
+    assert sorted(found) == ["_kernels._top_slots:sort", "milp.read_solution:partition"]
 
 
 def test_hard_pricing_is_one_call_per_best_of():

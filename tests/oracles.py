@@ -240,3 +240,50 @@ def saturation_band(alpha, tau, level, n_draws):
         return math.sqrt(p * (1.0 - p) / n_draws)
 
     return (lower, upper), (lower - 4.0 * se(lower), upper + 4.0 * se(upper))
+
+
+LP_TERMS_PER_LINE = 8
+
+
+def _lp_term_tokens(names, terms):
+    # terms: (column, coefficient) pairs of Python numbers
+    tokens = []
+    for pos, (col, coeff) in enumerate(terms):
+        body = f"{abs(coeff)!r} {names[col]}"
+        if coeff < 0:
+            tokens.append(f"- {body}")
+        else:
+            tokens.append(body if pos == 0 else f"+ {body}")
+    return tokens
+
+
+def _lp_wrap(prefix, tokens):
+    lines = []
+    for start in range(0, len(tokens), LP_TERMS_PER_LINE):
+        chunk = " ".join(tokens[start:start + LP_TERMS_PER_LINE])
+        lines.append(f"{prefix}{chunk}" if start == 0 else f"   {chunk}")
+    return lines
+
+
+def reference_lp_text(model):
+    """The LP text of a MilpModel, formatted row by row and token by token."""
+    t_n, n_n, k_n = model.instance.dims
+    names = model.variables
+    lines = [
+        "\\ percentile billing schedule",
+        f"\\ instance: {model.instance.instance_id}",
+        f"\\ dims: T={t_n} N={n_n} K={k_n} exempt={model.exempt}",
+        "Minimize",
+    ]
+    lines += _lp_wrap(" obj: ", _lp_term_tokens(names, model.objective))
+    lines.append("Subject To")
+    indptr, cols, coeffs = model.indptr.tolist(), model.cols.tolist(), model.coeffs.tolist()
+    rows = zip(model.constraints, indptr, indptr[1:], model.sense.tolist(), model.rhs.tolist())
+    for name, lo, hi, sense, rhs in rows:
+        tokens = _lp_term_tokens(names, zip(cols[lo:hi], coeffs[lo:hi]))
+        tokens.append(f"{sense} {rhs!r}")
+        lines += _lp_wrap(f" {name}: ", tokens)
+    lines.append("Binaries")
+    lines += _lp_wrap(" ", [names[c] for c in range(len(names)) if model.binary[c]])
+    lines.append("End")
+    return "\n".join(lines) + "\n"

@@ -1,14 +1,17 @@
 """Exact linearization: model structure, text formats, optima agreement."""
 
+import dataclasses
 import hashlib
 import re
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
-from conftest import make_tiny, rsn_scheme
+from conftest import DESK_CONFIG, HELD_SEED0, make_tiny, rsn_scheme
 from ecsched.baselines import brute_force
 from ecsched.generate import GenConfig, generate_instance
 from ecsched.io import FormatError
@@ -148,6 +151,98 @@ def test_ragged_export_bytes_are_pinned(tmp_path):
         "model.lp": "3b90cfe8f41d0332ae24f904c26b2636a94a3949b5a313387b5e42c9c73446c2",
         "warm.mst": "2f95cd1bbdfdd03787624687b12caedab45d8a9f1b789488f0ac73c9d35e3d54",
     }
+
+
+def model_digest(model):
+    """sha256 over a MilpModel's names, arrays (dtype and shape included),
+    objective and blocks."""
+    digest = hashlib.sha256()
+
+    def add(label, array):
+        array = np.ascontiguousarray(array)
+        digest.update(f"{label} {array.dtype.str} {array.shape}\n".encode())
+        digest.update(array.tobytes())
+
+    digest.update("\n".join(model.variables).encode() + b"\n\n")
+    digest.update("\n".join(model.constraints).encode() + b"\n\n")
+    for label in ("binary", "indptr", "cols", "coeffs", "sense", "rhs"):
+        add(label, getattr(model, label))
+    add("objective", np.array(model.objective, dtype=[("col", "<i8"), ("coeff", "<f8")]))
+    for family in sorted(model.blocks):
+        add(family, model.blocks[family])
+    return digest.hexdigest()
+
+
+# sha256 of the LP text, of a uniform random scheme's warm start and of
+# the model arrays, at the default size (30,040 columns, 16,688 rows) and
+# for the first held-out desk instance
+EXPORT_PINS = {
+    100001: ("da3975543806dd131a5619421434a729150b15c1e58e90082b0ca4110c5657b3",
+             "d5ab18a473c3d73d253c634657bba529bcf6299ea917dd3d6fb34a9376b91d85",
+             "d32456cd3274024769c344266e4ce0aeb25f20e12e8fd9d4bff47b5de8deb5e7"),
+    HELD_SEED0: ("dea4b6564978dcb44cdd0f4a5bc03e1f83cf82cc86c24edfcc2714f44341331e",
+                 "b59e276ddc7576514943b5226199c7878ebb1d460a0ac6653160fd89eb5e97e7",
+                 "cc4f2b6e0696d1e61284914b8af8d9d283c5405262e4f7ca4e3a5c91958e1b9d"),
+}
+
+
+@pytest.mark.parametrize("config, seed", [(GenConfig(), 100001), (DESK_CONFIG, HELD_SEED0)],
+                         ids=["default", "desk"])
+def test_full_size_export_bytes_and_arrays_are_pinned(tmp_path, config, seed):
+    inst = generate_instance(config, seed=seed)
+    table = build_option_table(inst.topology)
+    model = linearize(inst, table)
+    write_lp(model, tmp_path / "model.lp")
+    write_warmstart(model, rsn_scheme(inst, np.random.default_rng(0), table),
+                    tmp_path / "warm.mst")
+    assert (hashlib.sha256((tmp_path / "model.lp").read_bytes()).hexdigest(),
+            hashlib.sha256((tmp_path / "warm.mst").read_bytes()).hexdigest(),
+            model_digest(model)) == EXPORT_PINS[seed]
+
+
+def lp_matches_reference(inst):
+    """Assert write_lp's bytes are the reference writer's; returns the
+    token count of every Subject To row (its terms plus ``sense rhs``)."""
+    model = linearize(inst)
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "model.lp"
+        write_lp(model, path)
+        assert path.read_bytes() == oracles.reference_lp_text(model).encode()
+    return set((np.diff(model.indptr) + 1).tolist())
+
+
+def with_zero_types(inst, zero_types):
+    """The instance with every demand of the listed types set to 0."""
+    inbound, outbound = inst.demands.inbound.copy(), inst.demands.outbound.copy()
+    inbound[zero_types] = 0.0
+    outbound[zero_types] = 0.0
+    return dataclasses.replace(inst, demands=dataclasses.replace(
+        inst.demands, inbound=inbound, outbound=outbound))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(n_users=st.integers(1, 3), n_isps=st.integers(1, 3), n_slots=st.integers(1, 40),
+       n_types=st.integers(1, 3), seed=st.integers(0, 2 ** 16), full=st.booleans(),
+       zero_types=st.lists(st.integers(0, 2), max_size=2, unique=True))
+@example(n_users=2, n_isps=3, n_slots=20, n_types=2, seed=3, full=False, zero_types=[1])
+def test_lp_bytes_equal_the_reference_writer(n_users, n_isps, n_slots, n_types, seed, full,
+                                             zero_types):
+    inst = make_tiny(seed, n_users=n_users, n_slots=n_slots, n_types=n_types, n_isps=n_isps,
+                     full_admissible=full, demand_scale=8.0)
+    lp_matches_reference(with_zero_types(inst, [k for k in zero_types if k < n_types]))
+
+
+def test_lp_rows_wrap_like_the_reference_writer():
+    # bud rows hold T terms: T = 6, 7, 8, 15, 16 put the last token at
+    # positions 7, 8, 9, 16 and 17 (one-based), on either side of a wrap;
+    # T = 1, 20 and 40 give m = 0, 1 and 2
+    counts = set()
+    for n_slots in (1, 6, 7, 8, 15, 16, 20, 40):
+        inst = make_tiny(n_slots, n_users=2, n_slots=n_slots, n_types=3, n_isps=3,
+                         full_admissible=False, demand_scale=8.0)
+        counts |= lp_matches_reference(inst)
+        counts |= lp_matches_reference(with_zero_types(inst, [0, 2]))
+    assert {7, 8, 9, 16, 17} <= counts
 
 
 def test_lp_text_reparses(tmp_path):

@@ -16,11 +16,16 @@ and ``objective_of`` prices an assignment with the cost model itself.
 The model is held as arrays (see ``MilpModel``): every variable family
 is an index block of columns and the rows are CSR, so the LP writer,
 the warm start, solution import and external solvers all read one
-structure, and only ``linearize`` formats variable names.
+structure, and only ``linearize`` formats variable names: each column
+and row family has a name pattern that ``_names`` broadcasts over the
+family's axis labels into an object array, with no per-element call.
 
 The LP text export is deterministic: fixed variable naming, fixed row
 order, full-precision repr coefficients, and no timestamps, so exports
-are byte-stable across runs and platforms.
+are byte-stable across runs and platforms.  ``write_lp`` places every
+token of a block (objective, rows, binaries) in one object grid, one
+``repr`` per distinct coefficient magnitude, and joins it once; the
+line grammar is in FORMATS.md.
 """
 
 import math
@@ -66,6 +71,18 @@ class MilpModel:
     exempt: int
 
 
+def _names(pattern, *axes):
+    """Names in C order of the axes as an object array: each ``{}`` of
+    pattern takes its axis' label, the entry of a tuple of labels or
+    the index along an axis given by its size."""
+    parts = pattern.split("{}")
+    names = np.array(parts[0], dtype=object)
+    for text, axis in zip(parts[1:], axes):
+        labels = axis if isinstance(axis, tuple) else range(axis)
+        names = names[..., None] + np.array([f"{label}{text}" for label in labels], dtype=object)
+    return names
+
+
 def linearize(instance, table=None):
     """Build the MILP for one instance."""
     if table is None:
@@ -78,84 +95,88 @@ def linearize(instance, table=None):
 
     variables, binary, blocks = [], [], {}
 
-    def add_block(family, shape, name, is_binary, exists=None):
-        # columns numbered in C order of shape, -1 where a variable is absent
-        exists = np.ones(shape, dtype=bool) if exists is None else exists
+    def add_block(family, names, is_binary, exists=None):
+        # columns numbered in C order of the names, -1 where a variable is absent
+        exists = np.ones(names.shape, dtype=bool) if exists is None else exists
         count = int(np.count_nonzero(exists))
-        cols = np.full(shape, -1, dtype=np.int64)
+        cols = np.full(names.shape, -1, dtype=np.int64)
         cols[exists] = np.arange(len(variables), len(variables) + count)
-        variables.extend(name(*pos) for pos in np.argwhere(exists).tolist())
+        variables.extend(names[exists].tolist())
         binary.extend([is_binary] * count)
         blocks[family] = cols
         return cols
 
     lam_shape = (t_n, n_n, k_n, table.n_options)
-    lam = add_block("lam", lam_shape, lambda t, n, k, p: f"lam_t{t}_n{n}_k{k}_p{p}", True,
+    lam = add_block("lam", _names("lam_t{}_n{}_k{}_p{}", *lam_shape), True,
                     np.broadcast_to(table.valid.transpose(1, 0, 2), lam_shape))
-    u_e = add_block("u_e", (2, n_n, el, t_n),
-                    lambda d, n, i, t: f"u_{dirs[d]}_e_n{n}_i{i}_t{t}", True)
-    u_l = add_block("u_l", (2, el, t_n), lambda d, i, t: f"u_{dirs[d]}_l_i{i}_t{t}", True)
-    f_e = add_block("f_e", (2, n_n, el, t_n),
-                    lambda d, n, i, t: f"f_{dirs[d]}_n{n}_i{i}_t{t}", False)
-    x_l = add_block("x_l", (2, el, t_n), lambda d, i, t: f"X_{dirs[d]}_i{i}_t{t}", False)
-    z_e = add_block("z_e", (n_n, el), lambda n, i: f"z_e_n{n}_i{i}", False)
-    z_l = add_block("z_l", (el,), lambda i: f"z_l_i{i}", False)
-    w_e = add_block("w_e", (n_n, el), lambda n, i: f"w_e_n{n}_i{i}", False)
-    w_l = add_block("w_l", (el,), lambda i: f"w_l_i{i}", False)
+    u_e = add_block("u_e", _names("u_{}_e_n{}_i{}_t{}", dirs, n_n, el, t_n), True)
+    u_l = add_block("u_l", _names("u_{}_l_i{}_t{}", dirs, el, t_n), True)
+    f_e = add_block("f_e", _names("f_{}_n{}_i{}_t{}", dirs, n_n, el, t_n), False)
+    x_l = add_block("x_l", _names("X_{}_i{}_t{}", dirs, el, t_n), False)
+    z_e = add_block("z_e", _names("z_e_n{}_i{}", n_n, el), False)
+    z_l = add_block("z_l", _names("z_l_i{}", el), False)
+    w_e = add_block("w_e", _names("w_e_n{}_i{}", n_n, el), False)
+    w_l = add_block("w_l", _names("w_l_i{}", el), False)
 
     names, counts, cols, coeffs, senses, bounds = [], [], [], [], [], []
 
-    def add_rows(shape, name, sense, bound, *terms):
-        # rows in C order of shape; each term is (cols, coeffs) whose last
-        # axis lists that term's columns in a row; column -1 drops a term
+    def add_rows(row_names, sense, bound, *terms):
+        # rows in C order of row_names; sense and bound broadcast to it;
+        # each term is (cols, coeffs) whose last axis lists that term's
+        # columns in a row; column -1 drops a term
+        shape = row_names.shape
         row_cols = np.concatenate(
             [np.broadcast_to(c, shape + np.shape(c)[-1:]) for c, _ in terms], axis=-1)
         row_coeffs = np.concatenate(
             [np.broadcast_to(v, shape + np.shape(c)[-1:]) for c, v in terms], axis=-1)
         keep = row_cols >= 0
-        names.extend(name(*pos) for pos in np.ndindex(*shape))
+        names.extend(row_names.ravel().tolist())
         counts.append(keep.sum(axis=-1).ravel())
         cols.append(row_cols[keep])
         coeffs.append(row_coeffs[keep])
-        senses.append(np.full(int(np.prod(shape)), sense))
+        senses.append(np.broadcast_to(sense, shape).ravel())
         bounds.append(np.broadcast_to(np.asarray(bound, dtype=float), shape).ravel())
 
-    add_rows((t_n, n_n, k_n), lambda t, n, k: f"assign_t{t}_n{n}_k{k}", "=", 1.0, (lam, 1.0))
+    add_rows(_names("assign_t{}_n{}_k{}", t_n, n_n, k_n), "=", 1.0, (lam, 1.0))
 
     # def_f: f = sum of the chosen options' shares; zero shares get no term
     demand = np.stack([instance.demands.inbound, instance.demands.outbound])  # (2, K, N, T)
     share = (table.weights.transpose(1, 3, 0, 2)[None, :, :, None]
              * demand.transpose(0, 2, 3, 1)[:, :, None, :, :, None])  # (2, N, EL, T, K, P)
     share_cols = np.where(share != 0.0, lam.transpose(1, 0, 2, 3)[None, :, None], -1)
-    add_rows((2, n_n, el, t_n), lambda d, n, i, t: f"def_f{dirs[d]}_n{n}_i{i}_t{t}", "=", 0.0,
+    add_rows(_names("def_f{}_n{}_i{}_t{}", dirs, n_n, el, t_n), "=", 0.0,
              (f_e[..., None], 1.0),
              (share_cols.reshape(2, n_n, el, t_n, -1), -share.reshape(2, n_n, el, t_n, -1)))
-    add_rows((2, el, t_n), lambda d, i, t: f"def_X{dirs[d]}_i{i}_t{t}", "=", 0.0,
+    add_rows(_names("def_X{}_i{}_t{}", dirs, el, t_n), "=", 0.0,
              (x_l[..., None], 1.0), (f_e.transpose(0, 2, 3, 1), -1.0))
 
-    add_rows((2, n_n, el), lambda d, n, i: f"bud_{dirs[d]}_e_n{n}_i{i}", "<=", m, (u_e, 1.0))
-    add_rows((2, el), lambda d, i: f"bud_{dirs[d]}_l_i{i}", "<=", m, (u_l, 1.0))
+    add_rows(_names("bud_{}_e_n{}_i{}", dirs, n_n, el), "<=", m, (u_e, 1.0))
+    add_rows(_names("bud_{}_l_i{}", dirs, el), "<=", m, (u_l, 1.0))
 
-    def level_rows(link, z, flow, u, big, cap):
-        # z >= f - cphys * u on every slot; f <= cbill + (cphys - cbill) * u
-        add_rows((t_n,), lambda t: f"zlb_{link}_t{t}", ">=", 0.0,
-                 (z[None], 1.0), (flow[:, None], -1.0), (u[:, None], big))
-        add_rows((t_n,), lambda t: f"cap_{link}_t{t}", "<=", big,
-                 (flow[:, None], 1.0), (u[:, None], big - cap))
+    def level_rows(row_names, z, flow, u, big, cap):
+        # rows (direction, link..., kind, slot), kind zlb then cap:
+        # zlb  z >= f - cphys * u;  cap  f <= cbill + (cphys - cbill) * u;
+        # a cap row's z column is -1, so its term drops
+        zlb = np.array([True, False])[:, None]
+        big, cap = big[..., None, None], cap[..., None, None]
+        add_rows(np.moveaxis(row_names, 0, -2),
+                 np.where(zlb, ">=", "<="), np.where(zlb, 0.0, big),
+                 (np.where(zlb, z[..., None, None], -1)[..., None], 1.0),
+                 (flow[..., None, :, None], np.where(zlb, -1.0, 1.0)[..., None]),
+                 (u[..., None, :, None], np.where(zlb, big, big - cap)[..., None]))
 
-    for d, n, i in np.ndindex(2, n_n, el):
-        level_rows(f"{dirs[d]}_e_n{n}_i{i}", z_e[n, i], f_e[d, n, i], u_e[d, n, i],
-                   topo.edge_cap_phys[n, i], topo.edge_cap_billable[n, i])
-    for d, i in np.ndindex(2, el):
-        level_rows(f"{dirs[d]}_l_i{i}", z_l[i], x_l[d, i], u_l[d, i],
-                   topo.isp_cap_phys[i], topo.isp_cap_billable[i])
+    kinds = ("zlb", "cap")
+    level_rows(_names("{}_{}_e_n{}_i{}_t{}", kinds, dirs, n_n, el, t_n), z_e, f_e, u_e,
+               topo.edge_cap_phys, topo.edge_cap_billable)
+    level_rows(_names("{}_{}_l_i{}_t{}", kinds, dirs, el, t_n), z_l, x_l, u_l,
+               topo.isp_cap_phys, topo.isp_cap_billable)
 
-    add_rows((n_n, el), lambda n, i: f"zub_e_n{n}_i{i}", "<=", topo.edge_cap_billable,
+    add_rows(_names("zub_e_n{}_i{}", n_n, el), "<=", topo.edge_cap_billable,
              (z_e[..., None], 1.0))
-    add_rows((el,), lambda i: f"zub_l_i{i}", "<=", topo.isp_cap_billable, (z_l[:, None], 1.0))
-    add_rows((n_n, el), lambda n, i: f"wlb_e_n{n}_i{i}", ">=", -topo.edge_cap_basic,
+    add_rows(_names("zub_l_i{}", el), "<=", topo.isp_cap_billable, (z_l[:, None], 1.0))
+    add_rows(_names("wlb_e_n{}_i{}", n_n, el), ">=", -topo.edge_cap_basic,
              (w_e[..., None], 1.0), (z_e[..., None], -1.0))
-    add_rows((el,), lambda i: f"wlb_l_i{i}", ">=", -topo.isp_cap_basic,
+    add_rows(_names("wlb_l_i{}", el), ">=", -topo.isp_cap_basic,
              (w_l[:, None], 1.0), (z_l[:, None], -1.0))
 
     objective = list(zip(w_e.ravel().tolist(), topo.edge_rate.ravel().tolist()))
@@ -176,49 +197,62 @@ def linearize(instance, table=None):
 TERMS_PER_LINE = 8  # LP terms per line, continuation lines included
 
 
-def _term_tokens(names, terms):
-    # terms: (column, coefficient) pairs of Python numbers
-    tokens = []
-    for pos, (col, coeff) in enumerate(terms):
-        body = f"{abs(coeff)!r} {names[col]}"
-        if coeff < 0:
-            tokens.append(f"- {body}")
-        else:
-            tokens.append(body if pos == 0 else f"+ {body}")
-    return tokens
+_SEPARATORS = np.array([" ", "\n   "], dtype=object)  # inside a line, at a wrap
+_SIGNS = np.array(["", "+ ", "- "], dtype=object)  # first positive, positive, negative
 
 
-def _wrap(prefix, tokens):
-    lines = []
-    for start in range(0, len(tokens), TERMS_PER_LINE):
-        chunk = " ".join(tokens[start:start + TERMS_PER_LINE])
-        lines.append(f"{prefix}{chunk}" if start == 0 else f"   {chunk}")
-    return lines
+def _token_grid(counts):
+    """An empty (tokens, fields) object grid for rows of counts[r] tokens,
+    fields separator, sign, coefficient, space and name; also each row's
+    first token and each token's position in its row."""
+    first = np.cumsum(counts) - counts
+    pos = np.arange(int(np.sum(counts))) - np.repeat(first, counts)
+    return np.empty((len(pos), 5), dtype=object), first, pos
+
+
+def _terms(grid, at, names, cols, coeffs, pos):
+    # the fields of the terms at grid rows at, pos their positions in
+    # their rows: one repr per distinct |coefficient|
+    values, inverse = np.unique(np.abs(coeffs), return_inverse=True)
+    grid[at, 1] = _SIGNS[np.where(coeffs < 0, 2, pos > 0)]
+    grid[at, 2] = np.array(list(map(repr, values.tolist())), dtype=object)[inverse]
+    grid[at, 3] = " "
+    grid[at, 4] = names[cols]
+
+
+def _join(grid, first, pos, prefixes):
+    """The grid's text: a newline and its row's prefix before a row's
+    first token, a newline and three spaces before every
+    TERMS_PER_LINE-th token, a space before any other."""
+    grid[:, 0] = _SEPARATORS[(pos % TERMS_PER_LINE == 0).astype(np.intp)]
+    grid[first, 0] = "\n" + np.asarray(prefixes, dtype=object)
+    return "".join(grid.ravel().tolist())
 
 
 def write_lp(model, path):
     """CPLEX-style LP text; byte-stable for a given model."""
     t_n, n_n, k_n = model.instance.dims
-    names = model.variables
-    lines = [
-        "\\ percentile billing schedule",
-        f"\\ instance: {model.instance.instance_id}",
-        f"\\ dims: T={t_n} N={n_n} K={k_n} exempt={model.exempt}",
-        "Minimize",
-    ]
-    lines += _wrap(" obj: ", _term_tokens(names, model.objective))
-    lines.append("Subject To")
-    # Python numbers, not numpy scalars: formatting numpy scalars is much slower
-    indptr, cols, coeffs = model.indptr.tolist(), model.cols.tolist(), model.coeffs.tolist()
-    rows = zip(model.constraints, indptr, indptr[1:], model.sense.tolist(), model.rhs.tolist())
-    for name, lo, hi, sense, rhs in rows:
-        tokens = _term_tokens(names, zip(cols[lo:hi], coeffs[lo:hi]))
-        tokens.append(f"{sense} {rhs!r}")
-        lines += _wrap(f" {name}: ", tokens)
-    lines.append("Binaries")
-    lines += _wrap(" ", [names[c] for c in np.flatnonzero(model.binary).tolist()])
-    lines.append("End")
-    write_text(path, "\n".join(lines) + "\n")
+    names = np.array(model.variables, dtype=object)
+    objective = np.array(model.objective)
+    grid, first, pos = _token_grid([len(objective)])
+    _terms(grid, slice(None), names, objective[:, 0].astype(np.int64), objective[:, 1], pos)
+    text = [f"\\ percentile billing schedule\n\\ instance: {model.instance.instance_id}\n"
+            f"\\ dims: T={t_n} N={n_n} K={k_n} exempt={model.exempt}\nMinimize",
+            _join(grid, first, pos, [" obj: "]), "\nSubject To"]
+    counts = np.diff(model.indptr) + 1  # the row's terms, then "sense rhs"
+    grid, first, pos = _token_grid(counts)
+    last = first + counts - 1
+    at = np.delete(np.arange(len(pos)), last)
+    _terms(grid, at, names, model.cols, model.coeffs, pos[at])
+    grid[last, 1:4] = ""
+    grid[last, 4] = (model.sense.astype(object) + " "
+                     + np.array(list(map(repr, model.rhs.tolist())), dtype=object))
+    text += [_join(grid, first, pos, " " + np.array(model.constraints, dtype=object) + ": "),
+             "\nBinaries"]
+    grid, first, pos = _token_grid([int(model.binary.sum())])
+    grid[:, 1:4] = ""
+    grid[:, 4] = names[model.binary]
+    write_text(path, "".join(text + [_join(grid, first, pos, [" "]), "\nEnd\n"]))
 
 
 def write_warmstart(model, scheme, path):

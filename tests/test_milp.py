@@ -220,16 +220,35 @@ def with_zero_types(inst, zero_types):
         inst.demands, inbound=inbound, outbound=outbound))
 
 
+def with_flat_first_links(inst):
+    """The instance with user 0's link 0 and ISP link 0 at basic cap 0,
+    billable cap equal to the physical cap and rate 0: their cap rows
+    get a 0.0 exemption coefficient, their wlb rows a -0.0 bound and the
+    objective two 0.0 rates."""
+    topo = inst.topology
+    edge = {name: getattr(topo, name).copy() for name in
+            ("edge_cap_basic", "edge_cap_billable", "edge_rate")}
+    isp = {name: getattr(topo, name).copy() for name in
+           ("isp_cap_basic", "isp_cap_billable", "isp_rate")}
+    edge["edge_cap_basic"][0, 0] = edge["edge_rate"][0, 0] = 0.0
+    edge["edge_cap_billable"][0, 0] = topo.edge_cap_phys[0, 0]
+    isp["isp_cap_basic"][0] = isp["isp_rate"][0] = 0.0
+    isp["isp_cap_billable"][0] = topo.isp_cap_phys[0]
+    return dataclasses.replace(inst, topology=dataclasses.replace(topo, **edge, **isp))
+
+
 @settings(derandomize=True, database=None, deadline=None, max_examples=60)
 @given(n_users=st.integers(1, 3), n_isps=st.integers(1, 3), n_slots=st.integers(1, 40),
        n_types=st.integers(1, 3), seed=st.integers(0, 2 ** 16), full=st.booleans(),
-       zero_types=st.lists(st.integers(0, 2), max_size=2, unique=True))
-@example(n_users=2, n_isps=3, n_slots=20, n_types=2, seed=3, full=False, zero_types=[1])
+       zero_types=st.lists(st.integers(0, 2), max_size=2, unique=True), flat=st.booleans())
+@example(n_users=2, n_isps=3, n_slots=20, n_types=2, seed=3, full=False, zero_types=[1],
+         flat=True)
 def test_lp_bytes_equal_the_reference_writer(n_users, n_isps, n_slots, n_types, seed, full,
-                                             zero_types):
+                                             zero_types, flat):
     inst = make_tiny(seed, n_users=n_users, n_slots=n_slots, n_types=n_types, n_isps=n_isps,
                      full_admissible=full, demand_scale=8.0)
-    lp_matches_reference(with_zero_types(inst, [k for k in zero_types if k < n_types]))
+    inst = with_zero_types(inst, [k for k in zero_types if k < n_types])
+    lp_matches_reference(with_flat_first_links(inst) if flat else inst)
 
 
 def test_lp_rows_wrap_like_the_reference_writer():

@@ -126,6 +126,38 @@ def test_slot_flows_are_ordered_in_one_place():
     assert sorted(found) == ["_kernels._top_slots:sort", "milp.read_solution:partition"]
 
 
+def test_milp_export_formats_no_element_at_a_time():
+    # linearize names columns and rows from patterns and write_lp joins one
+    # token grid; a lambda or an np.ndindex walk in linearize, or any loop
+    # in write_lp, would format element by element again.  Each function
+    # is checked together with the milp functions it calls.
+    tree = ast.parse((ROOT / "src" / "ecsched" / "milp.py").read_text())
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+    def nodes(name):
+        # the AST nodes of a function and of every milp function it calls
+        done, todo = set(), [name]
+        while todo:
+            name = todo.pop()
+            if name in done:
+                continue
+            done.add(name)
+            for node in ast.walk(functions[name]):
+                if isinstance(node, ast.Call) and getattr(node.func, "id", None) in functions:
+                    todo.append(node.func.id)
+                yield node
+
+    def lines(name, found):
+        return [f"{type(node).__name__} at line {node.lineno}" for node in nodes(name)
+                if found(node)]
+
+    assert lines("linearize", lambda node: isinstance(node, ast.Lambda)
+                 or isinstance(node, ast.Attribute) and node.attr == "ndindex") == []
+    loops = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
+             ast.GeneratorExp)
+    assert lines("write_lp", lambda node: isinstance(node, loops)) == []
+
+
 def test_hard_pricing_is_one_call_per_best_of():
     # each sampler prices its whole draw block in one evaluate_hard call;
     # a call inside a loop or a comprehension would price draw by draw

@@ -15,20 +15,27 @@ for any tau >= 0.01 and alpha within [1e-6, 1e6].
 Rounding a sample to its largest coordinate recovers an exact categorical
 draw with probabilities alpha / ||alpha||_1, at any temperature;
 ``categorical_rows`` draws that law directly, with one uniform per row
-per draw.  Excluded categories are masked by adding -1e9 to their
-logit, which leaves them with zero probability mass.
+per draw.  Excluded categories carry zero probability mass: the concrete
+transform computes only the valid entries of each row, never reads the
+noise of an excluded one, and writes 0.0 there.
 """
 
 import numpy as np
 
 U_CLAMP = 1e-12
-MASK_LOGIT = -1e9
 
 
 def sample_gumbel(rng, size=None):
-    """Standard Gumbel draws via the clamped inverse CDF."""
-    u = np.clip(rng.uniform(size=size), U_CLAMP, 1.0 - U_CLAMP)
-    return -np.log(-np.log(u))
+    """Standard Gumbel draws via the clamped inverse CDF, computed in
+    place in the uniform block."""
+    g = rng.uniform(size=size)
+    if size is None:
+        return -np.log(-np.log(np.clip(g, U_CLAMP, 1.0 - U_CLAMP)))
+    np.clip(g, U_CLAMP, 1.0 - U_CLAMP, out=g)
+    np.log(g, out=g)
+    np.negative(g, out=g)
+    np.log(g, out=g)
+    return np.negative(g, out=g)
 
 
 def concrete_rows_given(alpha, valid, tau, g):
@@ -36,20 +43,26 @@ def concrete_rows_given(alpha, valid, tau, g):
 
     alpha, valid: (R, P); every row needs at least one valid entry with
     alpha > 0 there.  g is (R, P) or carries leading draw axes, (..., R,
-    P); the transform runs along the last axis.  Masked entries get -1e9
-    added to their logit.  Returns x of g's shape whose rows sum to 1
-    with zeros on masked entries.
+    P); the transform runs along the last axis.  Only the valid entries
+    are computed, and masked noise is never read.  Returns x of g's shape
+    whose rows sum to 1 with zeros on masked entries; each row is summed
+    over its full width, zeros included.
     """
-    if tau <= 0:
+    if not tau > 0:
         raise ValueError("temperature must be positive")
-    if not valid.any(axis=-1).all():
+    counts = valid.sum(axis=-1)
+    if not counts.all():
         raise ValueError("every row needs at least one valid category")
-    safe = np.log(np.maximum(alpha, np.finfo(float).tiny))
-    logits = (np.where(valid, safe, MASK_LOGIT) + g) / tau
-    logits -= logits.max(axis=-1, keepdims=True)
-    e = np.exp(logits)
-    np.copyto(e, 0.0, where=~valid)
-    return e / e.sum(axis=-1, keepdims=True)
+    flat = np.flatnonzero(valid)
+    starts = np.cumsum(counts) - counts
+    safe = np.log(np.maximum(np.take(alpha, flat), np.finfo(float).tiny))
+    logits = safe + np.take(g.reshape(-1, valid.size), flat, axis=-1)
+    logits /= tau
+    logits -= np.repeat(np.maximum.reduceat(logits, starts, axis=-1), counts, axis=-1)
+    x = np.zeros(g.shape)
+    x.reshape(-1, valid.size)[:, flat] = np.exp(logits, out=logits)
+    x /= x.sum(axis=-1, keepdims=True)
+    return x
 
 
 def concrete_rows_grad(alpha, valid, tau, x, dx):

@@ -35,6 +35,7 @@ NaN unchanged and maps -inf to 0 and +inf to 6, and none of these lies
 inside (0, 6).
 """
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -155,32 +156,55 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 
+def _views(flat, params):
+    """Views of consecutive slices of flat, shaped like params in order."""
+    ends = itertools.accumulate(p.size for p in params)
+    return [flat[end - p.size:end].reshape(p.shape) for p, end in zip(params, ends)]
+
+
 @dataclass
 class AdamState:
-    """First/second moment accumulators plus the step counter."""
+    """First/second moment accumulators plus the step counter.
+
+    Both moments live in one (2, n) buffer, ``moments``, over the
+    parameters' entries in order; m[i] and v[i] are views of parameter
+    i's slice of its rows, shaped like the parameter.
+    """
 
     m: list
     v: list
+    moments: np.ndarray
     step: int = 0
     lr: float = 1e-4
 
     @classmethod
     def for_params(cls, params, lr=1e-4):
-        return cls(m=[np.zeros_like(p) for p in params],
-                   v=[np.zeros_like(p) for p in params], lr=lr)
+        moments = np.zeros((2, sum(p.size for p in params)))
+        return cls(m=_views(moments[0], params), v=_views(moments[1], params),
+                   moments=moments, lr=lr)
 
 
 def adam_step(state, params, grads):
-    """One bias-corrected Adam update, applied to params in place."""
+    """One bias-corrected Adam update, applied to params in place.
+
+    The gradients are concatenated once and the moment and step
+    arithmetic runs once over all entries, elementwise as per parameter;
+    only the step is split back onto the parameters.
+    """
     if len(params) != len(state.m) or len(grads) != len(params):
         raise ValueError("params/grads do not match the optimizer state")
+    if [g.shape for g in grads] != [p.shape for p in params]:
+        raise ValueError("every gradient needs its parameter's shape")
     state.step += 1
     b1c = 1.0 - ADAM_BETA1 ** state.step
     b2c = 1.0 - ADAM_BETA2 ** state.step
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * g
-        v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * g * g
-        p -= state.lr * (m / b1c) / (np.sqrt(v / b2c) + ADAM_EPS)
+    g = np.concatenate([grad.reshape(-1) for grad in grads])
+    m, v = state.moments
+    m *= ADAM_BETA1
+    m += (1.0 - ADAM_BETA1) * g
+    v *= ADAM_BETA2
+    v += (1.0 - ADAM_BETA2) * g * g
+    step = state.lr * (m / b1c) / (np.sqrt(v / b2c) + ADAM_EPS)
+    for p, d in zip(params, _views(step, params)):
+        p -= d
     return params, state

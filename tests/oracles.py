@@ -4,11 +4,15 @@ Everything here recomputes results from first principles with plain
 Python loops and deliberately shares no code path with the package:
 flows are expanded link by link, percentiles sort list copies, and
 subsets are enumerated by hand.  Tests compare the fast implementations
-against these.
+against these.  The concrete transform's reference is the exception: it
+is the package's earlier full-width numpy transform, kept to check the
+current one byte for byte.
 """
 
 import itertools
 import math
+
+import numpy as np
 
 
 def exempt_count(n_slots):
@@ -203,6 +207,21 @@ def exhaustive_best(instance):
         if best is None or c < best[0]:
             best = (c, option)
     return best
+
+
+MASK_LOGIT = -1e9
+
+
+def concrete_rows_given(alpha, valid, tau, g):
+    """The concrete transform over every (row, option) entry: a masked
+    entry gets MASK_LOGIT in place of log alpha, is exponentiated with
+    the rest and then set to 0."""
+    safe = np.log(np.maximum(alpha, np.finfo(float).tiny))
+    logits = (np.where(valid, safe, MASK_LOGIT) + g) / tau
+    logits -= logits.max(axis=-1, keepdims=True)
+    e = np.exp(logits)
+    np.copyto(e, 0.0, where=~valid)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def gumbel_margin_prob(alpha, delta):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 import oracles
@@ -238,6 +239,51 @@ def test_concrete_rows_given_is_the_same_transform():
     assert np.array_equal(x1, x2)
 
 
+def same_bytes(a, b):
+    """Equal shape and bytes, with every NaN read as the one quiet NaN."""
+    return a.shape == b.shape and (np.where(np.isnan(a), np.nan, a).tobytes()
+                                   == np.where(np.isnan(b), np.nan, b).tobytes())
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(n_rows=st.integers(1, 12), n_cats=st.integers(1, 17),
+       draws=st.lists(st.integers(1, 3), max_size=2), tau=st.floats(0.01, 2.0),
+       special=st.sampled_from([None, np.nan, np.inf]), seed=st.integers(0, 2 ** 16))
+def test_concrete_transform_equals_the_full_width_reference(n_rows, n_cats, draws, tau, special,
+                                                            seed):
+    rng = np.random.default_rng(seed)
+    alpha = np.exp(rng.uniform(np.log(1e-6), np.log(1e6), size=(n_rows, n_cats)))
+    valid = rng.random((n_rows, n_cats)) < rng.random()
+    valid[np.arange(n_rows), rng.integers(0, n_cats, size=n_rows)] = True
+    kind = rng.integers(0, 3, size=n_rows)
+    valid[kind == 1] = True  # every option valid
+    one = np.flatnonzero(kind == 2)  # exactly one valid option
+    valid[one] = False
+    valid[one, rng.integers(0, n_cats, size=len(one))] = True
+    alpha[valid & (rng.random(valid.shape) < 0.1)] = 0.0
+    if special is not None:
+        alpha[rng.random(valid.shape) < 0.1] = special
+    g = gumbel.sample_gumbel(rng, (*draws, n_rows, n_cats))
+    with np.errstate(invalid="ignore"):  # an inf alpha takes inf - inf
+        got = gumbel.concrete_rows_given(alpha, valid, tau, g)
+        want = oracles.concrete_rows_given(alpha, valid, tau, g)
+    assert same_bytes(got, want)
+
+
+def test_masked_noise_is_never_read():
+    rng = np.random.default_rng(20)
+    alpha = rng.uniform(0.5, 2.0, size=(50, 6))
+    valid = rng.random((50, 6)) > 0.5
+    valid[:, 2] = True
+    g = gumbel.sample_gumbel(rng, (3, 50, 6))
+    want = gumbel.concrete_rows_given(alpha, valid, 0.6, g)
+    assert np.isfinite(want).all()
+    for fill in (np.nan, np.inf):
+        noisy = g.copy()
+        noisy[:, ~valid] = fill
+        assert same_bytes(gumbel.concrete_rows_given(alpha, valid, 0.6, noisy), want)
+
+
 def test_concrete_block_equals_sequential_draws():
     rng = np.random.default_rng(18)
     alpha = rng.uniform(0.5, 2.0, size=(30, 9))
@@ -288,3 +334,6 @@ def test_rejects_bad_inputs():
         gumbel.categorical_rows(np.ones((2, 2)), bad_valid, rng, 1)
     with pytest.raises(ValueError):
         gumbel.concrete_rows_given(np.ones((2, 2)), bad_valid, 0.5, np.zeros((2, 2)))
+    with pytest.raises(ValueError):
+        gumbel.concrete_rows_given(np.ones((2, 3)), np.ones((2, 3), dtype=bool), np.nan,
+                                   np.zeros((2, 3)))

@@ -5,6 +5,7 @@ import pytest
 
 from ecsched.nn import (AdamState, Mlp, adam_step, init_mlp, mlp_backward,
                         mlp_forward, parameters, relu6, relu6_grad)
+from ecsched.sampler import create_network, network_parameters
 from gradcheck import grad_check
 
 
@@ -255,6 +256,42 @@ def test_adam_shape_mismatch_rejected():
     state = AdamState.for_params(params)
     with pytest.raises(ValueError):
         adam_step(state, params, [np.zeros(3), np.zeros(3)])
+    # a gradient that would broadcast onto its parameter is refused, and
+    # nothing moves
+    with pytest.raises(ValueError):
+        adam_step(state, params, [np.ones(1)])
+    assert state.step == 0 and not params[0].any()
+
+
+def reference_adam_step(state, params, grads):
+    """Adam one parameter at a time, on per-parameter moment arrays."""
+    state["step"] += 1
+    b1c = 1.0 - 0.9 ** state["step"]
+    b2c = 1.0 - 0.999 ** state["step"]
+    for p, g, m, v in zip(params, grads, state["m"], state["v"]):
+        m *= 0.9
+        m += (1.0 - 0.9) * g
+        v *= 0.999
+        v += (1.0 - 0.999) * g * g
+        p -= state["lr"] * (m / b1c) / (np.sqrt(v / b2c) + 1e-8)
+
+
+def test_flat_adam_equals_the_per_parameter_loop():
+    params = network_parameters(create_network(seed=3))
+    assert len(params) == 28
+    ref_params = [p.copy() for p in params]
+    ref = {"m": [np.zeros_like(p) for p in params], "v": [np.zeros_like(p) for p in params],
+           "step": 0, "lr": 1e-3}
+    state = AdamState.for_params(params, lr=1e-3)
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        grads = [rng.normal(size=p.shape) * 10.0 ** rng.integers(-4, 3) for p in params]
+        adam_step(state, params, grads)
+        reference_adam_step(ref, ref_params, grads)
+    for got, want in zip((params, state.m, state.v), (ref_params, ref["m"], ref["v"])):
+        assert [a.shape for a in got] == [b.shape for b in want]
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+    assert all(np.shares_memory(a, state.moments) for a in state.m + state.v)
 
 
 def linear_net_loss(net, x, target):

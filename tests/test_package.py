@@ -181,3 +181,37 @@ def test_hard_pricing_is_one_call_per_best_of():
         visit(ast.parse(path.read_text()), path.stem, False)
     assert sorted(calls) == [("baselines.rsn_best_of_detailed", False),
                              ("sampler.best_of_detailed", False)]
+
+
+def test_training_steps_run_once_over_their_blocks():
+    # the concrete transform computes only valid entries: no masked logit
+    # constant and no where/copyto over the full block; Adam runs its
+    # moment arithmetic once on the flat buffers, so no loop or
+    # comprehension in adam_step reads a moment; the names perfbench's
+    # tracer patches stay
+    from ecsched import gumbel, nn, sampler
+
+    source = {name: ast.parse((ROOT / "src" / "ecsched" / f"{name}.py").read_text())
+              for name in ("gumbel", "nn")}
+    names = {node.id for node in ast.walk(source["gumbel"]) if isinstance(node, ast.Name)}
+    assert "MASK_LOGIT" not in names and not hasattr(gumbel, "MASK_LOGIT")
+
+    def function(module, name):
+        return next(node for node in source[module].body
+                    if isinstance(node, ast.FunctionDef) and node.name == name)
+
+    calls = {node.func.attr for node in ast.walk(function("gumbel", "concrete_rows_given"))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)}
+    assert not calls & {"where", "copyto"}
+
+    loops = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
+             ast.GeneratorExp)
+    moments = {"m", "v", "moments"}
+    looped = [f"line {node.lineno}" for node in ast.walk(function("nn", "adam_step"))
+              if isinstance(node, loops)
+              and any(getattr(inner, "id", getattr(inner, "attr", None)) in moments
+                      for inner in ast.walk(node))]
+    assert looped == []
+
+    assert callable(gumbel.sample_gumbel) and callable(gumbel.concrete_rows_given)
+    assert sampler.adam_step is nn.adam_step

@@ -26,16 +26,9 @@ U_CLAMP = 1e-12
 
 
 def sample_gumbel(rng, size=None):
-    """Standard Gumbel draws via the clamped inverse CDF, computed in
-    place in the uniform block."""
-    g = rng.uniform(size=size)
-    if size is None:
-        return -np.log(-np.log(np.clip(g, U_CLAMP, 1.0 - U_CLAMP)))
-    np.clip(g, U_CLAMP, 1.0 - U_CLAMP, out=g)
-    np.log(g, out=g)
-    np.negative(g, out=g)
-    np.log(g, out=g)
-    return np.negative(g, out=g)
+    """Standard Gumbel draws via the clamped inverse CDF."""
+    u = np.clip(rng.uniform(size=size), U_CLAMP, 1.0 - U_CLAMP)
+    return -np.log(-np.log(u))
 
 
 def concrete_rows_given(alpha, valid, tau, g):

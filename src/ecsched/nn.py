@@ -36,7 +36,8 @@ inside (0, 6).
 """
 
 import itertools
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -156,32 +157,39 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 
-def _views(flat, params):
-    """Views of consecutive slices of flat, shaped like params in order."""
-    ends = itertools.accumulate(p.size for p in params)
-    return [flat[end - p.size:end].reshape(p.shape) for p, end in zip(params, ends)]
+def _views(flat, shapes):
+    """Views of consecutive slices of flat, one per shape in order."""
+    sizes = list(map(math.prod, shapes))
+    ends = itertools.accumulate(sizes)
+    return [flat[end - size:end].reshape(shape) for shape, size, end in zip(shapes, sizes, ends)]
 
 
 @dataclass
 class AdamState:
     """First/second moment accumulators plus the step counter.
 
-    Both moments live in one (2, n) buffer, ``moments``, over the
-    parameters' entries in order; m[i] and v[i] are views of parameter
-    i's slice of its rows, shaped like the parameter.
+    Both moments live in one zero-initialized (2, n) buffer, ``moments``,
+    over the entries of parameters of the given shapes in order; m[i]
+    and v[i] are views of parameter i's slice of its rows, shaped like
+    the parameter.
     """
 
-    m: list
-    v: list
-    moments: np.ndarray
+    shapes: tuple
     step: int = 0
     lr: float = 1e-4
+    moments: np.ndarray = field(init=False, repr=False)
+    m: list = field(init=False, repr=False)
+    v: list = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.shapes = tuple(tuple(shape) for shape in self.shapes)
+        self.moments = np.zeros((2, sum(map(math.prod, self.shapes))))
+        self.m = _views(self.moments[0], self.shapes)
+        self.v = _views(self.moments[1], self.shapes)
 
     @classmethod
     def for_params(cls, params, lr=1e-4):
-        moments = np.zeros((2, sum(p.size for p in params)))
-        return cls(m=_views(moments[0], params), v=_views(moments[1], params),
-                   moments=moments, lr=lr)
+        return cls(shapes=[p.shape for p in params], lr=lr)
 
 
 def adam_step(state, params, grads):
@@ -191,9 +199,10 @@ def adam_step(state, params, grads):
     arithmetic runs once over all entries, elementwise as per parameter;
     only the step is split back onto the parameters.
     """
-    if len(params) != len(state.m) or len(grads) != len(params):
-        raise ValueError("params/grads do not match the optimizer state")
-    if [g.shape for g in grads] != [p.shape for p in params]:
+    shapes = tuple(p.shape for p in params)
+    if shapes != state.shapes:
+        raise ValueError("params do not match the optimizer state")
+    if tuple(g.shape for g in grads) != shapes:
         raise ValueError("every gradient needs its parameter's shape")
     state.step += 1
     b1c = 1.0 - ADAM_BETA1 ** state.step
@@ -205,6 +214,6 @@ def adam_step(state, params, grads):
     v *= ADAM_BETA2
     v += (1.0 - ADAM_BETA2) * g * g
     step = state.lr * (m / b1c) / (np.sqrt(v / b2c) + ADAM_EPS)
-    for p, d in zip(params, _views(step, params)):
+    for p, d in zip(params, _views(step, shapes)):
         p -= d
     return params, state

@@ -260,6 +260,9 @@ def test_adam_shape_mismatch_rejected():
     # nothing moves
     with pytest.raises(ValueError):
         adam_step(state, params, [np.ones(1)])
+    # parameters shaped unlike the ones the state was built for
+    with pytest.raises(ValueError):
+        adam_step(state, [np.zeros(4)], [np.zeros(4)])
     assert state.step == 0 and not params[0].any()
 
 

@@ -339,7 +339,13 @@ def _digits_for(combo_ids, radices):
     return digits
 
 
-def brute_force_search(n_valid_flat, weights, d_in, d_out, topology, chunk=4096):
+# combinations per batch of brute_force_search: each batch repeats the
+# same few dozen numpy calls, so fewer, larger batches run faster up to
+# about 32,768 combinations; 65,536 ran at about half the throughput
+SEARCH_CHUNK = 16_384
+
+
+def brute_force_search(n_valid_flat, weights, d_in, d_out, topology, chunk=SEARCH_CHUNK):
     """Exhaustive search over option combinations, priced in chunks.
 
     n_valid_flat: (S,) valid option counts, slots flattened t-major as
@@ -363,6 +369,14 @@ def brute_force_search(n_valid_flat, weights, d_in, d_out, topology, chunk=4096)
     the chunk.  ``_summary`` bills them as (2, combinations, links...)
     views, so every element-wise billing step runs along the batch's
     combinations, which lie innermost in memory.
+
+    At the default chunk, ``SEARCH_CHUNK``, a priced tiny instance (9
+    options a slot, 531,441 combinations) splits into a 4-slot suffix of
+    6,561 combinations and batches of 2 prefixes, 13,122 combinations:
+    41 batches, where a chunk of 4,096 makes 146 of 3,645.  The
+    tracemalloc peak is 4.0 MiB for that search (1.0 MiB at 4,096), and
+    10.5 MiB for a one-slot search of 7**7 combinations (2.6 MiB at
+    4,096).
     """
     K, N = weights.shape[:2]
     T = d_in.shape[2]

@@ -96,10 +96,14 @@ def test_counts_int64_cannot_number_are_refused_before_searching(monkeypatch):
 
 
 def test_search_memory_is_bounded_by_the_chunk():
-    # one slot of three links: 7**5 and 7**6 combinations, all of them
-    # slot combinations of that slot
+    # one slot of three links: 7**n and 7**(n + 1) combinations, all of
+    # them slot combinations of that slot, the first at least 7 default
+    # chunks long (n = 6 at 16,384)
+    n = 1
+    while 7 ** n < 7 * _kernels.SEARCH_CHUNK:
+        n += 1
     peak_bytes = []
-    for n_types in (5, 6):
+    for n_types in (n, n + 1):
         inst = make_tiny(2, n_slots=1, n_types=n_types, n_isps=3, demand_scale=8.0)
         table = build_option_table(inst.topology)
         assert combination_count(inst, table) == 7 ** n_types

@@ -32,18 +32,20 @@ def search(inst, chunk, n_valid_flat=None):
 
 def test_numpy_chunking_is_invisible():
     inst = make_tiny(4, demand_scale=8.0)
-    a, b = search(inst, chunk=7), search(inst, chunk=4096)
-    assert len(a) == len(b) == 2
-    assert 0.0 < a[0] < np.inf and a[0] == b[0]
-    assert np.array_equal(a[1], b[1])
+    a = search(inst, chunk=7)
+    assert len(a) == 2 and 0.0 < a[0] < np.inf
+    for chunk in (4096, _kernels.SEARCH_CHUNK):
+        b = search(inst, chunk=chunk)
+        assert len(b) == 2 and a[0] == b[0]
+        assert np.array_equal(a[1], b[1])
 
-    # nothing feasible: both chunkings report cost inf
-    for chunk in (7, 4096):
+    # nothing feasible: every chunking reports cost inf
+    for chunk in (7, 4096, _kernels.SEARCH_CHUNK):
         assert search(hopeless_instance(), chunk)[0] == np.inf
 
-    # many equal-cost optima: both chunkings keep the first in odometer
+    # many equal-cost optima: every chunking keeps the first in odometer
     # order, which lies inside a chunk of 7
-    for chunk in (7, 4096):
+    for chunk in (7, 4096, _kernels.SEARCH_CHUNK):
         cost, best = search(first_optimum_at_243(), chunk)
         assert cost == 0.0
         assert np.array_equal(best, [1, 0, 0, 0, 0, 0])
@@ -86,14 +88,18 @@ def pinned_instances():
 BRUTE_FORCE_SHA256 = "84705cd0d257c846888ecae29ab2027c5cac8eeb97341d4ada257281fbf2245e"
 
 
+def result_bytes(cost, options):
+    return repr(cost).encode(), str(options.dtype).encode(), options.tobytes()
+
+
 def test_brute_force_bytes_are_pinned():
     digest = hashlib.sha256()
     for inst in pinned_instances():
         for chunk in (7, 4096):
-            cost, options = search(inst, chunk)
-            digest.update(repr(cost).encode())
-            digest.update(str(options.dtype).encode())
-            digest.update(options.tobytes())
+            result = result_bytes(*search(inst, chunk))
+            digest.update(b"".join(result))
+        # the default chunk gives the pinned bytes too
+        assert result_bytes(*search(inst, _kernels.SEARCH_CHUNK)) == result
     assert digest.hexdigest() == BRUTE_FORCE_SHA256
 
 
@@ -131,7 +137,7 @@ def test_exempting_search_matches_odometer_enumeration():
         counts = reduced_valid_counts(inst, slots, types)
         ref_cost, ref_best = odometer_search(inst, counts)
         assert 0.0 < ref_cost < np.inf and ref_best.any()
-        for chunk in (7, 512, 4096):
+        for chunk in (7, 512, 4096, _kernels.SEARCH_CHUNK):
             cost, best = search(inst, chunk, counts)
             assert cost == ref_cost
             assert np.array_equal(best, ref_best)
@@ -147,10 +153,10 @@ def test_exempting_brute_force_bytes_are_pinned():
     for inst, slots, types in exempting_instances():
         counts = reduced_valid_counts(inst, slots, types)
         for chunk in (7, 512, 4096):
-            cost, options = search(inst, chunk, counts)
-            digest.update(repr(cost).encode())
-            digest.update(str(options.dtype).encode())
-            digest.update(options.tobytes())
+            result = result_bytes(*search(inst, chunk, counts))
+            digest.update(b"".join(result))
+        # the default chunk gives the pinned bytes too
+        assert result_bytes(*search(inst, _kernels.SEARCH_CHUNK, counts)) == result
     assert digest.hexdigest() == EXEMPTING_BRUTE_FORCE_SHA256
 
 
@@ -188,7 +194,7 @@ def test_a_partial_assignment_bounds_every_completion(n_slots, n_users, n_isps, 
 @settings(derandomize=True, database=None, deadline=None, max_examples=40)
 @given(n_slots=st.integers(1, 24), n_users=st.integers(1, 3), n_isps=st.integers(2, 3),
        demand_scale=st.sampled_from([2.0, 4.0, 8.0]), n_open=st.integers(1, 5),
-       chunk=st.sampled_from([1, 7, 4096]), seed=st.integers(0, 2 ** 16))
+       chunk=st.sampled_from([1, 7, 4096, _kernels.SEARCH_CHUNK]), seed=st.integers(0, 2 ** 16))
 @example(n_slots=24, n_users=2, n_isps=2, demand_scale=4.0, n_open=5, chunk=7, seed=1)  # m = 1
 @example(n_slots=5, n_users=1, n_isps=2, demand_scale=2.0, n_open=0, chunk=7,
          seed=1)  # one combination
@@ -378,13 +384,15 @@ def test_search_solves_thousands_of_single_combination_slots():
 
 
 def test_search_memory_stays_small_at_the_default_chunk():
-    # 9**6 = 531,441 combinations; 1.08-1.17 MB measured on seeds 1-4
+    # 9**6 = 531,441 combinations; measured on seeds 1-4, 1.08-1.17 MB at
+    # chunk 4096 and 4.21 MB at the default chunk, 16,384
     inst = make_tiny(1, n_slots=6, demand_scale=8.0)
     assert np.prod(flat_valid_counts(inst, build_option_table(inst.topology))) == 531441
-    tracemalloc.start()
-    try:
-        assert search(inst, 4096)[0] < np.inf
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2 * 2 ** 20
+    for chunk, bound in ((4096, 2 * 2 ** 20), (_kernels.SEARCH_CHUNK, 8 * 2 ** 20)):
+        tracemalloc.start()
+        try:
+            assert search(inst, chunk)[0] < np.inf
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
